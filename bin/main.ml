@@ -828,6 +828,7 @@ let explore_cmd =
     let program_of, inits = entry.Corpus.make ~n in
     let coin_range = if entry.Corpus.randomized then [ 0; 1 ] else [ 0 ] in
     let violations = ref 0 in
+    let capped = ref false in
     let check run = if not (Explore.wakeup_ok ~n run) then incr violations in
     (try
        if reduced then begin
@@ -850,15 +851,17 @@ let explore_cmd =
            (if !violations = 0 then "VERIFIED" else "VIOLATED")
        end
      with Explore.Limit_exceeded k ->
+       capped := true;
        Format.printf "state space exceeds %d runs; reduce n or raise --max-runs@." k);
-    if !violations = 0 then 0 else 3
+    if !violations > 0 then 3 else if !capped then 4 else 0
   in
   Cmd.v
     (Cmd.info "explore"
        ~doc:
          "Exhaustively verify a wakeup algorithm over every interleaving (and coin outcome) at \
-          a small n (exit 3 if violations are found); $(b,--reduced) prunes commuting and \
-          revisited schedules first.")
+          a small n; $(b,--reduced) prunes commuting and revisited schedules first.  Exits 3 \
+          if violations are found, and 4 if the walk hit $(b,--max-runs) before finishing \
+          with none found (nothing was verified).")
     Term.(const run $ logging $ name_arg $ n_arg $ max_runs_arg $ reduced_flag)
 
 (* ---- litmus ---- *)

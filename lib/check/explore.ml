@@ -14,6 +14,17 @@ exception Limit_exceeded of int
    Leading coin tosses are resolved (with branching) by [expand]. *)
 type 'a proc = Blocked of Op.invocation * (Op.response -> 'a Program.t) | Done of 'a
 
+(* pid -> proc, persistent so branches share state. *)
+module Pmap = Map.Make (Int)
+
+(* The per-pid results of a run whose every process has returned. *)
+let results_of procs =
+  Pmap.bindings procs
+  |> List.map (fun (pid, p) ->
+         match p with
+         | Done x -> (pid, x)
+         | Blocked _ -> assert false)
+
 (* Resolve leading tosses of a program into every reachable [proc],
    branching over the coin range.  The accompanying event list (reversed)
    records terminations discovered during expansion; the outcome list
@@ -52,8 +63,6 @@ let iter ~n ~program_of ?(inits = []) ?(coin_range = [ 0 ]) ?(model = Memory_mod
   if coin_range = [] then invalid_arg "Explore.iter: empty coin range";
   let count = ref 0 in
   let memory0 = Pure_memory.create ~inits ~model () in
-  (* [procs] is a persistent map pid -> proc so branches share state. *)
-  let module Pmap = Map.Make (Int) in
   let emit memory procs events =
     incr count;
     if !count > max_runs then raise (Limit_exceeded max_runs);
@@ -62,14 +71,7 @@ let iter ~n ~program_of ?(inits = []) ?(coin_range = [ 0 ]) ?(model = Memory_mod
        final memory (per-register FIFO), so branching over it would only
        multiply equivalent runs. *)
     let _, events = drain_all memory events in
-    let results =
-      Pmap.bindings procs
-      |> List.map (fun (pid, p) ->
-             match p with
-             | Done x -> (pid, x)
-             | Blocked _ -> assert false)
-    in
-    f { events = List.rev events; results }
+    f { events = List.rev events; results = results_of procs }
   in
   (* [runnable] is the ascending list of blocked pids, maintained
      incrementally: a pid leaves when its expansion terminates, so no
@@ -169,22 +171,12 @@ let wakeup_ok ~n run =
 
 type stats = { runs : int; sleep_pruned : int; dedup_pruned : int }
 
-(* The registers an invocation can read or write.  Two invocations with
-   disjoint footprints commute exactly in [Pure_memory]: same responses,
-   same final memory, either order.  This is conservative — e.g. two [Ll]s
-   of the same register by different processes also commute — but register
-   disjointness is the cheap sound check. *)
-let footprint = function
-  | Op.Ll r | Op.Sc (r, _) | Op.Validate r | Op.Swap (r, _) | Op.Write (r, _) -> [ r ]
-  | Op.Move (src, dst) -> [ src; dst ]
-  | Op.Fence -> []
-
 (* The full dependency footprint of a step under the memory's model: fencing
    operations also drain the issuing process's buffer, so their effect
    extends to every register with a pending buffered write.  Buffers are
-   empty under SC, making this [footprint inv] there. *)
+   empty under SC, making this [Sched_tree.footprint inv] there. *)
 let step_fp_regs memory ~pid inv =
-  let base = footprint inv in
+  let base = Sched_tree.footprint inv in
   match inv with
   | Op.Ll _ | Op.Sc _ | Op.Swap _ | Op.Move _ | Op.Fence -> (
     match Pure_memory.buffered_regs memory ~pid with
@@ -192,9 +184,11 @@ let step_fp_regs memory ~pid inv =
     | buffered -> List.sort_uniq Int.compare (base @ buffered))
   | Op.Validate _ | Op.Write _ -> base
 
+(* Register disjointness is the cheap sound commutation check: two
+   invocations with disjoint footprints commute exactly in [Pure_memory]. *)
 let conflicts a b =
-  let fa = footprint a in
-  List.exists (fun r -> List.mem r fa) (footprint b)
+  let fa = Sched_tree.footprint a in
+  List.exists (fun r -> List.mem r fa) (Sched_tree.footprint b)
 
 (* The run-prefix information [wakeup_ok]-style predicates depend on:
    which processes have stepped, frozen at the first [Returned (_, 1)].
@@ -216,7 +210,6 @@ let update_summary summary chrono_events =
 let iter_reduced ~n ~program_of ?(inits = []) ?(coin_range = [ 0 ])
     ?(max_runs = 200_000) ~f () =
   if coin_range = [] then invalid_arg "Explore.iter_reduced: empty coin range";
-  let module Pmap = Map.Make (Int) in
   let memory0 = Pure_memory.create ~inits () in
   let runs = ref 0 in
   let sleep_pruned = ref 0 in
@@ -233,14 +226,7 @@ let iter_reduced ~n ~program_of ?(inits = []) ?(coin_range = [ 0 ])
   let emit procs events =
     incr runs;
     if !runs > max_runs then raise (Limit_exceeded max_runs);
-    let results =
-      Pmap.bindings procs
-      |> List.map (fun (pid, p) ->
-             match p with
-             | Done x -> (pid, x)
-             | Blocked _ -> assert false)
-    in
-    f { events = List.rev events; results }
+    f { events = List.rev events; results = results_of procs }
   in
   let pending_inv procs pid =
     match Pmap.find pid procs with
@@ -343,7 +329,6 @@ let iter_dpor ~n ~program_of ?(inits = []) ?(coin_range = [ 0 ])
     ?(model = Memory_model.SC) ?(bounds = Sched_tree.no_bounds) ?(dedup = true)
     ?(max_runs = 200_000) ~f () =
   if coin_range = [] then invalid_arg "Explore.iter_dpor: empty coin range";
-  let module Pmap = Map.Make (Int) in
   let memory0 = Pure_memory.create ~inits ~model () in
   (* Flush actions are scheduler-visible decisions, so they need ids in the
      tree's decision alphabet.  flush(p, r) ↦ n*(1+r)+p: injective, disjoint
@@ -463,16 +448,7 @@ let iter_dpor ~n ~program_of ?(inits = []) ?(coin_range = [ 0 ])
           enabled := enabled_now ();
           mark ())
     done;
-    if !aborted then None
-    else
-      let results =
-        Pmap.bindings !procs
-        |> List.map (fun (pid, p) ->
-               match p with
-               | Done x -> (pid, x)
-               | Blocked _ -> assert false)
-      in
-      Some { events = List.rev !events; results }
+    if !aborted then None else Some { events = List.rev !events; results = results_of !procs }
   in
   try
     Sched_tree.explore ~bounds ~max_schedules:max_runs ~run

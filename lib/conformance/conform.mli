@@ -3,9 +3,9 @@
     The fuzz matrix crosses constructions × object types × fault plans into
     {!Fuzz.check_cell} cells; the mutation matrix crosses constructions ×
     {!Mutate.all} and demands that every applicable mutant be {e killed} —
-    some schedule's history must fail the {!Linearize} checker.  [ok] is the
-    gate the CLI turns into its exit code and CI asserts in the conformance
-    smoke step. *)
+    some schedule's history must fail the {!Lb_objects.Linearize} checker.
+    [ok] is the gate the CLI turns into its exit code and CI asserts in the
+    conformance smoke step. *)
 
 open Lb_universal
 open Lb_faults

@@ -2,6 +2,7 @@ open Lb_memory
 open Lb_runtime
 open Lb_universal
 open Lb_faults
+module Linearize = Lb_objects.Linearize
 
 type object_type = {
   ot_name : string;
@@ -197,7 +198,7 @@ let execute ~(construction : Iface.t) ~ot ~plan ~n ~ops ~seed
 let assess ~(construction : Iface.t) ~ot ~plan ~n ~ops ~max_states ~schedule result =
   let spec = ot.spec_of ~n in
   let bound = construction.Iface.worst_case ~n in
-  let history = History.of_result result in
+  let history = result.Harness.history in
   let checked_ops = List.length history in
   let stopped = Fault_plan.crash_stopped plan in
   let reg = Lb_observe.Metrics.current () in

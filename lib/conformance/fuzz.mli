@@ -3,7 +3,7 @@
     A fuzz {e cell} is one (construction, object type, fault plan) triple:
     [schedules] seeded random schedules are driven through the
     {!Lb_universal.Harness} (fault engine armed), every produced history is
-    checked with {!Linearize}, and the first failing schedule — if any — is
+    checked with {!Lb_objects.Linearize}, and the first failing schedule — if any — is
     minimized with {!Shrink} to a locally-minimal interleaving that replays
     deterministically to the same failure class.
 
@@ -11,7 +11,7 @@
     injects spurious SC failures, mirroring {!Lb_faults.Certify}; crash-
     stopped pids are exempt from the completion requirement; crash-recovery
     restarts contribute ghost pending operations to the checked history (see
-    {!History}). *)
+    {!Lb_objects.History.ghosts}). *)
 
 open Lb_memory
 open Lb_runtime
@@ -93,9 +93,10 @@ val assess :
   Harness.result ->
   run
 (** Judge an executed run: completion accounting, the analytic cost bound,
-    give-up excuses, then {!Linearize}.  [run_once] is [execute] followed
-    by [assess]; the exhaustive checker shares this judge so a schedule is
-    assessed identically however it was produced. *)
+    give-up excuses, then {!Lb_objects.Linearize} on [result.history].
+    [run_once] is [execute] followed by [assess]; the exhaustive checker
+    shares this judge so a schedule is assessed identically however it was
+    produced. *)
 
 val run_once :
   construction:Iface.t ->

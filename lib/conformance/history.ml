@@ -1,73 +1,4 @@
-open Lb_memory
-
-type outcome =
-  | Completed of { response : Value.t; responded : int }
-  | Pending
-
-type op = {
-  pid : int;
-  seq : int;
-  op : Value.t;
-  invoked : int;
-  outcome : outcome;
-  ghost : bool;
-}
-
-type t = op list
-
-let completed t =
-  List.filter (fun o -> match o.outcome with Completed _ -> true | Pending -> false) t
-
-let pending t =
-  List.filter (fun o -> match o.outcome with Pending -> true | Completed _ -> false) t
-
-let by_invocation t = List.sort (fun a b -> Int.compare a.invoked b.invoked) t
-
-(* A restarted (pid, seq) may have applied its effect before the crash wiped
-   the process's volatile state: the re-invocation then applies it again.
-   Each restart therefore contributes one extra *optional* occurrence of the
-   same operation — a ghost pending op the checker may (but need not)
-   linearize.  The ghost is anchored at the original invocation time: the
-   lost attempt ran somewhere between invocation and the recorded outcome. *)
-let ghosts ~restarted ops =
-  List.filter_map
-    (fun (pid, seq) ->
-      List.find_opt (fun o -> o.pid = pid && o.seq = seq && not o.ghost) ops
-      |> Option.map (fun o -> { o with outcome = Pending; ghost = true }))
-    restarted
-
-let of_result (r : Lb_universal.Harness.result) =
-  let done_ =
-    List.map
-      (fun (s : Lb_universal.Harness.op_stat) ->
-        {
-          pid = s.pid;
-          seq = s.seq;
-          op = s.op;
-          invoked = s.invoked;
-          outcome = Completed { response = s.response; responded = s.responded };
-          ghost = false;
-        })
-      r.Lb_universal.Harness.stats
-  in
-  let failed =
-    List.map
-      (fun (f : Lb_universal.Harness.op_failure) ->
-        { pid = f.pid; seq = f.seq; op = f.op; invoked = f.invoked; outcome = Pending; ghost = false })
-      r.Lb_universal.Harness.failures
-  in
-  (* Invoked-but-still-running at run end (crash-stop, fuel exhaustion): no
-     response was recorded, but a helping construction may have completed
-     the operation on the crashed process's behalf, so its effect can be
-     visible in other responses.  Pending, like a give-up. *)
-  let unfinished =
-    List.map
-      (fun (i : Lb_universal.Harness.op_in_flight) ->
-        { pid = i.pid; seq = i.seq; op = i.op; invoked = i.invoked; outcome = Pending; ghost = false })
-      r.Lb_universal.Harness.in_flight
-  in
-  let base = done_ @ failed @ unfinished in
-  by_invocation (base @ ghosts ~restarted:r.Lb_universal.Harness.restarted base)
+include Lb_objects.History
 
 let of_events ?(restarted = []) (events : Lb_observe.Event.stamped list) =
   let module E = Lb_observe.Event in
@@ -78,8 +9,7 @@ let of_events ?(restarted = []) (events : Lb_observe.Event.stamped list) =
       match s.E.event with
       | E.Op_invoked { pid; seq; op } ->
         if not (Hashtbl.mem tbl (pid, seq)) then begin
-          Hashtbl.replace tbl (pid, seq)
-            { pid; seq; op; invoked = s.E.at; outcome = Pending; ghost = false };
+          Hashtbl.replace tbl (pid, seq) (pending_op ~pid ~seq ~op ~invoked:s.E.at);
           order := (pid, seq) :: !order
         end
       | E.Op_completed { pid; seq; response; _ } ->
@@ -92,16 +22,3 @@ let of_events ?(restarted = []) (events : Lb_observe.Event.stamped list) =
     events;
   let base = List.rev_map (fun key -> Hashtbl.find tbl key) !order in
   by_invocation (base @ ghosts ~restarted base)
-
-let pp_op ppf o =
-  let status =
-    match o.outcome with
-    | Completed { response; _ } -> Format.asprintf "-> %a" Value.pp response
-    | Pending -> if o.ghost then "pending (restart ghost)" else "pending"
-  in
-  Format.fprintf ppf "p%d#%d %a @%d %s" o.pid o.seq Value.pp o.op o.invoked status
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>";
-  List.iter (fun o -> Format.fprintf ppf "%a@ " pp_op o) t;
-  Format.fprintf ppf "@]"

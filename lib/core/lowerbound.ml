@@ -16,7 +16,8 @@
     - {!Round}, {!All_run}, {!S_run}, {!Upsets}, {!Indistinguishability},
       {!Lower_bound}: the Section 5 adversary and the Theorem 6.1 analysis;
     - {!Spec}, {!Counters}, {!Bitwise}, {!Containers}, {!Misc_types},
-      {!Atomic}, {!History}: object types and linearizability;
+      {!Atomic}, {!History}, {!Linearize}: object types, concurrent
+      histories with pending operations, and the Wing–Gong checker;
     - {!Iface}, {!Adt_tree}, {!Herlihy}, {!Direct}, {!Harness},
       {!Complexity}: universal constructions and their measurement;
     - {!Pure_memory}, {!Explore}, {!Sched_tree}: the model-checking layer —
@@ -30,11 +31,11 @@
     - {!Fault_plan}, {!Fault_engine}, {!Retry}, {!Fault_targets}, {!Faults}:
       fault injection (crashes, recovery, weak LL/SC, delays) and the
       wait-freedom-under-adversity certification driver;
-    - {!Conf_history}, {!Linearize}, {!Mutate}, {!Schedule_fuzz}, {!Shrink},
+    - {!Conf_history}, {!Mutate}, {!Schedule_fuzz}, {!Shrink},
       {!Conformance}, {!Exhaustive}: the conformance subsystem — histories
-      with pending operations, the Wing–Gong checker, mutation testing,
-      differential schedule fuzzing, counterexample shrinking, and
-      bounded-exhaustive certification over {!Sched_tree}'s DPOR;
+      rebuilt from recorded traces, mutation testing, differential schedule
+      fuzzing, counterexample shrinking, and bounded-exhaustive
+      certification over {!Sched_tree}'s DPOR;
     - {!Problem}, {!Reductions}, {!Direct_algorithms}, {!Randomized},
       {!Cheaters}, {!Corpus}: the wakeup problem and its algorithm corpus;
     - {!Hw_memory}, {!Hw_recorder}, {!Hw_run}, {!Hw_harness}, {!Hw_bench}:
@@ -89,6 +90,7 @@ module Containers = Lb_objects.Containers
 module Misc_types = Lb_objects.Misc_types
 module Atomic = Lb_objects.Atomic
 module History = Lb_objects.History
+module Linearize = Lb_objects.Linearize
 
 (* Universal constructions *)
 module Iface = Lb_universal.Iface
@@ -131,7 +133,6 @@ module Faults = Lb_faults.Certify
 
 (* Conformance *)
 module Conf_history = Lb_conformance.History
-module Linearize = Lb_conformance.Linearize
 module Mutate = Lb_conformance.Mutate
 module Schedule_fuzz = Lb_conformance.Fuzz
 module Shrink = Lb_conformance.Shrink

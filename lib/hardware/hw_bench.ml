@@ -46,9 +46,9 @@ let measure ?(check = false) ?max_states ~construction ~n ~ops_per_process ~seed
     if not check then None
     else
       match Hw_harness.check ?max_states ~spec result with
-      | Lb_conformance.Linearize.Linearizable _ -> Some true
-      | Lb_conformance.Linearize.Not_linearizable _ -> Some false
-      | Lb_conformance.Linearize.Budget_exhausted _ -> None
+      | Lb_objects.Linearize.Linearizable _ -> Some true
+      | Lb_objects.Linearize.Not_linearizable _ -> Some false
+      | Lb_objects.Linearize.Budget_exhausted _ -> None
   in
   {
     construction = construction.Iface.name;

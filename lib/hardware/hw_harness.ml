@@ -36,7 +36,7 @@ type result = {
   max_shared_ops : int;
   max_cost : int;
   mean_cost : float;
-  history : Lb_conformance.History.t;
+  history : Lb_objects.History.t;
 }
 
 (* A counting start barrier: every participant decrements, then spins
@@ -60,8 +60,8 @@ let rank_of_times times =
   List.iteri (fun i t -> Hashtbl.replace tbl t i) sorted;
   fun t -> Hashtbl.find tbl t
 
-let build_history ~(stats : op_stat list) ~(failures : op_failure list) :
-    Lb_conformance.History.t =
+let build_history ~(stats : op_stat list) ~(failures : op_failure list) : Lb_objects.History.t =
+  let module H = Lb_objects.History in
   let times =
     List.concat_map (fun (s : op_stat) -> [ s.invoked_s; s.responded_s ]) stats
     @ List.map (fun (f : op_failure) -> f.invoked_s) failures
@@ -70,16 +70,8 @@ let build_history ~(stats : op_stat list) ~(failures : op_failure list) :
   let completed =
     List.map
       (fun (s : op_stat) ->
-        {
-          Lb_conformance.History.pid = s.pid;
-          seq = s.seq;
-          op = s.op;
-          invoked = rank s.invoked_s;
-          outcome =
-            Lb_conformance.History.Completed
-              { response = s.response; responded = rank s.responded_s };
-          ghost = false;
-        })
+        H.completed_op ~pid:s.pid ~seq:s.seq ~op:s.op ~response:s.response
+          ~invoked:(rank s.invoked_s) ~responded:(rank s.responded_s))
       stats
   in
   let pending =
@@ -87,19 +79,11 @@ let build_history ~(stats : op_stat list) ~(failures : op_failure list) :
        it stays in the history as an optional occurrence. *)
     List.map
       (fun (f : op_failure) ->
-        {
-          Lb_conformance.History.pid = f.pid;
-          seq = f.seq;
-          op = f.op;
-          invoked = rank f.invoked_s;
-          outcome = Lb_conformance.History.Pending;
-          ghost = false;
-        })
+        H.pending_op ~pid:f.pid ~seq:f.seq ~op:f.op ~invoked:(rank f.invoked_s))
       failures
   in
   List.sort
-    (fun (a : Lb_conformance.History.op) b ->
-      compare (a.invoked, a.pid, a.seq) (b.invoked, b.pid, b.seq))
+    (fun (a : H.op) b -> compare (a.invoked, a.pid, a.seq) (b.invoked, b.pid, b.seq))
     (completed @ pending)
 
 let history_of ~stats ~failures = build_history ~stats ~failures
@@ -196,10 +180,10 @@ let run ~(construction : Iface.t) ~spec ~n ~ops ?seed ?(slack = 8) () =
   in
   run_handle ~memory ~handle ~n ~ops ~assignment ()
 
-let check ?max_states ~spec result = Lb_conformance.Linearize.check ?max_states spec result.history
+let check ?max_states ~spec result = Lb_objects.Linearize.check ?max_states spec result.history
 
 let is_linearizable ?max_states ~spec result =
-  Lb_conformance.Linearize.is_linearizable ?max_states spec result.history
+  Lb_objects.Linearize.is_linearizable ?max_states spec result.history
 
 (* ---- wakeup algorithms on hardware ---- *)
 

@@ -7,7 +7,7 @@
     invocation/response stamps and the exact shared-access cost — into
     its own {!Recorder} ring (no allocation between the two stamps), and
     the flushed records are assembled into a
-    {!Lb_conformance.History.t}: the simulator-side Wing–Gong checker
+    {!Lb_objects.History.t}: the simulator-side Wing–Gong checker
     certifies the hardware run.
 
     {b Timestamps to ranks.}  Wall clocks have finite granularity, so
@@ -54,7 +54,7 @@ type result = {
   max_shared_ops : int;  (** max per-process total — worst-case t(R). *)
   max_cost : int;  (** max single-operation cost. *)
   mean_cost : float;
-  history : Lb_conformance.History.t;
+  history : Lb_objects.History.t;
 }
 
 val run :
@@ -83,13 +83,13 @@ val run_handle :
 (** Drive a pre-installed handle on an existing memory. *)
 
 val history_of :
-  stats:op_stat list -> failures:op_failure list -> Lb_conformance.History.t
+  stats:op_stat list -> failures:op_failure list -> Lb_objects.History.t
 (** The timestamp-to-rank history construction [run] applies to its own
     records, exposed so the tie-breaking discipline (equal wall-clock
     stamps share one rank) is directly testable. *)
 
 val check :
-  ?max_states:int -> spec:Lb_objects.Spec.t -> result -> Lb_conformance.Linearize.verdict
+  ?max_states:int -> spec:Lb_objects.Spec.t -> result -> Lb_objects.Linearize.verdict
 
 val is_linearizable : ?max_states:int -> spec:Lb_objects.Spec.t -> result -> bool
 

@@ -1,71 +1,56 @@
 open Lb_memory
 
-type entry = {
+type outcome =
+  | Completed of { response : Value.t; responded : int }
+  | Pending
+
+type op = {
   pid : int;
+  seq : int;
   op : Value.t;
-  response : Value.t;
   invoked : int;
-  responded : int;
+  outcome : outcome;
+  ghost : bool;
 }
 
-let entry ~pid ~op ~response ~invoked ~responded =
-  if responded < invoked then invalid_arg "History.entry: responded before invoked";
-  { pid; op; response; invoked; responded }
+type t = op list
 
-(* Wing-Gong DFS.  At each step the candidates are the remaining entries that
-   are "minimal" in the real-time order: no other remaining entry responded
-   before their invocation.  A candidate is viable if applying its operation
-   to the current abstract state yields exactly its recorded response. *)
-let linearization spec entries =
-  let entries = Array.of_list entries in
-  let n = Array.length entries in
-  let remaining = Array.make n true in
-  let visited = Hashtbl.create 256 in
-  let key state =
-    let buf = Buffer.create (n + 32) in
-    Array.iter (fun r -> Buffer.add_char buf (if r then '1' else '0')) remaining;
-    Buffer.add_char buf '|';
-    Buffer.add_string buf (Value.to_string state);
-    Buffer.contents buf
-  in
-  let minimal i =
-    remaining.(i)
-    && not
-         (Array.exists
-            (fun j -> remaining.(j) && entries.(j).responded < entries.(i).invoked)
-            (Array.init n (fun j -> j)))
-  in
-  let rec search state acc count =
-    if count = n then Some (List.rev acc)
-    else
-      let k = key state in
-      if Hashtbl.mem visited k then None
-      else begin
-        Hashtbl.add visited k ();
-        let rec try_candidates i =
-          if i = n then None
-          else if minimal i then begin
-            let e = entries.(i) in
-            let state', response = spec.Spec.apply state e.op in
-            if Value.equal response e.response then begin
-              remaining.(i) <- false;
-              match search state' (e :: acc) (count + 1) with
-              | Some _ as witness -> witness
-              | None ->
-                remaining.(i) <- true;
-                try_candidates (i + 1)
-            end
-            else try_candidates (i + 1)
-          end
-          else try_candidates (i + 1)
-        in
-        try_candidates 0
-      end
-  in
-  search spec.Spec.init [] 0
+let completed_op ~pid ~seq ~op ~response ~invoked ~responded =
+  if responded < invoked then invalid_arg "History.completed_op: responded before invoked";
+  { pid; seq; op; invoked; outcome = Completed { response; responded }; ghost = false }
 
-let is_linearizable spec entries = Option.is_some (linearization spec entries)
+let pending_op ~pid ~seq ~op ~invoked = { pid; seq; op; invoked; outcome = Pending; ghost = false }
 
-let pp_entry ppf e =
-  Format.fprintf ppf "p%d: %a -> %a @@ [%d, %d]" e.pid Value.pp e.op Value.pp e.response
-    e.invoked e.responded
+let completed t =
+  List.filter (fun o -> match o.outcome with Completed _ -> true | Pending -> false) t
+
+let pending t =
+  List.filter (fun o -> match o.outcome with Pending -> true | Completed _ -> false) t
+
+let by_invocation t = List.sort (fun a b -> Int.compare a.invoked b.invoked) t
+
+(* A restarted (pid, seq) may have applied its effect before the crash wiped
+   the process's volatile state: the re-invocation then applies it again.
+   Each restart therefore contributes one extra *optional* occurrence of the
+   same operation — a ghost pending op the checker may (but need not)
+   linearize.  The ghost is anchored at the original invocation time: the
+   lost attempt ran somewhere between invocation and the recorded outcome. *)
+let ghosts ~restarted ops =
+  List.filter_map
+    (fun (pid, seq) ->
+      List.find_opt (fun o -> o.pid = pid && o.seq = seq && not o.ghost) ops
+      |> Option.map (fun o -> { o with outcome = Pending; ghost = true }))
+    restarted
+
+let pp_op ppf o =
+  let status =
+    match o.outcome with
+    | Completed { response; _ } -> Format.asprintf "-> %a" Value.pp response
+    | Pending -> if o.ghost then "pending (restart ghost)" else "pending"
+  in
+  Format.fprintf ppf "p%d#%d %a @%d %s" o.pid o.seq Value.pp o.op o.invoked status
+
+let pp ppf t =
+  Format.fprintf ppf "@[<v>";
+  List.iter (fun o -> Format.fprintf ppf "%a@ " pp_op o) t;
+  Format.fprintf ppf "@]"

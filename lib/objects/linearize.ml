@@ -20,8 +20,8 @@ exception Out_of_budget
 (* Wing–Gong DFS over one history.  Returns the witness or None; raises
    [Out_of_budget] when more than [max_states] distinct search nodes were
    expanded.  Memoization is on failure: a (taken-set, abstract-state) pair
-   that already failed to extend to a full linearization never will. *)
-let solve ~max_states (spec : Lb_objects.Spec.t) (history : History.t) =
+   that already failed to extend to a full witness order never will. *)
+let solve ~max_states (spec : Spec.t) (history : History.t) =
   let ops = Array.of_list history in
   let nops = Array.length ops in
   let is_completed i =
@@ -85,7 +85,7 @@ let solve ~max_states (spec : Lb_objects.Spec.t) (history : History.t) =
         let try_candidate i =
           if !result = None && not taken.(i) && enabled i then begin
             let o = ops.(i) in
-            let state', resp = spec.Lb_objects.Spec.apply state o.History.op in
+            let state', resp = spec.Spec.apply state o.History.op in
             let accept, was_pending =
               match response_of i with
               | Some recorded -> (Value.equal recorded resp, false)
@@ -119,7 +119,7 @@ let solve ~max_states (spec : Lb_objects.Spec.t) (history : History.t) =
       end
     end
   in
-  let witness = search spec.Lb_objects.Spec.init 0 in
+  let witness = search spec.Spec.init 0 in
   (witness, { states = !states; memo_hits = !memo_hits }, num_completed)
 
 (* The minimal violating prefix: order the completed responses r_1 < ... <
@@ -156,7 +156,7 @@ let bad_prefix ~max_states spec history num_completed =
   in
   scan 1 response_times
 
-let check ?(max_states = 200_000) (spec : Lb_objects.Spec.t) (history : History.t) =
+let check ?(max_states = 200_000) (spec : Spec.t) (history : History.t) =
   match solve ~max_states spec history with
   | Some witness, stats, _ -> Linearizable { witness; stats }
   | None, stats, completed ->
@@ -169,21 +169,6 @@ let is_linearizable ?max_states spec history =
   match check ?max_states spec history with
   | Linearizable _ -> true
   | Not_linearizable _ | Budget_exhausted _ -> false
-
-let of_entries (entries : Lb_objects.History.entry list) : History.t =
-  List.map
-    (fun (e : Lb_objects.History.entry) ->
-      {
-        History.pid = e.Lb_objects.History.pid;
-        seq = 0;
-        op = e.Lb_objects.History.op;
-        invoked = e.Lb_objects.History.invoked;
-        outcome =
-          History.Completed
-            { response = e.Lb_objects.History.response; responded = e.Lb_objects.History.responded };
-        ghost = false;
-      })
-    entries
 
 let pp_step ppf s =
   Format.fprintf ppf "p%d#%d %a -> %a%s" s.pid s.seq Value.pp s.op Value.pp s.response

@@ -9,9 +9,9 @@
     entirely.  Search nodes are memoized on (taken set, canonical abstract
     state) — the state is a single {!Lb_memory.Value.t}, canonicalized by
     its printed form, the same dedup-key discipline as
-    {!Lb_check.Pure_memory.canonical}.
+    [Lb_check.Pure_memory.canonical].
 
-    The verdict is either a witness linearization, a {e certified} violation
+    The verdict is either a witness order, a {e certified} violation
     (with the length of the shortest violating response-prefix), or an
     explicit budget exhaustion — never a silent wrong answer. *)
 
@@ -41,16 +41,12 @@ type verdict =
     }
   | Budget_exhausted of { stats : stats; budget : int }
 
-val check : ?max_states:int -> Lb_objects.Spec.t -> History.t -> verdict
+val check : ?max_states:int -> Spec.t -> History.t -> verdict
 (** [max_states] bounds the number of distinct DFS nodes expanded
     (default 200_000). *)
 
-val is_linearizable : ?max_states:int -> Lb_objects.Spec.t -> History.t -> bool
+val is_linearizable : ?max_states:int -> Spec.t -> History.t -> bool
 (** [Budget_exhausted] counts as [false]. *)
-
-val of_entries : Lb_objects.History.entry list -> History.t
-(** Lift a complete history (the {!Lb_objects.History} form) into the
-    general form, for differential testing of the two checkers. *)
 
 val pp_step : Format.formatter -> step -> unit
 val pp_verdict : Format.formatter -> verdict -> unit

@@ -48,7 +48,7 @@ type result = {
   total_shared_ops : int;
   completed : bool;
   largest_register : int;
-  history : Lb_objects.History.entry list;
+  history : Lb_objects.History.t;
 }
 
 (* Per-process driver state: the current operation runs in a fresh
@@ -267,19 +267,33 @@ let run_handle ~memory ~handle ~n ~ops ?(scheduler = Scheduler.round_robin)
     if stats = [] then 0.0
     else float_of_int (List.fold_left ( + ) 0 costs) /. float_of_int (List.length stats)
   in
+  let failures = List.rev !failures in
+  let restarted = List.rev !restarted in
+  (* Give-ups, like in-flight ops, may have taken effect (helped by
+     others), so both enter the history as pending, not dropped. *)
   let history =
-    List.map
-      (fun (s : op_stat) ->
-        Lb_objects.History.entry ~pid:s.pid ~op:s.op ~response:s.response ~invoked:s.invoked
-          ~responded:s.responded)
-      stats
+    let module H = Lb_objects.History in
+    let base =
+      List.map
+        (fun (s : op_stat) ->
+          H.completed_op ~pid:s.pid ~seq:s.seq ~op:s.op ~response:s.response ~invoked:s.invoked
+            ~responded:s.responded)
+        stats
+      @ List.map
+          (fun (f : op_failure) -> H.pending_op ~pid:f.pid ~seq:f.seq ~op:f.op ~invoked:f.invoked)
+          failures
+      @ List.map
+          (fun (i : op_in_flight) -> H.pending_op ~pid:i.pid ~seq:i.seq ~op:i.op ~invoked:i.invoked)
+          in_flight
+    in
+    H.by_invocation (base @ H.ghosts ~restarted base)
   in
   {
     stats;
-    failures = List.rev !failures;
+    failures;
     in_flight;
     restarts = !restarts;
-    restarted = List.rev !restarted;
+    restarted;
     max_cost;
     mean_cost;
     total_shared_ops = Memory.total_ops memory;
@@ -296,4 +310,4 @@ let run ~construction ~spec ~n ~ops ?scheduler ?fuel ?hooks () =
   run_handle ~memory ~handle ~n ~ops ?scheduler ?fuel ?hooks ()
 
 let check_linearizable ~spec result =
-  Lb_objects.History.is_linearizable spec result.history
+  Lb_objects.Linearize.is_linearizable ~max_states:max_int spec result.history

@@ -8,7 +8,7 @@
     response, its invocation/response times on a global clock, and its exact
     shared-memory operation count — the paper's shared-access cost.
 
-    The recorded history feeds {!Lb_objects.History.is_linearizable}; the
+    The recorded {!Lb_objects.History.t} feeds {!Lb_objects.Linearize}; the
     cost maxima feed the complexity experiments. *)
 
 open Lb_memory
@@ -93,7 +93,9 @@ type result = {
   total_shared_ops : int;
   completed : bool;  (** all scheduled operations ran to completion. *)
   largest_register : int;
-  history : Lb_objects.History.entry list;
+  history : Lb_objects.History.t;
+      (** [stats] as completed ops; [failures] and [in_flight] as pending
+          ops; plus one ghost pending op per [restarted] entry. *)
 }
 
 val run_handle :
@@ -127,3 +129,5 @@ val run :
 (** Instantiate the construction on a fresh memory and drive it. *)
 
 val check_linearizable : spec:Lb_objects.Spec.t -> result -> bool
+(** {!Lb_objects.Linearize.is_linearizable} on [result.history], with no
+    state budget. *)

@@ -72,7 +72,7 @@ let test_history_result_event_agreement () =
           ~ops:(fun _pid -> [ inc; inc ])
           ~scheduler:Scheduler.round_robin ())
   in
-  let from_result = Conf_history.of_result result in
+  let from_result = result.Harness.history in
   let from_events = Conf_history.of_events (Tracer.events tracer) in
   let shape h =
     List.map
@@ -168,45 +168,6 @@ let test_linearize_budget () =
   with
   | Linearize.Budget_exhausted { budget; _ } -> Alcotest.(check int) "budget echoed" 1 budget
   | v -> Alcotest.failf "expected budget exhaustion, got %a" Linearize.pp_verdict v
-
-(* Differential: on complete histories the general checker and the simple
-   one in Lb_objects.History agree, across a seeded corpus of random
-   overlapping fetch&inc histories with perturbed responses. *)
-let test_linearize_differential =
-  let gen =
-    QCheck.Gen.(
-      let* n_ops = 1 -- 4 in
-      let* raw =
-        list_size (return n_ops)
-          (let* pid = 0 -- 2 and* start = 0 -- 6 and* len = 1 -- 6 and* resp = 0 -- 3 in
-           return (pid, start, len, resp))
-      in
-      return raw)
-  in
-  let print raw =
-    String.concat ";"
-      (List.map
-         (fun (p, s, l, r) -> Printf.sprintf "pid%d@[%d,%d]->%d" p s (s + l) r)
-         raw)
-  in
-  let arb = QCheck.make ~print gen in
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~count:400 ~name:"general checker = simple checker (complete histories)"
-       arb (fun raw ->
-         (* Distinct (pid, seq): number ops per pid in order. *)
-         let seqs = Hashtbl.create 8 in
-         let entries =
-           List.map
-             (fun (pid, start, len, resp) ->
-               let seq = try Hashtbl.find seqs pid with Not_found -> 0 in
-               Hashtbl.replace seqs pid (seq + 1);
-               History.entry ~pid ~op:inc ~response:(Value.Int resp) ~invoked:start
-                 ~responded:(start + len))
-             raw
-         in
-         let simple = History.is_linearizable spec2 entries in
-         let general = Linearize.is_linearizable spec2 (Linearize.of_entries entries) in
-         simple = general))
 
 (* ---- the mutation rewriter ---- *)
 
@@ -404,7 +365,7 @@ let test_fuzz_crash_stop_in_flight_pending () =
   in
   Alcotest.(check bool) "crashed pid left an op in flight" true
     (List.exists (fun (i : Harness.op_in_flight) -> i.Harness.pid = 0) result.Harness.in_flight);
-  let h = Conf_history.of_result result in
+  let h = result.Harness.history in
   Alcotest.(check bool) "the in-flight op is pending in the history" true
     (List.exists
        (fun (o : Conf_history.op) ->
@@ -559,7 +520,6 @@ let suite =
     Alcotest.test_case "linearize: restart ghost double effect" `Quick
       test_linearize_ghost_double_effect;
     Alcotest.test_case "linearize: explicit budget exhaustion" `Quick test_linearize_budget;
-    test_linearize_differential;
     Alcotest.test_case "mutate: rewrite swaps the operation" `Quick test_mutate_rewrite;
     Alcotest.test_case "shrink: ddmin + sweep minimize" `Quick test_shrink_minimize;
     test_shrink_one_minimality_general;

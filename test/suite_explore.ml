@@ -378,14 +378,14 @@ let test_exhaustive_cas () =
           List.map
             (fun (pid, response) ->
               let invoked, responded = position pid in
-              History.entry ~pid
+              History.completed_op ~pid ~seq:0
                 ~op:
                   (Misc_types.op_cas ~expected:(Value.Int 0)
                      ~new_:(Value.pair (Value.Int pid) Value.unit))
                 ~response ~invoked ~responded)
             run.Explore.results
         in
-        List.length winners = 1 && History.is_linearizable spec history)
+        List.length winners = 1 && Linearize.is_linearizable spec history)
       ()
   in
   Alcotest.(check bool) "every interleaving: one winner + linearizable" true ok
@@ -463,10 +463,10 @@ let prop_dpor_agrees =
 (* The canonical-count property: with state dedup on, the surviving
    schedule set has one representative per covered class, and the DPOR
    walk lands on exactly [iter_reduced]'s counts — the two reductions
-   agree not just on outcomes but on size. *)
+   agree not just on outcomes but on size.  Each row pins that count. *)
 let test_dpor_corpus_agreement () =
   List.iter
-    (fun (name, entry, n, coin_range) ->
+    (fun (name, entry, n, coin_range, schedules) ->
       let program_of, inits = (entry : Corpus.entry).Corpus.make ~n in
       let reduced = ref [] in
       let stats =
@@ -481,17 +481,21 @@ let test_dpor_corpus_agreement () =
           ()
       in
       let distinct l = List.sort_uniq compare l in
+      Alcotest.(check int) (name ^ ": reduced schedule count") schedules stats.Explore.runs;
       Alcotest.(check int)
         (name ^ ": dpor+dedup schedule count = reduced count")
         stats.Explore.runs dstats.Sched_tree.schedules;
       Alcotest.(check bool) (name ^ ": same distinct outcomes") true
         (distinct !reduced = distinct !dpor))
     [
-      ("naive n=2", Corpus.naive, 2, [ 0 ]);
-      ("naive n=3", Corpus.naive, 3, [ 0 ]);
-      ("post-collect n=2", Corpus.post_collect, 2, [ 0 ]);
-      ("move-collect n=2", Corpus.move_collect, 2, [ 0 ]);
-      ("two-counter n=2", Corpus.two_counter, 2, [ 0; 1 ]);
+      ("naive n=2", Corpus.naive, 2, [ 0 ], 4);
+      ("naive n=3", Corpus.naive, 3, [ 0 ], 60);
+      ("post-collect n=2", Corpus.post_collect, 2, [ 0 ], 5);
+      ("post-collect n=3", Corpus.post_collect, 3, [ 0 ], 52);
+      ("move-collect n=2", Corpus.move_collect, 2, [ 0 ], 6);
+      ("tree-collect n=2", Corpus.tree_collect, 2, [ 0 ], 100);
+      ("two-counter n=2", Corpus.two_counter, 2, [ 0; 1 ], 38);
+      ("backoff-collect n=2", Corpus.backoff_collect, 2, [ 0; 1 ], 16);
     ]
 
 (* The headline reduction: on tree-collect n=2, sleep-set POR explores

@@ -215,7 +215,8 @@ let test_atomic () =
 
 (* ---- linearizability checker ---- *)
 
-let e ~pid ~op ~resp ~inv ~res = History.entry ~pid ~op ~response:resp ~invoked:inv ~responded:res
+let e ~pid ~op ~resp ~inv ~res =
+  History.completed_op ~pid ~seq:0 ~op ~response:resp ~invoked:inv ~responded:res
 
 let test_lin_sequential_ok () =
   let spec = Counters.fetch_inc ~bits:62 in
@@ -225,7 +226,7 @@ let test_lin_sequential_ok () =
       e ~pid:1 ~op:Value.Unit ~resp:(Value.Int 1) ~inv:3 ~res:4;
     ]
   in
-  Alcotest.(check bool) "sequential ok" true (History.is_linearizable spec h)
+  Alcotest.(check bool) "sequential ok" true (Linearize.is_linearizable spec h)
 
 let test_lin_sequential_wrong_order () =
   let spec = Counters.fetch_inc ~bits:62 in
@@ -236,7 +237,7 @@ let test_lin_sequential_wrong_order () =
       e ~pid:1 ~op:Value.Unit ~resp:(Value.Int 0) ~inv:3 ~res:4;
     ]
   in
-  Alcotest.(check bool) "rejected" false (History.is_linearizable spec h)
+  Alcotest.(check bool) "rejected" false (Linearize.is_linearizable spec h)
 
 let test_lin_concurrent_either_order () =
   let spec = Counters.fetch_inc ~bits:62 in
@@ -248,7 +249,7 @@ let test_lin_concurrent_either_order () =
       e ~pid:1 ~op:Value.Unit ~resp:(Value.Int 0) ~inv:2 ~res:9;
     ]
   in
-  Alcotest.(check bool) "concurrent reorder ok" true (History.is_linearizable spec h)
+  Alcotest.(check bool) "concurrent reorder ok" true (Linearize.is_linearizable spec h)
 
 let test_lin_duplicate_response_rejected () =
   let spec = Counters.fetch_inc ~bits:62 in
@@ -258,7 +259,7 @@ let test_lin_duplicate_response_rejected () =
       e ~pid:1 ~op:Value.Unit ~resp:(Value.Int 0) ~inv:2 ~res:9;
     ]
   in
-  Alcotest.(check bool) "duplicate responses rejected" false (History.is_linearizable spec h)
+  Alcotest.(check bool) "duplicate responses rejected" false (Linearize.is_linearizable spec h)
 
 let test_lin_queue_witness () =
   let spec = Containers.queue in
@@ -268,11 +269,11 @@ let test_lin_queue_witness () =
       e ~pid:1 ~op:Containers.op_deq ~resp:(Value.Int 7) ~inv:2 ~res:5;
     ]
   in
-  match History.linearization spec h with
-  | Some [ first; second ] ->
-    Alcotest.(check int) "enq first" 0 first.History.pid;
-    Alcotest.(check int) "deq second" 1 second.History.pid
-  | Some _ | None -> Alcotest.fail "expected a 2-entry witness"
+  match Linearize.check spec h with
+  | Linearize.Linearizable { witness = [ first; second ]; _ } ->
+    Alcotest.(check int) "enq first" 0 first.Linearize.pid;
+    Alcotest.(check int) "deq second" 1 second.Linearize.pid
+  | _ -> Alcotest.fail "expected a 2-entry witness"
 
 let test_lin_queue_deq_before_enq_rejected () =
   let spec = Containers.queue in
@@ -284,15 +285,15 @@ let test_lin_queue_deq_before_enq_rejected () =
       e ~pid:0 ~op:(Containers.op_enq (Value.Int 7)) ~resp:Value.Unit ~inv:3 ~res:4;
     ]
   in
-  Alcotest.(check bool) "real-time order enforced" false (History.is_linearizable spec h)
+  Alcotest.(check bool) "real-time order enforced" false (Linearize.is_linearizable spec h)
 
 let test_lin_empty_history () =
   Alcotest.(check bool) "empty ok" true
-    (History.is_linearizable (Counters.fetch_inc ~bits:62) [])
+    (Linearize.is_linearizable (Counters.fetch_inc ~bits:62) [])
 
 let test_entry_validation () =
   Alcotest.check_raises "responded < invoked"
-    (Invalid_argument "History.entry: responded before invoked") (fun () ->
+    (Invalid_argument "History.completed_op: responded before invoked") (fun () ->
       ignore (e ~pid:0 ~op:Value.Unit ~resp:Value.Unit ~inv:5 ~res:4))
 
 (* Property: histories generated by the atomic oracle under random
@@ -315,7 +316,7 @@ let prop_atomic_histories_linearizable =
                clock := !clock + 1 + Random.State.int st 3;
                e ~pid ~op:Value.Unit ~resp:response ~inv:invoked ~res:!clock)
          in
-         History.is_linearizable spec entries))
+         Linearize.is_linearizable spec entries))
 
 let suite =
   [
