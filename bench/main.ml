@@ -16,7 +16,6 @@
      bench/main.exe quick        reduced-size experiment tables
      bench/main.exe time         timing benches only
      bench/main.exe service      service-layer cold vs warm-cache + dedup bench
-     bench/main.exe chaos        echo round trips, clean wire vs chaos plan
      bench/main.exe hw           hardware backend: wall-clock curves on real domains
 
    A `-j N` / `--jobs N` pair anywhere in the arguments fans each experiment's
@@ -278,123 +277,6 @@ let service ~jobs () =
     List.iter (fun f -> Format.printf "service benchmark FAILED: %s@." f) fs;
     exit 1
 
-(* ---- chaos: echo round-trip latency, clean vs under an adversarial plan ---- *)
-
-(* The robustness tax, measured: the same echo workload through a live
-   supervised server, once on a clean wire and once under a composed chaos
-   plan (write caps, dropped connections, garbled replies, one mid-run
-   crash) with the retrying client absorbing the damage.  Both runs must
-   complete every round trip; the chaos run must actually have retried.
-   Rows land in BENCH_service.json. *)
-let chaos_bench () =
-  let open Lb_service in
-  let round_trips = 60 in
-  let failures = ref [] in
-  let run_case label plan =
-    let dir =
-      let base = Filename.temp_file "lb-bench-chaos" "" in
-      Sys.remove base;
-      Unix.mkdir base 0o700;
-      base
-    in
-    let socket = Filename.concat dir "sock" in
-    let transport = Transport.Unix_socket socket in
-    let engine = Option.map (Chaos.instantiate ~seed:1) plan in
-    let srv_reg = Metrics.create () in
-    let server =
-      Domain.spawn (fun () ->
-          Metrics.with_registry srv_reg (fun () ->
-              let executor_of () =
-                Executor.create ~cache:(Cache.create ~capacity:256 ()) ~compute:Catalog.compute ()
-              in
-              try ignore (Server.supervise ~transport ~executor_of ?chaos:engine ())
-              with _ -> ()))
-    in
-    let cli_reg = Metrics.create () in
-    let elapsed =
-      Metrics.with_registry cli_reg (fun () ->
-          if not (Client.wait_ready ~transport ()) then
-            failwith "chaos bench: server never became ready";
-          let retry =
-            { Client.default_retry with
-              Client.attempts = 8; base_delay_s = 0.01; max_delay_s = 0.05 }
-          in
-          let t0 = Unix.gettimeofday () in
-          for i = 1 to round_trips do
-            let req =
-              Request.echo ~size:512 (Printf.sprintf "bench-%s-%d" label (i mod 16))
-            in
-            match Client.request_retry ~transport ~timeout_s:5.0 ~retry [ req ] with
-            | Ok [ _ ] -> ()
-            | Ok _ | Error _ ->
-              failures :=
-                Printf.sprintf "%s: round trip %d did not complete" label i :: !failures
-          done;
-          Unix.gettimeofday () -. t0)
-    in
-    let rec stop k =
-      if k > 0 then
-        match
-          Client.call ~transport ~timeout_s:2.0 [ Json.Obj [ ("op", Json.Str "shutdown") ] ]
-        with
-        | Ok _ -> ()
-        | Error _ ->
-          Unix.sleepf 0.05;
-          stop (k - 1)
-    in
-    stop 40;
-    Domain.join server;
-    (try Sys.remove socket with Sys_error _ -> ());
-    (try Unix.rmdir dir with Unix.Unix_error _ -> ());
-    let retries = Metrics.counter_value cli_reg "service.retries" in
-    let recoveries = Metrics.counter_value srv_reg "service.recoveries" in
-    Format.printf "%-28s %8.1f us/round-trip   retries=%d recoveries=%d@." label
-      (elapsed /. float_of_int round_trips *. 1e6)
-      retries recoveries;
-    ((label, elapsed /. float_of_int round_trips *. 1e9), retries, recoveries)
-  in
-  Format.printf "@.== Chaos: echo round trips, clean wire vs adversarial plan@.@.";
-  let clean_row, _, _ = run_case "service echo round-trip (clean)" None in
-  let adversity =
-    Chaos.compose ~name:"bench-adversity"
-      [
-        Chaos.short_write ~max_bytes:32;
-        Chaos.drop_reply ~at:[ 3; 13; 23 ];
-        Chaos.garble_reply ~at:[ 7; 17 ];
-        Chaos.crash_after_reply ~at:[ 10 ];
-      ]
-  in
-  let chaos_row, retries, recoveries = run_case "service echo round-trip (chaos)" (Some adversity) in
-  if retries = 0 then failures := "chaos run never retried — the plan did not bite" :: !failures;
-  if recoveries = 0 then failures := "chaos run never recovered — the crash did not land" :: !failures;
-  let rows = [ clean_row; chaos_row ] in
-  let data =
-    Json.Obj
-      [
-        ( "benchmarks",
-          Json.Arr
-            (List.map
-               (fun (name, ns) ->
-                 Json.Obj [ ("name", Json.Str name); ("ns_per_run", Json.Float ns) ])
-               rows) );
-        ("retries", Json.Int retries);
-        ("recoveries", Json.Int recoveries);
-      ]
-  in
-  let path =
-    Bench_out.append ~suite:"service"
-      ~meta:
-        [ ("kind", Json.Str "chaos-echo"); ("seed", Json.Int 1);
-          ("round_trips", Json.Int round_trips) ]
-      data
-  in
-  Format.printf "(wrote %s)@." path;
-  match !failures with
-  | [] -> Format.printf "chaos benchmark OK@."
-  | fs ->
-    List.iter (fun f -> Format.printf "chaos benchmark FAILED: %s@." f) fs;
-    exit 1
-
 (* ---- shape chart: the paper's complexity landscape at a glance ---- *)
 
 let charts () =
@@ -539,12 +421,10 @@ let () =
   | "time" :: _ -> timing ()
   | "chart" :: _ -> charts ()
   | "service" :: _ -> service ~jobs ()
-  | "chaos" :: _ -> chaos_bench ()
   | "hw" :: _ -> hardware ()
   | _ ->
     run_tables ~jobs (Lb_experiments.Experiments.thunks ~jobs ~quick:false ());
     charts ();
     timing ();
     service ~jobs ();
-    chaos_bench ();
     hardware ()

@@ -968,34 +968,11 @@ let litmus_cmd =
 
 (* ---- serve / request: the experiment service layer (lib/service) ---- *)
 
-(* Service addresses parse through Transport.of_string: a bare path is a
-   Unix-domain socket, HOST:PORT (or tcp:HOST:PORT) is TCP.  [--socket]/[-s]
-   stay as aliases so pre-TCP invocations keep working. *)
-let transport_of_string_exn s =
-  match Lb_service.Transport.of_string s with
-  | Ok t -> t
-  | Error msg ->
-    Format.eprintf "bad address %S: %s@." s msg;
-    exit 2
-
-let listen_arg =
+let socket_arg =
   Arg.(
     value
     & opt string "lowerbound.sock"
-    & info [ "listen"; "socket"; "s" ] ~docv:"ADDR"
-        ~doc:
-          "Address to serve on: a Unix-domain socket path, or $(i,HOST):$(i,PORT) (equally \
-           $(b,tcp:)$(i,HOST):$(i,PORT)) for TCP.  TCP port 0 asks the kernel for a free \
-           port (printed in the startup line).")
-
-let connect_arg =
-  Arg.(
-    value
-    & opt string "lowerbound.sock"
-    & info [ "connect"; "socket"; "s" ] ~docv:"ADDR"
-        ~doc:
-          "Server address: a Unix-domain socket path, or $(i,HOST):$(i,PORT) (equally \
-           $(b,tcp:)$(i,HOST):$(i,PORT)) for TCP.")
+    & info [ "socket"; "s" ] ~docv:"PATH" ~doc:"Unix-domain socket path of the server.")
 
 let serve_cmd =
   let cache_arg =
@@ -1037,17 +1014,6 @@ let serve_cmd =
             "Stream the structured event trace of every computation the server performs to \
              $(docv) as JSONL.")
   in
-  let quiet_flag =
-    Arg.(value & flag & info [ "silent" ] ~doc:"Suppress per-batch progress lines.")
-  in
-  let max_queue_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "max-queue" ] ~docv:"K"
-          ~doc:
-            "Admission bound: batches deeper than $(docv) are refused with typed \
-             \"overload\" responses the retrying client backs off on (0 = unbounded).")
-  in
   let fsync_flag =
     Arg.(
       value & flag
@@ -1056,73 +1022,23 @@ let serve_cmd =
             "fsync the cache journal at every batch boundary, making acknowledged results \
              machine-crash durable (default: flush to the OS only).")
   in
-  let supervise_flag =
-    Arg.(
-      value & flag
-      & info [ "supervise" ]
-          ~doc:
-            "Run under the crash supervisor: a server crash is recovered by reloading the \
-             cache journal, compacting it, and binding a fresh generation.")
-  in
-  let chaos_plan_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "chaos" ] ~docv:"PLAN"
-          ~doc:
-            "Inject a named chaos plan (joined with '+') into replies and journal appends — \
-             see `lowerbound chaos --list-plans`.  For drills and tests, not production.")
-  in
-  let chaos_seed_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "chaos-seed" ] ~docv:"SEED" ~doc:"Seed for the $(b,--chaos) engine.")
-  in
-  let run () address cache capacity timeout max_requests trace quiet jobs max_queue fsync
-      supervise chaos_plan chaos_seed =
-    let transport = transport_of_string_exn address in
+  let run () socket cache capacity timeout max_requests trace jobs fsync =
     let jobs = resolve_jobs jobs in
-    let chaos =
-      Option.map
-        (fun name ->
-          match Lb_service.Chaos.of_name name with
-          | Some plan -> Lb_service.Chaos.instantiate ~seed:chaos_seed plan
-          | None ->
-            Format.eprintf "unknown chaos plan %S (one of: %s, joined with '+')@." name
-              (String.concat ", " Lb_service.Chaos.plan_names);
-            exit 2)
-        chaos_plan
-    in
-    let max_queue = if max_queue > 0 then Some max_queue else None in
-    let first_boot = ref true in
-    let executor_of () =
-      let c = Lb_service.Cache.create ~capacity ?path:cache ~fsync ?chaos () in
-      if
-        !first_boot
-        && (Lb_service.Cache.loaded c > 0 || Lb_service.Cache.corrupt c > 0)
-      then
-        Format.printf "(cache: reloaded %d entries, skipped %d corrupt lines)@."
-          (Lb_service.Cache.loaded c) (Lb_service.Cache.corrupt c);
-      if not !first_boot then Lb_service.Cache.compact c;
-      first_boot := false;
+    let c = Lb_service.Cache.create ~capacity ?path:cache ~fsync () in
+    if Lb_service.Cache.loaded c > 0 || Lb_service.Cache.corrupt c > 0 then
+      Format.printf "(cache: reloaded %d entries, skipped %d corrupt lines)@."
+        (Lb_service.Cache.loaded c) (Lb_service.Cache.corrupt c);
+    let executor =
       Lb_service.Executor.create ~jobs ?timeout_s:timeout ~cache:c
         ~compute:Lb_service.Catalog.compute ()
     in
     let max_requests = if max_requests > 0 then Some max_requests else None in
-    let log = if quiet then fun _ -> () else fun line -> Format.printf "%s@." line in
     let serve () =
-      if supervise then
-        let s =
-          Lb_service.Server.supervise ~transport ~executor_of ?max_requests ?chaos
-            ?max_queue ~log ()
-        in
-        (s.Lb_service.Server.last, s.Lb_service.Server.recoveries)
-      else
-        ( Lb_service.Server.serve ~transport ~executor:(executor_of ()) ?max_requests
-            ?chaos ?max_queue ~log (),
-          0 )
+      Lb_service.Server.serve ~socket ~executor ?max_requests
+        ~log:(fun line -> Format.printf "%s@." line)
+        ()
     in
-    let stats, recoveries =
+    let stats =
       match trace with
       | None -> serve ()
       | Some path ->
@@ -1133,25 +1049,22 @@ let serve_cmd =
         close_out oc;
         stats
     in
-    Format.printf "served %d request(s) in %d batch(es) over %d connection(s)%s@."
+    Format.printf "served %d request(s) in %d batch(es) over %d connection(s)@."
       stats.Lb_service.Server.served stats.Lb_service.Server.batches
-      stats.Lb_service.Server.clients
-      (if recoveries > 0 then Printf.sprintf ", recovered from %d crash(es)" recoveries
-       else "");
+      stats.Lb_service.Server.clients;
     0
   in
   Cmd.v
     (Cmd.info "serve"
        ~doc:
-         "Run the experiment service: a batching line-JSON request server over a Unix-domain \
-          socket or TCP ($(b,--listen)) with a content-keyed result cache — concurrently \
-          queued requests coalesce into one batch, identical in-flight requests compute \
-          once, and cached requests never recompute.  $(b,--supervise), $(b,--max-queue) \
-          and $(b,--fsync) arm the robustness layer (docs/ROBUSTNESS.md).")
+         "Run the experiment service: a batching line-JSON request server on a Unix-domain \
+          socket ($(b,--socket)) with a content-keyed result cache — concurrently queued \
+          requests coalesce into one batch, identical in-flight requests compute once, and \
+          cached requests never recompute.  $(b,--fsync) makes the cache journal \
+          machine-crash durable (docs/ROBUSTNESS.md).")
     Term.(
-      const run $ logging $ listen_arg $ cache_arg $ capacity_arg $ timeout_arg
-      $ max_requests_arg $ trace_arg $ quiet_flag $ jobs_arg $ max_queue_arg $ fsync_flag
-      $ supervise_flag $ chaos_plan_arg $ chaos_seed_arg)
+      const run $ logging $ socket_arg $ cache_arg $ capacity_arg $ timeout_arg
+      $ max_requests_arg $ trace_arg $ jobs_arg $ fsync_flag)
 
 let request_cmd =
   let specs_arg =
@@ -1219,18 +1132,8 @@ let request_cmd =
       value & flag
       & info [ "raw" ] ~doc:"Print raw response JSON lines instead of the summary rendering.")
   in
-  let retries_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "retries" ] ~docv:"K"
-          ~doc:
-            "Total attempts per call (default 1 = no retry).  With $(docv) > 1 the whole \
-             batch is resent under exponential backoff on any failure or overload refusal — \
-             safe because request keys are content hashes, so resends are cache hits.")
-  in
-  let run () address specs quick certify conform otype schedules plan ops n seed metrics
-      ping shutdown timeout raw retries jobs =
-    let transport = transport_of_string_exn address in
+  let run () socket specs quick certify conform otype schedules plan ops n seed metrics
+      ping shutdown timeout raw jobs =
     let requests =
       List.map
         (fun id -> Lb_service.Request.with_jobs (Lb_service.Request.experiment ~quick id) jobs)
@@ -1266,14 +1169,7 @@ let request_cmd =
       2
     end
     else
-      let call lines =
-        if retries > 1 then
-          Lb_service.Client.call_retry ~transport ~timeout_s:timeout
-            ~retry:{ Lb_service.Client.default_retry with Lb_service.Client.attempts = retries }
-            lines
-        else Lb_service.Client.call ~transport ~timeout_s:timeout lines
-      in
-      match call lines with
+      match Lb_service.Client.call ~socket ~timeout_s:timeout lines with
       | Error e ->
         Format.printf "request failed: %s@." (Lb_service.Client.error_message e);
         1
@@ -1317,10 +1213,6 @@ let request_cmd =
               | "timeout" ->
                 ok := false;
                 Format.printf "TIMEOUT (key %s)@." (str "key")
-              | "overload" ->
-                ok := false;
-                Format.printf "OVERLOADED (key %s) — retry later or raise --retries@."
-                  (str "key")
               | _ ->
                 ok := false;
                 Format.printf "ERROR: %s@." (str "error")
@@ -1331,498 +1223,13 @@ let request_cmd =
   Cmd.v
     (Cmd.info "request"
        ~doc:
-         "Send a batch of requests to a running `lowerbound serve` (or a `lowerbound shard` \
-          router) over its Unix socket or TCP address ($(b,--connect)) and print the \
-          responses (exit 1 on any error, timeout or failing table).")
+         "Send a batch of requests to a running `lowerbound serve` over its Unix-domain \
+          socket ($(b,--socket)) and print the responses (exit 1 on any error, timeout or \
+          failing table).")
     Term.(
-      const run $ logging $ connect_arg $ specs_arg $ quick_flag $ certify_arg $ conform_arg
+      const run $ logging $ socket_arg $ specs_arg $ quick_flag $ certify_arg $ conform_arg
       $ otype_arg $ schedules_arg $ plan_arg $ ops_arg $ n_arg $ seed_arg $ metrics_flag
-      $ ping_flag $ shutdown_flag $ timeout_arg $ raw_flag $ retries_arg $ jobs_arg)
-
-let chaos_cmd =
-  let drills_arg =
-    Arg.(
-      value & opt string "all"
-      & info [ "drills" ] ~docv:"NAMES"
-          ~doc:"Comma-separated drill names, or $(b,all) (see $(b,--list)).")
-  in
-  let report_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "report" ] ~docv:"FILE"
-          ~doc:"Write the drill reports to $(docv) as a JSON array.")
-  in
-  let retry_attempts_arg =
-    Arg.(
-      value & opt int 8
-      & info [ "retry-attempts" ] ~docv:"K"
-          ~doc:
-            "Client retry budget per drill request.  A negative-control knob: at 1 the \
-             drop-connection drill must fail.")
-  in
-  let no_supervise_flag =
-    Arg.(
-      value & flag
-      & info [ "no-supervise" ]
-          ~doc:
-            "Run the drills without the crash supervisor.  A negative-control knob: the \
-             crash drills must fail.")
-  in
-  let no_bench_flag =
-    Arg.(
-      value & flag
-      & info [ "no-bench" ] ~doc:"Skip appending the drill stats to BENCH_service.json.")
-  in
-  let list_flag = Arg.(value & flag & info [ "list" ] ~doc:"List drill names and exit.") in
-  let list_plans_flag =
-    Arg.(value & flag & info [ "list-plans" ] ~doc:"List named chaos plans and exit.")
-  in
-  let tcp_flag =
-    Arg.(
-      value & flag
-      & info [ "tcp" ]
-          ~doc:
-            "Run the drills over an ephemeral loopback TCP port instead of a Unix socket — \
-             the robustness invariants are transport-independent and must hold on both.")
-  in
-  let run () seed drills report retry_attempts no_supervise no_bench list list_plans tcp =
-    if list then begin
-      List.iter (fun n -> Format.printf "%s@." n) Lb_service.Drill.names;
-      0
-    end
-    else if list_plans then begin
-      List.iter (fun n -> Format.printf "%s@." n) Lb_service.Chaos.plan_names;
-      0
-    end
-    else begin
-      let wanted =
-        if drills = "all" then Lb_service.Drill.names
-        else
-          String.split_on_char ',' drills |> List.map String.trim
-          |> List.filter (fun s -> s <> "")
-      in
-      match List.find_opt (fun n -> not (List.mem n Lb_service.Drill.names)) wanted with
-      | Some unknown ->
-        Format.eprintf "unknown drill %S (one of: %s)@." unknown
-          (String.concat ", " Lb_service.Drill.names);
-        2
-      | None ->
-        let reports =
-          List.map
-            (fun name ->
-              match
-                Lb_service.Drill.run ~seed ~retry_attempts ~supervise:(not no_supervise)
-                  ~transport:(if tcp then `Tcp else `Unix)
-                  name
-              with
-              | Ok r ->
-                Format.printf "%a@." Lb_service.Drill.pp_report r;
-                r
-              | Error msg ->
-                (* Unreachable: names were validated above. *)
-                Format.eprintf "%s@." msg;
-                exit 2)
-            wanted
-        in
-        let report_json =
-          Json.Arr (List.map Lb_service.Drill.report_json reports)
-        in
-        Option.iter
-          (fun path ->
-            let oc = open_out path in
-            output_string oc (Json.to_string ~pretty:true report_json);
-            output_char oc '\n';
-            close_out oc;
-            Format.printf "report written to %s@." path)
-          report;
-        let failed = List.filter (fun r -> not r.Lb_service.Drill.passed) reports in
-        if not no_bench then begin
-          let path =
-            Bench_out.append ~suite:"service"
-              ~meta:
-                [
-                  ("kind", Json.Str "chaos-drills");
-                  ("seed", Json.Int seed);
-                  ("transport", Json.Str (if tcp then "tcp" else "unix"));
-                ]
-              (Json.Obj
-                 [
-                   ("drills", report_json);
-                   ("passed", Json.Int (List.length reports - List.length failed));
-                   ("total", Json.Int (List.length reports));
-                 ])
-          in
-          Format.printf "drill stats appended to %s@." path
-        end;
-        Format.printf "%d/%d drills passed@."
-          (List.length reports - List.length failed)
-          (List.length reports);
-        if failed = [] then 0 else 3
-    end
-  in
-  Cmd.v
-    (Cmd.info "chaos"
-       ~doc:
-         "Run the seeded chaos drills: each boots a supervised server with one injected \
-          failure mode (short writes, dropped/garbled/delayed replies, crashes mid-batch, \
-          torn journal appends, overload floods) and asserts the robustness invariants — \
-          every request terminates, no acknowledged result is lost, the recovered cache is \
-          byte-identical to a clean run (exit 3 on any failing drill).")
-    Term.(
-      const run $ logging $ seed_arg $ drills_arg $ report_arg $ retry_attempts_arg
-      $ no_supervise_flag $ no_bench_flag $ list_flag $ list_plans_flag $ tcp_flag)
-
-let shard_cmd =
-  let shards_arg =
-    Arg.(
-      value & opt int 3
-      & info [ "shards" ] ~docv:"N"
-          ~doc:"Worker count: shard $(i,i) of $(docv) owns the keys with content hash mod \
-                $(docv) = $(i,i).")
-  in
-  let cache_dir_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "cache-dir" ] ~docv:"DIR"
-          ~doc:
-            "Give each worker a persistent cache journal at $(docv)/shard-$(i,i).jsonl \
-             (created if missing); without it workers cache in memory only.")
-  in
-  let capacity_arg =
-    Arg.(
-      value & opt int 256
-      & info [ "capacity" ] ~docv:"K" ~doc:"Per-worker in-memory LRU capacity (entries).")
-  in
-  let max_requests_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "max-requests" ] ~docv:"K"
-          ~doc:
-            "Stop the fleet after forwarding $(docv) requests (0 = route until shutdown).")
-  in
-  let status_flag =
-    Arg.(
-      value & flag
-      & info [ "status" ]
-          ~doc:
-            "Instead of launching: send the router-only $(b,{\"op\": \"shards\"}) probe to a \
-             running router at the given address and print the fleet topology (per-worker \
-             address, connectivity, forwarded counts, live metrics).")
-  in
-  let quiet_flag =
-    Arg.(value & flag & info [ "silent" ] ~doc:"Suppress router progress lines.")
-  in
-  let run () address shards cache_dir capacity jobs max_requests status quiet =
-    let transport = transport_of_string_exn address in
-    if status then begin
-      match
-        Lb_service.Client.call ~transport ~timeout_s:10.0
-          [ Json.Obj [ ("op", Json.Str "shards") ] ]
-      with
-      | Error e ->
-        Format.printf "status failed: %s@." (Lb_service.Client.error_message e);
-        1
-      | Ok responses ->
-        List.iter
-          (fun r -> Format.printf "%s@." (Json.to_string ~pretty:true r))
-          responses;
-        0
-    end
-    else begin
-      if shards < 1 then begin
-        Format.eprintf "--shards must be >= 1@.";
-        exit 2
-      end;
-      (* Workers are OS processes: there is no channel to learn a
-         kernel-assigned port back from a child, so a TCP fleet needs an
-         explicit router port (workers then take port+1+i). *)
-      (match transport with
-      | Lb_service.Transport.Tcp { port = 0; _ } ->
-        Format.eprintf
-          "a TCP shard fleet needs an explicit router port (workers listen on port+1+i)@.";
-        exit 2
-      | _ -> ());
-      Option.iter
-        (fun dir ->
-          try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ())
-        cache_dir;
-      let jobs = resolve_jobs jobs in
-      let workers =
-        List.init shards (fun i -> Lb_service.Shard.worker_transport ~base:transport i)
-      in
-      let exe = Sys.executable_name in
-      let pids =
-        List.mapi
-          (fun i wt ->
-            let argv =
-              [ exe; "serve"; "--listen"; Lb_service.Transport.to_string wt;
-                "--capacity"; string_of_int capacity; "--jobs"; string_of_int jobs;
-                "--supervise"; "--silent" ]
-              @ (match cache_dir with
-                | None -> []
-                | Some dir ->
-                  [ "--cache"; Filename.concat dir (Printf.sprintf "shard-%d.jsonl" i) ])
-            in
-            Unix.create_process exe (Array.of_list argv) Unix.stdin Unix.stdout Unix.stderr)
-          workers
-      in
-      let reap () = List.iter (fun pid -> ignore (Unix.waitpid [] pid)) pids in
-      if
-        not
-          (List.for_all
-             (fun wt -> Lb_service.Client.wait_ready ~transport:wt ())
-             workers)
-      then begin
-        Format.eprintf "a shard worker never came up@.";
-        List.iter
-          (fun wt ->
-            ignore
-              (Lb_service.Client.call ~transport:wt ~timeout_s:2.0
-                 [ Json.Obj [ ("op", Json.Str "shutdown") ] ]))
-          workers;
-        reap ();
-        1
-      end
-      else begin
-        let log = if quiet then fun _ -> () else fun line -> Format.printf "%s@." line in
-        let max_requests = if max_requests > 0 then Some max_requests else None in
-        let ready t =
-          if not quiet then
-            Format.printf "router on %s over %d shard(s)@."
-              (Lb_service.Transport.to_string t) shards
-        in
-        let stats =
-          Lb_service.Router.route ~transport ~workers ?max_requests ~ready ~log ()
-        in
-        (* Belt and braces: route shuts workers down on shutdown/max-requests,
-           but a signal stop leaves them serving — tell them again, then reap. *)
-        List.iter
-          (fun wt ->
-            ignore
-              (Lb_service.Client.call ~transport:wt ~timeout_s:2.0
-                 [ Json.Obj [ ("op", Json.Str "shutdown") ] ]))
-          workers;
-        reap ();
-        Format.printf
-          "router: forwarded %d request(s) in %d batch(es) over %d connection(s), %d \
-           reconnect(s)@."
-          stats.Lb_service.Router.forwarded stats.Lb_service.Router.batches
-          stats.Lb_service.Router.clients stats.Lb_service.Router.reconnects;
-        0
-      end
-    end
-  in
-  Cmd.v
-    (Cmd.info "shard"
-       ~doc:
-         "Run an N-process sharded deployment: N supervised `lowerbound serve` workers (one \
-          OS process each, own cache journal) behind a router that owns the public address \
-          and forwards every request to the worker owning its content-hash slice (hash mod \
-          N).  Clients cannot tell a router from a single server.  $(b,--status) inspects a \
-          running fleet.  See docs/SCALING.md.")
-    Term.(
-      const run $ logging $ listen_arg $ shards_arg $ cache_dir_arg $ capacity_arg
-      $ jobs_arg $ max_requests_arg $ status_flag $ quiet_flag)
-
-let loadgen_cmd =
-  let connect_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "connect" ] ~docv:"ADDR"
-          ~doc:
-            "Measure an already-running server or router at $(docv) instead of spawning \
-             fleets (label the run with $(b,--shards)).")
-  in
-  let shards_label_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "shards" ] ~docv:"N"
-          ~doc:
-            "With $(b,--connect): the worker count behind the address — only labels the \
-             bench rows (loadgen/$(docv)shard/...).")
-  in
-  let spawn_arg =
-    Arg.(
-      value & opt string "1,3"
-      & info [ "spawn-shards" ] ~docv:"LIST"
-          ~doc:
-            "Comma-separated shard counts: for each, spawn an in-process fleet (workers + \
-             router, fresh caches), measure it, and tear it down — the default `1,3` \
-             records the scaling pair docs/SCALING.md reads.  Ignored with $(b,--connect).")
-  in
-  let tcp_flag =
-    Arg.(
-      value & flag
-      & info [ "tcp" ]
-          ~doc:"Spawn fleets on ephemeral loopback TCP ports instead of Unix sockets.")
-  in
-  let clients_arg =
-    Arg.(value & opt int 4 & info [ "clients" ] ~docv:"C" ~doc:"Concurrent closed-loop clients.")
-  in
-  let requests_arg =
-    Arg.(
-      value & opt int 100
-      & info [ "requests" ] ~docv:"K" ~doc:"Measured requests per client.")
-  in
-  let warmup_arg =
-    Arg.(
-      value & opt int 10
-      & info [ "warmup" ] ~docv:"K"
-          ~doc:"Leading requests per client excluded from the statistics.")
-  in
-  let hit_ratio_arg =
-    Arg.(
-      value & opt float 0.5
-      & info [ "hit-ratio" ] ~docv:"P"
-          ~doc:
-            "Probability in [0,1] that a request draws a shared hot tag (a cache hit once \
-             warm) rather than a unique tag (a guaranteed miss costing $(b,--work)).")
-  in
-  let hot_tags_arg =
-    Arg.(value & opt int 16 & info [ "hot-tags" ] ~docv:"K" ~doc:"Size of the hot-tag pool.")
-  in
-  let size_arg =
-    Arg.(value & opt int 256 & info [ "size" ] ~docv:"BYTES" ~doc:"Echo payload fill size.")
-  in
-  let work_arg =
-    Arg.(
-      value & opt int 2000
-      & info [ "work" ] ~docv:"K"
-          ~doc:"Digest-chain rounds per cache miss — the knob that makes misses \
-                compute-bound.")
-  in
-  let experiments_flag =
-    Arg.(
-      value & flag
-      & info [ "experiments" ] ~doc:"Mix ~2% quick experiment requests into the schedule.")
-  in
-  let capacity_arg =
-    Arg.(
-      value & opt int 256
-      & info [ "capacity" ] ~docv:"K" ~doc:"Per-worker LRU capacity for spawned fleets.")
-  in
-  let timeout_arg =
-    Arg.(
-      value & opt float 30.0
-      & info [ "timeout" ] ~docv:"SECONDS" ~doc:"Per-reply client deadline.")
-  in
-  let no_bench_flag =
-    Arg.(
-      value & flag
-      & info [ "no-bench" ] ~doc:"Skip appending the results to BENCH_service.json.")
-  in
-  let run () connect shards_label spawn tcp clients requests warmup hit_ratio hot_tags size
-      work experiments seed timeout capacity no_bench =
-    let cfg =
-      {
-        Lb_service.Loadgen.clients;
-        requests_per_client = requests;
-        warmup;
-        hit_ratio;
-        hot_tags;
-        size;
-        work;
-        experiments;
-        seed;
-        timeout_s = timeout;
-      }
-    in
-    (try ignore (Lb_service.Loadgen.schedule cfg ~client:0)
-     with Invalid_argument msg ->
-       Format.eprintf "%s@." msg;
-       exit 2);
-    let results =
-      match connect with
-      | Some address ->
-        let transport = transport_of_string_exn address in
-        [ Lb_service.Loadgen.run ~transport ~shards:shards_label cfg ]
-      | None ->
-        let counts =
-          String.split_on_char ',' spawn |> List.map String.trim
-          |> List.filter (fun s -> s <> "")
-          |> List.map (fun s ->
-                 match int_of_string_opt s with
-                 | Some n when n >= 1 -> n
-                 | _ ->
-                   Format.eprintf "bad --spawn-shards entry %S@." s;
-                   exit 2)
-        in
-        if counts = [] then begin
-          Format.eprintf "--spawn-shards is empty@.";
-          exit 2
-        end;
-        List.map
-          (fun n ->
-            let base =
-              if tcp then Lb_service.Transport.Tcp { host = "127.0.0.1"; port = 0 }
-              else
-                Lb_service.Transport.Unix_socket
-                  (Filename.concat (Filename.get_temp_dir_name ())
-                     (Printf.sprintf "lb-loadgen-%d-%d.sock" (Unix.getpid ()) n))
-            in
-            let executor_of _shard =
-              Lb_service.Executor.create ~jobs:1
-                ~cache:(Lb_service.Cache.create ~capacity ())
-                ~compute:Lb_service.Catalog.compute ()
-            in
-            let fleet =
-              Lb_service.Router.launch_fleet ~shards:n ~transport:base ~executor_of
-                ~log:(fun _ -> ())
-                ()
-            in
-            Fun.protect
-              ~finally:(fun () -> ignore (fleet.Lb_service.Router.stop ()))
-              (fun () ->
-                Format.printf "measuring %d shard(s) at %s ...@." n
-                  (Lb_service.Transport.to_string fleet.Lb_service.Router.address);
-                Lb_service.Loadgen.run ~transport:fleet.Lb_service.Router.address
-                  ~shards:n cfg))
-          counts
-    in
-    List.iter (fun r -> Format.printf "%a@." Lb_service.Loadgen.pp_result r) results;
-    if not no_bench then begin
-      let rows r =
-        match Lb_service.Loadgen.bench_payload r with
-        | Json.Obj fields -> (
-          match List.assoc_opt "benchmarks" fields with
-          | Some (Json.Arr rows) -> rows
-          | _ -> [])
-        | _ -> []
-      in
-      let payload =
-        Json.Obj
-          [
-            ("benchmarks", Json.Arr (List.concat_map rows results));
-            ("loadgen", Json.Arr (List.map Lb_service.Loadgen.result_json results));
-          ]
-      in
-      let path =
-        Bench_out.append ~suite:"service"
-          ~meta:[ ("kind", Json.Str "loadgen"); ("seed", Json.Int seed) ]
-          payload
-      in
-      Format.printf "loadgen rows appended to %s@." path
-    end;
-    if List.for_all (fun r -> r.Lb_service.Loadgen.errors = 0) results then 0 else 1
-  in
-  Cmd.v
-    (Cmd.info "loadgen"
-       ~doc:
-         "Run the seeded closed-loop load generator: C concurrent clients drive a \
-          deterministic hit/miss request schedule at a server or shard router, recording \
-          throughput and p50/p99/p999 latency into BENCH_service.json as \
-          loadgen/<N>shard/* rows the bench gate can baseline.  By default spawns \
-          in-process 1-shard and 3-shard fleets to record the scaling pair; \
-          $(b,--connect) measures a deployment you already started.  See docs/SCALING.md \
-          for methodology and how to read the rows.")
-    Term.(
-      const run $ logging $ connect_arg $ shards_label_arg $ spawn_arg $ tcp_flag
-      $ clients_arg $ requests_arg $ warmup_arg $ hit_ratio_arg $ hot_tags_arg $ size_arg
-      $ work_arg $ experiments_flag $ seed_arg $ timeout_arg $ capacity_arg
-      $ no_bench_flag)
+      $ ping_flag $ shutdown_flag $ timeout_arg $ raw_flag $ jobs_arg)
 
 let main_cmd =
   let doc =
@@ -1834,7 +1241,6 @@ let main_cmd =
     [
       exp_cmd; corpus_cmd; analyze_cmd; trace_cmd; sweep_cmd; explore_cmd; litmus_cmd;
       profile_cmd; upsets_cmd; faults_cmd; conform_cmd; hw_cmd; serve_cmd; request_cmd;
-      chaos_cmd; shard_cmd; loadgen_cmd;
     ]
 
 let () = exit (Cmd.eval' main_cmd)

@@ -45,9 +45,9 @@
 
     Two libraries sit {e above} this facade in the dependency DAG and so
     cannot be re-exported from it: [Lb_experiments] (E1–E14 as
-    table-producing thunks) and [Lb_service] (the batched request server
-    with a content-keyed result cache behind [lowerbound serve] /
-    [lowerbound request]).  Executables that need them depend on them
+    table-producing thunks) and [Lb_service] (the memoizing experiment
+    server on one Unix-domain socket, with a content-keyed result cache,
+    behind [lowerbound serve] / [lowerbound request]).  Executables that need them depend on them
     directly.  The full layer map is docs/ARCHITECTURE.md. *)
 
 (* Shared-memory model *)

@@ -159,20 +159,15 @@ let named ~n =
         @ (if n >= 3 then [ crash_stop ~pid:1 ~after:3 ] else [])) );
   ]
 
-(* The '+'-joined plan grammar, generic over the plan type so that other
-   plan vocabularies (the service layer's Chaos_plan) parse identically:
-   a name is either one table entry or several joined with '+', and the
+(* A name is either one named plan or several joined with '+'; the
    composite keeps the user's spelling as its name. *)
-let parse_joined ~table ~compose name =
-  let find one = List.assoc_opt one table in
+let of_name ~n name =
+  let find one = List.assoc_opt one (named ~n) in
   match String.split_on_char '+' name with
   | [ one ] -> find one
   | parts ->
     let resolved = List.map find parts in
     if List.exists Option.is_none resolved then None
     else Some (compose ~name (List.filter_map Fun.id resolved))
-
-let of_name ~n name =
-  parse_joined ~table:(named ~n) ~compose:(fun ~name plans -> compose ~name plans) name
 
 let plan_names = [ "none"; "crash-stop"; "crash-recover"; "spurious-sc"; "delay"; "stall"; "chaos" ]

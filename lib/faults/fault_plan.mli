@@ -86,15 +86,8 @@ val named : n:int -> (string * t) list
 
 val of_name : n:int -> string -> t option
 (** Parse a [--plan] argument: a {!plan_names} entry or several joined
-    with ["+"]; [None] if any component is unknown. *)
-
-val parse_joined :
-  table:(string * 'a) list -> compose:(name:string -> 'a list -> 'a) -> string -> 'a option
-(** The ['+']-joined plan grammar, generic over the plan type: resolve each
-    ['+']-separated component in [table], compose the results under the
-    user's spelling, [None] if any component is unknown.  {!of_name} is
-    this applied to {!named}; the service layer's chaos plans
-    ([Lb_service.Chaos]) share the same grammar. *)
+    with ["+"] (the composite keeps the argument as its name); [None] if
+    any component is unknown. *)
 
 val plan_names : string list
 (** The names {!of_name} accepts as components. *)

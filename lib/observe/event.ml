@@ -23,7 +23,6 @@ type t =
       ops : (int * int) list;
       unfinished : int list;
     }
-  | Service of { op : string; detail : string }
 
 type stamped = { at : int; event : t }
 
@@ -38,11 +37,10 @@ let kind = function
   | Op_completed _ -> "complete"
   | Op_failed _ -> "give-up"
   | Run_end _ -> "end"
-  | Service _ -> "service"
 
 let kinds =
   [ "access"; "toss"; "sched"; "round"; "crash"; "recovery"; "invoke"; "complete";
-    "give-up"; "end"; "service" ]
+    "give-up"; "end" ]
 
 let equal_outcome (a : run_outcome) b = a = b
 
@@ -68,9 +66,8 @@ let equal a b =
   | Run_end a, Run_end b ->
     equal_outcome a.outcome b.outcome && a.steps = b.steps && a.ops = b.ops
     && a.unfinished = b.unfinished
-  | Service a, Service b -> String.equal a.op b.op && String.equal a.detail b.detail
   | ( ( Shared_access _ | Coin_toss _ | Sched _ | Round _ | Crash _ | Recovery _
-      | Op_invoked _ | Op_completed _ | Op_failed _ | Run_end _ | Service _ ),
+      | Op_invoked _ | Op_completed _ | Op_failed _ | Run_end _ ),
       _ ) ->
     false
 
@@ -245,7 +242,6 @@ let to_json { at; event } =
     | Run_end { outcome; steps; ops; unfinished } ->
       [ ("outcome", Json.Str (outcome_string outcome)); ("steps", Json.Int steps);
         ("ops", pairs ops); ("unfinished", ints unfinished) ]
-    | Service { op; detail } -> [ ("op", Json.Str op); ("detail", Json.Str detail) ]
   in
   Json.Obj (("at", Json.Int at) :: ("kind", Json.Str (kind event)) :: fields)
 
@@ -358,10 +354,6 @@ let of_json j =
       let* ops = pairs_field "ops" in
       let* unfinished = ints_field "unfinished" in
       Ok (Run_end { outcome; steps; ops; unfinished })
-    | "service" ->
-      let* op = str_field "op" in
-      let* detail = str_field "detail" in
-      Ok (Service { op; detail })
     | other -> Error (Printf.sprintf "event: unknown kind %S" other)
   in
   Ok { at; event }
@@ -397,6 +389,5 @@ let pp ppf event =
     Format.fprintf ppf "%-8s %s after %d steps; ops:" tag (outcome_string outcome) steps;
     List.iter (fun (pid, k) -> Format.fprintf ppf " p%d=%d" pid k) ops;
     if unfinished <> [] then Format.fprintf ppf "; unfinished: %a" pp_pids unfinished
-  | Service { op; detail } -> Format.fprintf ppf "%-8s %s: %s" tag op detail
 
 let pp_stamped ppf { at; event } = Format.fprintf ppf "[%6d] %a" at pp event

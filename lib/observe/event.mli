@@ -60,12 +60,6 @@ type t =
       ops : (int * int) list;  (** per-pid shared-operation counts. *)
       unfinished : int list;
     }  (** [Lb_runtime.System.run_diagnosed]'s diagnostics, as an event. *)
-  | Service of { op : string; detail : string }
-      (** A service-layer lifecycle event ([op] one of ["recovery"],
-          ["overload"], ["chaos"], ["retry"], …): recorded by the server
-          supervisor, the admission controller and the chaos engine so
-          that a [serve --trace] stream shows crashes, restarts and
-          injected adversity alongside the computations they interrupt. *)
 
 type stamped = { at : int; event : t }
 (** [at] is the tracer's per-run sequence number: 0 for the first recorded
@@ -78,7 +72,7 @@ val kind : t -> string
 
 val kinds : string list
 (** All valid kind tags: ["access"; "toss"; "sched"; "round"; "crash";
-    "recovery"; "invoke"; "complete"; "give-up"; "end"; "service"]. *)
+    "recovery"; "invoke"; "complete"; "give-up"; "end"]. *)
 
 val equal : t -> t -> bool
 val equal_stamped : stamped -> stamped -> bool

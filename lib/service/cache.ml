@@ -2,7 +2,6 @@ open Lb_observe
 
 type entry = {
   mutable payload : Json.t;
-  mutable request : Json.t;  (** the canonical request, kept for compaction. *)
   mutable used : int; (* recency tick *)
 }
 
@@ -11,9 +10,7 @@ type t = {
   tbl : (string, entry) Hashtbl.t;
   mutable tick : int;
   mutable out : out_channel option;
-  file : string option;
   fsync : bool;
-  chaos : Chaos.engine option;
   mutable loaded : int;
   mutable corrupt : int;
   mutable evictions : int;
@@ -50,45 +47,28 @@ let evict_lru t =
     t.evictions <- t.evictions + 1
   | None -> ()
 
-let journal_line ~key ~request payload =
-  Json.to_string
-    (Json.Obj [ ("key", Json.Str key); ("request", request); ("response", payload) ])
-
 let journal t ~key ~request payload =
   match t.out with
   | None -> ()
-  | Some oc -> (
-    let line = journal_line ~key ~request payload ^ "\n" in
-    match t.chaos with
-    | None ->
-      output_string oc line;
-      flush oc
-    | Some engine -> (
-      match Chaos.on_journal engine line with
-      | `Line ->
-        output_string oc line;
-        flush oc
-      | `Partial_then_crash prefix ->
-        (* A torn record: the bytes a crash mid-append leaves behind.  The
-           flush makes the damage durable before the simulated crash. *)
-        output_string oc prefix;
-        flush oc;
-        raise (Chaos.Server_crash "chaos: journal truncated mid-append")))
+  | Some oc ->
+    output_string oc
+      (Json.to_string
+         (Json.Obj [ ("key", Json.Str key); ("request", request); ("response", payload) ]));
+    output_char oc '\n';
+    flush oc
 
-let store_in_memory t ~key ~request payload =
-  (match Hashtbl.find_opt t.tbl key with
+let store_in_memory t ~key payload =
+  match Hashtbl.find_opt t.tbl key with
   | Some e ->
     e.payload <- payload;
-    e.request <- request;
     touch t e
   | None ->
     if Hashtbl.length t.tbl >= t.cap then evict_lru t;
     t.tick <- t.tick + 1;
-    Hashtbl.add t.tbl key { payload; request; used = t.tick });
-  ()
+    Hashtbl.add t.tbl key { payload; used = t.tick }
 
 let store t ~key ~request payload =
-  store_in_memory t ~key ~request payload;
+  store_in_memory t ~key payload;
   journal t ~key ~request payload
 
 (* Reload: replay lines oldest-first; the last occurrence of a key wins and
@@ -107,8 +87,7 @@ let reload t path =
            | Some key_j, Some payload -> (
              match Json.to_str_opt key_j with
              | Some key ->
-               let request = Option.value ~default:Json.Null (Json.member "request" json) in
-               store_in_memory t ~key ~request payload;
+               store_in_memory t ~key payload;
                t.loaded <- t.loaded + 1
              | None -> t.corrupt <- t.corrupt + 1)
            | _ -> t.corrupt <- t.corrupt + 1)
@@ -117,7 +96,7 @@ let reload t path =
    with End_of_file -> ());
   close_in ic
 
-let create ?(capacity = 256) ?path ?(fsync = false) ?chaos () =
+let create ?(capacity = 256) ?path ?(fsync = false) () =
   if capacity < 1 then invalid_arg (Printf.sprintf "Cache: capacity %d < 1" capacity);
   let t =
     {
@@ -125,9 +104,7 @@ let create ?(capacity = 256) ?path ?(fsync = false) ?chaos () =
       tbl = Hashtbl.create (min capacity 64);
       tick = 0;
       out = None;
-      file = path;
       fsync;
-      chaos;
       loaded = 0;
       corrupt = 0;
       evictions = 0;
@@ -166,7 +143,6 @@ let capacity t = t.cap
 let evictions t = t.evictions
 let loaded t = t.loaded
 let corrupt t = t.corrupt
-let path t = t.file
 
 let sync t =
   match t.out with
@@ -174,42 +150,6 @@ let sync t =
     flush oc;
     Unix.fsync (Unix.descr_of_out_channel oc)
   | Some _ | None -> ()
-
-(* Live entries in canonical (key-sorted) order: the basis of both
-   compaction and the drills' byte-identity check. *)
-let snapshot t =
-  Hashtbl.fold (fun key e acc -> (key, e.payload) :: acc) t.tbl []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let snapshot_json t = Json.Obj (snapshot t)
-
-let compact t =
-  match t.file with
-  | None -> ()
-  | Some path ->
-    (match t.out with
-    | Some oc ->
-      t.out <- None;
-      close_out oc
-    | None -> ());
-    let entries =
-      Hashtbl.fold (fun key e acc -> (key, e) :: acc) t.tbl []
-      |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-    in
-    let tmp = path ^ ".compact.tmp" in
-    let oc = open_out_gen [ Open_wronly; Open_creat; Open_trunc; Open_binary ] 0o644 tmp in
-    List.iter
-      (fun (key, e) ->
-        output_string oc (journal_line ~key ~request:e.request e.payload);
-        output_char oc '\n')
-      entries;
-    flush oc;
-    if t.fsync then Unix.fsync (Unix.descr_of_out_channel oc);
-    close_out oc;
-    (* Atomic swap: a crash during compaction leaves either the old journal
-       or the new one, never a half-written mixture. *)
-    Sys.rename tmp path;
-    t.out <- Some (open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 path)
 
 let close t =
   match t.out with

@@ -16,32 +16,25 @@
     capacity applies as usual) and {e skips} lines that are truncated,
     unparseable or missing fields, counting them in {!corrupt} instead of
     failing — a damaged cache file degrades to a smaller cache, never to a
-    dead server.  The journal is a log, not a snapshot: it is only
-    rewritten by an explicit {!compact}, and re-stores of a key simply
-    append a newer line.
+    dead server.  The journal is a log, not a snapshot: it is never
+    rewritten, and re-stores of a key simply append a newer line.
 
     Durability has two notches.  By default every append is flushed to
     the OS (survives a process crash); with [~fsync:true], {!sync} —
     which the server calls at each batch boundary — additionally
     [fsync]s the journal fd (survives a machine crash, at a
-    per-batch rather than per-store cost).
-
-    A {!Chaos.engine} ([?chaos]) interposes on appends to simulate a
-    crash mid-write: the journal is left ending in a torn record, and
-    {!Chaos.Server_crash} propagates to the supervisor.  Reload treats
-    that torn tail exactly like any other damaged line. *)
+    per-batch rather than per-store cost). *)
 
 open Lb_observe
 
 type t
 
-val create : ?capacity:int -> ?path:string -> ?fsync:bool -> ?chaos:Chaos.engine -> unit -> t
+val create : ?capacity:int -> ?path:string -> ?fsync:bool -> unit -> t
 (** [capacity] defaults to 256 entries (raises [Invalid_argument] when
     [< 1]).  With [path], an existing journal is reloaded first and the
     file is then opened for appending (created if absent); a torn final
     record is newline-terminated so subsequent appends start clean.
-    [fsync] (default [false]) arms {!sync}.  [chaos] interposes the
-    engine's {!Chaos.on_journal} hook on every append. *)
+    [fsync] (default [false]) arms {!sync}. *)
 
 val find : t -> string -> Json.t option
 (** Lookup by content hash; a hit makes the entry most-recently-used. *)
@@ -52,7 +45,8 @@ val mem : t -> string -> bool
 val store : t -> key:string -> request:Json.t -> Json.t -> unit
 (** Insert or refresh an entry (now most-recently-used), evicting the LRU
     entry if the capacity is exceeded, and journal the store when the
-    cache is disk-backed. *)
+    cache is disk-backed ([request] is written to the journal line for
+    human readers; reload ignores it). *)
 
 val length : t -> int
 (** Live entries currently in memory. *)
@@ -69,32 +63,11 @@ val loaded : t -> int
 val corrupt : t -> int
 (** Journal lines skipped as damaged at creation. *)
 
-val path : t -> string option
-(** The journal path, when disk-backed. *)
-
 val sync : t -> unit
 (** [fsync] the journal fd — a no-op unless the cache was created with
     [~fsync:true] and a [path].  The server calls this at every batch
     boundary, so acknowledged results are machine-crash durable without
     paying an fsync per store. *)
-
-val snapshot : t -> (string * Json.t) list
-(** The live entries in canonical (key-sorted) order — the basis of the
-    chaos drills' byte-identity invariant: after any crash/recovery
-    sequence, [snapshot] of the reloaded cache must equal the clean
-    run's. *)
-
-val snapshot_json : t -> Json.t
-(** {!snapshot} as a single JSON object (keys sorted, so byte-comparable
-    via [Json.to_string]). *)
-
-val compact : t -> unit
-(** Rewrite the journal to exactly the live entries, one line per key in
-    sorted order, via write-to-temp + atomic rename.  Dead weight —
-    superseded re-stores and LRU-evicted entries — is dropped.  The
-    supervisor compacts after each crash recovery so restart cost is
-    bounded by the cache size, not the crash count.  No-op when
-    memory-only. *)
 
 val close : t -> unit
 (** Flush and close the journal channel (idempotent; no-op when

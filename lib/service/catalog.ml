@@ -106,20 +106,3 @@ let compute ~jobs (request : Request.t) =
             (Lb_conformance.Conform.json_of_cell
                (Lb_conformance.Fuzz.check_cell ~construction ~ot ~plan_name:plan
                   ~plan:fault_plan ~n ~ops ~schedules ~seed ~max_states:200_000 ())))))
-  | Request.Echo { tag; size; work } ->
-    (* Deterministic fill derived from the tag, so any two runs of the same
-       echo produce byte-identical payloads — the drills compare them.
-       [work] chains MD5 rounds over the tag: a pure, verifiable CPU spin
-       the load generator uses to give cache misses a known cost. *)
-    let fill =
-      String.init size (fun i -> Char.chr (Char.code 'a' + ((i + String.length tag) mod 26)))
-    in
-    let digest = ref (Digest.string tag) in
-    for _ = 1 to work do
-      digest := Digest.string !digest
-    done;
-    Ok
-      (Json.Obj
-         ([ ("tag", Json.Str tag); ("size", Json.Int size); ("fill", Json.Str fill) ]
-         @ if work = 0 then []
-           else [ ("work", Json.Int work); ("digest", Json.Str (Digest.to_hex !digest)) ]))

@@ -1,18 +1,17 @@
 open Lb_observe
 
 type error =
-  | Connect of { address : string; reason : string }
+  | Connect of { socket : string; reason : string }
   | Send of string
   | Timeout of float
   | Closed
   | Bad_line of { line : string; reason : string }
   | Unknown_key of { key : string; line : string }
-  | Overload of { attempts : int }
 
 let clip line = if String.length line <= 120 then line else String.sub line 0 117 ^ "..."
 
 let error_message = function
-  | Connect { address; reason } -> Printf.sprintf "cannot connect to %s: %s" address reason
+  | Connect { socket; reason } -> Printf.sprintf "cannot connect to %s: %s" socket reason
   | Send reason -> Printf.sprintf "send failed: %s" reason
   | Timeout s -> Printf.sprintf "timed out after %.1fs" s
   | Closed -> "server closed the connection early"
@@ -20,15 +19,22 @@ let error_message = function
     Printf.sprintf "bad response line %S: %s" (clip line) reason
   | Unknown_key { key; line } ->
     Printf.sprintf "response key %S matches no request in the batch (%s)" key (clip line)
-  | Overload { attempts } ->
-    Printf.sprintf "server overloaded (still refusing after %d attempts)" attempts
 
 let pp_error ppf e = Format.pp_print_string ppf (error_message e)
 
-let call ~transport ?(timeout_s = 60.0) lines =
-  match Transport.connect transport with
-  | Error reason ->
-    Error (Connect { address = Transport.to_string transport; reason })
+let connect socket =
+  match Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 with
+  | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
+  | fd -> (
+    match Unix.connect fd (Unix.ADDR_UNIX socket) with
+    | () -> Ok fd
+    | exception Unix.Unix_error (e, _, _) ->
+      (try Unix.close fd with Unix.Unix_error _ -> ());
+      Error (Unix.error_message e))
+
+let call ~socket ?(timeout_s = 60.0) lines =
+  match connect socket with
+  | Error reason -> Error (Connect { socket; reason })
   | Ok fd -> (
     let finally () = try Unix.close fd with Unix.Unix_error _ -> () in
     (
@@ -102,82 +108,17 @@ let validate_keys ~requests replies =
     Error (Unknown_key { key; line = Json.to_string reply })
   | None -> Ok replies
 
-let request ~transport ?timeout_s requests =
-  match call ~transport ?timeout_s (List.map Request.to_json requests) with
+let request ~socket ?timeout_s requests =
+  match call ~socket ?timeout_s (List.map Request.to_json requests) with
   | Error e -> Error e
   | Ok replies -> validate_keys ~requests replies
 
-(* ---- the retrying client ---- *)
-
-type retry = {
-  attempts : int;
-  base_delay_s : float;
-  multiplier : float;
-  max_delay_s : float;
-  jitter : float;
-  seed : int;
-}
-
-let default_retry =
-  { attempts = 6; base_delay_s = 0.05; multiplier = 2.0; max_delay_s = 1.0; jitter = 0.25;
-    seed = 0 }
-
-(* Deterministic jitter: a uniform in [0,1) hashed from (seed, failures)
-   rather than drawn from threaded RNG state, so a retry schedule is a pure
-   function of the policy — replaying a drill replays its exact sleeps. *)
-let backoff_s r ~failures =
-  if failures < 1 then invalid_arg "Client.backoff_s: failures < 1";
-  let base = r.base_delay_s *. (r.multiplier ** float_of_int (failures - 1)) in
-  let capped = Float.min r.max_delay_s base in
-  let u =
-    float_of_int (Hashtbl.hash (0x51CA05, r.seed, failures) land 0xFFFFFF) /. 16777216.0
-  in
-  capped *. (1.0 -. (r.jitter /. 2.0) +. (r.jitter *. u))
-
-let is_overload reply =
-  match Option.bind (Json.member "status" reply) Json.to_str_opt with
-  | Some "overload" -> true
-  | _ -> false
-
-let call_retry ~transport ?timeout_s ?(retry = default_retry) lines =
-  if retry.attempts < 1 then invalid_arg "Client.call_retry: retry.attempts < 1";
-  (* Safe to resend wholesale: request keys are content hashes, so a
-     repeated line is a cache hit (or an in-flight dedup), never a second
-     execution — pinned by the never-double-executes test. *)
-  let rec attempt k =
-    let outcome =
-      match call ~transport ?timeout_s lines with
-      | Ok replies when List.exists is_overload replies ->
-        Stdlib.Error (Overload { attempts = k })
-      | (Ok _ | Error _) as r -> r
-    in
-    match outcome with
-    | Ok replies -> Ok replies
-    | Error e ->
-      if k >= retry.attempts then
-        Error (match e with Overload _ -> Overload { attempts = retry.attempts } | e -> e)
-      else begin
-        Metrics.incr (Metrics.current ()) "service.retries";
-        Tracer.record
-          (Event.Service
-             { op = "retry"; detail = Printf.sprintf "attempt %d: %s" k (error_message e) });
-        Unix.sleepf (backoff_s retry ~failures:k);
-        attempt (k + 1)
-      end
-  in
-  attempt 1
-
-let request_retry ~transport ?timeout_s ?retry requests =
-  match call_retry ~transport ?timeout_s ?retry (List.map Request.to_json requests) with
-  | Error e -> Error e
-  | Ok replies -> validate_keys ~requests replies
-
-let wait_ready ~transport ?(attempts = 100) ?(interval_s = 0.05) () =
+let wait_ready ~socket ?(attempts = 100) ?(interval_s = 0.05) () =
   let ping = Json.Obj [ ("op", Json.Str "ping") ] in
   let rec go k =
     if k = 0 then false
     else
-      match call ~transport ~timeout_s:1.0 [ ping ] with
+      match call ~socket ~timeout_s:1.0 [ ping ] with
       | Ok _ -> true
       | Error _ ->
         Unix.sleepf interval_s;

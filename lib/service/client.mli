@@ -1,30 +1,20 @@
 (** The line-JSON client side of the service protocol.
 
-    [call] opens one connection, writes every given JSON value as its own
-    line, and reads exactly one response line per line sent — the server
-    answers in order.  Reads are multiplexed through [Unix.select] with a
-    deadline, so a wedged server yields [Error] rather than a hang.
+    [call] opens one connection to the server's Unix-domain socket, writes
+    every given JSON value as its own line, and reads exactly one response
+    line per line sent — the server answers in order.  Reads are
+    multiplexed through [Unix.select] with a deadline, so a wedged server
+    yields [Error] rather than a hang.
 
     Every failure mode is a typed {!error}; no function here raises on
     malformed server behaviour (truncated line, non-JSON reply, a reply
     keyed by an unknown hash) — that is pinned by fuzz tests against
-    deliberately broken servers in [suite_service].
-
-    The retrying layer ({!call_retry}, {!request_retry}) resends the whole
-    batch on any failure — connect refusal, timeout, garbled line, dropped
-    connection, or a typed ["overload"] refusal — under a bounded
-    exponential-backoff {!retry} policy with {e deterministic} seeded
-    jitter (the schedule is a pure function of the policy, so drills
-    replay exactly).  Resending is safe because request keys are content
-    hashes: a line the server already executed comes back as a cache hit,
-    never a second execution.  A typed error surfaces only once the
-    attempt budget is exhausted. *)
+    deliberately broken servers in [suite_service]. *)
 
 open Lb_observe
 
 type error =
-  | Connect of { address : string; reason : string }
-      (** [address] is the transport's {!Transport.to_string}. *)
+  | Connect of { socket : string; reason : string }
   | Send of string
   | Timeout of float  (** the configured deadline, in seconds. *)
   | Closed  (** the server closed the connection before every reply. *)
@@ -33,75 +23,24 @@ type error =
   | Unknown_key of { key : string; line : string }
       (** a reply whose ["key"] matches no request in the batch
           ({!request} only). *)
-  | Overload of { attempts : int }
-      (** the server refused at admission control on every one of
-          [attempts] tries ({!call_retry}/{!request_retry} only). *)
 
 val error_message : error -> string
 val pp_error : Format.formatter -> error -> unit
 
-val call :
-  transport:Transport.t -> ?timeout_s:float -> Json.t list -> (Json.t list, error) result
-(** Dial [transport] (Unix socket or TCP, {!Transport.connect}), send the
-    lines, await as many responses ([timeout_s] defaults to 60 seconds of
-    total wall-clock).  An incomplete trailing line at the point the
-    expected reply count is reached is ignored — only complete
-    (newline-terminated) lines count as replies. *)
+val call : socket:string -> ?timeout_s:float -> Json.t list -> (Json.t list, error) result
+(** Connect to the Unix-domain socket at path [socket], send the lines,
+    await as many responses ([timeout_s] defaults to 60 seconds of total
+    wall-clock).  An incomplete trailing line at the point the expected
+    reply count is reached is ignored — only complete (newline-terminated)
+    lines count as replies. *)
 
 val request :
-  transport:Transport.t -> ?timeout_s:float -> Request.t list -> (Json.t list, error) result
+  socket:string -> ?timeout_s:float -> Request.t list -> (Json.t list, error) result
 (** {!call} on the canonical serialisations, then validate that every
     keyed reply's ["key"] belongs to the batch ([Unknown_key] otherwise).
     Replies arrive in request order. *)
 
-(** {1 Retrying} *)
-
-type retry = {
-  attempts : int;  (** total tries, including the first (≥ 1). *)
-  base_delay_s : float;  (** backoff after the first failure. *)
-  multiplier : float;  (** backoff growth per successive failure. *)
-  max_delay_s : float;  (** backoff ceiling. *)
-  jitter : float;
-      (** spread factor: the delay is scaled by a deterministic uniform in
-          [1 - jitter/2, 1 + jitter/2). *)
-  seed : int;  (** drives the jitter hash — same seed, same schedule. *)
-}
-
-val default_retry : retry
-(** [{ attempts = 6; base_delay_s = 0.05; multiplier = 2.0;
-      max_delay_s = 1.0; jitter = 0.25; seed = 0 }] — six tries spanning
-    roughly 1.6 s of cumulative backoff. *)
-
-val backoff_s : retry -> failures:int -> float
-(** The sleep before retrying after the [failures]-th consecutive failure
-    (1-based; [Invalid_argument] below 1):
-    [min max_delay_s (base_delay_s * multiplier^(failures-1))] scaled by
-    the seeded jitter.  Pure — exposed so tests can pin the schedule. *)
-
-val call_retry :
-  transport:Transport.t ->
-  ?timeout_s:float ->
-  ?retry:retry ->
-  Json.t list ->
-  (Json.t list, error) result
-(** {!call} under a retry policy ([timeout_s] is {e per attempt}).  Any
-    failed attempt — and any attempt whose replies include a ["status":
-    "overload"] refusal — increments [service.retries], records a
-    [Service] retry trace event, sleeps {!backoff_s} and resends the
-    whole batch.  After [retry.attempts] tries the last error (or
-    {!Overload}) is returned. *)
-
-val request_retry :
-  transport:Transport.t ->
-  ?timeout_s:float ->
-  ?retry:retry ->
-  Request.t list ->
-  (Json.t list, error) result
-(** {!request} with {!call_retry} underneath: retries, then validates
-    reply keys against the batch. *)
-
-val wait_ready :
-  transport:Transport.t -> ?attempts:int -> ?interval_s:float -> unit -> bool
+val wait_ready : socket:string -> ?attempts:int -> ?interval_s:float -> unit -> bool
 (** Poll until a [ping] round-trips (true) or [attempts] (default 100)
     spaced [interval_s] (default 0.05 s) are exhausted (false) — for
     scripts that just started a server in the background. *)

@@ -12,7 +12,7 @@ let create ?(jobs = 1) ?timeout_s ~cache ~compute () =
   if jobs < 0 then invalid_arg (Printf.sprintf "Executor: negative jobs %d" jobs);
   { jobs; timeout_s; cache_ = cache; compute }
 
-type outcome = Ok of Json.t | Error of string | Timeout | Overload
+type outcome = Ok of Json.t | Error of string | Timeout
 
 type response = {
   request : Request.t;
@@ -102,7 +102,7 @@ let run_batch t requests =
           | None -> Json.Null
         in
         Cache.store t.cache_ ~key ~request payload
-      | Error _ | Timeout | Overload -> ())
+      | Error _ | Timeout -> ())
     computed;
   let responses =
     List.map
@@ -119,7 +119,7 @@ let run_batch t requests =
           match List.find_opt (fun (k, _, _) -> k = key) computed with
           | Some (_, outcome, elapsed) ->
             (match outcome with
-            | Ok _ | Overload -> ()
+            | Ok _ -> ()
             | Error _ -> Metrics.incr m (metric "errors")
             | Timeout -> Metrics.incr m (metric "timeouts"));
             { request = r; key; outcome; cached = false; deduped;
@@ -137,23 +137,12 @@ let run_batch t requests =
   Metrics.set_gauge m (metric "queue_depth") 0.0;
   responses
 
-let overload_response request =
-  {
-    request;
-    key = Request.key request;
-    outcome = Overload;
-    cached = false;
-    deduped = false;
-    elapsed_s = 0.0;
-  }
-
 let response_to_json resp =
   let status, tail =
     match resp.outcome with
     | Ok payload -> ("ok", [ ("data", payload) ])
     | Error msg -> ("error", [ ("error", Json.Str msg) ])
     | Timeout -> ("timeout", [])
-    | Overload -> ("overload", [ ("retry_after_s", Json.Float 0.05) ])
   in
   Json.Obj
     ([

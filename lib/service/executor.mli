@@ -54,12 +54,6 @@ type outcome =
   | Ok of Json.t  (** the computed or cached payload. *)
   | Error of string
   | Timeout
-  | Overload
-      (** Refused at admission — the server's queue was already at its
-          bound.  Never produced by {!run_batch}; the server constructs it
-          via {!overload_response} {e before} the request is queued.  The
-          wire status carries a [retry_after_s] hint and the retrying
-          client backs off on it. *)
 
 type response = {
   request : Request.t;
@@ -73,13 +67,8 @@ type response = {
 val run_batch : t -> Request.t list -> response list
 (** Serve one coalesced batch; responses in request order. *)
 
-val overload_response : Request.t -> response
-(** The admission-control refusal for [request]: outcome {!Overload},
-    nothing computed, nothing cached. *)
-
 val response_to_json : response -> Json.t
-(** The wire form: [{"status": "ok"|"error"|"timeout"|"overload", "key",
-    "cached", "deduped", "elapsed_s", "request", and
-    "data" | "error" | "retry_after_s"}]. *)
+(** The wire form: [{"status": "ok"|"error"|"timeout", "key", "cached",
+    "deduped", "elapsed_s", "request", and "data" | "error"}]. *)
 
 val cache : t -> Cache.t

@@ -12,7 +12,6 @@ type spec =
       schedules : int;
       seed : int;
     }
-  | Echo of { tag : string; size : int; work : int }
 
 type t = { spec : spec; jobs : int }
 
@@ -25,11 +24,6 @@ let certify ?(n = 8) ?(ops = 1) ?(seed = 1) ~target ~plan () =
 let conform ?(otype = "fetch-inc") ?(plan = "none") ?(n = 4) ?(ops = 4) ?(schedules = 200)
     ?(seed = 1) ~target () =
   { spec = Conform { target; otype; plan; n; ops; schedules; seed }; jobs = 1 }
-
-let echo ?(size = 0) ?(work = 0) tag =
-  if size < 0 then invalid_arg "Request.echo: size < 0";
-  if work < 0 then invalid_arg "Request.echo: work < 0";
-  { spec = Echo { tag; size; work }; jobs = 1 }
 
 let with_jobs t jobs = { t with jobs }
 
@@ -68,15 +62,6 @@ let to_json t =
         ("ops", Json.Int ops);
         ("schedules", Json.Int schedules);
         ("seed", Json.Int seed);
-        ("jobs", Json.Int t.jobs);
-      ]
-  | Echo { tag; size; work } ->
-    Json.Obj
-      [
-        ("kind", Json.Str "echo");
-        ("tag", Json.Str tag);
-        ("size", Json.Int size);
-        ("work", Json.Int work);
         ("jobs", Json.Int t.jobs);
       ]
 
@@ -144,15 +129,6 @@ let of_json json =
             jobs;
           }
       | None -> Error "conform request lacks a \"target\" field")
-    | Some "echo" -> (
-      match str "tag" with
-      | Some tag ->
-        let size = int ~default:0 "size" in
-        let work = int ~default:0 "work" in
-        if size < 0 then Error "echo request has a negative \"size\""
-        else if work < 0 then Error "echo request has a negative \"work\""
-        else Ok { spec = Echo { tag; size; work }; jobs }
-      | None -> Error "echo request lacks a \"tag\" field")
     | Some other -> Error (Printf.sprintf "unknown request kind %S" other)
     | None -> Error "request lacks a \"kind\" field")
   | _ -> Error "request is not a JSON object"
@@ -170,9 +146,6 @@ let describe t =
   | Conform { target; otype; plan; n; ops; schedules; seed } ->
     Printf.sprintf "conform %s/%s under %s, n=%d ops=%d schedules=%d seed=%d" target otype plan
       n ops schedules seed
-  | Echo { tag; size; work } ->
-    if work = 0 then Printf.sprintf "echo %s (%dB)" tag size
-    else Printf.sprintf "echo %s (%dB, work=%d)" tag size work
 
 let equal a b = a.spec = b.spec
 

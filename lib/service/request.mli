@@ -1,11 +1,11 @@
 (** The canonical service request: what a client may ask the experiment
     server to compute.
 
-    A request names either one experiment table (E1 .. E14, optionally at
-    the reduced "quick" sweep sizes) or one fault-certification run (a
-    target construction or wakeup corpus entry, a fault plan, a process
-    count, an operation count and a seed), plus a [jobs] hint for how many
-    domains the computation may fan across.
+    A request names one experiment table (E1 .. E14, optionally at the
+    reduced "quick" sweep sizes), one fault-certification run (a target
+    construction or wakeup corpus entry, a fault plan, a process count, an
+    operation count and a seed) or one conformance fuzz cell, plus a
+    [jobs] hint for how many domains the computation may fan across.
 
     Requests serialise to the line-delimited JSON protocol documented in
     docs/OBSERVABILITY.md.  {!of_json} accepts fields in {e any} order and
@@ -39,16 +39,6 @@ type spec =
           construction [target] on object type [otype] under fault plan
           [plan], every history linearizability-checked, counterexamples
           shrunk (see {!Lb_conformance.Fuzz.check_cell}). *)
-  | Echo of { tag : string; size : int; work : int }
-      (** A deterministic request: the response repeats [tag] plus a
-          [size]-byte fill derived from it, after [work] rounds of digest
-          chaining (each round one MD5 over the previous digest — a pure
-          CPU spin, [0] = free).  The chaos drills and the load generator
-          use echoes as cheap, distinct, verifiable cargo — every
-          invariant about caching, journalling and retries can be checked
-          without paying for a real experiment, and [work] dials in a
-          known per-miss compute cost so the sharding speedup is
-          measurable. *)
 
 type t = { spec : spec; jobs : int }
 
@@ -70,11 +60,6 @@ val conform :
   t
 (** Defaults: [otype = "fetch-inc"], [plan = "none"], [n = 4], [ops = 4],
     [schedules = 200], [seed = 1], [jobs = 1]. *)
-
-val echo : ?size:int -> ?work:int -> string -> t
-(** [echo tag] with a [size]-byte payload fill and [work] digest-chain
-    rounds (both default 0; raise [Invalid_argument] when negative),
-    [jobs = 1]. *)
 
 val with_jobs : t -> int -> t
 

@@ -26,14 +26,12 @@ let drain_lines client =
 (* Write the whole string, however many syscalls it takes.  [single_write]
    rather than [write]: the latter loops internally and can report fewer
    bytes than it wrote when interrupted mid-loop, which is unrecoverable —
-   with single_write a short count is exactly the unwritten suffix.  [cap]
-   (chaos) bounds each chunk, simulating a tiny send buffer. *)
-let write_all ?cap fd s =
+   with single_write a short count is exactly the unwritten suffix. *)
+let write_all fd s =
   let len = String.length s in
-  let chunk = match cap with Some c -> max 1 c | None -> len in
   let off = ref 0 in
   while !off < len do
-    match Unix.single_write_substring fd s !off (min chunk (len - !off)) with
+    match Unix.single_write_substring fd s !off (len - !off) with
     | n -> off := !off + n
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   done
@@ -46,19 +44,19 @@ let write_line fd json =
 let error_response msg =
   Json.Obj [ ("status", Json.Str "error"); ("error", Json.Str msg) ]
 
-let rec split_at n = function
-  | x :: tl when n > 0 ->
-    let a, b = split_at (n - 1) tl in
-    (x :: a, b)
-  | l -> ([], l)
+let bind socket =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  try
+    if Sys.file_exists socket then Unix.unlink socket;
+    Unix.bind fd (Unix.ADDR_UNIX socket);
+    Unix.listen fd 64;
+    fd
+  with exn ->
+    (try Unix.close fd with Unix.Unix_error _ -> ());
+    raise exn
 
-let serve ~transport ~executor ?max_requests ?chaos ?max_queue ?ready
-    ?(log = fun _ -> ()) () =
-  Option.iter
-    (fun q -> if q < 1 then invalid_arg (Printf.sprintf "Server: max_queue %d < 1" q))
-    max_queue;
-  let listen_fd, transport = Transport.listen transport in
-  Option.iter (fun f -> f transport) ready;
+let serve ~socket ~executor ?max_requests ?(log = fun _ -> ()) () =
+  let listen_fd = bind socket in
   (* Ignore SIGPIPE (a vanished client must not kill the server) and turn
      SIGINT/SIGTERM into a graceful-stop flag, restoring all three
      afterwards so in-process callers (tests) keep their handlers. *)
@@ -72,29 +70,6 @@ let serve ~transport ~executor ?max_requests ?chaos ?max_queue ?ready
   let close_client c =
     clients := List.filter (fun c' -> c'.fd != c.fd) !clients;
     try Unix.close c.fd with Unix.Unix_error _ -> ()
-  in
-  (* Batch replies go through the chaos engine (control and overload
-     replies do not: drills need a reliable side channel, and exempting
-     them keeps the engine's reply numbering deterministic).  The journal
-     append for a stored result happens inside [Executor.run_batch],
-     strictly before the reply is written here — so an {e acknowledged}
-     result is always already durable, which is the invariant the crash
-     drills assert. *)
-  let write_reply c resp =
-    let line = Json.to_string (Executor.response_to_json resp) ^ "\n" in
-    match chaos with
-    | None -> ( try write_all c.fd line with Unix.Unix_error _ -> ())
-    | Some engine -> (
-      let action = Chaos.on_reply engine line in
-      if action.Chaos.delay_s > 0.0 then Unix.sleepf action.Chaos.delay_s;
-      (match action.Chaos.data with
-      | None -> close_client c
-      | Some data -> (
-        try write_all ?cap:(Chaos.write_cap engine) c.fd data
-        with Unix.Unix_error _ -> ()));
-      match action.Chaos.crash_after with
-      | Some reason -> raise (Chaos.Server_crash reason)
-      | None -> ())
   in
   let handle_line c line queue =
     if String.trim line = "" then queue
@@ -131,132 +106,72 @@ let serve ~transport ~executor ?max_requests ?chaos ?max_queue ?ready
             write_line c.fd (error_response msg);
             queue))
   in
-  (* Admission control: a batch deeper than [max_queue] would hold every
-     caller hostage to the slowest computation, so the excess (latest
-     arrivals first dropped) is refused with a typed overload response the
-     retrying client backs off on.  Refusals bypass the executor entirely —
-     nothing computed, nothing cached, nothing counted as served. *)
-  let admit queue =
-    match max_queue with
-    | Some bound when List.length queue > bound ->
-      let admitted, rejected = split_at bound queue in
-      let m = Metrics.current () in
-      List.iter
-        (fun (c, req) ->
-          Metrics.incr m "service.overload_rejections";
-          Tracer.record (Event.Service { op = "overload"; detail = Request.describe req });
-          write_line c.fd (Executor.response_to_json (Executor.overload_response req)))
-        rejected;
-      log (Printf.sprintf "overload: refused %d of %d queued" (List.length rejected)
-             (List.length queue));
-      admitted
-    | _ -> queue
+  (* One cleanup path for every exit — shutdown, signal, or an exception
+     out of the loop: the server never leaks its socket file, its signal
+     handlers or its journal channel. *)
+  let finally () =
+    List.iter (fun c -> try Unix.close c.fd with Unix.Unix_error _ -> ()) !clients;
+    (try Unix.close listen_fd with Unix.Unix_error _ -> ());
+    (try Sys.remove socket with Sys_error _ -> ());
+    Cache.close (Executor.cache executor);
+    Sys.set_signal Sys.sigpipe old_pipe;
+    Sys.set_signal Sys.sigint old_int;
+    Sys.set_signal Sys.sigterm old_term
   in
-  log (Printf.sprintf "listening on %s" (Transport.to_string transport));
-  (try
-     while not !stop do
-       let fds = listen_fd :: List.map (fun c -> c.fd) !clients in
-       let readable =
-         (* The timeout bounds how long a signal waits to be noticed. *)
-         match Unix.select fds [] [] 0.25 with
-         | readable, _, _ -> readable
-         | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
-       in
-       (* Accept new connections. *)
-       if List.memq listen_fd readable then begin
-         match Unix.accept listen_fd with
-         | fd, _ ->
-           Transport.configure transport fd;
-           incr accepted;
-           clients := { fd; buf = Buffer.create 256 } :: !clients
-         | exception Unix.Unix_error _ -> ()
-       end;
-       (* Read every ready client; collect the batch.  Requests queue in
-          (client, arrival) order so responses can be written back per
-          client in the order its requests were sent. *)
-       let queue = ref [] in
-       List.iter
-         (fun c ->
-           if List.memq c.fd readable then begin
-             let bytes = Bytes.create 65536 in
-             match Unix.read c.fd bytes 0 (Bytes.length bytes) with
-             | 0 -> close_client c
-             | n ->
-               Buffer.add_subbytes c.buf bytes 0 n;
-               List.iter (fun line -> queue := handle_line c line !queue) (drain_lines c)
-             | exception Unix.Unix_error _ -> close_client c
-           end)
-         !clients;
-       let queue = admit (List.rev !queue) in
-       if queue <> [] then begin
-         incr batches;
-         let responses = Executor.run_batch executor (List.map snd queue) in
-         Cache.sync (Executor.cache executor);
-         List.iter2 (fun (c, _) resp -> write_reply c resp) queue responses;
-         served := !served + List.length responses;
-         log
-           (Printf.sprintf "batch of %d (%d served total, cache %d/%d)" (List.length queue)
-              !served
-              (Cache.length (Executor.cache executor))
-              (Cache.capacity (Executor.cache executor)));
-         match max_requests with
-         | Some limit when !served >= limit -> stop := true
-         | _ -> ()
-       end
-     done
-   with exn ->
-     (* Restore the world before propagating: the server must never leak
-        its socket file or signal handlers — a {!Chaos.Server_crash} takes
-        this path too, on its way to the supervisor. *)
-     List.iter (fun c -> try Unix.close c.fd with Unix.Unix_error _ -> ()) !clients;
-     (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-     Transport.cleanup transport;
-     Sys.set_signal Sys.sigpipe old_pipe;
-     Sys.set_signal Sys.sigint old_int;
-     Sys.set_signal Sys.sigterm old_term;
-     raise exn);
-  List.iter (fun c -> try Unix.close c.fd with Unix.Unix_error _ -> ()) !clients;
-  (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-  Transport.cleanup transport;
-  Cache.close (Executor.cache executor);
-  Sys.set_signal Sys.sigpipe old_pipe;
-  Sys.set_signal Sys.sigint old_int;
-  Sys.set_signal Sys.sigterm old_term;
+  log (Printf.sprintf "listening on %s" socket);
+  Fun.protect ~finally (fun () ->
+      while not !stop do
+        let fds = listen_fd :: List.map (fun c -> c.fd) !clients in
+        let readable =
+          (* The timeout bounds how long a signal waits to be noticed. *)
+          match Unix.select fds [] [] 0.25 with
+          | readable, _, _ -> readable
+          | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
+        in
+        (* Accept new connections. *)
+        if List.memq listen_fd readable then begin
+          match Unix.accept listen_fd with
+          | fd, _ ->
+            incr accepted;
+            clients := { fd; buf = Buffer.create 256 } :: !clients
+          | exception Unix.Unix_error _ -> ()
+        end;
+        (* Read every ready client; collect the batch.  Requests queue in
+           (client, arrival) order so responses can be written back per
+           client in the order its requests were sent. *)
+        let queue = ref [] in
+        List.iter
+          (fun c ->
+            if List.memq c.fd readable then begin
+              let bytes = Bytes.create 65536 in
+              match Unix.read c.fd bytes 0 (Bytes.length bytes) with
+              | 0 -> close_client c
+              | n ->
+                Buffer.add_subbytes c.buf bytes 0 n;
+                List.iter (fun line -> queue := handle_line c line !queue) (drain_lines c)
+              | exception Unix.Unix_error _ -> close_client c
+            end)
+          !clients;
+        let queue = List.rev !queue in
+        if queue <> [] then begin
+          incr batches;
+          (* [run_batch] journals every stored result before any reply is
+             written below, so an acknowledged result is already on disk. *)
+          let responses = Executor.run_batch executor (List.map snd queue) in
+          Cache.sync (Executor.cache executor);
+          List.iter2
+            (fun (c, _) resp -> write_line c.fd (Executor.response_to_json resp))
+            queue responses;
+          served := !served + List.length responses;
+          log
+            (Printf.sprintf "batch of %d (%d served total, cache %d/%d)" (List.length queue)
+               !served
+               (Cache.length (Executor.cache executor))
+               (Cache.capacity (Executor.cache executor)));
+          match max_requests with
+          | Some limit when !served >= limit -> stop := true
+          | _ -> ()
+        end
+      done);
   log (Printf.sprintf "shutdown after %d requests in %d batches" !served !batches);
   { served = !served; batches = !batches; clients = !accepted }
-
-type supervised = { last : stats; recoveries : int }
-
-let supervise ~transport ~executor_of ?max_requests ?(max_restarts = 100) ?chaos ?max_queue
-    ?ready ?(log = fun _ -> ()) () =
-  if max_restarts < 0 then invalid_arg "Server.supervise: max_restarts < 0";
-  let recoveries = ref 0 in
-  (* Pin the address the first generation resolved (a TCP port 0 becomes a
-     concrete port), so every restarted generation rebinds the {e same}
-     endpoint and clients keep a stable address across crashes. *)
-  let bound = ref transport in
-  let ready t =
-    bound := t;
-    Option.iter (fun f -> f t) ready
-  in
-  let rec generation () =
-    let executor = executor_of () in
-    match serve ~transport:!bound ~executor ?max_requests ?chaos ?max_queue ~ready ~log () with
-    | stats -> { last = stats; recoveries = !recoveries }
-    | exception Chaos.Server_crash reason ->
-      (* [serve]'s cleanup already ran (fds closed, socket unlinked,
-         handlers restored) but the crashed generation's journal channel is
-         still open — close it before the next generation reopens the
-         file. *)
-      Cache.close (Executor.cache executor);
-      if !recoveries >= max_restarts then
-        failwith
-          (Printf.sprintf "Server.supervise: gave up after %d restarts (last crash: %s)"
-             max_restarts reason);
-      incr recoveries;
-      Metrics.incr (Metrics.current ()) "service.recoveries";
-      Tracer.record (Event.Service { op = "recovery"; detail = reason });
-      log (Printf.sprintf "crash (%s); recovering, restart #%d" reason !recoveries);
-      generation ()
-  in
-  generation ()

@@ -1,6 +1,5 @@
-(** The request server: a hand-rolled accept loop over a {!Transport}
-    address — a Unix-domain socket or a TCP endpoint — speaking
-    line-delimited JSON.
+(** The request server: a hand-rolled accept loop on a Unix-domain
+    socket, speaking line-delimited JSON.
 
     Protocol: a client connects, writes one JSON object per line, and
     receives one JSON response line per request, in order.  Lines that
@@ -24,22 +23,13 @@
     socket file unlinked, cache journal flushed and closed).
 
     {b Robustness} (docs/ROBUSTNESS.md).  Replies are written with an
-    explicit short-write-safe loop, so a tiny send buffer — real or
-    injected by a {!Chaos} plan — only slows a reply, never corrupts it.
-    With [max_queue], batches deeper than the bound are refused at
-    admission with typed ["overload"] responses ([service.
-    overload_rejections] counts them) instead of holding every caller
-    hostage to the slowest computation.  With [chaos], batch replies and
-    journal appends pass through the engine's injectors; an injected
-    {!Chaos.Server_crash} unwinds through [serve]'s cleanup (fds closed,
-    socket unlinked, handlers restored) and is caught by {!supervise},
-    which rebuilds the executor — reloading the cache from its journal —
-    and binds a fresh generation.  Because the journal append happens
-    before the reply is written, an acknowledged result is always durable
-    across such a crash. *)
+    explicit short-write-safe loop, so a tiny send buffer only slows a
+    reply, never corrupts it.  The journal append for a stored result
+    happens inside {!Executor.run_batch}, strictly before the reply is
+    written, so an acknowledged result is always already journalled. *)
 
 type stats = {
-  served : int;  (** requests answered (control lines and overload refusals excluded). *)
+  served : int;  (** requests answered (control lines excluded). *)
   batches : int;  (** coalesced batches drained. *)
   clients : int;  (** connections accepted over the server's lifetime. *)
 }
@@ -51,57 +41,17 @@ val write_line : Unix.file_descr -> Lb_observe.Json.t -> unit
     line.  Exposed for tests and for tools speaking the wire protocol. *)
 
 val serve :
-  transport:Transport.t ->
+  socket:string ->
   executor:Executor.t ->
   ?max_requests:int ->
-  ?chaos:Chaos.engine ->
-  ?max_queue:int ->
-  ?ready:(Transport.t -> unit) ->
   ?log:(string -> unit) ->
   unit ->
   stats
-(** Bind [transport] (an existing Unix socket file is replaced; a TCP
-    port gets [SO_REUSEADDR]), serve until a [shutdown] op, a signal, or
-    — when [max_requests] is given — until that many requests have been
-    answered.  [ready] is called once the listener is bound, with the
-    {e resolved} address (a {!Transport.Tcp} port 0 becomes the
-    kernel-assigned port) — how tests and drills learn an ephemeral
-    port race-free.  [chaos] interposes the engine on batch replies
-    (control replies are exempt); [max_queue] (≥ 1, else
-    [Invalid_argument]) arms admission control.  [log] receives one-line
-    progress notes (default: silent).  May raise {!Chaos.Server_crash}
-    (after restoring fds, socket file and signal handlers) — callers
-    wanting recovery use {!supervise}. *)
-
-type supervised = {
-  last : stats;  (** the generation that exited cleanly. *)
-  recoveries : int;  (** crashes recovered from (= restarts performed). *)
-}
-
-val supervise :
-  transport:Transport.t ->
-  executor_of:(unit -> Executor.t) ->
-  ?max_requests:int ->
-  ?max_restarts:int ->
-  ?chaos:Chaos.engine ->
-  ?max_queue:int ->
-  ?ready:(Transport.t -> unit) ->
-  ?log:(string -> unit) ->
-  unit ->
-  supervised
-(** Run {!serve} generations until one exits cleanly, restarting on
-    {!Chaos.Server_crash}: the crashed generation's cache journal is
-    closed, [service.recoveries] is bumped, a [Service] recovery event is
-    recorded, and [executor_of ()] builds the next generation's executor —
-    typically {!Cache.create} on the same journal path (reloading every
-    durable entry, including the acknowledged results of the crashed
-    generation) followed by {!Cache.compact}.  The address the first
-    generation resolved is pinned, so a {!Transport.Tcp} port 0 resolves
-    once and every restarted generation rebinds the {e same} endpoint —
-    clients keep a stable address across crashes ([SO_REUSEADDR] makes
-    the immediate rebind legal).  [max_restarts] (default 100) bounds
-    the crash loop; exceeding it raises [Failure].  [max_requests]
-    applies per generation.  The same [chaos] engine should be threaded
-    through both [serve] and the caches [executor_of] builds, so
-    occurrence counters span restarts — a plan that crashes at reply #2
-    fires once, not once per generation. *)
+(** Bind a Unix-domain socket at path [socket] (an existing socket file is
+    replaced) and serve until a [shutdown] op, a signal, or — when
+    [max_requests] is given — until that many requests have been
+    answered.  [log] receives one-line progress notes (default: silent).
+    Once bound, every exit — including an exception escaping the loop,
+    which is re-raised — closes the client and listening fds, unlinks the
+    socket file, closes the executor's cache journal and restores the
+    [SIGPIPE]/[SIGINT]/[SIGTERM] handlers. *)

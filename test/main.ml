@@ -20,8 +20,6 @@ let () =
       ("exec", Suite_exec.suite);
       ("experiments", Suite_experiments.suite);
       ("service", Suite_service.suite);
-      ("shard", Suite_shard.suite);
-      ("chaos", Suite_chaos.suite);
       ("conformance", Suite_conformance.suite);
       ("hardware", Suite_hardware.suite);
     ]

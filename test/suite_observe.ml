@@ -162,7 +162,7 @@ let test_event_kinds () =
   Alcotest.(check (list string))
     "kinds"
     [ "access"; "toss"; "sched"; "round"; "crash"; "recovery"; "invoke"; "complete";
-      "give-up"; "end"; "service" ]
+      "give-up"; "end" ]
     Event.kinds
 
 (* ---- tracer ---- *)

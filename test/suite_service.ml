@@ -35,9 +35,13 @@ let gen_request =
            let* ops = 1 -- 3 in
            let* seed = 0 -- 99 in
            return (Request.certify ~n ~ops ~seed ~target ~plan ()));
-          (let* tag = string_size ~gen:printable (1 -- 12) in
-           let* size = 0 -- 64 in
-           return (Request.echo ~size tag));
+          (let* target = oneofl [ "herlihy"; "direct" ] in
+           let* otype =
+             oneof [ oneofl [ "fetch-inc"; "queue" ]; string_size ~gen:printable (1 -- 12) ]
+           in
+           let* schedules = 1 -- 300 in
+           let* seed = 0 -- 99 in
+           return (Request.conform ~otype ~schedules ~seed ~target ()));
         ]
     in
     return (Request.with_jobs spec jobs))
@@ -109,6 +113,17 @@ let t_distinct_requests_distinct_keys () =
   Alcotest.(check int)
     "six distinct computations, six distinct keys" 6
     (List.length (List.sort_uniq compare keys))
+
+(* Cache keys pinned to the values the server has always computed: a
+   journal on disk is only warm while these stay put. *)
+let t_golden_keys () =
+  List.iter
+    (fun (expected, r) -> Alcotest.(check string) (Request.describe r) expected (Request.key r))
+    [
+      ("685f684c3e19f850bb8fe99e352ce926", Request.experiment ~quick:true "e1");
+      ("b69245a0e5ac4eed33e25ded20892a1a", Request.certify ~target:"direct" ~plan:"crash-stop" ());
+      ("8ffbb580b5ff25ba93cac4d0431dd658", Request.conform ~target:"herlihy" ());
+    ]
 
 let t_of_json_defaults () =
   match Json.parse {|{"kind":"certify","plan":"chaos","target":"direct"}|} with
@@ -323,10 +338,10 @@ let t_catalog_unknown () =
 
 (* ---- the server under concurrent clients ---- *)
 
-let connect transport =
-  match Transport.connect transport with
-  | Ok fd -> fd
-  | Error reason -> failwith ("connect: " ^ reason)
+let connect socket =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX socket);
+  fd
 
 let send_line fd json =
   let line = Json.to_string json ^ "\n" in
@@ -355,64 +370,60 @@ let recv_lines fd wanted =
 let status_of json =
   Option.value ~default:"?" (Option.bind (Json.member "status" json) Json.to_str_opt)
 
-(* Run a toy-compute server in its own domain (Unix.fork is off the table:
-   the exec suite has already spawned domains by the time this suite runs)
-   and hand the test body its live transport — a scratch Unix socket by
-   default, an ephemeral loopback TCP port with [~tcp:true] (resolved
-   race-free through the server's [ready] callback).  The server domain
-   gets a fresh metrics registry — the DLS default is one global registry,
-   which the parent's earlier tests have already written service.* counts
-   into. *)
-let with_toy_server ?(capacity = 64) ?chaos ?max_queue ?(tcp = false) body =
+let fresh_socket () =
   let tmp = Filename.temp_file "lbsvc_srv" "" in
   Sys.remove tmp;
-  let socket = tmp ^ ".sock" in
-  let listen =
-    if tcp then Transport.Tcp { host = "127.0.0.1"; port = 0 }
-    else Transport.Unix_socket socket
-  in
-  let resolved = Atomic.make None in
-  let server =
-    Domain.spawn (fun () ->
-        try
-          Metrics.with_registry (Metrics.create ()) (fun () ->
-              let cache = Cache.create ~capacity () in
-              let calls = ref 0 in
-              let executor = Executor.create ~cache ~compute:(counting_compute calls) () in
-              ignore
-                (Server.serve ~transport:listen ~executor ?chaos ?max_queue
-                   ~ready:(fun t -> Atomic.set resolved (Some t)) ()))
-        with _ -> ())
-  in
-  let rec await k =
-    match Atomic.get resolved with
-    | Some t -> t
-    | None ->
-      if k = 0 then failwith "toy server never bound its transport"
-      else begin
-        Unix.sleepf 0.01;
-        await (k - 1)
-      end
-  in
-  let transport = await 500 in
+  tmp ^ ".sock"
+
+(* Run a toy-compute server on [cache] in its own domain (Unix.fork is off
+   the table: the exec suite has already spawned domains by the time this
+   suite runs); joining the domain yields [serve]'s stats or the exception
+   it raised.  The server domain gets a fresh metrics registry — the DLS
+   default is one global registry, which the parent's earlier tests have
+   already written service.* counts into. *)
+let spawn_server ~socket ~cache ?log () =
+  Domain.spawn (fun () ->
+      Metrics.with_registry (Metrics.create ()) (fun () ->
+          let calls = ref 0 in
+          let executor = Executor.create ~cache ~compute:(counting_compute calls) () in
+          match Server.serve ~socket ~executor ?log () with
+          | stats -> Ok stats
+          | exception e -> Error e))
+
+let shutdown = Json.Obj [ ("op", Json.Str "shutdown") ]
+
+(* A toy server on a scratch socket for the duration of [body]. *)
+let with_toy_server ?(cache = Cache.create ~capacity:64 ()) body =
+  let socket = fresh_socket () in
+  let server = spawn_server ~socket ~cache () in
   let finally () =
-    (try
-       ignore
-         (Client.call ~transport ~timeout_s:2.0 [ Json.Obj [ ("op", Json.Str "shutdown") ] ])
-     with _ -> ());
-    Domain.join server;
+    ignore (Client.call ~socket ~timeout_s:2.0 [ shutdown ]);
+    ignore (Domain.join server);
     if Sys.file_exists socket then Sys.remove socket
   in
   Fun.protect ~finally (fun () ->
-      Alcotest.(check bool) "server came up" true (Client.wait_ready ~transport ());
-      body transport)
+      Alcotest.(check bool) "server came up" true (Client.wait_ready ~socket ());
+      body socket)
+
+(* A counter from the live server's metrics registry (0 when absent). *)
+let server_counter socket name =
+  match Client.call ~socket ~timeout_s:5.0 [ Json.Obj [ ("op", Json.Str "metrics") ] ] with
+  | Ok [ response ] -> (
+    match
+      Option.bind (Json.member "data" response) (fun d ->
+          Option.bind (Json.member "counters" d) (fun c ->
+              Option.bind (Json.member name c) Json.to_int_opt))
+    with
+    | Some v -> v
+    | None -> 0)
+  | Ok _ | Error _ -> Alcotest.fail "metrics fetch failed"
 
 (* Fire a randomized mix of requests from several simultaneously connected
    clients (duplicates included, written before any responses are read, so
    the server coalesces across clients), and check every response plus the
    hit/miss/dedup accounting. *)
 let t_server_concurrent_fuzz () =
-  with_toy_server (fun transport ->
+  with_toy_server (fun socket ->
         let pool =
           [|
             Request.experiment "e1"; Request.experiment "e2";
@@ -426,7 +437,7 @@ let t_server_concurrent_fuzz () =
              requests are genuinely in flight together. *)
           let clients =
             List.init 3 (fun _ ->
-                let fd = connect transport in
+                let fd = connect socket in
                 let reqs =
                   List.init
                     (1 + Random.State.int rand 4)
@@ -455,30 +466,17 @@ let t_server_concurrent_fuzz () =
         done;
         (* The accounting must balance: every request was a hit, a fresh
            computation, or an in-flight dedup; distinct keys bound misses. *)
-        match Client.call ~transport ~timeout_s:5.0 [ Json.Obj [ ("op", Json.Str "metrics") ] ] with
-        | Error e -> Alcotest.fail (Client.error_message e)
-        | Ok [ response ] ->
-          let counter name =
-            match
-              Option.bind (Json.member "data" response) (fun d ->
-                  Option.bind (Json.member "counters" d) (fun c ->
-                      Option.bind (Json.member name c) Json.to_int_opt))
-            with
-            | Some v -> v
-            | None -> 0
-          in
-          let hits = counter "service.hits"
-          and misses = counter "service.misses"
-          and dedups = counter "service.dedup_inflight" in
-          Alcotest.(check int) "hits + misses + dedups = requests" !total
-            (hits + misses + dedups);
-          Alcotest.(check bool) "each distinct key computed at most once" true (misses <= 3);
-          Alcotest.(check int) "no errors" 0 (counter "service.errors")
-        | Ok _ -> Alcotest.fail "expected one metrics response")
+        let counter = server_counter socket in
+        let hits = counter "service.hits"
+        and misses = counter "service.misses"
+        and dedups = counter "service.dedup_inflight" in
+        Alcotest.(check int) "hits + misses + dedups = requests" !total (hits + misses + dedups);
+        Alcotest.(check bool) "each distinct key computed at most once" true (misses <= 3);
+        Alcotest.(check int) "no errors" 0 (counter "service.errors"))
 
 let t_server_rejects_garbage () =
-  with_toy_server (fun transport ->
-      let fd = connect transport in
+  with_toy_server (fun socket ->
+      let fd = connect socket in
       ignore (Unix.write_substring fd "not json at all\n" 0 16);
       send_line fd (Json.Obj [ ("kind", Json.Str "experiment") ]);
       (* missing id *)
@@ -490,6 +488,50 @@ let t_server_rejects_garbage () =
         Alcotest.fail
           (Printf.sprintf "expected error;error;ok, got %s" (String.concat ";" other)));
       Unix.close fd)
+
+(* Every exit from [serve] takes the same cleanup path: a [log] callback
+   that raises on the batch line unwinds the loop after the reply went
+   out, and the socket file is gone and the journal closed afterwards. *)
+exception Log_boom
+
+let t_serve_raise_cleans_up () =
+  with_temp_file (fun path ->
+      Sys.remove path;
+      let socket = fresh_socket () in
+      let cache = Cache.create ~path () in
+      let log line = if String.starts_with ~prefix:"batch of" line then raise Log_boom in
+      let server = spawn_server ~socket ~cache ~log () in
+      Alcotest.(check bool) "server came up" true (Client.wait_ready ~socket ());
+      (match Client.request ~socket ~timeout_s:5.0 [ r1 ] with
+      | Ok [ reply ] -> Alcotest.(check string) "reply written before the raise" "ok" (status_of reply)
+      | Ok _ | Error _ -> Alcotest.fail "expected one reply");
+      (match Domain.join server with
+      | Error Log_boom -> ()
+      | Error e -> Alcotest.fail ("unexpected exception " ^ Printexc.to_string e)
+      | Ok _ -> Alcotest.fail "serve should have re-raised");
+      Alcotest.(check bool) "socket file unlinked" false (Sys.file_exists socket);
+      let journal () = In_channel.with_open_bin path In_channel.input_all in
+      let before = journal () in
+      Cache.store cache ~key:"after" ~request:Json.Null payload_a;
+      Alcotest.(check string) "journal closed: a later store is not journalled" before
+        (journal ()))
+
+(* Journal before reply: by the time a client holds a reply, the result's
+   journal line is already on disk.  The cache is fsync-armed, so the
+   batch-boundary [Cache.sync] runs for real on this path. *)
+let t_reply_already_journalled () =
+  with_temp_file (fun path ->
+      Sys.remove path;
+      with_toy_server ~cache:(Cache.create ~path ~fsync:true ()) (fun socket ->
+          match Client.request ~socket ~timeout_s:5.0 [ r1 ] with
+          | Ok [ reply ] -> (
+            match Option.bind (Json.member "key" reply) Json.to_str_opt with
+            | Some key ->
+              let journal = In_channel.with_open_bin path In_channel.input_all in
+              Alcotest.(check bool) "the acknowledged key is already journalled" true
+                (Astring_contains.contains journal key)
+            | None -> Alcotest.fail "reply carries no key")
+          | Ok _ | Error _ -> Alcotest.fail "expected one reply"))
 
 (* ---- client resilience against malformed servers ---- *)
 
@@ -525,7 +567,7 @@ let with_fake_server script body =
     (try Unix.close listener with Unix.Unix_error _ -> ());
     if Sys.file_exists socket then Sys.remove socket
   in
-  Fun.protect ~finally (fun () -> body (Transport.Unix_socket socket))
+  Fun.protect ~finally (fun () -> body socket)
 
 let raw fd s = ignore (Unix.write_substring fd s 0 (String.length s))
 let ping = Json.Obj [ ("op", Json.Str "ping") ]
@@ -533,8 +575,8 @@ let ping = Json.Obj [ ("op", Json.Str "ping") ]
 let t_client_truncated_reply () =
   with_fake_server
     (fun fd -> raw fd "{\"status\":\"ok\",\"da")
-    (fun transport ->
-      match Client.call ~transport ~timeout_s:5.0 [ ping ] with
+    (fun socket ->
+      match Client.call ~socket ~timeout_s:5.0 [ ping ] with
       | Error Client.Closed -> ()
       | Error e ->
         Alcotest.fail ("expected Closed, got " ^ Client.error_message e)
@@ -543,8 +585,8 @@ let t_client_truncated_reply () =
 let t_client_non_json_reply () =
   with_fake_server
     (fun fd -> raw fd "this is not json\n")
-    (fun transport ->
-      match Client.call ~transport ~timeout_s:5.0 [ ping ] with
+    (fun socket ->
+      match Client.call ~socket ~timeout_s:5.0 [ ping ] with
       | Error (Client.Bad_line { line; _ }) ->
         Alcotest.(check string) "offending line preserved" "this is not json" line
       | Error e ->
@@ -554,8 +596,8 @@ let t_client_non_json_reply () =
 let t_client_unknown_key_reply () =
   with_fake_server
     (fun fd -> raw fd "{\"key\":\"deadbeef\",\"status\":\"ok\"}\n")
-    (fun transport ->
-      match Client.request ~transport ~timeout_s:5.0 [ Request.experiment "e1" ] with
+    (fun socket ->
+      match Client.request ~socket ~timeout_s:5.0 [ Request.experiment "e1" ] with
       | Error (Client.Unknown_key { key; _ }) ->
         Alcotest.(check string) "stray key reported" "deadbeef" key
       | Error e ->
@@ -566,17 +608,13 @@ let t_client_timeout_and_connect () =
   (* A server that accepts and then never replies -> Timeout. *)
   with_fake_server
     (fun _fd -> Unix.sleepf 0.3)
-    (fun transport ->
-      match Client.call ~transport ~timeout_s:0.1 [ ping ] with
+    (fun socket ->
+      match Client.call ~socket ~timeout_s:0.1 [ ping ] with
       | Error (Client.Timeout s) -> Alcotest.(check (float 1e-9)) "deadline echoed" 0.1 s
       | Error e -> Alcotest.fail ("expected Timeout, got " ^ Client.error_message e)
       | Ok _ -> Alcotest.fail "a mute server cannot satisfy the call");
   (* No socket at all -> Connect, not an exception. *)
-  match
-    Client.call
-      ~transport:(Transport.Unix_socket "/nonexistent/lbsvc.sock")
-      ~timeout_s:1.0 [ ping ]
-  with
+  match Client.call ~socket:"/nonexistent/lbsvc.sock" ~timeout_s:1.0 [ ping ] with
   | Error (Client.Connect _) -> ()
   | Error e -> Alcotest.fail ("expected Connect, got " ^ Client.error_message e)
   | Ok _ -> Alcotest.fail "connecting to a missing socket cannot succeed"
@@ -593,15 +631,15 @@ let t_client_garbage_fuzz () =
     in
     with_fake_server
       (fun fd -> raw fd reply)
-      (fun transport ->
-        match Client.call ~transport ~timeout_s:5.0 [ ping ] with
+      (fun socket ->
+        match Client.call ~socket ~timeout_s:5.0 [ ping ] with
         | Ok _ | Error _ -> ()
         | exception e ->
           Alcotest.fail
             (Printf.sprintf "client raised %s on reply %S" (Printexc.to_string e) reply))
   done
 
-(* ---- robustness satellites: short writes, torn journals, retries ---- *)
+(* ---- robustness: short writes, torn journals ---- *)
 
 (* Regression for the short-write bug: write_line must deliver a reply far
    larger than the socket's send buffer intact, however many write
@@ -684,353 +722,43 @@ let t_cache_truncated_tail =
           Cache.close again;
           earlier_ok && corrupt_ok && append_ok))
 
-let t_cache_snapshot_compact () =
-  with_temp_file (fun path ->
-      Sys.remove path;
-      let cache = Cache.create ~capacity:2 ~path () in
-      Cache.store cache ~key:"a" ~request:(Json.Str "ra") payload_a;
-      Cache.store cache ~key:"b" ~request:(Json.Str "rb") payload_b;
-      Cache.store cache ~key:"a" ~request:(Json.Str "ra") payload_c;
-      ignore (Cache.find cache "a");
-      (* "b" is LRU; "c" evicts it.  The journal now holds 4 lines for 2
-         live entries — exactly the dead weight compaction drops. *)
-      Cache.store cache ~key:"c" ~request:(Json.Str "rc") payload_b;
-      let snapshot = Json.to_string (Cache.snapshot_json cache) in
-      Alcotest.(check bool) "snapshot is key-sorted live entries" true
-        (Cache.snapshot cache = [ ("a", payload_c); ("c", payload_b) ]);
-      Cache.compact cache;
-      let lines =
-        In_channel.with_open_bin path In_channel.input_all
-        |> String.split_on_char '\n'
-        |> List.filter (fun l -> String.trim l <> "")
-      in
-      Alcotest.(check int) "compacted journal: one line per live entry" 2 (List.length lines);
-      (* Compaction must not break the append channel. *)
-      Cache.store cache ~key:"d" ~request:(Json.Str "rd") payload_a;
-      Cache.close cache;
-      let reloaded = Cache.create ~capacity:4 ~path () in
-      Alcotest.(check int) "no corruption after compact+append" 0 (Cache.corrupt reloaded);
-      Alcotest.(check bool) "post-compact reload serves the snapshot" true
-        (Cache.find reloaded "a" = Some payload_c && Cache.find reloaded "d" = Some payload_a);
-      Cache.close reloaded;
-      ignore snapshot)
-
-let t_backoff_schedule () =
-  let r = { Client.default_retry with Client.seed = 7 } in
-  List.iter
-    (fun k ->
-      let d1 = Client.backoff_s r ~failures:k and d2 = Client.backoff_s r ~failures:k in
-      Alcotest.(check (float 0.0)) "deterministic in (policy, failures)" d1 d2;
-      let base =
-        Float.min r.Client.max_delay_s
-          (r.Client.base_delay_s *. (r.Client.multiplier ** float_of_int (k - 1)))
-      in
-      let lo = base *. (1.0 -. (r.Client.jitter /. 2.0))
-      and hi = base *. (1.0 +. (r.Client.jitter /. 2.0)) in
-      Alcotest.(check bool)
-        (Printf.sprintf "failure %d within the jitter band" k)
-        true
-        (d1 >= lo -. 1e-9 && d1 <= hi +. 1e-9))
-    [ 1; 2; 3; 4; 5; 6; 10 ];
-  let r' = { r with Client.seed = 8 } in
-  Alcotest.(check bool) "seed moves the schedule" true
-    (List.exists
-       (fun k -> Client.backoff_s r ~failures:k <> Client.backoff_s r' ~failures:k)
-       [ 1; 2; 3; 4; 5 ])
-
-(* A fake server that misbehaves differently on successive connections:
-   one accept + script per expected client attempt. *)
-let with_fake_server_seq scripts body =
-  let tmp = Filename.temp_file "lbsvc_fakeseq" "" in
-  Sys.remove tmp;
-  let socket = tmp ^ ".sock" in
-  let listener = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.bind listener (Unix.ADDR_UNIX socket);
-  Unix.listen listener 8;
-  let server =
-    Domain.spawn (fun () ->
-        List.iter
-          (fun script ->
-            match Unix.accept listener with
-            | fd, _ ->
-              let bytes = Bytes.create 4096 in
-              let rec drain () =
-                match Unix.read fd bytes 0 (Bytes.length bytes) with
-                | 0 -> ()
-                | n -> if not (Bytes.contains (Bytes.sub bytes 0 n) '\n') then drain ()
-                | exception Unix.Unix_error _ -> ()
-              in
-              drain ();
-              (try script fd with _ -> ());
-              (try Unix.close fd with Unix.Unix_error _ -> ())
-            | exception _ -> ())
-          scripts)
-  in
-  let finally () =
-    Domain.join server;
-    (try Unix.close listener with Unix.Unix_error _ -> ());
-    if Sys.file_exists socket then Sys.remove socket
-  in
-  Fun.protect ~finally (fun () -> body (Transport.Unix_socket socket))
-
-let fast_retry attempts =
-  { Client.default_retry with Client.attempts; base_delay_s = 0.01; max_delay_s = 0.05 }
-
-(* The retrying client survives a garbled line, then a dropped connection,
-   and lands on the third attempt — with exactly two retries recorded. *)
-let t_client_retry_recovers () =
-  let registry = Metrics.create () in
-  Metrics.with_registry registry (fun () ->
-      with_fake_server_seq
-        [
-          (fun fd -> raw fd "}}}garbled\n");
-          (fun _fd -> ());
-          (fun fd -> raw fd "{\"status\":\"ok\"}\n");
-        ]
-        (fun transport ->
-          match Client.call_retry ~transport ~timeout_s:5.0 ~retry:(fast_retry 4) [ ping ] with
-          | Ok [ reply ] -> Alcotest.(check string) "third attempt lands" "ok" (status_of reply)
-          | Ok _ -> Alcotest.fail "wrong reply arity"
-          | Error e -> Alcotest.fail ("retry should have recovered: " ^ Client.error_message e)));
-  Alcotest.(check int) "two retries recorded" 2
-    (Metrics.counter_value registry "service.retries")
-
-let t_client_retry_overload () =
-  (* One overload refusal, then served: call_retry backs off and recovers. *)
-  with_fake_server_seq
-    [
-      (fun fd -> raw fd "{\"status\":\"overload\",\"retry_after_s\":0.05}\n");
-      (fun fd -> raw fd "{\"status\":\"ok\"}\n");
-    ]
-    (fun transport ->
-      match Client.call_retry ~transport ~timeout_s:5.0 ~retry:(fast_retry 3) [ ping ] with
-      | Ok [ reply ] -> Alcotest.(check string) "served after backoff" "ok" (status_of reply)
-      | Ok _ | Error _ -> Alcotest.fail "expected recovery after one overload");
-  (* Refused every time: the typed Overload surfaces once the budget is spent. *)
-  with_fake_server_seq
-    [
-      (fun fd -> raw fd "{\"status\":\"overload\",\"retry_after_s\":0.05}\n");
-      (fun fd -> raw fd "{\"status\":\"overload\",\"retry_after_s\":0.05}\n");
-    ]
-    (fun transport ->
-      match Client.call_retry ~transport ~timeout_s:5.0 ~retry:(fast_retry 2) [ ping ] with
-      | Error (Client.Overload { attempts }) -> Alcotest.(check int) "budget echoed" 2 attempts
-      | Error e -> Alcotest.fail ("expected Overload, got " ^ Client.error_message e)
-      | Ok _ -> Alcotest.fail "a permanently overloaded server cannot satisfy the call")
-
 let t_client_out_of_order_replies () =
   (* Replies for a batch arriving in the wrong order are still accepted —
      responses are keyed, and key-set validation is what the client pins. *)
-  let ra = Request.echo "ooo-a" and rb = Request.echo "ooo-b" in
+  let ra = Request.experiment "ooo-a" and rb = Request.experiment "ooo-b" in
   with_fake_server
     (fun fd ->
       raw fd
         (Printf.sprintf "{\"key\":%S,\"status\":\"ok\"}\n{\"key\":%S,\"status\":\"ok\"}\n"
            (Request.key rb) (Request.key ra)))
-    (fun transport ->
-      match Client.request ~transport ~timeout_s:5.0 [ ra; rb ] with
+    (fun socket ->
+      match Client.request ~socket ~timeout_s:5.0 [ ra; rb ] with
       | Ok replies -> Alcotest.(check int) "both keyed replies accepted" 2 (List.length replies)
       | Error e -> Alcotest.fail ("expected acceptance: " ^ Client.error_message e))
 
-(* Idempotency under resends: a dropped reply forces a retry of an
-   already-executed request, and the cache — not a second execution —
-   serves it.  misses = 1 is the proof. *)
+(* Idempotency under resends: a client that lost a reply and resends an
+   already-executed request gets the cached result — the content key makes
+   the resend a cache hit, never a second execution.  misses = 1 is the
+   proof. *)
 let t_client_never_double_executes () =
-  let engine = Chaos.instantiate ~seed:3 (Chaos.drop_reply ~at:[ 1 ]) in
-  with_toy_server ~chaos:engine (fun transport ->
-      let req = Request.echo "idempotent" in
-      (match Client.request_retry ~transport ~timeout_s:5.0 ~retry:(fast_retry 5) [ req ] with
-      | Ok [ reply ] -> Alcotest.(check string) "recovered after drop" "ok" (status_of reply)
-      | Ok _ | Error _ -> Alcotest.fail "retry should recover the dropped reply");
-      (match Client.request_retry ~transport ~timeout_s:5.0 ~retry:(fast_retry 5) [ req ] with
-      | Ok [ reply ] -> Alcotest.(check string) "second call ok" "ok" (status_of reply)
-      | Ok _ | Error _ -> Alcotest.fail "second call should be a cache hit");
-      match Client.call ~transport ~timeout_s:5.0 [ Json.Obj [ ("op", Json.Str "metrics") ] ] with
-      | Ok [ response ] ->
-        let counter name =
-          match
-            Option.bind (Json.member "data" response) (fun d ->
-                Option.bind (Json.member "counters" d) (fun c ->
-                    Option.bind (Json.member name c) Json.to_int_opt))
-          with
-          | Some v -> v
-          | None -> 0
-        in
-        Alcotest.(check int) "executed exactly once despite resends" 1
-          (counter "service.misses");
-        Alcotest.(check int) "resends served from the cache" 2 (counter "service.hits")
-      | Ok _ | Error _ -> Alcotest.fail "metrics fetch failed")
-
-let t_server_overload_backpressure () =
-  with_toy_server ~max_queue:1 (fun transport ->
-      let reqs = List.init 3 (fun i -> Request.echo (Printf.sprintf "ovl-%d" i)) in
-      (match Client.request ~transport ~timeout_s:5.0 reqs with
-      | Error e -> Alcotest.fail (Client.error_message e)
-      | Ok replies ->
-        let statuses = List.map status_of replies in
-        Alcotest.(check int) "every request answered" 3 (List.length replies);
-        Alcotest.(check bool) "the excess was refused, typed" true
-          (List.mem "overload" statuses);
-        Alcotest.(check bool) "the admitted prefix was served" true (List.mem "ok" statuses));
-      (* One at a time, the retrying client lands everything. *)
-      List.iter
-        (fun r ->
-          match Client.request_retry ~transport ~timeout_s:5.0 ~retry:(fast_retry 5) [ r ] with
-          | Ok [ reply ] -> Alcotest.(check string) "served" "ok" (status_of reply)
-          | Ok _ | Error _ -> Alcotest.fail "individual request should succeed")
-        reqs)
-
-let t_catalog_echo_deterministic () =
-  let req = Request.echo ~size:10 "tag" in
-  match (Catalog.compute ~jobs:1 req, Catalog.compute ~jobs:4 req) with
-  | Ok a, Ok b ->
-    Alcotest.(check string) "echo is jobs-invariant and deterministic" (Json.to_string a)
-      (Json.to_string b);
-    Alcotest.(check bool) "fill has the requested size" true
-      (match Option.bind (Json.member "fill" a) Json.to_str_opt with
-      | Some fill -> String.length fill = 10
-      | None -> false)
-  | _ -> Alcotest.fail "echo compute cannot fail"
-
-let t_catalog_echo_work () =
-  let req = Request.echo ~size:4 ~work:5 "w" in
-  match (Catalog.compute ~jobs:1 req, Catalog.compute ~jobs:4 req) with
-  | Ok a, Ok b ->
-    Alcotest.(check string) "work digest is jobs-invariant and deterministic"
-      (Json.to_string a) (Json.to_string b);
-    Alcotest.(check bool) "digest present when work > 0" true (Json.member "digest" a <> None)
-  | _ -> Alcotest.fail "echo compute cannot fail"
-
-(* Transport parity: the byte stream a client reads is transport-agnostic.
-   Prime the same request on a Unix-socket server and on a TCP server;
-   the second (cache-hit) reply carries elapsed_s = 0.0 exactly, so the
-   raw reply lines must be byte-identical across the two transports. *)
-let recv_raw_line fd =
-  let buf = Buffer.create 256 in
-  let deadline = Unix.gettimeofday () +. 30.0 in
-  while not (String.contains (Buffer.contents buf) '\n') do
-    if Unix.gettimeofday () > deadline then failwith "raw reply timeout";
-    match Unix.select [ fd ] [] [] 1.0 with
-    | [], _, _ -> ()
-    | _ ->
-      let bytes = Bytes.create 4096 in
-      let n = Unix.read fd bytes 0 (Bytes.length bytes) in
-      if n = 0 then failwith "eof before reply" else Buffer.add_subbytes buf bytes 0 n
-  done;
-  let s = Buffer.contents buf in
-  String.sub s 0 (String.index s '\n')
-
-let t_tcp_unix_parity () =
-  let req = Request.echo ~size:32 ~work:3 "transport-parity" in
-  let second_reply transport =
-    (match Client.request ~transport ~timeout_s:15.0 [ req ] with
-    | Ok [ r ] -> Alcotest.(check string) "prime ok" "ok" (status_of r)
-    | Ok _ | Error _ -> Alcotest.fail "prime request failed");
-    let fd = connect transport in
-    send_line fd (Request.to_json req);
-    let line = recv_raw_line fd in
-    Unix.close fd;
-    line
-  in
-  let via_unix = ref "" and via_tcp = ref "" in
-  with_toy_server (fun transport -> via_unix := second_reply transport);
-  with_toy_server ~tcp:true (fun transport -> via_tcp := second_reply transport);
-  Alcotest.(check bool) "a reply actually arrived" true (String.length !via_unix > 0);
-  Alcotest.(check string) "cache-hit replies are byte-identical across transports"
-    !via_unix !via_tcp
-
-(* ---- the transport address grammar ----
-
-   The parser must never guess: colon-bearing hosts need brackets,
-   prefix-less strings fall back to a socket path unless they are
-   unambiguously HOST:PORT, and the printer keeps the round-trip
-   [of_string (to_string t) = Ok t] by construction (falling back to
-   the explicit "unix:"/"tcp:" prefix whenever the plain rendering
-   would parse as something else). *)
-
-let transport_t = Alcotest.testable Transport.pp ( = )
-
-let t_transport_grammar () =
-  let ok s expect =
-    Alcotest.(check (result transport_t string)) s (Ok expect) (Transport.of_string s)
-  in
-  let err s =
-    match Transport.of_string s with
-    | Error _ -> ()
-    | Ok t -> Alcotest.failf "%S must not parse (got %s)" s (Transport.to_string t)
-  in
-  ok "localhost:8080" (Transport.Tcp { host = "localhost"; port = 8080 });
-  ok "[::1]:80" (Transport.Tcp { host = "::1"; port = 80 });
-  ok "tcp:[fe80::2]:443" (Transport.Tcp { host = "fe80::2"; port = 443 });
-  ok "tcp:db.internal:5432" (Transport.Tcp { host = "db.internal"; port = 5432 });
-  ok "tcp:localhost:0" (Transport.Tcp { host = "localhost"; port = 0 });
-  (* paths, not truncated TCP guesses *)
-  ok "::1" (Transport.Unix_socket "::1");
-  ok "host:" (Transport.Unix_socket "host:");
-  ok "a:b:1" (Transport.Unix_socket "a:b:1");
-  ok "/var/run/app.sock:8080" (Transport.Unix_socket "/var/run/app.sock:8080");
-  ok "unix:/var/run/app.sock:8080" (Transport.Unix_socket "/var/run/app.sock:8080");
-  ok "unix:localhost:80" (Transport.Unix_socket "localhost:80");
-  ok "/tmp/lb.sock" (Transport.Unix_socket "/tmp/lb.sock");
-  (* malformed or ambiguous: errors, never guesses *)
-  err "";
-  err "tcp:";
-  err "unix:";
-  err "tcp:a:b:1";
-  err "tcp:host";
-  err "tcp:host:";
-  err "tcp::80";
-  err "tcp:host:70000";
-  err "tcp:host:8o80";
-  err "[::1]80";
-  err "[]:80"
-
-let print_transport = function
-  | Transport.Unix_socket p -> Printf.sprintf "Unix_socket %S" p
-  | Transport.Tcp { host; port } -> Printf.sprintf "Tcp {host = %S; port = %d}" host port
-
-let gen_transport =
-  QCheck.Gen.(
-    let host_char = oneofl [ 'a'; 'z'; 'A'; '0'; '9'; '.'; '-'; ':' ] in
-    let path_char = oneofl [ 'a'; 'z'; '/'; ':'; '.'; '-'; '0'; '9'; '['; ']'; '_' ] in
-    oneof
-      [
-        (let* path = string_size ~gen:path_char (1 -- 20) in
-         return (Transport.Unix_socket path));
-        (let* host = string_size ~gen:host_char (1 -- 12) in
-         let* port = 0 -- 65535 in
-         return (Transport.Tcp { host; port }));
-        (* paths engineered to collide with the address grammar *)
-        (let* prefix = oneofl [ "unix:"; "tcp:"; "localhost:80"; "::1"; "[::1]:80" ] in
-         let* suffix = string_size ~gen:path_char (0 -- 8) in
-         return (Transport.Unix_socket (prefix ^ suffix)));
-        (* hosts that shadow the prefixes or carry colons *)
-        (let* host = oneofl [ "unix"; "tcp"; "::1"; "fe80::2"; "a.b-c" ] in
-         let* port = 0 -- 65535 in
-         return (Transport.Tcp { host; port }));
-      ])
-
-let t_transport_roundtrip =
-  prop ~count:500 "transport: of_string (to_string t) = Ok t"
-    (QCheck.make ~print:print_transport gen_transport)
-    (fun t -> Transport.of_string (Transport.to_string t) = Ok t)
-
-let t_transport_parse_total =
-  prop ~count:500 "transport: parsing is total and parse-print-parse stable"
-    (QCheck.make
-       ~print:(Printf.sprintf "%S")
-       QCheck.Gen.(string_size ~gen:printable (0 -- 24)))
-    (fun s ->
-      (* No input raises, and anything that parses re-parses to itself. *)
-      match Transport.of_string s with
-      | Error _ -> true
-      | Ok t -> Transport.of_string (Transport.to_string t) = Ok t)
+  with_toy_server (fun socket ->
+      let req = Request.experiment "idempotent" in
+      for _ = 1 to 3 do
+        match Client.request ~socket ~timeout_s:5.0 [ req ] with
+        | Ok [ reply ] -> Alcotest.(check string) "served" "ok" (status_of reply)
+        | Ok _ | Error _ -> Alcotest.fail "expected one reply"
+      done;
+      Alcotest.(check int) "executed exactly once despite resends" 1
+        (server_counter socket "service.misses");
+      Alcotest.(check int) "resends served from the cache" 2
+        (server_counter socket "service.hits"))
 
 let suite =
   [
     Alcotest.test_case "request: distinct requests, distinct keys" `Quick
       t_distinct_requests_distinct_keys;
     Alcotest.test_case "request: of_json fills defaults" `Quick t_of_json_defaults;
+    Alcotest.test_case "request: cache keys match their golden values" `Quick t_golden_keys;
     t_roundtrip;
     t_key_ignores_jobs;
     t_key_ignores_field_order;
@@ -1049,6 +777,10 @@ let suite =
     Alcotest.test_case "server: concurrent client fuzz" `Slow t_server_concurrent_fuzz;
     Alcotest.test_case "server: malformed lines get error responses" `Quick
       t_server_rejects_garbage;
+    Alcotest.test_case "server: an exception out of the loop still cleans up" `Quick
+      t_serve_raise_cleans_up;
+    Alcotest.test_case "server: an acknowledged result is already journalled" `Quick
+      t_reply_already_journalled;
     Alcotest.test_case "client: truncated reply is a typed error" `Quick
       t_client_truncated_reply;
     Alcotest.test_case "client: non-JSON reply is a typed error" `Quick
@@ -1061,27 +793,8 @@ let suite =
     Alcotest.test_case "server: write_line survives a tiny send buffer" `Quick
       t_write_line_short_writes;
     t_cache_truncated_tail;
-    Alcotest.test_case "cache: snapshot + compact keep only live entries" `Quick
-      t_cache_snapshot_compact;
-    Alcotest.test_case "client: backoff is deterministic and jitter-bounded" `Quick
-      t_backoff_schedule;
-    Alcotest.test_case "client: retry recovers across misbehaving connections" `Quick
-      t_client_retry_recovers;
-    Alcotest.test_case "client: overload refusals are retried, then typed" `Quick
-      t_client_retry_overload;
     Alcotest.test_case "client: out-of-order keyed replies are accepted" `Quick
       t_client_out_of_order_replies;
     Alcotest.test_case "client: resends never double-execute (cache proves it)" `Quick
       t_client_never_double_executes;
-    Alcotest.test_case "server: admission control refuses the excess, typed" `Quick
-      t_server_overload_backpressure;
-    Alcotest.test_case "catalog: echo payloads are deterministic" `Quick
-      t_catalog_echo_deterministic;
-    Alcotest.test_case "catalog: echo work digest is deterministic" `Quick
-      t_catalog_echo_work;
-    Alcotest.test_case "server: TCP and Unix-socket replies are byte-identical" `Slow
-      t_tcp_unix_parity;
-    Alcotest.test_case "transport: address grammar pins" `Quick t_transport_grammar;
-    t_transport_roundtrip;
-    t_transport_parse_total;
   ]
