@@ -50,13 +50,13 @@ let rec remove_runnable pid = function
    record the flushes — run-end quiescence under a relaxed model, and the
    eager-flush discipline after each step.  [events] is newest-first. *)
 let drain_all memory events =
-  List.fold_left
-    (fun (m, evs) (pid, entries) ->
-      let evs =
-        List.fold_left (fun evs (r, v) -> Flushed (pid, r, v) :: evs) evs entries
-      in
-      (Pure_memory.drain m ~pid, evs))
-    (memory, events) (Pure_memory.buffers memory)
+  let events =
+    List.fold_left
+      (fun evs (pid, entries) ->
+        List.fold_left (fun evs (r, v) -> Flushed (pid, r, v) :: evs) evs entries)
+      events (Pure_memory.buffers memory)
+  in
+  (Pure_memory.drain_all memory, events)
 
 let iter ~n ~program_of ?(inits = []) ?(coin_range = [ 0 ]) ?(model = Memory_model.SC)
     ?(eager_flush = false) ?(max_runs = 200_000) ~f () =
@@ -177,12 +177,11 @@ type stats = { runs : int; sleep_pruned : int; dedup_pruned : int }
    empty under SC, making this [Sched_tree.footprint inv] there. *)
 let step_fp_regs memory ~pid inv =
   let base = Sched_tree.footprint inv in
-  match inv with
-  | Op.Ll _ | Op.Sc _ | Op.Swap _ | Op.Move _ | Op.Fence -> (
+  if not (Op.fences inv) then base
+  else
     match Pure_memory.buffered_regs memory ~pid with
     | [] -> base
-    | buffered -> List.sort_uniq Int.compare (base @ buffered))
-  | Op.Validate _ | Op.Write _ -> base
+    | buffered -> List.sort_uniq Int.compare (base @ buffered)
 
 (* Register disjointness is the cheap sound commutation check: two
    invocations with disjoint footprints commute exactly in [Pure_memory]. *)
@@ -330,11 +329,6 @@ let iter_dpor ~n ~program_of ?(inits = []) ?(coin_range = [ 0 ])
     ?(max_runs = 200_000) ~f () =
   if coin_range = [] then invalid_arg "Explore.iter_dpor: empty coin range";
   let memory0 = Pure_memory.create ~inits ~model () in
-  (* Flush actions are scheduler-visible decisions, so they need ids in the
-     tree's decision alphabet.  flush(p, r) ↦ n*(1+r)+p: injective, disjoint
-     from pids 0..n-1, and stable across runs (the same tree node always
-     re-derives the same memory, hence the same flushable set). *)
-  let flush_id (pid, reg) = (n * (1 + reg)) + pid in
   (* One run under the oracle: the same forced initial expansion and step
      semantics as [iter_reduced], but scheduling decisions, coin-branch
      selection, and state dedup all delegate to the scheduler tree. *)
@@ -383,9 +377,11 @@ let iter_dpor ~n ~program_of ?(inits = []) ?(coin_range = [ 0 ])
        pass through the tree (not drain silently) so they appear in traces —
        DPOR only backtracks around steps that occur in some executed run, and
        a flush that never executes can never be raced against a read. *)
-    let enabled_now () =
-      !runnable @ List.map flush_id (Pure_memory.flushable !memory)
-    in
+    (* Flush actions are scheduler-visible decisions, so they take ids in
+       the tree's decision alphabet ({!Lb_memory.Semantics.flush_id}),
+       stable across runs: the same tree node always re-derives the same
+       memory, hence the same flushable set. *)
+    let enabled_now () = !runnable @ Pure_memory.flush_ids !memory ~n in
     let enabled = ref (enabled_now ()) in
     while (not !aborted) && !enabled <> [] do
       match Sched_tree.choose sched ~step:!step ~enabled:!enabled with
@@ -394,7 +390,7 @@ let iter_dpor ~n ~program_of ?(inits = []) ?(coin_range = [ 0 ])
         (* A flush decision: apply the oldest buffered write.  Its footprint
            is the flushed register — this is where a buffered write becomes
            dependent with other processes' accesses. *)
-        let pid = id mod n and reg = (id / n) - 1 in
+        let pid, reg = Semantics.flush_of_id ~n id in
         let memory' = Pure_memory.flush !memory ~pid ~reg in
         let v = Pure_memory.peek memory' reg in
         ignore
@@ -419,10 +415,9 @@ let iter_dpor ~n ~program_of ?(inits = []) ?(coin_range = [ 0 ])
              trace, and DPOR only backtracks around observed steps). *)
           let fp_regs = step_fp_regs !memory ~pid inv in
           let absorbed =
-            match inv with
-            | Op.Ll _ | Op.Sc _ | Op.Swap _ | Op.Move _ | Op.Fence ->
+            if Op.fences inv then
               List.filter (fun (p, _) -> p = pid) (Pure_memory.flushable !memory)
-            | Op.Validate _ | Op.Write _ -> []
+            else []
           in
           let response, memory' = Pure_memory.apply !memory ~pid inv in
           let stepped = Stepped (pid, inv, response) in
@@ -433,7 +428,7 @@ let iter_dpor ~n ~program_of ?(inits = []) ?(coin_range = [ 0 ])
               ~fp:{ Sched_tree.regs = fp_regs; blocking }
               ~branches:(List.length branches)
           in
-          List.iter (fun pr -> Sched_tree.also sched ~pid:(flush_id pr)) absorbed;
+          List.iter (fun pr -> Sched_tree.also sched ~pid:(Semantics.flush_id ~n pr)) absorbed;
           let proc', expand_events, outcomes = List.nth branches b in
           summary := update_summary !summary (stepped :: List.rev expand_events);
           hists :=

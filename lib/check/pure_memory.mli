@@ -1,9 +1,12 @@
-(** Immutable shared memory, for exhaustive exploration.
+(** Immutable shared memory, for exhaustive exploration: the persistent
+    instance of {!Lb_memory.Semantics}.
 
-    Same semantics as {!Lb_memory.Memory} — including the {!Lb_memory.Memory_model}
-    axis — but [apply] returns a new memory instead of mutating, so the model
-    checker can branch on every interleaving without copying or undo logs
-    (persistent maps share structure between branches). *)
+    Same semantics as {!Lb_memory.Memory}, by construction — both stores
+    run {!Lb_memory.Semantics.Make} — but [apply] returns a new memory
+    instead of mutating, so the model checker can branch on every
+    interleaving without copying or undo logs (persistent maps share
+    structure between branches).  There is no interposer, so every SC is
+    strong. *)
 
 open Lb_memory
 
@@ -12,44 +15,25 @@ type t
 val create :
   ?default:Value.t -> ?model:Memory_model.t -> inits:(int * Value.t) list -> unit -> t
 (** A memory whose registers all read [default] (unit when omitted) except
-    the listed initial bindings.  [model] defaults to {!Memory_model.SC}. *)
+    the listed initial bindings.  [model] defaults to {!Memory_model.SC}.
+    Raises [Invalid_argument] on a negative register, like
+    {!Lb_memory.Memory.set_init}. *)
 
 val model : t -> Memory_model.t
 
+(** {1 The semantics} — see {!Lb_memory.Semantics.Make} for each function. *)
+
 val apply : t -> pid:int -> Op.invocation -> Op.response * t
-(** Raises [Invalid_argument] on negative registers or self-moves, like the
-    mutable memory.  Under a relaxed model, [Write] buffers, [Fence] and the
-    synchronisation operations drain the issuing process's buffer first, and
-    [Validate] reads buffer-first — see {!Lb_memory.Memory.apply}. *)
-
 val peek : t -> int -> Value.t
-(** Current value of a register (shared memory, ignoring buffers), without
-    counting as a shared access. *)
-
 val pset : t -> int -> Ids.t
-(** Current Pset of a register. *)
-
-(** {1 Store buffers (TSO / PSO)}
-
-    The persistent mirror of {!Lb_memory.Memory}'s buffer interface; see
-    there for the semantics.  All raise / return the same way. *)
-
 val flushable : t -> (int * int) list
-(** Enabled flush actions as sorted [(pid, reg)] pairs; [[]] under SC. *)
-
 val flush : t -> pid:int -> reg:int -> t
-(** Apply the oldest buffered write by [pid] to [reg]; raises
-    [Invalid_argument] when [(pid, reg)] is not in {!flushable}. *)
-
-val drain : t -> pid:int -> t
-(** Apply [pid]'s whole buffer in issue order and empty it — the fence
-    effect.  A no-op when the buffer is empty (in particular under SC). *)
-
+val drain_all : t -> t
 val buffers : t -> (int * (int * Value.t) list) list
-(** Non-empty buffers as sorted [(pid, entries)] pairs, oldest entry first. *)
-
 val buffered_regs : t -> pid:int -> int list
-(** Sorted registers with a pending buffered write by [pid]. *)
+val flush_ids : t -> n:int -> int list
+
+(** {1 State keys} *)
 
 val canonical : t -> (int * (Value.t * Ids.t)) list
 (** The {e shared-register} bindings that differ from the default state, in

@@ -34,7 +34,7 @@ let hunt_mutant ~construction ~mutant ?model ~n ~ops ~schedules ~seed ~max_state
       let seed_i = seed + i in
       let r =
         Fuzz.run_once ~construction:mutated ~ot ~plan:Fault_plan.none ~n ~ops ~seed:seed_i
-          ?model ~max_states ~scheduler:(Lb_runtime.Scheduler.random ~seed:seed_i) ()
+          ?model ~max_states ~scheduler:(Fuzz.sample_scheduler ~seed:seed_i) ()
       in
       match r.Fuzz.verdict with
       | Fuzz.Fail failure ->

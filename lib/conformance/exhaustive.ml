@@ -70,7 +70,7 @@ let run_schedule ~construction ~ot ~plan ~model ~n ~ops ~seed ~max_states sched 
         (* A flush pseudo-pid (>= n, see {!Lb_universal.Harness}) writes
            exactly its encoded register; process steps footprint their
            pending invocation. *)
-        if pid >= n then [ (pid / n) - 1 ]
+        if pid >= n then [ snd (Lb_memory.Semantics.flush_of_id ~n pid) ]
         else
           match !pending_of pid with
           | Some inv -> Sched_tree.footprint inv

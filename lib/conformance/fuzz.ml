@@ -289,6 +289,8 @@ let tree_scheduler sched ~step ~runnable =
    always about a completed run.  Deterministic. *)
 let replay_scheduler entries = tree_scheduler (Lb_check.Sched_tree.replayer entries)
 
+let sample_scheduler ~seed = tree_scheduler (Lb_check.Sched_tree.sampler ~seed)
+
 let replay ~construction ~ot ~plan ~n ~ops ~seed ?model ~max_states schedule =
   run_once ~construction ~ot ~plan ~n ~ops ~seed ?model ~max_states
     ~scheduler:(replay_scheduler schedule) ()
@@ -357,7 +359,7 @@ let check_cell ~(construction : Iface.t) ~ot ~plan_name ~plan
       let seed_i = seed + i in
       let r =
         run_once ~construction ~ot ~plan ~n ~ops ~seed:seed_i ~model ~max_states
-          ~scheduler:(tree_scheduler (Lb_check.Sched_tree.sampler ~seed:seed_i)) ()
+          ~scheduler:(sample_scheduler ~seed:seed_i) ()
       in
       match r.verdict with
       | Pass ->

@@ -117,6 +117,10 @@ val tree_scheduler : 'k Lb_check.Sched_tree.sched -> Scheduler.choice
     ({!Lb_check.Sched_tree.replayer}) and the exhaustive checker's DPOR
     walk all draw schedules from the same abstraction. *)
 
+val sample_scheduler : seed:int -> Scheduler.choice
+(** [tree_scheduler (Lb_check.Sched_tree.sampler ~seed)]: the one seeded
+    random sampling path, shared by the fuzz matrix and the mutant hunt. *)
+
 val replay :
   construction:Iface.t ->
   ot:object_type ->

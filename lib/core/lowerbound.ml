@@ -7,8 +7,9 @@
     bound is tight for oblivious universal constructions.
 
     Layering, bottom-up:
-    - {!Value}, {!Bitvec}, {!Ids}, {!Op}, {!Register}, {!Memory}, {!Layout}:
-      the shared-memory model of Section 3;
+    - {!Value}, {!Bitvec}, {!Ids}, {!Op}, {!Semantics}, {!Memory}, {!Layout}:
+      the shared-memory model of Section 3, written once in {!Semantics}
+      and stored mutably by {!Memory};
     - {!Coin}, {!Program}, {!Process}, {!System}, {!Scheduler}: algorithms as
       schedulable step machines;
     - {!Move_spec}, {!Source_movers}, {!Secretive}: Section 4's secretive
@@ -21,7 +22,7 @@
     - {!Iface}, {!Adt_tree}, {!Herlihy}, {!Direct}, {!Harness},
       {!Complexity}: universal constructions and their measurement;
     - {!Pure_memory}, {!Explore}, {!Sched_tree}: the model-checking layer —
-      value-semantics shared memory, full/reduced interleaving enumeration,
+      the persistent store of {!Semantics}, full/reduced interleaving enumeration,
       and the bounded-DPOR scheduler tree behind [--exhaustive];
     - {!Json}, {!Event}, {!Tracer}, {!Trace_file}, {!Trace_diff}, {!Metrics},
       {!Bench_out}: the observability layer — structured trace events, the
@@ -55,7 +56,7 @@ module Value = Lb_memory.Value
 module Bitvec = Lb_memory.Bitvec
 module Ids = Lb_memory.Ids
 module Op = Lb_memory.Op
-module Register = Lb_memory.Register
+module Semantics = Lb_memory.Semantics
 module Memory = Lb_memory.Memory
 module Memory_model = Lb_memory.Memory_model
 module Layout = Lb_memory.Layout

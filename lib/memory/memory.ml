@@ -1,19 +1,10 @@
 type event = { pid : int; invocation : Op.invocation; response : Op.response }
 
-exception Self_move of { pid : int; reg : int }
+exception Self_move = Semantics.Self_move
 
-let () =
-  Printexc.register_printer (function
-    | Self_move { pid; reg } ->
-      Some
-        (Printf.sprintf
-           "Memory.Self_move: p%d issued move(R%d, R%d) — self-moves are excluded from the model"
-           pid reg reg)
-    | _ -> None)
+type directive = Semantics.directive = Proceed | Fail_sc
 
-type directive = Proceed | Fail_sc
-
-type interposer = pid:int -> Op.invocation -> directive
+type interposer = Semantics.interposer
 
 type tap = pid:int -> Op.invocation -> Op.response -> spurious:bool -> unit
 
@@ -27,9 +18,9 @@ type tap = pid:int -> Op.invocation -> Op.response -> spurious:bool -> unit
 let dense_regs_limit = 1 lsl 20
 
 type t = {
-  mutable regs : Register.t option array; (* index = register, < dense_regs_limit *)
-  sparse_regs : (int, Register.t) Hashtbl.t; (* registers >= dense_regs_limit *)
-  default : Value.t;
+  mutable regs : Semantics.reg option array; (* index = register, < dense_regs_limit *)
+  sparse_regs : (int, Semantics.reg) Hashtbl.t; (* registers >= dense_regs_limit *)
+  default : Semantics.reg;
   mutable counts : int array; (* index = pid; length grows by doubling *)
   mutable total : int;
   log_enabled : bool;
@@ -37,18 +28,14 @@ type t = {
   mutable interposer : interposer option;
   mutable tap : tap option;
   model : Memory_model.t;
-  (* Per-process store buffers, oldest entry first.  Issue order is recorded
-     for both relaxed models; TSO flushes strictly from the head, PSO may
-     flush the oldest entry of any register (per-register FIFO).  Empty and
-     untouched under SC. *)
-  buffers : (int, (int * Value.t) list) Hashtbl.t;
+  mutable buffers : Semantics.buffers;
 }
 
 let create ?(default = Value.Unit) ?(log = false) ?(model = Memory_model.SC) () =
   {
     regs = Array.make 64 None;
     sparse_regs = Hashtbl.create 4;
-    default;
+    default = (default, Ids.empty);
     counts = Array.make 16 0;
     total = 0;
     log_enabled = log;
@@ -56,7 +43,7 @@ let create ?(default = Value.Unit) ?(log = false) ?(model = Memory_model.SC) () 
     interposer = None;
     tap = None;
     model;
-    buffers = Hashtbl.create 4;
+    buffers = Semantics.no_buffers;
   }
 
 let model m = m.model
@@ -74,191 +61,76 @@ let grow_to_hold a len ~default =
   Array.blit a 0 a' 0 (Array.length a);
   a'
 
-let register m r =
-  if r < 0 then invalid_arg (Printf.sprintf "Memory: negative register index %d" r);
-  if r < dense_regs_limit then begin
-    if r >= Array.length m.regs then m.regs <- grow_to_hold m.regs r ~default:None;
-    match Array.unsafe_get m.regs r with
+let find_reg m r =
+  if r < dense_regs_limit then
+    if r < Array.length m.regs then Array.unsafe_get m.regs r else None
+  else Hashtbl.find_opt m.sparse_regs r
+
+module Store = struct
+  type nonrec t = t
+
+  let model m = m.model
+  let interposer m = m.interposer
+  let peek m r = match find_reg m r with Some reg -> reg | None -> m.default
+
+  let set m r reg =
+    if r < dense_regs_limit then begin
+      if r >= Array.length m.regs then m.regs <- grow_to_hold m.regs r ~default:None;
+      Array.unsafe_set m.regs r (Some reg)
+    end
+    else Hashtbl.replace m.sparse_regs r reg;
+    m
+
+  (* An operation materialises the register it reads, so [touched] lists
+     every register ever operated on. *)
+  let load m r =
+    match find_reg m r with
     | Some reg -> reg
     | None ->
-      let reg = Register.create m.default in
-      Array.unsafe_set m.regs r (Some reg);
-      reg
-  end
-  else
-    match Hashtbl.find_opt m.sparse_regs r with
-    | Some reg -> reg
-    | None ->
-      let reg = Register.create m.default in
-      Hashtbl.add m.sparse_regs r reg;
-      reg
+      ignore (set m r m.default);
+      m.default
 
-let set_init m r v = Register.write (register m r) v
+  let buffers m = m.buffers
 
-(* ---- store buffers (TSO / PSO) ---- *)
+  let set_buffers m b =
+    m.buffers <- b;
+    m
+end
 
-let buffer m pid = Option.value ~default:[] (Hashtbl.find_opt m.buffers pid)
+module Sem = Semantics.Make (Store)
 
-let set_buffer m pid entries =
-  if entries = [] then Hashtbl.remove m.buffers pid else Hashtbl.replace m.buffers pid entries
+let set_init m r v = ignore (Sem.init m r v)
 
-(* The owner's view of a register: its newest buffered write, else shared
-   memory.  Other processes never consult the buffer. *)
-let buffered_value m ~pid r =
-  List.fold_left
-    (fun acc (r', v) -> if r' = r then Some v else acc)
-    None (buffer m pid)
-
-let apply_store m (r, v) = Register.write (register m r) v
-
-(* Drain [pid]'s whole buffer in issue order — the fence semantics of
-   LL/SC/swap/move/fence.  Issue order respects each register's FIFO, so it
-   is a legal flush order under both TSO and PSO. *)
-let drain m ~pid =
-  List.iter (apply_store m) (buffer m pid);
-  Hashtbl.remove m.buffers pid
-
-let flushable m =
-  match m.model with
-  | Memory_model.SC -> []
-  | Memory_model.TSO ->
-    Hashtbl.fold
-      (fun pid entries acc ->
-        match entries with [] -> acc | (r, _) :: _ -> (pid, r) :: acc)
-      m.buffers []
-    |> List.sort compare
-  | Memory_model.PSO ->
-    (* One choice per (pid, register) with a pending write: the oldest entry
-       of that register's FIFO. *)
-    Hashtbl.fold
-      (fun pid entries acc ->
-        let regs = List.sort_uniq Int.compare (List.map fst entries) in
-        List.map (fun r -> (pid, r)) regs @ acc)
-      m.buffers []
-    |> List.sort compare
-
-let flush m ~pid ~reg =
-  let entries = buffer m pid in
-  match m.model with
-  | Memory_model.SC -> invalid_arg "Memory.flush: no store buffers under SC"
-  | Memory_model.TSO -> (
-    match entries with
-    | (r, v) :: rest when r = reg ->
-      apply_store m (r, v);
-      set_buffer m pid rest
-    | (r, _) :: _ ->
-      invalid_arg (Printf.sprintf "Memory.flush: TSO head of p%d's buffer is R%d, not R%d" pid r reg)
-    | [] -> invalid_arg (Printf.sprintf "Memory.flush: p%d's buffer is empty" pid))
-  | Memory_model.PSO ->
-    (* Remove and apply the oldest entry for [reg]; entries for other
-       registers keep their relative order. *)
-    let rec remove_first acc = function
-      | [] -> invalid_arg (Printf.sprintf "Memory.flush: p%d has no buffered write to R%d" pid reg)
-      | (r, v) :: rest when r = reg ->
-        apply_store m (r, v);
-        List.rev_append acc rest
-      | entry :: rest -> remove_first (entry :: acc) rest
-    in
-    set_buffer m pid (remove_first [] entries)
-
-let buffers m =
-  Hashtbl.fold (fun pid entries acc -> (pid, entries) :: acc) m.buffers []
-  |> List.filter (fun (_, entries) -> entries <> [])
-  |> List.sort compare
-
-let buffered_regs m ~pid = List.sort_uniq Int.compare (List.map fst (buffer m pid))
+let flushable = Sem.flushable
+let flush m ~pid ~reg = ignore (Sem.flush m ~pid ~reg)
+let drain_all m = ignore (Sem.drain_all m)
+let buffers = Sem.buffers
+let flush_ids = Sem.flush_ids
+let peek = Sem.peek
+let pset = Sem.pset
 
 let count m pid =
-  if pid < 0 then invalid_arg (Printf.sprintf "Memory: negative process id %d" pid);
   m.total <- m.total + 1;
   if pid >= Array.length m.counts then m.counts <- grow_to_hold m.counts pid ~default:0;
   Array.unsafe_set m.counts pid (Array.unsafe_get m.counts pid + 1)
 
 let apply m ~pid invocation =
-  let directive =
-    match m.interposer with None -> Proceed | Some f -> f ~pid invocation
-  in
-  let relaxed = Memory_model.relaxed m.model in
-  (* LL/SC/swap/move are fences: they drain the issuing process's buffer
-     before taking effect, so the synchronisation repertoire always acts on
-     globally visible state.  [Validate] is the plain (buffer-first) read
-     and [Write] the plain (buffered) store. *)
-  let fence () = if relaxed then drain m ~pid in
-  let response =
-    match invocation with
-    | Op.Ll r ->
-      fence ();
-      let reg = register m r in
-      Register.link reg pid;
-      Op.Value (Register.value reg)
-    | Op.Sc (r, v) ->
-      fence ();
-      let reg = register m r in
-      let old = Register.value reg in
-      (match directive with
-      | Fail_sc ->
-        (* Weak LL/SC: the SC fails spuriously.  Nothing changes — in
-           particular the Pset keeps [pid]'s link, so a retried SC can still
-           succeed. *)
-        Op.Flagged (false, old)
-      | Proceed ->
-        if Register.linked reg pid then begin
-          Register.write reg v;
-          Op.Flagged (true, old)
-        end
-        else Op.Flagged (false, old))
-    | Op.Validate r ->
-      let reg = register m r in
-      let v =
-        if relaxed then
-          match buffered_value m ~pid r with
-          | Some v -> v
-          | None -> Register.value reg
-        else Register.value reg
-      in
-      Op.Flagged (Register.linked reg pid, v)
-    | Op.Swap (r, v) ->
-      fence ();
-      let reg = register m r in
-      let old = Register.value reg in
-      Register.write reg v;
-      Op.Value old
-    | Op.Move (src, dst) ->
-      if src = dst then raise (Self_move { pid; reg = src });
-      fence ();
-      let sv = Register.value (register m src) in
-      Register.write (register m dst) sv;
-      Op.Ack
-    | Op.Write (r, v) ->
-      if relaxed then set_buffer m pid (buffer m pid @ [ (r, v) ])
-      else apply_store m (r, v);
-      Op.Ack
-    | Op.Fence ->
-      fence ();
-      Op.Ack
-  in
+  let response, _ = Sem.apply m ~pid invocation in
   count m pid;
   if m.log_enabled then m.log <- { pid; invocation; response } :: m.log;
   (match m.tap with
   | None -> ()
   | Some tap ->
+    (* Under strong LL/SC a failed SC's issuer is unlinked, and a failed SC
+       changes nothing — so a failed SC whose issuer is still linked failed
+       spuriously. *)
     let spurious =
-      match (invocation, directive) with Op.Sc _, Fail_sc -> true | _ -> false
+      match (invocation, response) with
+      | Op.Sc (r, _), Op.Flagged (false, _) -> Ids.mem pid (pset m r)
+      | _ -> false
     in
     tap ~pid invocation response ~spurious);
   response
-
-let find_reg m r =
-  if r < 0 then None
-  else if r < dense_regs_limit then
-    if r < Array.length m.regs then m.regs.(r) else None
-  else Hashtbl.find_opt m.sparse_regs r
-
-let peek m r =
-  match find_reg m r with Some reg -> Register.value reg | None -> m.default
-
-let pset m r =
-  match find_reg m r with Some reg -> Register.pset reg | None -> Ids.empty
 
 let fold_regs f m acc =
   let acc = ref acc in
@@ -269,11 +141,9 @@ let fold_regs f m acc =
 
 let touched m = fold_regs (fun r _ acc -> r :: acc) m [] |> List.sort Int.compare
 
-let snapshot m =
-  touched m |> List.map (fun r -> (r, (peek m r, pset m r)))
+let snapshot m = touched m |> List.map (fun r -> (r, Store.peek m r))
 
-let largest_value_size m =
-  fold_regs (fun _ reg acc -> max acc (Value.size (Register.value reg))) m 0
+let largest_value_size m = fold_regs (fun _ (v, _) acc -> max acc (Value.size v)) m 0
 
 let ops_of m ~pid =
   if pid >= 0 && pid < Array.length m.counts then m.counts.(pid) else 0

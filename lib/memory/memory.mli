@@ -1,52 +1,35 @@
-(** The shared memory.
+(** The shared memory, mutable: the simulator's instance of {!Semantics}.
 
-    An "infinite" array of registers [R0, R1, ...] (materialised lazily) that
-    supports the five operations of the model, with per-process shared-access
+    An "infinite" array of registers [R0, R1, ...] (materialised lazily)
+    supporting the operations of the model, with per-process shared-access
     accounting — the quantity the paper's lower bound is about — and an
-    optional event log.
+    optional event log.  What each operation does is {!Semantics}; this
+    module is the register store and the accounting around it.
 
     Registers and per-process counters live in flat growable arrays indexed
     by register number / pid (registers are allocated densely from 0 by
     {!Layout}), so the [apply] hot path performs no hashing and a single
     probe per access; astronomically large register indices spill into a
-    side table.  Process ids must be non-negative.
-
-    Semantics (Section 3), where [u] is the register's value and [A] its Pset
-    before the operation, applied by process [p]:
-    - [LL(R)]: Pset becomes [A ∪ {p}]; returns [u].
-    - [SC(R, v)]: if [p ∈ A], value becomes [v], Pset becomes [∅], returns
-      [(true, u)]; otherwise returns [(false, u)] and changes nothing.
-    - [validate(R)]: returns [(p ∈ A, u)]; changes nothing.
-    - [swap(R, v)]: value becomes [v], Pset becomes [∅], returns [u].
-    - [move(Rs, Rd)]: value of [Rd] becomes value of [Rs], Pset of [Rd]
-      becomes [∅], returns [ack]; [Rs] (value and Pset) is unchanged.
-      [Rs] and [Rd] must be distinct (see {!Lb_secretive.Move_spec.of_list}
-      for why the model excludes self-moves); [apply] raises
-      {!Self_move} otherwise. *)
+    side table.  Process ids and register indices must be non-negative. *)
 
 type t
 
 type event = { pid : int; invocation : Op.invocation; response : Op.response }
 
 exception Self_move of { pid : int; reg : int }
-(** Raised by {!apply} when process [pid] issues [move(R, R)] on register
-    [reg].  Self-moves are value no-ops excluded from the model (they break
-    Lemma 4.1 — see DESIGN.md §4b). *)
+(** {!Semantics.Self_move}: raised by {!apply} when process [pid] issues
+    [move(R, R)] on register [reg]. *)
 
 (** {1 Fault interposition}
 
-    The paper's memory is {e strong} LL/SC: an SC by [p] succeeds iff
-    [p ∈ Pset].  Real machines expose {e weak} LL/SC, where an SC may fail
-    spuriously.  An interposer, consulted on every {!apply}, can inject that
-    weakness: answering [Fail_sc] to an [SC] makes it return [(false, u)]
-    {e without} writing and {e without} clearing the Pset — so the link
-    survives and a retried SC can still succeed.  [Fail_sc] is ignored for
-    non-SC operations.  The fault-injection layer ({!Lb_faults.Fault_engine})
-    builds interposers from declarative fault plans. *)
+    Real machines expose {e weak} LL/SC, where an SC may fail spuriously.
+    An interposer injects that weakness (see {!Semantics.directive}); the
+    fault-injection layer ({!Lb_faults.Fault_engine}) builds interposers from
+    declarative fault plans. *)
 
-type directive = Proceed | Fail_sc
+type directive = Semantics.directive = Proceed | Fail_sc
 
-type interposer = pid:int -> Op.invocation -> directive
+type interposer = Semantics.interposer
 
 val set_interposer : t -> interposer option -> unit
 (** Install (or with [None] remove) the interposer.  At most one is active;
@@ -55,11 +38,11 @@ val set_interposer : t -> interposer option -> unit
 (** {1 Observer tap}
 
     The read-only sibling of the interposer: a callback consulted {e after}
-    every {!apply}, with the operation's response and whether a fault
-    interposer made an SC fail spuriously.  The observability layer
-    ({!Lb_observe.Tracer.attach_memory}) builds its shared-access event
-    stream from this hook; like the interposer there is at most one tap and
-    it must not mutate the memory. *)
+    every {!apply}, with the operation's response and whether the SC failed
+    spuriously (it failed while its issuer stayed linked).  The
+    observability layer ({!Lb_observe.Tracer.attach_memory}) builds its
+    shared-access event stream from this hook; like the interposer there is
+    at most one tap and it must not mutate the memory. *)
 
 type tap = pid:int -> Op.invocation -> Op.response -> spurious:bool -> unit
 
@@ -70,69 +53,40 @@ val create : ?default:Value.t -> ?log:bool -> ?model:Memory_model.t -> unit -> t
 (** Fresh memory.  Registers that have never been written read as [default]
     (default [Value.Unit]).  When [log] is true (default false) every applied
     operation is recorded in order.  [model] (default {!Memory_model.SC})
-    selects the consistency model; see {!section-buffers}. *)
+    selects the consistency model. *)
 
 val model : t -> Memory_model.t
 
 val set_init : t -> int -> Value.t -> unit
-(** [set_init m r v] initialises register [r] to [v] without counting an
-    operation or clearing anything — for setting up the initial
+(** [set_init m r v] initialises register [r] to [v] with an empty Pset,
+    without counting an operation — for setting up the initial
     configuration (e.g. a queue that "initially contains n items"). *)
 
 val apply : t -> pid:int -> Op.invocation -> Op.response
-(** Apply one operation on behalf of process [pid], count it, and return the
-    response.
-
-    Under a relaxed model ({!Memory_model.relaxed}): [Write] enters [pid]'s
-    store buffer instead of memory; [Fence], [Ll], [Sc], [Swap] and [Move]
-    first drain [pid]'s buffer (they are fences); [Validate] reads [pid]'s
-    newest buffered write to the register if one exists, shared memory
-    otherwise (the link flag always comes from the shared Pset).  Under SC
-    every operation applies immediately. *)
+(** {!Semantics.Make.apply}: apply one operation on behalf of [pid], count
+    it, and return the response.  A rejected operation is not counted. *)
 
 (** {1:buffers Store buffers (TSO / PSO)}
 
-    Buffered writes become visible to other processes only when {e flushed} —
-    a scheduler-visible step distinct from any process's program step.  The
-    scheduler asks {!flushable} what flush actions exist and performs one
-    with {!flush}.  Under TSO each process's buffer is a single FIFO, so at
-    most one flush per process is enabled (its head); under PSO the buffer is
-    a FIFO per register, so one flush per (process, register) pair with a
-    pending write is enabled.  Flushing applies {!Register.write} — the value
-    lands and the register's Pset is cleared, exactly as an immediate write
-    would. *)
+    Buffered writes become visible to other processes only when {e flushed}
+    — a scheduler-visible step distinct from any process's program step.
+    See {!Semantics.Make} for each function. *)
 
 val flushable : t -> (int * int) list
-(** Enabled flush actions as sorted [(pid, reg)] pairs.  Always [[]] under
-    SC.  Under TSO, the head register of each non-empty buffer; under PSO,
-    each register with a pending write, per process. *)
-
 val flush : t -> pid:int -> reg:int -> unit
-(** Apply the oldest buffered write by [pid] to [reg] and remove it from the
-    buffer.  Raises [Invalid_argument] under SC, when no such write is
-    pending, or (TSO) when [reg] is not the buffer's head — i.e. whenever
-    [(pid, reg)] is not in {!flushable}. *)
-
-val drain : t -> pid:int -> unit
-(** Apply [pid]'s whole buffer in issue order and empty it — the fence
-    effect, without counting an operation.  A no-op when the buffer is empty
-    (in particular under SC). *)
-
+val drain_all : t -> unit
 val buffers : t -> (int * (int * Value.t) list) list
-(** Non-empty store buffers as sorted [(pid, entries)] pairs, entries in
-    issue order (oldest first).  [[]] under SC. *)
-
-val buffered_regs : t -> pid:int -> int list
-(** Sorted registers with a pending buffered write by [pid]. *)
+val flush_ids : t -> n:int -> int list
 
 (** {1 Observer access} — none of these count as shared-memory operations;
     they exist for schedulers, run records and tests. *)
 
 val peek : t -> int -> Value.t
-(** Current value of a register. *)
+(** Current value of a register.  Raises [Invalid_argument] on a negative
+    register. *)
 
 val pset : t -> int -> Ids.t
-(** Current Pset of a register. *)
+(** Current Pset of a register.  Raises like {!peek}. *)
 
 val touched : t -> int list
 (** Sorted indices of registers that were ever materialised (initialised or

@@ -4,9 +4,9 @@
     consistent: a shared-memory operation takes effect the instant it is
     applied, and every process observes the same global order.  Real machines
     relax this with per-processor store buffers.  This module names the three
-    models the simulator implements; the semantics live in
-    {!Lb_memory.Memory} (mutable) and [Lb_check.Pure_memory] (persistent),
-    and are identical between the two:
+    models the simulator implements; the semantics live once in
+    {!Lb_memory.Semantics}, shared by {!Lb_memory.Memory} (mutable) and
+    [Lb_check.Pure_memory] (persistent):
 
     - {b SC} — sequential consistency.  Plain writes apply immediately.  The
       default everywhere; all pre-existing behaviour is byte-identical.
@@ -20,7 +20,8 @@
       {e per register}: writes to distinct registers may flush in either
       order, so even one process's stores can be observed reordered.
 
-    In every model, [LL]/[SC]/[swap]/[move] are {e fences}: they drain the
+    In every model, [LL]/[SC]/[swap]/[move] are {e fences}
+    ({!Lb_memory.Op.fences}): they drain the
     issuing process's buffer before taking effect (they are the repertoire's
     synchronisation primitives, like x86 LOCK'd instructions), and
     {!Lb_memory.Op.Fence} drains without any other effect.  [validate] is the

@@ -19,6 +19,10 @@ let kind = function
   | Write _ -> Write_kind
   | Fence -> Fence_kind
 
+let fences = function
+  | Ll _ | Sc _ | Swap _ | Move _ | Fence -> true
+  | Validate _ | Write _ -> false
+
 let registers = function
   | Ll r | Validate r | Sc (r, _) | Swap (r, _) | Write (r, _) -> [ r ]
   | Move (src, dst) -> [ src; dst ]

@@ -39,6 +39,12 @@ type kind = Read | Move_kind | Swap_kind | Sc_kind | Write_kind | Fence_kind
 
 val kind : invocation -> kind
 
+val fences : invocation -> bool
+(** Whether the operation drains the issuing process's store buffer before
+    taking effect under a relaxed {!Memory_model}: [Ll], [Sc], [Swap] and
+    [Move] (the synchronisation repertoire, like x86 LOCK'd instructions)
+    and [Fence].  [Validate] is the plain read and [Write] the plain store. *)
+
 val registers : invocation -> int list
 (** Registers named by the invocation ([Move] names two, in (src, dst)
     order; [Fence] names none). *)

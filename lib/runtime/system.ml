@@ -22,12 +22,6 @@ let process t pid =
 
 let processes t = t.processes
 
-(* Under a relaxed memory model ({!Lb_memory.Memory_model}), pending flushes
-   are scheduling choices too.  flush(p, r) is encoded as the pseudo-pid
-   n*(1+r)+p — injective, disjoint from real pids 0..n-1, and decodable
-   without carrying state. *)
-let flush_id t (pid, reg) = (Array.length t.processes * (1 + reg)) + pid
-
 let runnable t =
   let pids =
     Array.to_list t.processes
@@ -40,15 +34,19 @@ let runnable t =
     (* Quiescence: every process has terminated, so remaining buffered
        writes drain deterministically — with no reads left, flush order is
        unobservable and enumerating it would be noise. *)
-    List.iter (fun (pid, _) -> Memory.drain t.memory ~pid) (Memory.buffers t.memory);
+    Memory.drain_all t.memory;
     []
-  | _ :: _ -> pids @ List.map (flush_id t) (Memory.flushable t.memory)
+  | _ :: _ ->
+    (* Under a relaxed memory model pending flushes are scheduling choices
+       too, as pseudo-pids ({!Lb_memory.Semantics.flush_id}). *)
+    pids @ Memory.flush_ids t.memory ~n:(n t)
 
 let step t ~pid =
   let n = Array.length t.processes in
   if pid >= n then
     (* A flush pseudo-pid from {!runnable}. *)
-    Memory.flush t.memory ~pid:(pid mod n) ~reg:((pid / n) - 1)
+    let pid, reg = Semantics.flush_of_id ~n pid in
+    Memory.flush t.memory ~pid ~reg
   else begin
     let p = process t pid in
     Process.advance_local p t.assignment;

@@ -29,8 +29,8 @@ val runnable : 'a t -> int list
     a pending shared-memory operation.
 
     When the memory runs a relaxed model ({!Lb_memory.Memory_model}), every
-    enabled store-buffer flush is appended as a {e pseudo-pid} [n*(1+r)+p]
-    (flush of register [r] by process [p]) — schedulers choose flushes
+    enabled store-buffer flush is appended as a {e pseudo-pid}
+    ({!Lb_memory.Semantics.flush_id}) — schedulers choose flushes
     exactly like process steps and need no special handling (they pick from
     the list).  Once every process has terminated, remaining buffers drain
     deterministically (their order is unobservable) and the list is empty;

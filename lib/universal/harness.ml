@@ -188,14 +188,6 @@ let run_handle ~memory ~handle ~n ~ops ?(scheduler = Scheduler.round_robin)
       | Process.Terminated response -> finish slot op proc invoked response
       | Process.Running -> ())
   in
-  (* Under a relaxed memory model, enabled store-buffer flushes join the
-     schedulable set as pseudo-pids [n*(1+r)+p] — the same encoding as
-     {!Lb_runtime.System} — so schedulers and the DPOR oracle decide flush
-     order like any other step.  Fault hooks never see pseudo-pids: faults
-     target processes, and a flush is the memory acting, not a process. *)
-  let flush_ids () =
-    List.map (fun (p, r) -> (n * (1 + r)) + p) (Memory.flushable memory)
-  in
   let rec drive step remaining =
     (match hooks with
     | Some h -> List.iter restart (h.recover ~step)
@@ -204,7 +196,7 @@ let run_handle ~memory ~handle ~n ~ops ?(scheduler = Scheduler.round_robin)
     | [] ->
       (* Quiescent: every operation responded, so remaining buffered stores
          drain in a deterministic order no one can observe. *)
-      List.iter (fun (pid, _) -> Memory.drain memory ~pid) (Memory.buffers memory);
+      Memory.drain_all memory;
       true
     | pids ->
       if remaining = 0 then false
@@ -214,7 +206,13 @@ let run_handle ~memory ~handle ~n ~ops ?(scheduler = Scheduler.round_robin)
           | Some h -> h.filter ~step ~pending ~runnable:pids
           | None -> pids
         in
-        match allowed @ flush_ids () with
+        (* Under a relaxed memory model, enabled store-buffer flushes join
+           the schedulable set as pseudo-pids
+           ({!Lb_memory.Semantics.flush_id}), so schedulers and the DPOR
+           oracle decide flush order like any other step.  Fault hooks never
+           see pseudo-pids: faults target processes, and a flush is the
+           memory acting, not a process. *)
+        match allowed @ Memory.flush_ids memory ~n with
         | [] ->
           (* Everyone left is crashed, delayed or stalled.  Tick idly while a
              recovery or window expiry can still unblock the run. *)
@@ -228,7 +226,10 @@ let run_handle ~memory ~handle ~n ~ops ?(scheduler = Scheduler.round_robin)
             if Lb_observe.Tracer.active () then
               Lb_observe.Tracer.record
                 (Lb_observe.Event.Sched { step; chosen = pid; runnable = choices });
-            if pid >= n then Memory.flush memory ~pid:(pid mod n) ~reg:((pid / n) - 1)
+            if pid >= n then begin
+              let pid, reg = Semantics.flush_of_id ~n pid in
+              Memory.flush memory ~pid ~reg
+            end
             else begin
               let slot = slots.(pid) in
               match slot.current with

@@ -112,8 +112,8 @@ val run_handle :
 (** Drive a pre-installed handle ([memory] must already contain the layout's
     initial values).  When [memory] runs a relaxed model
     ({!Lb_memory.Memory_model}), every enabled store-buffer flush joins the
-    scheduler's choice set as a pseudo-pid [n*(1+r)+p] — the
-    {!Lb_runtime.System} encoding — and once the run is quiescent, remaining
+    scheduler's choice set as a pseudo-pid
+    ({!Lb_memory.Semantics.flush_id}) and once the run is quiescent, remaining
     buffers drain deterministically.  Fault hooks only ever see real pids. *)
 
 val run :

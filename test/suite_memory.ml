@@ -141,9 +141,17 @@ let test_snapshot_touched () =
   | _ -> Alcotest.fail "unexpected snapshot shape"
 
 let test_negative_register () =
+  let negative = Invalid_argument "Memory: negative register index -1" in
   let m = Memory.create () in
-  Alcotest.check_raises "negative index" (Invalid_argument "Memory: negative register index -1")
-    (fun () -> ignore (Memory.apply m ~pid:0 (Op.Ll (-1))))
+  Alcotest.check_raises "negative index" negative (fun () ->
+      ignore (Memory.apply m ~pid:0 (Op.Ll (-1))));
+  Alcotest.check_raises "peek" negative (fun () -> ignore (Memory.peek m (-1)));
+  Alcotest.check_raises "pset" negative (fun () -> ignore (Memory.pset m (-1)));
+  let pm = Pure_memory.create ~inits:[] () in
+  Alcotest.check_raises "pure: negative index" negative (fun () ->
+      ignore (Pure_memory.apply pm ~pid:0 (Op.Ll (-1))));
+  Alcotest.check_raises "pure: peek" negative (fun () -> ignore (Pure_memory.peek pm (-1)));
+  Alcotest.check_raises "pure: pset" negative (fun () -> ignore (Pure_memory.pset pm (-1)))
 
 let test_self_move () =
   (* Self-moves are excluded from the model (they would break Lemma 4.1);
@@ -154,7 +162,34 @@ let test_self_move () =
       ignore (Memory.apply m ~pid:4 (Op.Move (3, 3))));
   (* The rejected operation neither counts nor changes anything. *)
   Alcotest.(check int) "not counted" 0 (Memory.ops_of m ~pid:4);
-  Alcotest.check value "unchanged" (Value.Int 9) (Memory.peek m 3)
+  Alcotest.check value "unchanged" (Value.Int 9) (Memory.peek m 3);
+  let pm = Pure_memory.create ~inits:[ (3, Value.Int 9) ] () in
+  Alcotest.check_raises "pure: self-move rejected" (Memory.Self_move { pid = 4; reg = 3 })
+    (fun () -> ignore (Pure_memory.apply pm ~pid:4 (Op.Move (3, 3))))
+
+let test_negative_pid () =
+  (* A negative pid is rejected before the fence or the write takes effect,
+     in both stores and under every model. *)
+  let negative = Invalid_argument "Memory: negative process id -1" in
+  List.iter
+    (fun model ->
+      let name what = Memory_model.to_string model ^ ": " ^ what in
+      let m = Memory.create ~model ~default:(Value.Int 0) () in
+      List.iter
+        (fun inv ->
+          Alcotest.check_raises (name "raises") negative (fun () ->
+              ignore (Memory.apply m ~pid:(-1) inv)))
+        [ Op.Swap (0, Value.Int 7); Op.Write (0, Value.Int 7); Op.Fence ];
+      Alcotest.check value (name "R0 unchanged") (Value.Int 0) (Memory.peek m 0);
+      Alcotest.(check (list int)) (name "nothing touched") [] (Memory.touched m);
+      Alcotest.(check int) (name "nothing counted") 0 (Memory.total_ops m);
+      let pm = Pure_memory.create ~model ~default:(Value.Int 0) ~inits:[] () in
+      List.iter
+        (fun inv ->
+          Alcotest.check_raises (name "pure: raises") negative (fun () ->
+              ignore (Pure_memory.apply pm ~pid:(-1) inv)))
+        [ Op.Swap (0, Value.Int 7); Op.Write (0, Value.Int 7); Op.Fence ])
+    Memory_model.all
 
 let test_largest_value_size () =
   let m = Memory.create () in
@@ -196,18 +231,6 @@ let test_layout () =
   Layout.install l m;
   Alcotest.check value "installed" (Value.Int 1) (Memory.peek m 10);
   Alcotest.check value "installed array" Value.Unit (Memory.peek m 12)
-
-(* Register module directly *)
-
-let test_register () =
-  let r = Register.create (Value.Int 1) in
-  Register.link r 4;
-  Alcotest.(check bool) "linked" true (Register.linked r 4);
-  let copy = Register.copy r in
-  Register.write r (Value.Int 2);
-  Alcotest.(check bool) "write clears" false (Register.linked r 4);
-  Alcotest.(check bool) "copy independent" true (Register.linked copy 4);
-  Alcotest.check value "copy value" (Value.Int 1) (Register.value copy)
 
 (* Property: a process's SC succeeds iff no successful SC/swap/move-into hit
    the register since its last LL. *)
@@ -450,6 +473,65 @@ let test_pure_memory_buffers_match () =
         (Pure_memory.flushable !pm))
     [ Memory_model.TSO; Memory_model.PSO ]
 
+(* The two stores of the one semantics agree step by step under every
+   model: same responses, same registers, same buffers and flush choices. *)
+let prop_pure_matches_mutable =
+  let open QCheck in
+  (* A step is (kind, pid, register, value): kinds 0-6 are operations,
+     7-8 perform one of the enabled flushes. *)
+  let gen =
+    Gen.(
+      pair (oneofl Memory_model.all)
+        (list_size (int_range 1 40)
+           (quad (int_bound 8) (int_bound 2) (int_bound 2) (int_bound 9))))
+  in
+  let print (model, steps) =
+    Printf.sprintf "%s, <%d steps>" (Memory_model.to_string model) (List.length steps)
+  in
+  let invocation kind r v =
+    match kind with
+    | 0 -> Op.Ll r
+    | 1 -> Op.Sc (r, Value.Int v)
+    | 2 -> Op.Validate r
+    | 3 -> Op.Swap (r, Value.Int v)
+    | 4 -> Op.Move (r, r + 1)
+    | 5 -> Op.Write (r, Value.Int v)
+    | _ -> Op.Fence
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:500 ~name:"pure memory = mutable memory"
+       (make ~print gen) (fun (model, steps) ->
+         let m = Memory.create ~model ~default:(Value.Int 0) () in
+         let pm = ref (Pure_memory.create ~model ~default:(Value.Int 0) ~inits:[] ()) in
+         let same_state () =
+           List.for_all
+             (fun r ->
+               Value.equal (Memory.peek m r) (Pure_memory.peek !pm r)
+               && Ids.equal (Memory.pset m r) (Pure_memory.pset !pm r))
+             [ 0; 1; 2; 3 ]
+           && Memory.flushable m = Pure_memory.flushable !pm
+           && Memory.buffers m = Pure_memory.buffers !pm
+         in
+         List.for_all
+           (fun (kind, pid, r, v) ->
+             let same_response =
+               if kind >= 7 then (
+                 match Memory.flushable m with
+                 | [] -> true
+                 | enabled ->
+                   let pid, reg = List.nth enabled (v mod List.length enabled) in
+                   Memory.flush m ~pid ~reg;
+                   pm := Pure_memory.flush !pm ~pid ~reg;
+                   true)
+               else
+                 let inv = invocation kind r v in
+                 let response, pm' = Pure_memory.apply !pm ~pid inv in
+                 pm := pm';
+                 Op.equal_response (Memory.apply m ~pid inv) response
+             in
+             same_response && same_state ())
+           steps))
+
 let test_model_strings () =
   List.iter
     (fun m ->
@@ -482,10 +564,10 @@ let suite =
     Alcotest.test_case "snapshot/touched" `Quick test_snapshot_touched;
     Alcotest.test_case "negative register rejected" `Quick test_negative_register;
     Alcotest.test_case "self-move rejected" `Quick test_self_move;
+    Alcotest.test_case "negative pid rejected" `Quick test_negative_pid;
     Alcotest.test_case "largest value size" `Quick test_largest_value_size;
     Alcotest.test_case "store growth and sparse spill" `Quick test_growth;
     Alcotest.test_case "layout allocator" `Quick test_layout;
-    Alcotest.test_case "register module" `Quick test_register;
     prop_sc_semantics;
     Alcotest.test_case "access profile" `Quick test_profile;
     Alcotest.test_case "empty profile" `Quick test_profile_empty;
@@ -497,5 +579,6 @@ let suite =
     Alcotest.test_case "fences drain" `Quick test_fences_drain;
     Alcotest.test_case "flush kills links" `Quick test_flush_kills_links;
     Alcotest.test_case "pure memory matches buffers" `Quick test_pure_memory_buffers_match;
+    prop_pure_matches_mutable;
     Alcotest.test_case "memory model strings + lattice" `Quick test_model_strings;
   ]
