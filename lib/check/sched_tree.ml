@@ -62,6 +62,7 @@ type node = {
   nd_enabled : int list;
   mutable nd_todo : (int * int) list;  (* decisions awaiting exploration *)
   mutable nd_edges : edge list;  (* explored decisions, in DFS order *)
+  mutable nd_drained : bool;  (* set only when no todo is left in this subtree (see [find_next]) *)
 }
 
 and edge = {
@@ -269,7 +270,17 @@ let interrupted (s : _ sched) =
 
 (* ---- the persistent scheduler tree: operations ---- *)
 
-let new_node enabled = { nd_enabled = enabled; nd_todo = []; nd_edges = [] }
+let new_node enabled = { nd_enabled = enabled; nd_todo = []; nd_edges = []; nd_drained = false }
+
+(* Enqueue decision [d] at [nodes.(i)], where [nodes] is a run's root path
+   (tree nodes are never removed, so an old run's path stays valid), and
+   re-open the drained flags along it: every todo insertion goes through
+   here, which keeps [find_next]'s invariant. *)
+let push_todo nodes i d =
+  nodes.(i).nd_todo <- nodes.(i).nd_todo @ [ d ];
+  for k = 0 to i do
+    nodes.(k).nd_drained <- false
+  done
 
 let has_decision node p =
   List.exists (fun e -> e.ed_pid = p) node.nd_edges
@@ -277,8 +288,9 @@ let has_decision node p =
 
 (* The sleep set in force when a todo of [node] is launched: every process
    other than [skip] whose decisions at [node] are all explored and whose
-   subtrees are drained — guaranteed by the DFS order of [find_next], which
-   only surfaces a node's todos once every existing subtree is todo-free. *)
+   subtrees are drained.  [find_next] guarantees the latter: it surfaces a
+   node's own todos only after every child has returned [None], and a
+   flagged child is skipped only because it has no todo below it. *)
 let sleep0_of node ~skip =
   let pending p = List.exists (fun (q, _) -> q = p) node.nd_todo in
   let rec gather seen acc = function
@@ -291,22 +303,30 @@ let sleep0_of node ~skip =
   gather [] [] node.nd_edges
 
 (* Deepest-first: drain every existing subtree before surfacing a node's
-   own todos, so [sleep0_of] is sound when a todo is finally launched. *)
+   own todos, so [sleep0_of] is sound when a todo is finally launched.
+   Invariant: flagged [nd_drained] => no todo in the subtree; every todo
+   insertion clears its root path ([push_todo]).  So a flagged subtree is
+   skipped without changing the answer, and a lookup descends only the
+   unflagged path to the next todo — O(depth × branching), not O(tree). *)
 let rec find_next node path =
   let rec over_edges = function
     | [] -> None
     | e :: rest -> (
       match e.ed_child with
-      | None -> over_edges rest
-      | Some child -> (
+      | Some child when not child.nd_drained -> (
         match find_next child ((e.ed_pid, e.ed_branch) :: path) with
         | Some _ as found -> found
-        | None -> over_edges rest))
+        | None -> over_edges rest)
+      | _ -> over_edges rest)
   in
   match over_edges node.nd_edges with
   | Some _ as found -> found
   | None -> (
-    match node.nd_todo with [] -> None | d :: _ -> Some (path, node, d))
+    match node.nd_todo with
+    | [] ->
+      node.nd_drained <- true;
+      None
+    | d :: _ -> Some (path, node, d))
 
 (* ---- exhaustive exploration ---- *)
 
@@ -373,7 +393,7 @@ let incorporate root trace =
                        (fun e -> e.ed_pid = t.t_pid && e.ed_branch = b')
                        node.nd_edges))
               && not (List.mem (t.t_pid, b') node.nd_todo)
-            then node.nd_todo <- node.nd_todo @ [ (t.t_pid, b') ]
+            then push_todo nodes i (t.t_pid, b')
           done;
           e
       in
@@ -384,7 +404,7 @@ let incorporate root trace =
       List.iter
         (fun p ->
           if (not (asleep t.t_sleep p)) && not (has_decision node p) then
-            node.nd_todo <- node.nd_todo @ [ (p, 0) ])
+            push_todo nodes i (p, 0))
         t.t_also;
       if i + 1 < len then begin
         (match edge.ed_child with
@@ -428,7 +448,7 @@ let insertion_in_bounds bounds trace i p =
 let plain_add counters bounds nodes trace i p =
   if not (has_decision nodes.(i) p) then begin
     if insertion_in_bounds bounds trace i p then
-      nodes.(i).nd_todo <- nodes.(i).nd_todo @ [ (p, 0) ]
+      push_todo nodes i (p, 0)
     else counters.c_elided <- counters.c_elided + 1
   end
 
@@ -669,7 +689,7 @@ let explore ?(bounds = no_bounds) ?(max_schedules = 200_000) ~run ~f () =
       if !continue_ then
         match find_next r [] with
         | None -> ()
-        | Some (path_rev, node, ((p, b) as decision)) ->
+        | Some (path_rev, node, ((p, _) as decision)) ->
           let prefix = List.rev (decision :: path_rev) in
           let div_sleep = sleep0_of node ~skip:p in
           exec prefix div_sleep;
@@ -679,7 +699,6 @@ let explore ?(bounds = no_bounds) ?(max_schedules = 200_000) ~run ~f () =
             node.nd_todo <- List.filter (fun d' -> d' <> decision) node.nd_todo;
             counters.c_elided <- counters.c_elided + 1
           end;
-          ignore b;
           loop ()
     in
     loop ());

@@ -172,7 +172,9 @@ val explore :
     from runner failures, which are counted as elided).  [f] receives
     each completed run's result; returning [false] stops the exploration
     early (the stats then cover only the explored part).
-    [max_schedules] defaults to [200_000]. *)
+    [max_schedules] defaults to [200_000].  Subtrees with no todo left are
+    flagged and skipped, so finding the next schedule costs
+    O(depth × branching) node visits, not a walk of the whole tree. *)
 
 (** {1 Sampling and replay oracles} *)
 

@@ -726,6 +726,124 @@ let test_canonical_full_distinguishes_buffers () =
   Alcotest.(check bool) "flushed state has empty buffers" true
     (Pure_memory.canonical_full flushed = (Pure_memory.canonical flushed, []))
 
+(* ---- visit order of the DPOR walk ---- *)
+
+(* The schedule counts above would not notice a walk that reaches the same
+   schedules in a different order — and the order matters: [sleep0_of] is
+   only sound under the deepest-first walk.  Each cell pins a digest of the
+   ordered list of completed runs, one line per run, every event with its
+   invocation and response. *)
+let render_event = function
+  | Explore.Stepped (pid, inv, resp) ->
+    Format.asprintf "%d:%a=%a" pid Op.pp_invocation inv Op.pp_response resp
+  | Explore.Flushed (pid, reg, v) -> Format.asprintf "%d:flush R%d=%a" pid reg Value.pp v
+  | Explore.Returned (pid, r) -> Printf.sprintf "%d:ret %d" pid r
+
+let visit_order iter =
+  let buf = Buffer.create 4096 in
+  let stats =
+    iter ~f:(fun run ->
+        List.iter
+          (fun e ->
+            Buffer.add_string buf (render_event e);
+            Buffer.add_char buf ' ')
+          run.Explore.events;
+        Buffer.add_char buf '\n')
+  in
+  (stats.Sched_tree.schedules, Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+let test_dpor_visit_order_pinned () =
+  let corpus entry ~n ~coin_range ~f =
+    let program_of, inits = entry.Corpus.make ~n in
+    Explore.iter_dpor ~n ~program_of ~inits ~coin_range ~dedup:true ~f ()
+  in
+  let sb_tso ~f =
+    let inits = [ (0, Value.Int 0); (1, Value.Int 0) ] in
+    Explore.iter_dpor ~n:2 ~program_of:sb_program_of ~inits ~model:Memory_model.TSO
+      ~dedup:false ~f ()
+  in
+  List.iter
+    (fun (name, iter, schedules, digest) ->
+      let got_schedules, got_digest = visit_order iter in
+      Alcotest.(check int) (name ^ ": schedules") schedules got_schedules;
+      Alcotest.(check string) (name ^ ": visit-order digest") digest got_digest)
+    [
+      ( "post-collect n=3",
+        corpus Corpus.post_collect ~n:3 ~coin_range:[ 0 ],
+        52,
+        "96dd9ed2257cb19a5b59bc42d11cd37a" );
+      ( "move-collect n=2",
+        corpus Corpus.move_collect ~n:2 ~coin_range:[ 0 ],
+        6,
+        "05145f2788151453b639e16bcc040dc0" );
+      ( "two-counter n=2",
+        corpus Corpus.two_counter ~n:2 ~coin_range:[ 0; 1 ],
+        38,
+        "4116cfdef1fd4f98a99158b3b87aaaee" );
+      ("SB under TSO", sb_tso, 64, "440ee1a74de904aa6ca8a1b6ed9a362a");
+    ]
+
+(* ---- re-arming a drained subtree ---- *)
+
+(* A runner straight over the Sched_tree oracle: process [p] performs the
+   footprints [procs.(p)] in order and nothing else, and after each step
+   marks the state with [key] of the program counters.  Returns the walk's
+   stats and every run in launch order — its pid trail, with " cut" when
+   the oracle aborted it. *)
+let synthetic_walk procs ~key =
+  let n = Array.length procs in
+  let log = ref [] in
+  let run sched =
+    let pc = Array.make n 0 in
+    let trail = Buffer.create 16 in
+    let rec go step =
+      let enabled =
+        List.filter (fun p -> pc.(p) < Array.length procs.(p)) (List.init n Fun.id)
+      in
+      if enabled = [] then Some (Buffer.contents trail)
+      else
+        match Sched_tree.choose sched ~step ~enabled with
+        | None -> None
+        | Some p ->
+          ignore (Sched_tree.commit sched ~fp:procs.(p).(pc.(p)) ~branches:1);
+          pc.(p) <- pc.(p) + 1;
+          Buffer.add_string trail (string_of_int p);
+          Sched_tree.mark sched ~key:(key pc);
+          go (step + 1)
+    in
+    let result = go 0 in
+    log := (Buffer.contents trail ^ if result = None then " cut" else "") :: !log;
+    result
+  in
+  let stats = Sched_tree.explore ~run ~f:(fun _ -> true) () in
+  (stats, List.rev !log)
+
+(* A todo can land in a subtree the walk has already drained: a run cut at
+   a covered state subscribes to that state's summary, and when the
+   summary grows later the cut run's prefix is raced again and re-armed
+   ([virtual_backtracks] through the old run's node path).  No corpus cell
+   does this.  Here a deliberately coarse key — the program counters
+   weighted 9/3/1, mod 5 — makes dedup collide often.  Run 1 ("0011") is
+   cut when it revisits its own first state.  Run 2 ("002") passes that
+   state and adds process 2's step on R0 to its summary, which re-arms
+   process 2 at depth 3 of run 1's path, against process 1's step on R0 —
+   a node the walk drained before launching run 2.  Losing that todo
+   drops runs 3 and 4, and with them the only completed schedule.  The key
+   is not a sound abstraction; the pin is on the walk's mechanics. *)
+let test_rearm_drained_subtree () =
+  let fp r = { Sched_tree.regs = [ r ]; blocking = false } in
+  let procs = [| [| fp 2; fp 1 |]; [| fp 1; fp 0 |]; [| fp 0; fp 0 |] |] in
+  let key pc = ((9 * pc.(0)) + (3 * pc.(1)) + pc.(2)) mod 5 in
+  let stats, log = synthetic_walk procs ~key in
+  Alcotest.(check (list string))
+    "runs in launch order"
+    [ "0011 cut"; "002 cut"; "00122 cut"; "001212"; "01 cut" ]
+    log;
+  Alcotest.(check (list int))
+    "schedules, sleep-blocked, deduped, elided, depth" [ 1; 0; 4; 0; 6 ]
+    Sched_tree.
+      [ stats.schedules; stats.sleep_blocked; stats.deduped; stats.elided; stats.max_depth ]
+
 let suite =
   [
     prop_pure_matches_mutable;
@@ -760,4 +878,7 @@ let suite =
       test_dpor_relaxed_reduction_pinned;
     Alcotest.test_case "canonical_full keeps buffered states apart" `Quick
       test_canonical_full_distinguishes_buffers;
+    Alcotest.test_case "dpor visit order (pinned)" `Quick test_dpor_visit_order_pinned;
+    Alcotest.test_case "re-armed drained subtree is explored" `Quick
+      test_rearm_drained_subtree;
   ]
