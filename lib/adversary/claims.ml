@@ -8,10 +8,7 @@ let check ~n ~all_run ~s_run ~upsets =
   let fail claim round detail = failures := { claim; round; detail } :: !failures in
   let s = s_run.S_run.s in
   let in_s up = Ids.subset up s in
-  let total = min (All_run.num_rounds all_run) (S_run.num_rounds s_run) in
-  for r = 1 to total do
-    let all_round = All_run.round all_run r in
-    let s_round = S_run.round s_run r in
+  let check_round r (all_round : _ Round.t) (s_round : _ Round.t) =
     let up_prev pid = Upsets.of_process upsets ~r:(r - 1) ~pid in
     (* A.1: toss counts of in-S processes agree at end of round r (tosses
        only happen in phase 1). *)
@@ -47,10 +44,10 @@ let check ~n ~all_run ~s_run ~upsets =
          above; None/None is fine. *)
     done;
     (* A.3: move groups. *)
-    let g2 = Move_spec.procs all_round.Round.move_spec in
+    let g2 = Ids.of_list (Move_spec.procs all_round.Round.move_spec) in
     List.iter
       (fun p ->
-        if not (List.mem p g2) then
+        if not (Ids.mem p g2) then
           fail "A.3" r (Printf.sprintf "p%d moves in (S,A)-run but not in (All,A)-run" p))
       (Move_spec.procs s_round.Round.move_spec);
     (* Register-level claims, over registers touched in either run. *)
@@ -61,11 +58,21 @@ let check ~n ~all_run ~s_run ~upsets =
              List.concat_map (fun e -> Op.registers e.Round.invocation) round.Round.events)
            [ all_round; s_round ])
     in
+    (* Both rounds' events grouped by register, consumed in step with the
+       ascending [touched]. *)
+    let group_at cursor reg =
+      let rec skip = function (r, _) :: rest when r < reg -> skip rest | l -> l in
+      cursor := skip !cursor;
+      match !cursor with (r, evs) :: _ when r = reg -> evs | _ -> []
+    in
+    let all_groups = ref (Round.by_register all_round)
+    and s_groups = ref (Round.by_register s_round) in
     List.iter
       (fun reg ->
+        let all_evs = group_at all_groups reg and s_evs = group_at s_groups reg in
         let up_r = Upsets.of_register upsets ~r ~reg in
         let up_r_prev = Upsets.of_register upsets ~r:(r - 1) ~reg in
-        (match Round.successful_sc all_round ~reg with
+        (match Round.sc_winner all_evs with
         | Some winner ->
           (* A.4. *)
           if not (Ids.subset up_r_prev up_r) then
@@ -74,7 +81,7 @@ let check ~n ~all_run ~s_run ~upsets =
                  Ids.pp up_r);
           (* A.6. *)
           if in_s up_r then begin
-            match Round.successful_sc s_round ~reg with
+            match Round.sc_winner s_evs with
             | Some winner' when winner' = winner -> ()
             | Some winner' ->
               fail "A.6" r
@@ -85,7 +92,7 @@ let check ~n ~all_run ~s_run ~upsets =
         | None ->
           (* A.9. *)
           if in_s up_r then begin
-            match Round.successful_sc s_round ~reg with
+            match Round.sc_winner s_evs with
             | Some winner ->
               fail "A.9" r
                 (Printf.sprintf "R%d: p%d's SC succeeds only in (S,A)-run" reg winner)
@@ -104,9 +111,10 @@ let check ~n ~all_run ~s_run ~upsets =
                   (Format.asprintf "R%d: p%d SCs with UP(p) ⊆ S but UP(R, r) = %a ⊄ S" reg
                      e.Round.pid Ids.pp up_r)
             | _ -> ())
-          all_round.Round.events)
+          all_evs)
       touched
-  done;
+  in
+  Round.iter_paired check_round all_run.All_run.rounds s_run.S_run.rounds;
   List.rev !failures
 
 let pp_failure ppf { claim; round; detail } =

@@ -86,28 +86,21 @@ let exec_round t ~select ~move_order =
   List.iter (fire 4) swaps;
   List.iter (fire 5) scs;
   let procs =
-    Array.to_list t.procs
-    |> List.map (fun p ->
-           ( Process.id p,
-             {
-               Round.tosses = Process.num_tosses p;
-               ops = Process.shared_ops p;
-               result =
-                 (match Process.status p with
-                 | Process.Terminated x -> Some x
-                 | Process.Running -> None);
-             } ))
+    Array.map
+      (fun p ->
+        {
+          Round.tosses = Process.num_tosses p;
+          ops = Process.shared_ops p;
+          result =
+            (match Process.status p with
+            | Process.Terminated x -> Some x
+            | Process.Running -> None);
+        })
+      t.procs
   in
   let round =
-    {
-      Round.index;
-      participants;
-      events = List.rev !events;
-      move_spec;
-      sigma;
-      procs;
-      regs = Memory.snapshot t.memory;
-    }
+    Round.make ~index ~participants ~events:(List.rev !events) ~move_spec ~sigma ~procs
+      ~regs:(Memory.snapshot t.memory)
   in
   t.rounds <- round :: t.rounds;
   round

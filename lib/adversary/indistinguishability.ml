@@ -6,8 +6,8 @@ type failure = {
   reason : string;
 }
 
-let reg_state round reg =
-  Option.value ~default:(Value.Unit, Ids.empty) (Round.reg_state round reg)
+(* A register no event ever touched reads as the memory's default. *)
+let untouched = (Value.Unit, Ids.empty)
 
 (* The events process [pid] executed in the given round, as an option. *)
 let event_agrees all_round s_round pid =
@@ -22,16 +22,14 @@ let check ~n ~all_run ~s_run ~upsets =
   let failures = ref [] in
   let fail round subject reason = failures := { round; subject; reason } :: !failures in
   let s = s_run.S_run.s in
-  let total = min (All_run.num_rounds all_run) (S_run.num_rounds s_run) in
   let in_s up = Ids.subset up s in
-  for r = 1 to total do
-    let all_round = All_run.round all_run r in
-    let s_round = S_run.round s_run r in
+  let check_round r (all_round : _ Round.t) (s_round : _ Round.t) =
     (* Processes with UP(p, r) ⊆ S, computed once per round — the register
-       loop below re-uses the list. *)
+       checks below re-use the list (and, lazily, the set). *)
     let in_s_pids =
-      List.filter (fun pid -> in_s (Upsets.of_process upsets ~r ~pid)) (List.init n (fun i -> i))
+      List.filter (fun pid -> in_s (Upsets.of_process upsets ~r ~pid)) (List.init n Fun.id)
     in
+    let in_s_set = lazy (Ids.of_list in_s_pids) in
     List.iter
       (fun pid ->
         let oa = Round.obs all_round pid and ob = Round.obs s_round pid in
@@ -50,19 +48,21 @@ let check ~n ~all_run ~s_run ~upsets =
         if not (event_agrees all_round s_round pid) then
           fail r (`Process pid) "round events (invocation/response) differ")
       in_s_pids;
-    (* Registers with UP(R, r) ⊆ S: all registers touched by either run. *)
-    let touched =
-      List.sort_uniq Int.compare
-        (List.map fst all_round.Round.regs @ List.map fst s_round.Round.regs)
-    in
-    List.iter
-      (fun reg ->
-        if in_s (Upsets.of_register upsets ~r ~reg) then begin
-          let va, pa = reg_state all_round reg and vb, pb = reg_state s_round reg in
-          if not (Value.equal va vb) then
-            fail r (`Register reg)
-              (Printf.sprintf "values differ: %s (All) vs %s (S)" (Value.to_string va)
-                 (Value.to_string vb));
+    (* Registers with UP(R, r) ⊆ S, over every register touched by either
+       run.  Only in-S processes' Pset bits count, and they are enumerated
+       one by one only when the in-S parts of the two Psets differ. *)
+    let check_reg reg (va, pa) (vb, pb) =
+      if in_s (Upsets.of_register upsets ~r ~reg) then begin
+        if not (Value.equal va vb) then
+          fail r (`Register reg)
+            (Printf.sprintf "values differ: %s (All) vs %s (S)" (Value.to_string va)
+               (Value.to_string vb));
+        if
+          not
+            (Ids.equal pa pb
+            || Ids.equal (Ids.inter pa (Lazy.force in_s_set)) (Ids.inter pb (Lazy.force in_s_set))
+            )
+        then
           List.iter
             (fun q ->
               if Ids.mem q pa <> Ids.mem q pb then
@@ -70,9 +70,29 @@ let check ~n ~all_run ~s_run ~upsets =
                   (Printf.sprintf "Pset membership of p%d differs: %b (All) vs %b (S)" q
                      (Ids.mem q pa) (Ids.mem q pb)))
             in_s_pids
-        end)
-      touched
-  done;
+      end
+    in
+    (* Both snapshots are strictly ascending by register: one merge visits
+       the union in order. *)
+    let rec walk xs ys =
+      match xs, ys with
+      | [], [] -> ()
+      | (ra, sa) :: xs', (rb, sb) :: ys' when ra = rb ->
+        check_reg ra sa sb;
+        walk xs' ys'
+      | (ra, sa) :: xs', (rb, _) :: _ when ra < rb ->
+        check_reg ra sa untouched;
+        walk xs' ys
+      | (ra, sa) :: xs', [] ->
+        check_reg ra sa untouched;
+        walk xs' ys
+      | _, (rb, sb) :: ys' ->
+        check_reg rb untouched sb;
+        walk xs ys'
+    in
+    walk all_round.Round.regs s_round.Round.regs
+  in
+  Round.iter_paired check_round all_run.All_run.rounds s_run.S_run.rounds;
   List.rev !failures
 
 let pp_failure ppf { round; subject; reason } =

@@ -20,62 +20,54 @@ let step prev (round : 'a Round.t) =
       (reg_up prev source)
       (Source_movers.movers sm reg)
   in
-  (* Register rules first: process rule 7 (unsuccessful SC) reads UP(R, r). *)
+  (* One pass groups the events by target register; register rules first,
+     since process rule 7 (unsuccessful SC) reads UP(R, r). *)
+  let groups = Round.by_register round in
   let regs = Hashtbl.copy prev.regs in
-  let affected =
-    List.sort_uniq Int.compare
-      (List.concat_map
-         (fun e ->
-           match e.Round.invocation with
-           | Op.Fence -> [] (* names no register *)
-           | inv -> [ Op.target inv ])
-         round.Round.events)
-  in
   List.iter
-    (fun reg ->
-      match Round.successful_sc round ~reg with
+    (fun (reg, evs) ->
+      match Round.sc_winner evs with
       | Some p -> Hashtbl.replace regs reg prev.procs.(p)
       | None -> (
-        match List.rev (Round.swappers round ~reg) with
+        match List.rev (Round.swappers_in evs) with
         | last :: _ -> Hashtbl.replace regs reg prev.procs.(last)
         | [] -> if moved_into reg then Hashtbl.replace regs reg (move_knowledge reg)))
-    affected;
+    groups;
   let next = { procs = Array.copy prev.procs; regs } in
-  (* Process rules. *)
-  Array.iteri
-    (fun p up ->
-      match Round.event_of round p with
-      | None -> ()
-      | Some e ->
-        let joined =
-          match e.Round.invocation, e.Round.response with
-          | (Op.Ll reg | Op.Validate reg), _ -> Ids.union up (reg_up prev reg)
-          | Op.Move _, _ -> up
-          | Op.Swap (reg, _), _ -> (
-            match Round.swappers round ~reg with
-            | first :: _ when first = p ->
-              if moved_into reg then Ids.union up (move_knowledge reg)
-              else Ids.union up (reg_up prev reg)
-            | swappers ->
-              (* p swaps immediately after the previous swapper q. *)
-              let rec previous = function
-                | q :: r :: _ when r = p -> q
-                | _ :: rest -> previous rest
-                | [] -> assert false
-              in
-              Ids.union up prev.procs.(previous swappers))
-          | Op.Sc (reg, _), Op.Flagged (true, _) -> Ids.union up (reg_up prev reg)
-          | Op.Sc (reg, _), Op.Flagged (false, _) -> Ids.union up (reg_up next reg)
-          | Op.Sc _, (Op.Value _ | Op.Ack) -> assert false
-          | (Op.Write _ | Op.Fence), _ ->
-            (* Weak-memory extensions: neither reads shared state, so no
-               knowledge joins.  The round adversary never issues them. *)
-            up
-        in
-        (* Keep the old pointer when nothing changed: layers share structure,
-           which matters on long runs (memory is otherwise O(n * rounds^2)). *)
-        next.procs.(p) <- (if Ids.equal joined up then up else joined))
-    prev.procs;
+  (* Process rules: each process executes at most one event per round, so
+     walking the groups visits it at most once.  [previous] is the last
+     swapper on the group's register so far, in execution order. *)
+  let rec visit previous = function
+    | [] -> ()
+    | e :: evs ->
+      let p = e.Round.pid in
+      let up = prev.procs.(p) in
+      let joined =
+        match e.Round.invocation, e.Round.response with
+        | (Op.Ll reg | Op.Validate reg), _ -> Ids.union up (reg_up prev reg)
+        | Op.Move _, _ -> up
+        | Op.Swap (reg, _), _ -> (
+          match previous with
+          | None ->
+            if moved_into reg then Ids.union up (move_knowledge reg)
+            else Ids.union up (reg_up prev reg)
+          | Some q ->
+            (* p swaps immediately after the previous swapper q. *)
+            Ids.union up prev.procs.(q))
+        | Op.Sc (reg, _), Op.Flagged (true, _) -> Ids.union up (reg_up prev reg)
+        | Op.Sc (reg, _), Op.Flagged (false, _) -> Ids.union up (reg_up next reg)
+        | Op.Sc _, (Op.Value _ | Op.Ack) -> assert false
+        | (Op.Write _ | Op.Fence), _ ->
+          (* Weak-memory extensions: neither reads shared state, so no
+             knowledge joins.  The round adversary never issues them. *)
+          up
+      in
+      (* Keep the old pointer when nothing changed: layers share structure,
+         which matters on long runs (memory is otherwise O(n * rounds^2)). *)
+      next.procs.(p) <- (if Ids.equal joined up then up else joined);
+      visit (match e.Round.invocation with Op.Swap _ -> Some p | _ -> previous) evs
+  in
+  List.iter (fun (_, evs) -> visit None evs) groups;
   next
 
 let compute ~n rounds =

@@ -33,8 +33,8 @@ let create layout ~n spec =
   let absorb_once () =
     let* current = Program.ll root_rec in
     let* pending = Program.read internal.(1) in
-    let record = Codec.Root.absorb spec (Codec.Root.decode current) (Codec.Dset.decode pending) in
-    let* _ok = Program.sc_flag root_rec (Codec.Root.encode record) in
+    let record = Codec.Root.update spec current (Codec.Dset.decode pending) in
+    let* _ok = Program.sc_flag root_rec record in
     Program.return ()
   in
   let apply ~pid ~seq op =

@@ -60,7 +60,10 @@ module Root : sig
   val find_response : t -> key:int * int -> Value.t option
   val is_done : t -> key:int * int -> bool
 
-  val absorb : Lb_objects.Spec.t -> t -> Desc.t list -> t
-  (** Apply, in key order, every descriptor not yet in the response map;
-      record the new responses. *)
+  val update : Lb_objects.Spec.t -> Value.t -> Desc.t list -> Value.t
+  (** On an encoded record: apply, in key order, every descriptor not yet in
+      the response map and record the new responses.  One merge of the
+      sorted descriptors into the sorted map; the result shares the
+      encodings of the entries it keeps, and its whole response list when
+      every descriptor was already answered. *)
 end

@@ -18,8 +18,7 @@ let create layout ~n spec =
   let attempt () =
     let* current = Program.ll root_rec in
     let* descs = collect () in
-    let record = Codec.Root.absorb spec (Codec.Root.decode current) descs in
-    let* _ok = Program.sc_flag root_rec (Codec.Root.encode record) in
+    let* _ok = Program.sc_flag root_rec (Codec.Root.update spec current descs) in
     Program.return ()
   in
   let apply ~pid ~seq op =

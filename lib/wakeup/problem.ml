@@ -18,17 +18,12 @@ let check (run : int All_run.t) =
   (* Condition 3, at round granularity. *)
   List.iter
     (fun (round : int Round.t) ->
-      let one_returners =
-        List.filter_map
-          (fun (pid, obs) ->
-            match obs.Round.result with Some 1 -> Some pid | Some _ | None -> None)
-          round.Round.procs
-      in
+      let procs = round.Round.procs in
+      let pids = List.init (Array.length procs) Fun.id in
+      let one_returners = List.filter (fun pid -> procs.(pid).Round.result = Some 1) pids in
       let silent =
-        List.fold_left
-          (fun acc (pid, obs) ->
-            if obs.Round.tosses = 0 && obs.Round.ops = 0 then Ids.add pid acc else acc)
-          Ids.empty round.Round.procs
+        Ids.of_list
+          (List.filter (fun pid -> procs.(pid).Round.tosses = 0 && procs.(pid).Round.ops = 0) pids)
       in
       match one_returners with
       | winner :: _ when not (Ids.is_empty silent) ->

@@ -415,6 +415,490 @@ let test_up_first_swap_after_move_rule () =
   Alcotest.check (Alcotest.testable Ids.pp Ids.equal) "UP(p1, 2)" (Ids.of_list [ 0; 1 ])
     (Upsets.of_process up ~r:2 ~pid:1)
 
+(* ---- reference checkers: the list-scanning versions of the Lemma 5.2
+   check, the appendix claims and the UP-set rules, kept verbatim (over
+   Round.obs / event_of / reg_state and List.nth round access).  The
+   linear versions must return exactly what these return. ---- *)
+
+module Ref_check = struct
+  let reg_state round reg =
+    Option.value ~default:(Value.Unit, Ids.empty) (Round.reg_state round reg)
+
+  let event_agrees all_round s_round pid =
+    match Round.event_of all_round pid, Round.event_of s_round pid with
+    | None, None -> true
+    | Some a, Some b ->
+      Op.equal_invocation a.Round.invocation b.Round.invocation
+      && Op.equal_response a.Round.response b.Round.response
+    | Some _, None | None, Some _ -> false
+
+  let indist ~n ~all_run ~s_run ~upsets =
+    let failures = ref [] in
+    let fail round subject reason =
+      failures := { Indistinguishability.round; subject; reason } :: !failures
+    in
+    let s = s_run.S_run.s in
+    let total = min (All_run.num_rounds all_run) (S_run.num_rounds s_run) in
+    let in_s up = Ids.subset up s in
+    for r = 1 to total do
+      let all_round = All_run.round all_run r in
+      let s_round = S_run.round s_run r in
+      let in_s_pids =
+        List.filter (fun pid -> in_s (Upsets.of_process upsets ~r ~pid)) (List.init n (fun i -> i))
+      in
+      List.iter
+        (fun pid ->
+          let oa = Round.obs all_round pid and ob = Round.obs s_round pid in
+          if oa.Round.tosses <> ob.Round.tosses then
+            fail r (`Process pid)
+              (Printf.sprintf "numtosses differ: %d (All) vs %d (S)" oa.Round.tosses
+                 ob.Round.tosses);
+          if oa.Round.ops <> ob.Round.ops then
+            fail r (`Process pid)
+              (Printf.sprintf "shared-op counts differ: %d (All) vs %d (S)" oa.Round.ops
+                 ob.Round.ops);
+          (match oa.Round.result, ob.Round.result with
+          | Some _, Some _ | None, None -> ()
+          | Some _, None -> fail r (`Process pid) "terminated in (All,A)-run but not in (S,A)-run"
+          | None, Some _ -> fail r (`Process pid) "terminated in (S,A)-run but not in (All,A)-run");
+          if not (event_agrees all_round s_round pid) then
+            fail r (`Process pid) "round events (invocation/response) differ")
+        in_s_pids;
+      let touched =
+        List.sort_uniq Int.compare
+          (List.map fst all_round.Round.regs @ List.map fst s_round.Round.regs)
+      in
+      List.iter
+        (fun reg ->
+          if in_s (Upsets.of_register upsets ~r ~reg) then begin
+            let va, pa = reg_state all_round reg and vb, pb = reg_state s_round reg in
+            if not (Value.equal va vb) then
+              fail r (`Register reg)
+                (Printf.sprintf "values differ: %s (All) vs %s (S)" (Value.to_string va)
+                   (Value.to_string vb));
+            List.iter
+              (fun q ->
+                if Ids.mem q pa <> Ids.mem q pb then
+                  fail r (`Register reg)
+                    (Printf.sprintf "Pset membership of p%d differs: %b (All) vs %b (S)" q
+                       (Ids.mem q pa) (Ids.mem q pb)))
+              in_s_pids
+          end)
+        touched
+    done;
+    List.rev !failures
+
+  let claims ~n ~all_run ~s_run ~upsets =
+    let failures = ref [] in
+    let fail claim round detail = failures := { Claims.claim; round; detail } :: !failures in
+    let s = s_run.S_run.s in
+    let in_s up = Ids.subset up s in
+    let total = min (All_run.num_rounds all_run) (S_run.num_rounds s_run) in
+    for r = 1 to total do
+      let all_round = All_run.round all_run r in
+      let s_round = S_run.round s_run r in
+      let up_prev pid = Upsets.of_process upsets ~r:(r - 1) ~pid in
+      for pid = 0 to n - 1 do
+        if in_s (up_prev pid) then begin
+          let ta = (Round.obs all_round pid).Round.tosses
+          and ts = (Round.obs s_round pid).Round.tosses in
+          if ta <> ts then
+            fail "A.1" r (Printf.sprintf "p%d tosses: %d (All) vs %d (S)" pid ta ts)
+        end
+      done;
+      for pid = 0 to n - 1 do
+        let ea = Round.event_of all_round pid and es = Round.event_of s_round pid in
+        if not (in_s (up_prev pid)) then begin
+          match es with
+          | Some _ ->
+            fail "A.2(1)" r (Printf.sprintf "p%d stepped in (S,A)-run despite UP ⊄ S" pid)
+          | None -> ()
+        end
+        else
+          match ea, es with
+          | None, Some _ ->
+            fail "A.2(2)" r
+              (Printf.sprintf "p%d idle in (All,A)-run but stepped in (S,A)-run" pid)
+          | Some a, Some b ->
+            if not (Op.equal_invocation a.Round.invocation b.Round.invocation) then
+              fail "A.2(3)" r
+                (Format.asprintf "p%d operations differ: %a vs %a" pid Op.pp_invocation
+                   a.Round.invocation Op.pp_invocation b.Round.invocation)
+          | (None | Some _), None -> ()
+      done;
+      let g2 = Move_spec.procs all_round.Round.move_spec in
+      List.iter
+        (fun p ->
+          if not (List.mem p g2) then
+            fail "A.3" r (Printf.sprintf "p%d moves in (S,A)-run but not in (All,A)-run" p))
+        (Move_spec.procs s_round.Round.move_spec);
+      let touched =
+        List.sort_uniq Int.compare
+          (List.concat_map
+             (fun (round : 'a Round.t) ->
+               List.concat_map (fun e -> Op.registers e.Round.invocation) round.Round.events)
+             [ all_round; s_round ])
+      in
+      List.iter
+        (fun reg ->
+          let up_r = Upsets.of_register upsets ~r ~reg in
+          let up_r_prev = Upsets.of_register upsets ~r:(r - 1) ~reg in
+          (match Round.successful_sc all_round ~reg with
+          | Some winner ->
+            if not (Ids.subset up_r_prev up_r) then
+              fail "A.4" r
+                (Format.asprintf "R%d: UP(R, r-1) = %a ⊄ UP(R, r) = %a" reg Ids.pp up_r_prev
+                   Ids.pp up_r);
+            if in_s up_r then begin
+              match Round.successful_sc s_round ~reg with
+              | Some winner' when winner' = winner -> ()
+              | Some winner' ->
+                fail "A.6" r
+                  (Printf.sprintf "R%d: winner p%d (All) vs p%d (S)" reg winner winner')
+              | None ->
+                fail "A.6" r
+                  (Printf.sprintf "R%d: p%d's SC succeeds only in (All,A)-run" reg winner)
+            end
+          | None ->
+            if in_s up_r then begin
+              match Round.successful_sc s_round ~reg with
+              | Some winner ->
+                fail "A.9" r
+                  (Printf.sprintf "R%d: p%d's SC succeeds only in (S,A)-run" reg winner)
+              | None -> ()
+            end);
+          List.iter
+            (fun e ->
+              match e.Round.invocation with
+              | Op.Sc (reg', _) when reg' = reg ->
+                if in_s (Upsets.of_process upsets ~r ~pid:e.Round.pid) && not (in_s up_r) then
+                  fail "A.5" r
+                    (Format.asprintf "R%d: p%d SCs with UP(p) ⊆ S but UP(R, r) = %a ⊄ S" reg
+                       e.Round.pid Ids.pp up_r)
+              | _ -> ())
+            all_round.Round.events)
+        touched
+    done;
+    List.rev !failures
+
+  (* The UP-set rules, one register scan per affected register. *)
+  type layer = { procs : Ids.t array; regs : (int, Ids.t) Hashtbl.t }
+
+  let reg_up layer reg = Option.value ~default:Ids.empty (Hashtbl.find_opt layer.regs reg)
+
+  let step prev (round : 'a Round.t) =
+    let sm = Source_movers.eval round.Round.move_spec round.Round.sigma in
+    let moved_into reg = Source_movers.movers_len sm reg > 0 in
+    let move_knowledge reg =
+      let source = Source_movers.source sm reg in
+      List.fold_left
+        (fun acc q -> Ids.union acc prev.procs.(q))
+        (reg_up prev source)
+        (Source_movers.movers sm reg)
+    in
+    let regs = Hashtbl.copy prev.regs in
+    let affected =
+      List.sort_uniq Int.compare
+        (List.concat_map
+           (fun e ->
+             match e.Round.invocation with Op.Fence -> [] | inv -> [ Op.target inv ])
+           round.Round.events)
+    in
+    List.iter
+      (fun reg ->
+        match Round.successful_sc round ~reg with
+        | Some p -> Hashtbl.replace regs reg prev.procs.(p)
+        | None -> (
+          match List.rev (Round.swappers round ~reg) with
+          | last :: _ -> Hashtbl.replace regs reg prev.procs.(last)
+          | [] -> if moved_into reg then Hashtbl.replace regs reg (move_knowledge reg)))
+      affected;
+    let next = { procs = Array.copy prev.procs; regs } in
+    Array.iteri
+      (fun p up ->
+        match Round.event_of round p with
+        | None -> ()
+        | Some e ->
+          let joined =
+            match e.Round.invocation, e.Round.response with
+            | (Op.Ll reg | Op.Validate reg), _ -> Ids.union up (reg_up prev reg)
+            | Op.Move _, _ -> up
+            | Op.Swap (reg, _), _ -> (
+              match Round.swappers round ~reg with
+              | first :: _ when first = p ->
+                if moved_into reg then Ids.union up (move_knowledge reg)
+                else Ids.union up (reg_up prev reg)
+              | swappers ->
+                let rec previous = function
+                  | q :: r :: _ when r = p -> q
+                  | _ :: rest -> previous rest
+                  | [] -> assert false
+                in
+                Ids.union up prev.procs.(previous swappers))
+            | Op.Sc (reg, _), Op.Flagged (true, _) -> Ids.union up (reg_up prev reg)
+            | Op.Sc (reg, _), Op.Flagged (false, _) -> Ids.union up (reg_up next reg)
+            | Op.Sc _, (Op.Value _ | Op.Ack) -> assert false
+            | (Op.Write _ | Op.Fence), _ -> up
+          in
+          next.procs.(p) <- joined)
+      prev.procs;
+    next
+
+  let layers ~n rounds =
+    let layer0 = { procs = Array.init n Ids.singleton; regs = Hashtbl.create 16 } in
+    List.rev
+      (List.fold_left (fun acc round -> step (List.hd acc) round :: acc) [ layer0 ] rounds)
+end
+
+let equivalence_entries =
+  [ Corpus.naive; Corpus.post_collect; Corpus.move_collect; Corpus.tree_collect;
+    Corpus.two_counter; Corpus.backoff_collect; Corpus.log_wakeup ]
+  @ Corpus.cheaters ~n_hint:16
+
+(* A fault planted in one round of an (S, A)-run. *)
+type perturbation =
+  | Unperturbed
+  | Toss of int * int  (** round, pid: one extra coin toss. *)
+  | Reg_value of int * int  (** round, register: a different value. *)
+  | Pset_bit of int * int * int  (** round, register, pid: one Pset bit flipped. *)
+  | Drop_event of int * int  (** round, event: the event removed. *)
+  | Drop_reg of int * int  (** round, register: missing from the snapshot. *)
+
+let pp_perturbation = function
+  | Unperturbed -> "unperturbed"
+  | Toss (r, p) -> Printf.sprintf "toss(round#%d, pid#%d)" r p
+  | Reg_value (r, g) -> Printf.sprintf "value(round#%d, reg#%d)" r g
+  | Pset_bit (r, g, q) -> Printf.sprintf "pset(round#%d, reg#%d, pid#%d)" r g q
+  | Drop_event (r, e) -> Printf.sprintf "drop(round#%d, event#%d)" r e
+  | Drop_reg (r, g) -> Printf.sprintf "drop(round#%d, reg#%d)" r g
+
+(* Selectors are taken modulo the available choices; a round with nothing to
+   perturb is left as it is. *)
+let perturb ~n (rounds : int Round.t list) perturbation =
+  let remake (rd : int Round.t) ?(events = rd.Round.events) ?(procs = rd.Round.procs)
+      ?(regs = rd.Round.regs) () =
+    Round.make ~index:rd.Round.index ~participants:rd.Round.participants ~events
+      ~move_spec:rd.Round.move_spec ~sigma:rd.Round.sigma ~procs ~regs
+  in
+  let map_nth l k f = List.mapi (fun i x -> if i = k then f x else x) l in
+  let at_round r f =
+    match rounds with [] -> [] | _ -> map_nth rounds (r mod List.length rounds) f
+  in
+  let at_reg (rd : int Round.t) g f =
+    match rd.Round.regs with
+    | [] -> rd
+    | regs -> remake rd ~regs:(map_nth regs (g mod List.length regs) f) ()
+  in
+  match perturbation with
+  | Unperturbed -> rounds
+  | Toss (r, p) ->
+    at_round r (fun rd ->
+        let procs = Array.copy rd.Round.procs in
+        let obs = procs.(p mod n) in
+        procs.(p mod n) <- { obs with Round.tosses = obs.Round.tosses + 1 };
+        remake rd ~procs ())
+  | Reg_value (r, g) ->
+    at_round r (fun rd ->
+        at_reg rd g (fun (reg, (v, pset)) -> (reg, (Value.Pair (v, Value.Unit), pset))))
+  | Pset_bit (r, g, q) ->
+    let q = q mod n in
+    at_round r (fun rd ->
+        at_reg rd g (fun (reg, (v, pset)) ->
+            (reg, (v, if Ids.mem q pset then Ids.remove q pset else Ids.add q pset))))
+  | Drop_event (r, e) ->
+    at_round r (fun rd ->
+        match rd.Round.events with
+        | [] -> rd
+        | events ->
+          let k = e mod List.length events in
+          remake rd ~events:(List.filteri (fun i _ -> i <> k) events) ())
+  | Drop_reg (r, g) ->
+    at_round r (fun rd ->
+        match rd.Round.regs with
+        | [] -> rd
+        | regs ->
+          let k = g mod List.length regs in
+          remake rd ~regs:(List.filteri (fun i _ -> i <> k) regs) ())
+
+let gen_equivalence_case =
+  let open QCheck.Gen in
+  let sel = int_bound 1_000 in
+  let perturbation =
+    oneof
+      [
+        return Unperturbed;
+        map2 (fun r p -> Toss (r, p)) sel sel;
+        map2 (fun r g -> Reg_value (r, g)) sel sel;
+        map3 (fun r g q -> Pset_bit (r, g, q)) sel sel sel;
+        map2 (fun r e -> Drop_event (r, e)) sel sel;
+        map2 (fun r g -> Drop_reg (r, g)) sel sel;
+      ]
+  in
+  map
+    (fun ((entry, n, seed), (subset, perturbation, on_all)) ->
+      (entry, n, seed, subset, perturbation, on_all))
+    (pair
+       (triple (int_bound (List.length equivalence_entries - 1)) (int_range 2 16) (int_bound 50))
+       (triple (int_bound 16) perturbation (frequency [ (4, return false); (1, return true) ])))
+
+let prop_checks_match_reference =
+  let print (entry, n, seed, subset, p, on_all) =
+    Printf.sprintf "%s n=%d seed=%d subset#%d %s in the %s-run"
+      (List.nth equivalence_entries entry).Corpus.name n seed subset (pp_perturbation p)
+      (if on_all then "All" else "S")
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:200 ~name:"Lemma 5.2 and claim checks = list-scanning reference"
+       (QCheck.make ~print gen_equivalence_case)
+       (fun (entry, n, seed, subset, perturbation, on_all) ->
+         let entry = List.nth equivalence_entries entry in
+         let program_of, inits = entry.Corpus.make ~n in
+         let assignment = Coin.uniform ~seed in
+         let all_run =
+           All_run.execute ~n ~program_of ~assignment ~inits ~max_rounds:2_000 ()
+         in
+         let upsets = Upsets.compute ~n all_run.All_run.rounds in
+         (* The subsets E4 uses: everyone, or one process's winner-style
+            UP(p, r). *)
+         let s =
+           if subset = 0 then Ids.range n
+           else
+             let pid = subset mod n in
+             let r = min (All_run.ops_of all_run ~pid) (All_run.num_rounds all_run) in
+             Upsets.of_process upsets ~r ~pid
+         in
+         let s_run =
+           S_run.execute ~n ~program_of ~assignment ~inits ~s ~all_run ~upsets ()
+         in
+         (* Mostly the S-run is perturbed; a perturbed (All, A)-run covers
+            registers only the S-run touched. *)
+         let all_run, s_run =
+           if on_all then
+             ( { all_run with All_run.rounds = perturb ~n all_run.All_run.rounds perturbation },
+               s_run )
+           else (all_run, { s_run with S_run.rounds = perturb ~n s_run.S_run.rounds perturbation })
+         in
+         Indistinguishability.check ~n ~all_run ~s_run ~upsets
+         = Ref_check.indist ~n ~all_run ~s_run ~upsets
+         && Claims.check ~n ~all_run ~s_run ~upsets = Ref_check.claims ~n ~all_run ~s_run ~upsets))
+
+(* Every process swaps R0 in round 1: each joins the previous swapper's
+   knowledge, a chain no corpus entry builds. *)
+let swap_pile =
+  {
+    Corpus.naive with
+    Corpus.name = "swap-pile";
+    make =
+      (fun ~n:_ ->
+        ( (fun pid ->
+            let* old = Program.swap 0 (Value.Int pid) in
+            let* _ = Program.ll 0 in
+            Program.return (Value.to_int old)),
+          [ (0, Value.Int (-1)) ] ));
+  }
+
+let test_upsets_match_reference () =
+  List.iter
+    (fun (entry : Corpus.entry) ->
+      List.iter
+        (fun n ->
+          let program_of, inits = entry.Corpus.make ~n in
+          let run =
+            All_run.execute ~n ~program_of ~assignment:(Coin.uniform ~seed:3) ~inits
+              ~max_rounds:2_000 ()
+          in
+          let up = Upsets.compute ~n run.All_run.rounds in
+          let regs =
+            List.sort_uniq Int.compare
+              (List.concat_map
+                 (fun (rd : int Round.t) -> List.map fst rd.Round.regs)
+                 run.All_run.rounds)
+          in
+          List.iteri
+            (fun r (layer : Ref_check.layer) ->
+              let label what = Printf.sprintf "%s n=%d r=%d %s" entry.Corpus.name n r what in
+              Array.iteri
+                (fun pid expected ->
+                  Alcotest.check ids (label (Printf.sprintf "UP(p%d)" pid)) expected
+                    (Upsets.of_process up ~r ~pid))
+                layer.Ref_check.procs;
+              List.iter
+                (fun reg ->
+                  Alcotest.check ids (label (Printf.sprintf "UP(R%d)" reg))
+                    (Ref_check.reg_up layer reg) (Upsets.of_register up ~r ~reg))
+                regs)
+            (Ref_check.layers ~n run.All_run.rounds))
+        [ 2; 5; 9 ])
+    (swap_pile :: equivalence_entries)
+
+(* ---- the round record's invariants ---- *)
+
+let test_round_invariants () =
+  (* The merge walk of the Lemma 5.2 check needs strictly ascending
+     register snapshots; [obs] and [event_of] need per-pid indexing. *)
+  let rec ascending = function
+    | (a, _) :: ((b, _) :: _ as rest) -> a < b && ascending rest
+    | [ _ ] | [] -> true
+  in
+  List.iter
+    (fun (entry : Corpus.entry) ->
+      List.iter
+        (fun n ->
+          let program_of, inits = entry.Corpus.make ~n in
+          let run = All_run.execute ~n ~program_of ~inits ~max_rounds:2_000 () in
+          let upsets = Upsets.compute ~n run.All_run.rounds in
+          let s = Upsets.of_process upsets ~r:(min 2 (All_run.num_rounds run)) ~pid:0 in
+          let s_run = S_run.execute ~n ~program_of ~inits ~s ~all_run:run ~upsets () in
+          List.iter
+            (fun (rd : int Round.t) ->
+              let label what =
+                Printf.sprintf "%s n=%d round %d: %s" entry.Corpus.name n rd.Round.index what
+              in
+              Alcotest.(check bool)
+                (label "regs strictly ascending")
+                true (ascending rd.Round.regs);
+              Alcotest.(check int) (label "one obs per pid") n (Array.length rd.Round.procs);
+              let stepped =
+                List.filter (fun pid -> Round.event_of rd pid <> None) (List.init n Fun.id)
+              in
+              Alcotest.(check int)
+                (label "one event per stepping pid")
+                (List.length rd.Round.events) (List.length stepped);
+              List.iter
+                (fun (e : Round.event) ->
+                  Alcotest.(check bool) (label "event_of finds the event") true
+                    (match Round.event_of rd e.Round.pid with Some e' -> e' == e | None -> false))
+                rd.Round.events;
+              List.iter
+                (fun (reg, evs) ->
+                  Alcotest.(check (option int)) (label "group winner") (Round.successful_sc rd ~reg)
+                    (Round.sc_winner evs);
+                  Alcotest.(check (list int)) (label "group swappers") (Round.swappers rd ~reg)
+                    (Round.swappers_in evs))
+                (Round.by_register rd))
+            (run.All_run.rounds @ s_run.S_run.rounds))
+        [ 3; 8 ])
+    equivalence_entries
+
+(* ---- a deterministic memory gate for the adversary's round records ---- *)
+
+(* [Obj.reachable_words] of the (All, A)-run's rounds for fetch&inc via
+   adt-tree at n = 64, as measured (OCaml 5.1, 64-bit) when every round
+   stored its processes as an association list and every descriptor set
+   re-encoded all of its descriptors. *)
+let rounds_words_unshared = 469_323
+
+let test_rounds_memory_gate () =
+  let n = 64 in
+  let entry = Option.get (Corpus.find "fetch&inc via adt-tree") in
+  let program_of, inits = entry.Corpus.make ~n in
+  let run = All_run.execute ~n ~program_of ~inits ~max_rounds:40_000 () in
+  let words = Obj.reachable_words (Obj.repr run.All_run.rounds) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d words, at most half of %d" words rounds_words_unshared)
+    true
+    (2 * words <= rounds_words_unshared)
+
 let suite =
   [
     Alcotest.test_case "all-run phases" `Quick test_all_run_phases;
@@ -442,4 +926,8 @@ let suite =
     Alcotest.test_case "UP rule: register unchanged" `Quick test_up_register_unchanged_rule;
     Alcotest.test_case "UP rule: first swap after move" `Quick
       test_up_first_swap_after_move_rule;
+    prop_checks_match_reference;
+    Alcotest.test_case "UP sets = per-register-scan reference" `Quick test_upsets_match_reference;
+    Alcotest.test_case "round invariants" `Quick test_round_invariants;
+    Alcotest.test_case "round records memory gate" `Quick test_rounds_memory_gate;
   ]

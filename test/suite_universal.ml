@@ -35,9 +35,8 @@ let test_dset_union () =
 
 let test_root_absorb () =
   let spec = Counters.fetch_inc ~bits:62 in
-  let root = Codec.Root.decode (Codec.Root.initial spec.Spec.init) in
   let batch = [ desc 1 0 Value.Unit; desc 0 0 Value.Unit ] in
-  let root = Codec.Root.absorb spec root batch in
+  let root = Codec.Root.decode (Codec.Root.update spec (Codec.Root.initial spec.Spec.init) batch) in
   (* Applied in key order: p0 first. *)
   Alcotest.check value "p0 response" (Value.Int 0)
     (Option.get (Codec.Root.find_response root ~key:(0, 0)));
@@ -45,7 +44,7 @@ let test_root_absorb () =
     (Option.get (Codec.Root.find_response root ~key:(1, 0)));
   Alcotest.check value "state" (Value.Int 2) root.Codec.Root.state;
   (* Re-absorbing the same batch is a no-op. *)
-  let root' = Codec.Root.absorb spec root batch in
+  let root' = Codec.Root.decode (Codec.Root.update spec (Codec.Root.encode root) batch) in
   Alcotest.check value "idempotent state" (Value.Int 2) root'.Codec.Root.state;
   Alcotest.(check bool) "is_done" true (Codec.Root.is_done root' ~key:(1, 0));
   (* Encoding round-trips. *)
@@ -141,17 +140,104 @@ let prop_absorb_batch_order_irrelevant =
        (fun (descs, seed) ->
          (* Make ops valid for a swap object (any value is a legal op). *)
          let spec = Misc_types.swap_object ~init:(Value.Int 0) in
-         let root = Codec.Root.decode (Codec.Root.initial spec.Spec.init) in
+         let root = Codec.Root.initial spec.Spec.init in
          let shuffled =
            let st = Random.State.make [| seed |] in
            List.map (fun d -> (Random.State.bits st, d)) descs
            |> List.sort compare |> List.map snd
          in
-         let a = Codec.Root.absorb spec root descs in
-         let b = Codec.Root.absorb spec root shuffled in
-         let idempotent = Codec.Root.absorb spec a descs in
-         Value.equal (Codec.Root.encode a) (Codec.Root.encode b)
-         && Value.equal (Codec.Root.encode a) (Codec.Root.encode idempotent)))
+         let a = Codec.Root.update spec root descs in
+         let b = Codec.Root.update spec root shuffled in
+         let idempotent = Codec.Root.update spec a descs in
+         Value.equal a b && Value.equal a idempotent))
+
+(* Reference implementations of the codec operations before descriptor
+   sets shared their encodings: [union] decodes both sets, merges, and
+   re-encodes every descriptor; [absorb] checks and inserts one descriptor
+   at a time.  The merges that replaced them must agree exactly. *)
+module Ref_codec = struct
+  let rec merge xs ys =
+    match xs, ys with
+    | [], rest | rest, [] -> rest
+    | x :: xs', y :: ys' ->
+      let c = Codec.Desc.compare x y in
+      if c < 0 then x :: merge xs' ys
+      else if c > 0 then y :: merge xs ys'
+      else x :: merge xs' ys'
+
+  let union a b =
+    Value.List
+      (List.map Codec.Desc.encode (merge (Codec.Dset.decode a) (Codec.Dset.decode b)))
+
+  let add a d = union a (Codec.Dset.singleton d)
+
+  let insert_response responses key resp =
+    let rec go = function
+      | [] -> [ (key, resp) ]
+      | ((k, _) as entry) :: rest ->
+        if compare key k < 0 then (key, resp) :: entry :: rest else entry :: go rest
+    in
+    go responses
+
+  let absorb spec (t : Codec.Root.t) descs =
+    List.fold_left
+      (fun (t : Codec.Root.t) (d : Codec.Desc.t) ->
+        let key = Codec.Desc.key d in
+        if List.mem_assoc key t.Codec.Root.responses then t
+        else
+          let state', response = spec.Spec.apply t.Codec.Root.state d.Codec.Desc.op in
+          {
+            Codec.Root.state = state';
+            responses = insert_response t.Codec.Root.responses key response;
+          })
+      t
+      (List.sort Codec.Desc.compare descs)
+end
+
+(* Small key ranges so that sets overlap; ops are arbitrary, so one key can
+   carry different ops in different sets (the merges must keep the same
+   one the reference keeps). *)
+let arb_overlapping_desc =
+  QCheck.map
+    (fun (d : Codec.Desc.t) ->
+      { d with Codec.Desc.pid = d.Codec.Desc.pid mod 6; seq = d.Codec.Desc.seq mod 3 })
+    arb_desc
+
+let prop_dset_matches_reference =
+  let descs = QCheck.list_of_size (QCheck.Gen.int_range 0 10) arb_overlapping_desc in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:300 ~name:"dset union/add = decode-merge-encode reference"
+       QCheck.(triple descs descs arb_overlapping_desc)
+       (fun (xs, ys, d) ->
+         let enc = List.fold_left Ref_codec.add Codec.Dset.empty in
+         let a = enc xs and b = enc ys in
+         Value.equal (Codec.Dset.union a b) (Ref_codec.union a b)
+         && Value.equal (Codec.Dset.union b a) (Ref_codec.union b a)
+         && Value.equal (Codec.Dset.add a d) (Ref_codec.add a d)
+         && Value.equal (List.fold_left Codec.Dset.add Codec.Dset.empty xs) a))
+
+let prop_root_matches_reference =
+  let responses =
+    QCheck.list_of_size (QCheck.Gen.int_range 0 10)
+      (QCheck.pair arb_overlapping_desc QCheck.small_nat)
+  in
+  let descs = QCheck.list_of_size (QCheck.Gen.int_range 0 10) arb_overlapping_desc in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:300 ~name:"root update = insert-based absorb reference"
+       QCheck.(triple responses descs small_nat)
+       (fun (answered, descs, state) ->
+         let spec = Misc_types.swap_object ~init:(Value.Int 0) in
+         (* A sorted, key-unique response map, as every record holds. *)
+         let responses =
+           List.map (fun ((d : Codec.Desc.t), r) -> (Codec.Desc.key d, Value.Int r)) answered
+           |> List.sort_uniq (fun (a, _) (b, _) -> compare a b)
+         in
+         let t = { Codec.Root.state = Value.Int state; responses } in
+         let expected = Codec.Root.encode (Ref_codec.absorb spec t descs) in
+         let v = Codec.Root.encode t in
+         let updated = Codec.Root.update spec v descs in
+         Value.equal updated expected
+         && (snd (Value.to_pair updated) == snd (Value.to_pair v)) = Value.equal expected v))
 
 (* ---- generic construction correctness ---- *)
 
@@ -486,6 +572,8 @@ let suite =
     prop_desc_roundtrip;
     prop_dset_union_laws;
     prop_absorb_batch_order_irrelevant;
+    prop_dset_matches_reference;
+    prop_root_matches_reference;
     Alcotest.test_case "counter correctness" `Slow test_counter_correctness;
     Alcotest.test_case "cost never exceeds prediction" `Slow test_cost_never_exceeds_prediction;
     Alcotest.test_case "adt solo cost exact" `Quick test_adt_cost_exact_when_solo;

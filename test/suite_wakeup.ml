@@ -183,8 +183,8 @@ let test_randomized_actually_tosses () =
     All_run.execute ~n:4 ~program_of ~assignment:(Coin.uniform ~seed:5) ~inits ~max_rounds:1_000 ()
   in
   let final = List.nth run.All_run.rounds (All_run.num_rounds run - 1) in
-  List.iter
-    (fun (pid, obs) ->
+  Array.iteri
+    (fun pid obs ->
       Alcotest.(check bool) (Printf.sprintf "p%d tossed" pid) true (obs.Round.tosses >= 1))
     final.Round.procs
 
