@@ -197,6 +197,8 @@ let is_zero v = Array.for_all (fun l -> l = 0) v.limbs
 
 let equal a b = a.width = b.width && a.limbs = b.limbs
 
+let hash v = Hashtbl.hash (Array.fold_left (fun h l -> (h * 65599) + l) v.width v.limbs)
+
 let compare a b =
   let c = Stdlib.compare a.width b.width in
   if c <> 0 then c

@@ -96,6 +96,9 @@ val equal : t -> t -> bool
 val compare : t -> t -> int
 (** Total order: first by width, then by value. *)
 
+val hash : t -> int
+(** A hash over the width and every limb, agreeing with {!equal}. *)
+
 val pp : Format.formatter -> t -> unit
 (** Hexadecimal rendering, most significant digit first, e.g. [0x1f/8] for a
     width-8 vector holding 31. *)

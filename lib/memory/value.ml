@@ -42,6 +42,21 @@ let rec compare a b =
   | (Unit | Bool _ | Int _ | Str _ | Pair _ | List _ | Bits _), _ ->
     Int.compare (rank a) (rank b)
 
+(* Each node folds its constructor tag, then its contents, into the
+   accumulator; a list also folds an end tag, so nesting shows in the hash. *)
+let rec hash_fold h v =
+  let mix h x = (h * 65599) + x in
+  match v with
+  | Unit -> mix h 1
+  | Bool b -> mix h (if b then 3 else 2)
+  | Int n -> mix (mix h 4) n
+  | Str s -> mix (mix h 5) (Hashtbl.hash s)
+  | Pair (a, b) -> hash_fold (hash_fold (mix h 6) a) b
+  | List vs -> mix (List.fold_left hash_fold (mix h 7) vs) 8
+  | Bits b -> mix (mix h 9) (Bitvec.hash b)
+
+let hash v = Hashtbl.hash (hash_fold 0 v)
+
 let rec pp ppf = function
   | Unit -> Format.pp_print_string ppf "()"
   | Bool b -> Format.pp_print_bool ppf b

@@ -18,6 +18,12 @@ type t =
 val equal : t -> t -> bool
 val compare : t -> t -> int
 
+val hash : t -> int
+(** A hash over the whole structure (every node, every string byte, every
+    bit-vector limb) that agrees with {!equal}.  [Hashtbl.hash] is not a
+    substitute: it stops after ten meaningful words, so large states that
+    differ deep inside would all collide. *)
+
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 

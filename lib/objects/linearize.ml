@@ -17,105 +17,134 @@ type verdict =
 
 exception Out_of_budget
 
+(* Op [i] of a taken set is bit [i mod word_bits] of word [i / word_bits]. *)
+let word_bits = Sys.int_size
+
 (* Wing–Gong DFS over one history.  Returns the witness or None; raises
    [Out_of_budget] when more than [max_states] distinct search nodes were
    expanded.  Memoization is on failure: a (taken-set, abstract-state) pair
-   that already failed to extend to a full witness order never will. *)
+   that already failed to extend to a full witness order never will.  The
+   state is interned by [Value.equal]: equal states are exactly those with
+   the same printed form (tested). *)
 let solve ~max_states (spec : Spec.t) (history : History.t) =
+  (* The state-interning and memo tables.  The functors are applied here,
+     not at the top level: applied when the module loads, they raised the
+     peak RSS of a workload that never calls the checker by 6%, through GC
+     pacing alone (docs/PERFORMANCE.md, section 6). *)
+  let module States = Hashtbl.Make (struct
+    type t = Value.t
+
+    let equal = Value.equal
+    let hash = Value.hash
+  end) in
+  let module Keys = Hashtbl.Make (struct
+    type t = int array
+
+    let equal (a : t) b = a = b
+    let hash (a : t) = Hashtbl.hash (Array.fold_left (fun h w -> (h * 65599) + w) 0 a)
+  end) in
   let ops = Array.of_list history in
   let nops = Array.length ops in
+  let words = (nops + word_bits - 1) / word_bits in
+  let indices keep = List.filter keep (List.init nops Fun.id) |> Array.of_list in
   let is_completed i =
     match ops.(i).History.outcome with History.Completed _ -> true | History.Pending -> false
   in
-  let response_of i =
-    match ops.(i).History.outcome with
-    | History.Completed { response; _ } -> Some response
-    | History.Pending -> None
+  let completed = indices is_completed in
+  let pending = indices (fun i -> not (is_completed i)) in
+  let num_completed = Array.length completed in
+  (* [preds.(i)]: the completed ops, other than [i], that responded before
+     [i] was invoked.  An untaken op is enabled when all of them are taken
+     (Wing–Gong minimality: the candidate is minimal in the real-time
+     precedence order).  Pending ops never precede anything — they have no
+     response. *)
+  let preds =
+    Array.init nops (fun i ->
+        let inv = ops.(i).History.invoked in
+        let p = Array.make words 0 in
+        Array.iter
+          (fun j ->
+            match ops.(j).History.outcome with
+            | History.Completed { responded; _ } when j <> i && responded < inv ->
+              p.(j / word_bits) <- p.(j / word_bits) lor (1 lsl (j mod word_bits))
+            | History.Completed _ | History.Pending -> ())
+          completed;
+        p)
   in
-  let responded_of i =
-    match ops.(i).History.outcome with
-    | History.Completed { responded; _ } -> Some responded
-    | History.Pending -> None
+  (* [key] holds the taken set in its first [words] words and, at a
+     lookup, the state id in its last; a failed node stores a copy. *)
+  let key = Array.make (words + 1) 0 in
+  let flip i = key.(i / word_bits) <- key.(i / word_bits) lxor (1 lsl (i mod word_bits)) in
+  let taken i = key.(i / word_bits) land (1 lsl (i mod word_bits)) <> 0 in
+  let enabled i =
+    let p = preds.(i) in
+    let rec go w = w = words || (p.(w) land lnot key.(w) = 0 && go (w + 1)) in
+    go 0
   in
-  let num_completed = ref 0 in
-  for i = 0 to nops - 1 do
-    if is_completed i then incr num_completed
-  done;
-  let num_completed = !num_completed in
-  let taken = Array.make nops false in
-  let memo = Hashtbl.create 1024 in
+  (* Both tables start small.  Many searches are short (each [bad_prefix]
+     step is one), and a bucket array over 256 words is allocated straight
+     on the major heap at every call, where it raises peak RSS. *)
+  let ids = States.create 16 in
+  let intern state =
+    match States.find_opt ids state with
+    | Some id -> id
+    | None ->
+      let id = States.length ids in
+      States.add ids state id;
+      id
+  in
+  let memo = Keys.create 16 in
   let states = ref 0 in
   let memo_hits = ref 0 in
-  let key state =
-    let b = Buffer.create (nops + 16) in
-    for i = 0 to nops - 1 do
-      Buffer.add_char b (if taken.(i) then '1' else '0')
-    done;
-    Buffer.add_char b '|';
-    Buffer.add_string b (Value.to_string state);
-    Buffer.contents b
-  in
-  (* An untaken op is enabled when every completed op that responded before
-     its invocation has already been linearized (Wing–Gong minimality: the
-     candidate is minimal in the real-time precedence order).  Pending ops
-     never precede anything — they have no response. *)
-  let enabled i =
-    let inv = ops.(i).History.invoked in
-    let ok = ref true in
-    for j = 0 to nops - 1 do
-      if !ok && not taken.(j) && j <> i then
-        match responded_of j with
-        | Some r when r < inv -> ok := false
-        | Some _ | None -> ()
-    done;
-    !ok
-  in
   let rec search state taken_completed =
     if taken_completed = num_completed then Some []
     else begin
-      let k = key state in
-      if Hashtbl.mem memo k then begin
+      let id = intern state in
+      key.(words) <- id;
+      if Keys.mem memo key then begin
         incr memo_hits;
         None
       end
       else begin
         incr states;
         if !states > max_states then raise Out_of_budget;
-        let result = ref None in
         let try_candidate i =
-          if !result = None && not taken.(i) && enabled i then begin
+          if taken i || not (enabled i) then None
+          else begin
             let o = ops.(i) in
             let state', resp = spec.Spec.apply state o.History.op in
             let accept, was_pending =
-              match response_of i with
-              | Some recorded -> (Value.equal recorded resp, false)
-              | None -> (true, true)
+              match o.History.outcome with
+              | History.Completed { response; _ } -> (Value.equal response resp, false)
+              | History.Pending -> (true, true)
             in
-            if accept then begin
-              taken.(i) <- true;
+            if not accept then None
+            else begin
+              flip i;
               let taken_completed' = if was_pending then taken_completed else taken_completed + 1 in
-              (match search state' taken_completed' with
-              | Some rest ->
-                result :=
-                  Some
-                    ({ pid = o.History.pid; seq = o.History.seq; op = o.History.op;
-                       response = resp; was_pending }
-                    :: rest)
-              | None -> ());
-              taken.(i) <- false
+              let rest = search state' taken_completed' in
+              flip i;
+              Option.map
+                (fun rest ->
+                  { pid = o.History.pid; seq = o.History.seq; op = o.History.op;
+                    response = resp; was_pending }
+                  :: rest)
+                rest
             end
           end
         in
+        let rec first cands k =
+          if k = Array.length cands then None
+          else match try_candidate cands.(k) with Some _ as r -> r | None -> first cands (k + 1)
+        in
         (* Completed candidates first: they shrink the goal directly, so the
            DFS converges without speculating on optional pending effects. *)
-        for i = 0 to nops - 1 do
-          if is_completed i then try_candidate i
-        done;
-        for i = 0 to nops - 1 do
-          if not (is_completed i) then try_candidate i
-        done;
-        if !result = None then Hashtbl.add memo k ();
-        !result
+        let result = match first completed 0 with Some _ as r -> r | None -> first pending 0 in
+        if Option.is_none result then begin
+          key.(words) <- id;
+          Keys.add memo (Array.copy key) ()
+        end;
+        result
       end
     end
   in

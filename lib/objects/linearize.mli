@@ -6,10 +6,11 @@
     the specification reproduces its recorded response; a pending operation
     (no response — a give-up, crash, or restart ghost) can be linearized
     next with whatever response the specification produces, or left out
-    entirely.  Search nodes are memoized on (taken set, canonical abstract
-    state) — the state is a single {!Lb_memory.Value.t}, canonicalized by
-    its printed form, the same dedup-key discipline as
-    [Lb_check.Pure_memory.canonical].
+    entirely.  Search nodes are memoized on (taken set, abstract state):
+    the taken set is a bitset packed [Sys.int_size] ops to a word, and the
+    state, a single {!Lb_memory.Value.t}, is interned by
+    {!Lb_memory.Value.equal}, which is equivalent to the printed form
+    (tested).
 
     The verdict is either a witness order, a {e certified} violation
     (with the length of the shortest violating response-prefix), or an

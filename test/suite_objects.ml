@@ -318,6 +318,358 @@ let prop_atomic_histories_linearizable =
          in
          Linearize.is_linearizable spec entries))
 
+(* ---- the checker against its former self ---- *)
+
+(* The string-keyed checker the bitset/interned-state one replaced, copied
+   verbatim: the reference for the equality properties below. *)
+module Reference = struct
+  open Linearize
+
+  exception Out_of_budget
+
+  (* Wing–Gong DFS over one history.  Returns the witness or None; raises
+     [Out_of_budget] when more than [max_states] distinct search nodes were
+     expanded.  Memoization is on failure: a (taken-set, abstract-state) pair
+     that already failed to extend to a full witness order never will. *)
+  let solve ~max_states (spec : Spec.t) (history : History.t) =
+    let ops = Array.of_list history in
+    let nops = Array.length ops in
+    let is_completed i =
+      match ops.(i).History.outcome with History.Completed _ -> true | History.Pending -> false
+    in
+    let response_of i =
+      match ops.(i).History.outcome with
+      | History.Completed { response; _ } -> Some response
+      | History.Pending -> None
+    in
+    let responded_of i =
+      match ops.(i).History.outcome with
+      | History.Completed { responded; _ } -> Some responded
+      | History.Pending -> None
+    in
+    let num_completed = ref 0 in
+    for i = 0 to nops - 1 do
+      if is_completed i then incr num_completed
+    done;
+    let num_completed = !num_completed in
+    let taken = Array.make nops false in
+    let memo = Hashtbl.create 1024 in
+    let states = ref 0 in
+    let memo_hits = ref 0 in
+    let key state =
+      let b = Buffer.create (nops + 16) in
+      for i = 0 to nops - 1 do
+        Buffer.add_char b (if taken.(i) then '1' else '0')
+      done;
+      Buffer.add_char b '|';
+      Buffer.add_string b (Value.to_string state);
+      Buffer.contents b
+    in
+    (* An untaken op is enabled when every completed op that responded before
+       its invocation has already been linearized (Wing–Gong minimality: the
+       candidate is minimal in the real-time precedence order).  Pending ops
+       never precede anything — they have no response. *)
+    let enabled i =
+      let inv = ops.(i).History.invoked in
+      let ok = ref true in
+      for j = 0 to nops - 1 do
+        if !ok && not taken.(j) && j <> i then
+          match responded_of j with
+          | Some r when r < inv -> ok := false
+          | Some _ | None -> ()
+      done;
+      !ok
+    in
+    let rec search state taken_completed =
+      if taken_completed = num_completed then Some []
+      else begin
+        let k = key state in
+        if Hashtbl.mem memo k then begin
+          incr memo_hits;
+          None
+        end
+        else begin
+          incr states;
+          if !states > max_states then raise Out_of_budget;
+          let result = ref None in
+          let try_candidate i =
+            if !result = None && not taken.(i) && enabled i then begin
+              let o = ops.(i) in
+              let state', resp = spec.Spec.apply state o.History.op in
+              let accept, was_pending =
+                match response_of i with
+                | Some recorded -> (Value.equal recorded resp, false)
+                | None -> (true, true)
+              in
+              if accept then begin
+                taken.(i) <- true;
+                let taken_completed' = if was_pending then taken_completed else taken_completed + 1 in
+                (match search state' taken_completed' with
+                | Some rest ->
+                  result :=
+                    Some
+                      ({ pid = o.History.pid; seq = o.History.seq; op = o.History.op;
+                         response = resp; was_pending }
+                      :: rest)
+                | None -> ());
+                taken.(i) <- false
+              end
+            end
+          in
+          (* Completed candidates first: they shrink the goal directly, so the
+             DFS converges without speculating on optional pending effects. *)
+          for i = 0 to nops - 1 do
+            if is_completed i then try_candidate i
+          done;
+          for i = 0 to nops - 1 do
+            if not (is_completed i) then try_candidate i
+          done;
+          if !result = None then Hashtbl.add memo k ();
+          !result
+        end
+      end
+    in
+    let witness = search spec.Spec.init 0 in
+    (witness, { states = !states; memo_hits = !memo_hits }, num_completed)
+
+  (* The minimal violating prefix: order the completed responses r_1 < ... <
+     r_C; the k-th prefix keeps operations completed by r_k, truncates
+     operations invoked before r_k but not yet responded to pending, and drops
+     the rest.  A prefix of a linearizable history is linearizable, so the
+     first failing k certifies exactly where linearizability was lost. *)
+  let prefix_at history r_k =
+    List.filter_map
+      (fun (o : History.op) ->
+        match o.History.outcome with
+        | History.Completed { responded; _ } when responded <= r_k -> Some o
+        | History.Completed _ | History.Pending ->
+          if o.History.invoked < r_k then Some { o with History.outcome = History.Pending }
+          else None)
+      history
+
+  let bad_prefix ~max_states spec history num_completed =
+    let response_times =
+      List.filter_map
+        (fun (o : History.op) ->
+          match o.History.outcome with
+          | History.Completed { responded; _ } -> Some responded
+          | History.Pending -> None)
+        history
+      |> List.sort Int.compare
+    in
+    let rec scan k = function
+      | [] -> num_completed
+      | r :: rest -> (
+        match solve ~max_states spec (prefix_at history r) with
+        | None, _, _ -> k
+        | Some _, _, _ | (exception Out_of_budget) -> scan (k + 1) rest)
+    in
+    scan 1 response_times
+
+  let check ?(max_states = 200_000) (spec : Spec.t) (history : History.t) =
+    match solve ~max_states spec history with
+    | Some witness, stats, _ -> Linearizable { witness; stats }
+    | None, stats, completed ->
+      Not_linearizable
+        { stats; completed; bad_prefix = bad_prefix ~max_states spec history completed }
+    | exception Out_of_budget ->
+      Budget_exhausted { stats = { states = max_states; memo_hits = 0 }; budget = max_states }
+end
+
+let find_ot name =
+  match Schedule_fuzz.find_type name with
+  | Some ot -> ot
+  | None -> Alcotest.failf "object type %s missing" name
+
+let find_construction name =
+  match Conformance.find_construction name with
+  | Some c -> c
+  | None -> Alcotest.failf "construction %s missing" name
+
+(* The history of one seeded fuzz run: the workload and the sampler are both
+   seeded [seed], as in [Schedule_fuzz.check_cell]. *)
+let fuzz_history ~construction ~ot ~plan ~n ~ops ~seed =
+  let result, _ =
+    Schedule_fuzz.execute ~construction ~ot ~plan ~n ~ops ~seed
+      ~scheduler:(Schedule_fuzz.sample_scheduler ~seed) ()
+  in
+  result.Harness.history
+
+(* Give the [k]-th completed op (mod their number) the response of the next
+   completed op whose response differs, when there is one. *)
+let perturb k (history : History.t) =
+  let responses =
+    List.filter_map
+      (fun (o : History.op) ->
+        match o.History.outcome with
+        | History.Completed { response; _ } -> Some response
+        | History.Pending -> None)
+      history
+    |> Array.of_list
+  in
+  let c = Array.length responses in
+  if c < 2 then history
+  else
+    let k = k mod c in
+    let other =
+      List.find_opt
+        (fun j -> not (Value.equal responses.(j) responses.(k)))
+        (List.init (c - 1) (fun d -> (k + 1 + d) mod c))
+    in
+    match other with
+    | None -> history
+    | Some j ->
+      let idx = ref (-1) in
+      List.map
+        (fun (o : History.op) ->
+          match o.History.outcome with
+          | History.Completed c ->
+            incr idx;
+            if !idx = k then
+              { o with History.outcome = History.Completed { c with response = responses.(j) } }
+            else o
+          | History.Pending -> o)
+        history
+
+let pp_verdict_full ppf = function
+  | Linearize.Linearizable { witness; stats } ->
+    Format.fprintf ppf "linearizable states=%d hits=%d witness=[%a]" stats.Linearize.states
+      stats.Linearize.memo_hits
+      (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ";@ ") Linearize.pp_step)
+      witness
+  | Linearize.Not_linearizable { stats; completed; bad_prefix } ->
+    Format.fprintf ppf "violation states=%d hits=%d completed=%d bad_prefix=%d"
+      stats.Linearize.states stats.Linearize.memo_hits completed bad_prefix
+  | Linearize.Budget_exhausted { stats; budget } ->
+    Format.fprintf ppf "budget states=%d hits=%d budget=%d" stats.Linearize.states
+      stats.Linearize.memo_hits budget
+
+(* [None] when the checker and the reference agree, else both verdicts. *)
+let reference_diff ?max_states spec history =
+  let got = Linearize.check ?max_states spec history
+  and want = Reference.check ?max_states spec history in
+  if got = want then None
+  else
+    Some
+      (Format.asprintf "checker:   %a@.reference: %a" pp_verdict_full got pp_verdict_full want)
+
+type lin_case = {
+  construction : string;
+  ot : string;
+  plan : string;
+  n : int;
+  ops : int;
+  seed : int;
+  perturbed : int option;
+  max_states : int option;
+}
+
+let case_plan c =
+  match c.plan with
+  | "crash-stop" -> Fault_plan.crash_stop ~pid:0 ~after:(3 + (c.seed mod 17))
+  | "crash-recover" -> Fault_plan.crash_recover ~pid:1 ~after:(2 + (c.seed mod 13)) ~restart:4
+  | "spurious" -> Fault_plan.spurious_sc_rate 0.3
+  | _ -> Fault_plan.none
+
+let case_history c =
+  let history =
+    fuzz_history ~construction:(find_construction c.construction) ~ot:(find_ot c.ot)
+      ~plan:(case_plan c) ~n:c.n ~ops:c.ops ~seed:c.seed
+  in
+  match c.perturbed with Some k -> perturb k history | None -> history
+
+let print_case c =
+  Printf.sprintf "%s/%s plan=%s n=%d ops=%d seed=%d perturbed=%s max_states=%s" c.construction
+    c.ot c.plan c.n c.ops c.seed
+    (match c.perturbed with Some k -> string_of_int k | None -> "-")
+    (match c.max_states with Some m -> string_of_int m | None -> "default")
+
+let gen_case =
+  QCheck.Gen.(
+    let* construction = oneofl [ "herlihy"; "adt-tree" ] in
+    let* ot = oneofl [ "snapshot"; "queue"; "stack"; "fetch-inc"; "fetch-or"; "cas" ] in
+    let* plan = oneofl [ "none"; "none"; "crash-stop"; "crash-recover"; "spurious" ] in
+    let* n = int_range 2 5 in
+    let* ops = int_range 1 4 in
+    let* seed = int_range 0 1_000_000 in
+    let* perturbed = opt ~ratio:0.5 (int_range 0 100) in
+    let+ max_states = opt ~ratio:0.3 (int_range 1 100) in
+    { construction; ot; plan; n; ops; seed; perturbed; max_states })
+
+(* Property: the checker returns exactly the reference's verdict — witness
+   steps in order, states, memo hits, completed count, violating prefix and
+   budget — on fuzzed histories of both constructions and six object types,
+   with pending ops and ghosts from crash and spurious-failure plans, one
+   response perturbed or not, and state budgets from 1 up. *)
+let prop_checker_matches_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:500 ~name:"lin: checker = string-keyed reference"
+       (QCheck.make ~print:print_case gen_case)
+       (fun c ->
+         let spec = (find_ot c.ot).Schedule_fuzz.spec_of ~n:c.n in
+         match reference_diff ?max_states:c.max_states spec (case_history c) with
+         | None -> true
+         | Some diff -> QCheck.Test.fail_report diff))
+
+(* Histories of 63 to 140 ops: the taken set fills one word exactly,
+   spills one op into a second word, or spans two and three words.
+   With two or three processes, late ops (second word on) respond before
+   later ones are invoked, so real-time precedence crosses word bounds. *)
+let test_lin_multiword_matches_reference () =
+  List.iter
+    (fun (ot, n, ops, seed, perturbed, max_states) ->
+      let c =
+        { construction = "herlihy"; ot; plan = "none"; n; ops; seed; perturbed; max_states }
+      in
+      let history = case_history c in
+      Alcotest.(check int) "history length" (n * ops) (List.length history);
+      let spec = (find_ot ot).Schedule_fuzz.spec_of ~n in
+      Option.iter
+        (Alcotest.failf "%s:@.%s" (print_case c))
+        (reference_diff ?max_states spec history))
+    [
+      ("fetch-inc", 9, 7, 3, None, None);
+      ("fetch-inc", 9, 7, 3, Some 40, None);
+      ("snapshot", 8, 8, 5, None, None);
+      ("snapshot", 8, 8, 5, Some 7, Some 100);
+      ("snapshot", 10, 7, 1, None, None);
+      ("queue", 10, 7, 2, Some 3, None);
+      ("fetch-inc", 16, 4, 4, Some 50, None);
+      ("fetch-inc", 2, 35, 6, Some 66, None);
+      ("queue", 3, 25, 7, Some 68, None);
+      ("stack", 2, 70, 8, Some 130, None);
+    ]
+
+(* The deterministic checker gate: the first batch of the fuzz-snapshot-n10
+   benchmark workload (herlihy, snapshot, n = 10, ops = 4, workload and
+   sampler seeded 1,000,000 to 1,000,019).  The search is pinned node for
+   node; its allocation is gated at a tenth of the string-keyed checker's,
+   which spent 64,053,380 minor words on this batch (4,460.5 per state). *)
+let test_lin_snapshot_batch_gate () =
+  let ot = find_ot "snapshot" and construction = find_construction "herlihy" in
+  let spec = ot.Schedule_fuzz.spec_of ~n:10 in
+  let histories =
+    List.init 20 (fun k ->
+        fuzz_history ~construction ~ot ~plan:Fault_plan.none ~n:10 ~ops:4 ~seed:(1_000_000 + k))
+  in
+  let before = Gc.minor_words () in
+  let verdicts = List.map (Linearize.check spec) histories in
+  let words = Gc.minor_words () -. before in
+  let states, memo_hits =
+    List.fold_left
+      (fun (s, h) -> function
+        | Linearize.Linearizable { stats; _ } ->
+          (s + stats.Linearize.states, h + stats.Linearize.memo_hits)
+        | Linearize.Not_linearizable _ | Linearize.Budget_exhausted _ ->
+          Alcotest.fail "every history of the batch is linearizable")
+      (0, 0) verdicts
+  in
+  Alcotest.(check int) "states" 14_360 states;
+  Alcotest.(check int) "memo hits" 29_669 memo_hits;
+  let per_state = words /. float_of_int states in
+  if per_state > 4460.5 /. 10. then
+    Alcotest.failf "%.1f minor words per state, over a tenth of the reference's 4460.5" per_state
+
 let suite =
   [
     Alcotest.test_case "fetch&inc" `Quick test_fetch_inc;
@@ -349,4 +701,9 @@ let suite =
     Alcotest.test_case "lin: empty history" `Quick test_lin_empty_history;
     Alcotest.test_case "entry validation" `Quick test_entry_validation;
     prop_atomic_histories_linearizable;
+    prop_checker_matches_reference;
+    Alcotest.test_case "lin: multi-word taken sets = reference" `Quick
+      test_lin_multiword_matches_reference;
+    Alcotest.test_case "lin: snapshot batch states and allocation gate" `Quick
+      test_lin_snapshot_batch_gate;
   ]
