@@ -324,11 +324,76 @@ let for_all_reduced ~n ~program_of ?inits ?coin_range ?max_runs ~f () =
 
 (* ---- dynamic partial-order reduction ---- *)
 
-let iter_dpor ~n ~program_of ?(inits = []) ?(coin_range = [ 0 ])
+type state_key =
+  ((int * (Value.t * Ids.t)) list * (int * (int * Value.t) list) list)
+  * (int * (Op.invocation * Op.response * int list) list) list
+  * summary
+
+(* Every node folds a tag and its contents into the accumulator, as in
+   [Value.hash]; every list folds a start and an end tag, so moving an
+   element across a list boundary changes the hash. *)
+let hash_state_key (((regs, buffers), hists, summary) : state_key) =
+  let mix h x = (h * 65599) + x in
+  let list f h l = mix (List.fold_left f (mix h 1) l) 15 in
+  let value h v = mix h (Value.hash v) in
+  let invocation h = function
+    | Op.Ll r -> mix (mix h 2) r
+    | Op.Sc (r, v) -> value (mix (mix h 3) r) v
+    | Op.Validate r -> mix (mix h 4) r
+    | Op.Swap (r, v) -> value (mix (mix h 5) r) v
+    | Op.Move (src, dst) -> mix (mix (mix h 6) src) dst
+    | Op.Write (r, v) -> value (mix (mix h 7) r) v
+    | Op.Fence -> mix h 8
+  in
+  let response h = function
+    | Op.Value v -> value (mix h 9) v
+    | Op.Flagged (flag, v) -> value (mix h (if flag then 10 else 11)) v
+    | Op.Ack -> mix h 12
+  in
+  let h = list (fun h (r, (v, ps)) -> mix (value (mix h r) v) (Ids.hash ps)) 0 regs in
+  let write h (r, v) = value (mix h r) v in
+  let h = list (fun h (pid, writes) -> list write (mix h pid) writes) h buffers in
+  let h =
+    list
+      (fun h (pid, entries) ->
+        list
+          (fun h (inv, resp, outcomes) -> list mix (response (invocation h inv) resp) outcomes)
+          (mix h pid) entries)
+      h hists
+  in
+  Hashtbl.hash
+    (match summary with
+    | Before stepped -> mix (mix h 13) (Ids.hash stepped)
+    | After stepped -> mix (mix h 14) (Ids.hash stepped))
+
+(* [on_state] sees each distinct dedup key once, when it is interned. *)
+let walk_dpor ~on_state ~n ~program_of ?(inits = []) ?(coin_range = [ 0 ])
     ?(model = Memory_model.SC) ?(bounds = Sched_tree.no_bounds) ?(dedup = true)
     ?(max_runs = 200_000) ~f () =
   if coin_range = [] then invalid_arg "Explore.iter_dpor: empty coin range";
   let memory0 = Pure_memory.create ~inits ~model () in
+  (* Each distinct state key is interned once into a dense id, which is
+     all the scheduler tree's tables ever hash or compare.  The full-
+     structure hash matters: the generic one reads only the first ten
+     meaningful words of a key, and the keys of one walk mostly differ
+     deeper than that. *)
+  let intern =
+    let module Keys = Hashtbl.Make (struct
+      type t = state_key
+
+      let equal = ( = )
+      let hash = hash_state_key
+    end) in
+    let ids = Keys.create 16 in
+    fun key ->
+      match Keys.find_opt ids key with
+      | Some id -> id
+      | None ->
+        let id = Keys.length ids in
+        Keys.add ids key id;
+        on_state key;
+        id
+  in
   (* One run under the oracle: the same forced initial expansion and step
      semantics as [iter_reduced], but scheduling decisions, coin-branch
      selection, and state dedup all delegate to the scheduler tree. *)
@@ -344,7 +409,7 @@ let iter_dpor ~n ~program_of ?(inits = []) ?(coin_range = [ 0 ])
     let mark () =
       if dedup then
         Sched_tree.mark sched
-          ~key:(Pure_memory.canonical_full !memory, Pmap.bindings !hists, !summary)
+          ~key:(intern (Pure_memory.canonical_full !memory, Pmap.bindings !hists, !summary))
     in
     (* Initial expansion: one forced pseudo-decision per process, so initial
        coin branches are siblings in the tree like any other branch. *)
@@ -452,6 +517,18 @@ let iter_dpor ~n ~program_of ?(inits = []) ?(coin_range = [ 0 ])
         true)
       ()
   with Sched_tree.Schedule_limit k -> raise (Limit_exceeded k)
+
+let iter_dpor ~n ~program_of ?inits ?coin_range ?model ?bounds ?dedup ?max_runs ~f () =
+  walk_dpor ~on_state:ignore ~n ~program_of ?inits ?coin_range ?model ?bounds ?dedup
+    ?max_runs ~f ()
+
+let dpor_state_keys ~n ~program_of ?inits ?coin_range ?model ?max_runs () =
+  let keys = ref [] in
+  ignore
+    (walk_dpor
+       ~on_state:(fun key -> keys := key :: !keys)
+       ~n ~program_of ?inits ?coin_range ?model ~dedup:true ?max_runs ~f:ignore ());
+  List.rev !keys
 
 let for_all_dpor ~n ~program_of ?inits ?coin_range ?model ?bounds ?dedup ?max_runs ~f () =
   try

@@ -207,6 +207,46 @@ val iter_dpor :
     {!iter_reduced} has no [model] parameter: its static sleep-set
     machinery predates the flush alphabet, so it explores SC only. *)
 
+(** {2 State keys}
+
+    With [dedup] on, {!iter_dpor} marks every state it reaches with a
+    {!state_key} and passes the scheduler tree a dense [int] id for it:
+    each walk interns its keys in a table of its own, hashed by
+    {!hash_state_key} and compared by structural equality. *)
+
+type summary = Before of Ids.t | After of Ids.t
+(** The processes that stepped before the first [Returned (_, 1)] —
+    [Before] while none has returned 1, frozen into [After] at that
+    return.  It is the outcome-relevant past {!wakeup_ok} reads. *)
+
+type state_key =
+  ((int * (Value.t * Ids.t)) list * (int * (int * Value.t) list) list)
+  * (int * (Op.invocation * Op.response * int list) list) list
+  * summary
+(** [(Pure_memory.canonical_full memory, histories, summary)]: the memory
+    including buffered writes, then per pid (ascending) its history of
+    [(invocation, response, coin outcomes)], newest first, ending in the
+    initial expansion's pseudo-entry. *)
+
+val hash_state_key : state_key -> int
+(** A hash over the whole key — every register with its value and Pset,
+    every buffered write, every history entry and the summary — that
+    agrees with structural equality.  The generic [Hashtbl.hash] reads
+    only ten meaningful words, so a walk's keys collapse into a few dozen
+    buckets under it. *)
+
+val dpor_state_keys :
+  n:int ->
+  program_of:(int -> int Program.t) ->
+  ?inits:(int * Value.t) list ->
+  ?coin_range:int list ->
+  ?model:Memory_model.t ->
+  ?max_runs:int ->
+  unit ->
+  state_key list
+(** The distinct keys an [iter_dpor ~dedup:true] walk interns, in first
+    visit order — the states its dedup table holds. *)
+
 val for_all_dpor :
   n:int ->
   program_of:(int -> int Program.t) ->

@@ -76,10 +76,13 @@ and edge = {
    after Yang et al.): the weakest sleep set it was ever reached with
    (Godefroid's revisit rule), the [(pid, footprint)] of every step known
    to occur below it, and the runs that were cut at it — each cut run's
-   prefix must be re-raced against summary entries that arrive later. *)
+   prefix must be re-raced against summary entries that arrive later.
+   Summary entries are interned ids (see [entries]): [v_sum] keeps them in
+   arrival order, [v_has] is the same set as a bitset. *)
 type 'k vent = {
   mutable v_sleep : int list;
-  mutable v_sum : (int * fp) list;
+  mutable v_sum : int list;
+  mutable v_has : Bytes.t;
   mutable v_subs : 'k sub list;
 }
 
@@ -89,6 +92,56 @@ and 'k sub = {
   s_hb : int -> int -> bool;
   s_marks : ('k * int) list;
 }
+
+(* The summary entries of one [explore] call: each distinct [(pid, fp)]
+   gets a dense id on first sight, so a summary is a list of ints plus a
+   membership bitset.  [intern] assigns ids; [entry] maps them back. *)
+type entries = { intern : int -> fp -> int; entry : int -> int * fp }
+
+let new_entries () =
+  let module Tbl = Hashtbl.Make (struct
+    type t = int * fp
+
+    let equal = ( = )
+
+    let hash (p, fp) =
+      Hashtbl.hash
+        (List.fold_left (fun h r -> (h * 65599) + r) ((2 * p) + Bool.to_int fp.blocking) fp.regs)
+  end) in
+  let ids = Tbl.create 16 in
+  let table = ref [||] in
+  let intern p fp =
+    let e = (p, fp) in
+    match Tbl.find_opt ids e with
+    | Some id -> id
+    | None ->
+      let id = Tbl.length ids in
+      if id = Array.length !table then begin
+        let grown = Array.make (max 16 (2 * id)) e in
+        Array.blit !table 0 grown 0 id;
+        table := grown
+      end;
+      !table.(id) <- e;
+      Tbl.add ids e id;
+      id
+  in
+  { intern; entry = (fun id -> !table.(id)) }
+
+let new_vent sleep = { v_sleep = sleep; v_sum = []; v_has = Bytes.empty; v_subs = [] }
+
+(* Sets of entry ids as bitsets that grow on demand. *)
+let bit_mem bits id =
+  let i = id lsr 3 in
+  i < Bytes.length bits && Char.code (Bytes.get bits i) land (1 lsl (id land 7)) <> 0
+
+let bit_add bits id =
+  let i = id lsr 3 in
+  let bits =
+    if i < Bytes.length bits then bits
+    else Bytes.cat bits (Bytes.make (max (i + 1 - Bytes.length bits) (Bytes.length bits)) '\000')
+  in
+  Bytes.set bits i (Char.chr (Char.code (Bytes.get bits i) lor (1 lsl (id land 7))));
+  bits
 
 type 'k dpor = {
   d_bounds : bounds;
@@ -260,7 +313,7 @@ let mark (s : _ sched) ~key =
           v.v_sleep <- List.filter (fun p -> List.mem p current) v.v_sleep;
           d.d_marks <- (key, d.d_depth) :: d.d_marks
         | None ->
-          Hashtbl.add d.d_visited key { v_sleep = current; v_sum = []; v_subs = [] };
+          Hashtbl.add d.d_visited key (new_vent current);
           d.d_marks <- (key, d.d_depth) :: d.d_marks
       end
     end
@@ -492,22 +545,27 @@ let request counters bounds nodes trace i p =
    occurrence number within its process. *)
 let compute_hb trace =
   let len = Array.length trace in
-  let pids =
-    Array.fold_left (fun acc t -> if List.mem t.t_pid acc then acc else t.t_pid :: acc) [] trace
+  (* [pix.(j)]: the index of step [j]'s process, numbered by first
+     appearance, computed once per step rather than once per query. *)
+  let pids = ref [] in
+  let pix =
+    Array.map
+      (fun t ->
+        let rec find i = function
+          | [] ->
+            pids := !pids @ [ t.t_pid ];
+            i
+          | q :: rest -> if q = t.t_pid then i else find (i + 1) rest
+        in
+        find 0 !pids)
+      trace
   in
-  let pidx p =
-    let rec go i = function
-      | [] -> assert false
-      | q :: rest -> if q = p then i else go (i + 1) rest
-    in
-    go 0 pids
-  in
-  let m = max (List.length pids) 1 in
+  let m = max (List.length !pids) 1 in
   let vc = Array.make_matrix (max len 1) m 0 in
   let seq = Array.make (max len 1) 0 in
   let last_of = Array.make m (-1) in
   for j = 0 to len - 1 do
-    let p = pidx trace.(j).t_pid in
+    let p = pix.(j) in
     let join i =
       for q = 0 to m - 1 do
         if vc.(i).(q) > vc.(j).(q) then vc.(j).(q) <- vc.(i).(q)
@@ -521,7 +579,7 @@ let compute_hb trace =
     seq.(j) <- vc.(j).(p);
     last_of.(p) <- j
   done;
-  fun i j -> i = j || (i < j && vc.(j).(pidx trace.(i).t_pid) >= seq.(i))
+  fun i j -> i = j || (i < j && vc.(j).(pix.(i)) >= seq.(i))
 
 let add_backtracks counters bounds nodes trace hb =
   let len = Array.length trace in
@@ -556,10 +614,11 @@ let add_backtracks counters bounds nodes trace hb =
    bridged by any real [k > i] that happens-after [i] and precedes the
    virtual step in happens-before order — [q]'s own steps or steps
    dependent with [fq]. *)
-let virtual_backtracks counters bounds nodes trace hb entries =
+let virtual_backtracks counters bounds nodes trace hb entries ids =
   let len = Array.length trace in
   List.iter
-    (fun (q, fq) ->
+    (fun id ->
+      let q, fq = entries.entry id in
       for i = len - 1 downto 0 do
         let t = trace.(i) in
         if t.t_pid <> q && dependent t.t_fp fq then begin
@@ -574,69 +633,77 @@ let virtual_backtracks counters bounds nodes trace hb entries =
           if not !bridged then request counters bounds nodes trace i q
         end
       done)
-    entries
+    ids
 
-(* Grow the summary of [key] by [entries], firing the virtual race pass of
-   every run cut at [key] and propagating to the summaries of each such
-   run's own ancestors, to a fixpoint (summaries grow monotonically within
-   a finite footprint universe, so this terminates). *)
-let add_sum visited counters bounds key entries =
+let find_vent visited k =
+  match Hashtbl.find_opt visited k with
+  | Some v -> v
+  | None ->
+    let v = new_vent [] in
+    Hashtbl.add visited k v;
+    v
+
+(* Grow the summary of [key] by the entries [ids], firing the virtual race
+   pass of every run cut at [key] and propagating to the summaries of each
+   such run's own ancestors, to a fixpoint (summaries grow monotonically
+   within a finite footprint universe, so this terminates).  [ids] never
+   repeats an entry (every caller passes a suffix list or a summary), so
+   one bit test per entry finds the fresh ones. *)
+let add_sum visited entries counters bounds key ids =
   let queue = Queue.create () in
-  Queue.add (key, entries) queue;
+  Queue.add (key, ids) queue;
   while not (Queue.is_empty queue) do
     let k, es = Queue.pop queue in
-    let v =
-      match Hashtbl.find_opt visited k with
-      | Some v -> v
-      | None ->
-        let v = { v_sleep = []; v_sum = []; v_subs = [] } in
-        Hashtbl.add visited k v;
-        v
-    in
-    let fresh = List.filter (fun e -> not (List.mem e v.v_sum)) es in
+    let v = find_vent visited k in
+    let fresh = List.filter (fun e -> not (bit_mem v.v_has e)) es in
     if fresh <> [] then begin
       v.v_sum <- v.v_sum @ fresh;
+      v.v_has <- List.fold_left bit_add v.v_has fresh;
       List.iter
         (fun sub ->
-          virtual_backtracks counters bounds sub.s_nodes sub.s_trace sub.s_hb fresh;
+          virtual_backtracks counters bounds sub.s_nodes sub.s_trace sub.s_hb entries fresh;
           List.iter (fun (k', _) -> Queue.add (k', fresh) queue) sub.s_marks)
         v.v_subs
     end
   done
+
+(* [suffixes entries trace] maps each depth [i] to the distinct entries of
+   [trace.(i..)], ordered by last occurrence — one backward sweep, and
+   consecutive suffixes share their tails. *)
+let suffixes entries trace =
+  let len = Array.length trace in
+  let suf = Array.make (len + 1) [] in
+  let seen = ref Bytes.empty in
+  for j = len - 1 downto 0 do
+    let id = entries.intern trace.(j).t_pid trace.(j).t_fp in
+    if bit_mem !seen id then suf.(j) <- suf.(j + 1)
+    else begin
+      seen := bit_add !seen id;
+      suf.(j) <- id :: suf.(j + 1)
+    end
+  done;
+  suf
 
 (* The per-run summary pass: every marked state along the trace learns the
    steps that followed it; a run cut at a covered state [k] additionally
    learns [k]'s summarized continuation (everything below [k] counts as
    below each of its own ancestors too), races its prefix against that
    summary now, and subscribes for entries [k] gains later. *)
-let update_summaries visited counters bounds nodes trace hb marks cut =
-  let suffix i =
-    let acc = ref [] in
-    for j = Array.length trace - 1 downto i do
-      let e = (trace.(j).t_pid, trace.(j).t_fp) in
-      if not (List.mem e !acc) then acc := e :: !acc
-    done;
-    !acc
-  in
-  List.iter (fun (k, i) -> add_sum visited counters bounds k (suffix i)) marks;
+let update_summaries visited entries counters bounds nodes trace hb marks cut =
+  let suf = suffixes entries trace in
+  List.iter (fun (k, i) -> add_sum visited entries counters bounds k suf.(i)) marks;
   match cut with
   | None -> ()
   | Some k ->
-    let v =
-      match Hashtbl.find_opt visited k with
-      | Some v -> v
-      | None ->
-        let v = { v_sleep = []; v_sum = []; v_subs = [] } in
-        Hashtbl.add visited k v;
-        v
-    in
+    let v = find_vent visited k in
     let sub = { s_trace = trace; s_nodes = nodes; s_hb = hb; s_marks = marks } in
     v.v_subs <- sub :: v.v_subs;
-    virtual_backtracks counters bounds nodes trace hb v.v_sum;
-    List.iter (fun (k', _) -> add_sum visited counters bounds k' v.v_sum) marks
+    virtual_backtracks counters bounds nodes trace hb entries v.v_sum;
+    List.iter (fun (k', _) -> add_sum visited entries counters bounds k' v.v_sum) marks
 
 let explore ?(bounds = no_bounds) ?(max_schedules = 200_000) ~run ~f () =
   let visited = Hashtbl.create 512 in
+  let entries = new_entries () in
   let counters =
     { c_schedules = 0; c_sleep_blocked = 0; c_deduped = 0; c_elided = 0; c_depth = 0 }
   in
@@ -679,7 +746,7 @@ let explore ?(bounds = no_bounds) ?(max_schedules = 200_000) ~run ~f () =
     let hb = compute_hb trace in
     add_backtracks counters bounds nodes trace hb;
     if d.d_marks <> [] || d.d_cut <> None then
-      update_summaries visited counters bounds nodes trace hb d.d_marks d.d_cut
+      update_summaries visited entries counters bounds nodes trace hb d.d_marks d.d_cut
   in
   exec [] [];
   (match !root with

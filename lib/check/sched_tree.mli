@@ -124,7 +124,14 @@ val mark : 'k sched -> key:'k -> unit
     summary grows later.  The key must determine both the future behaviour
     (memory, per-process continuations) and the outcome-relevant past, as
     {!Explore.iter_reduced}'s key does.  Runners that cannot canonicalize
-    state simply never call [mark]. *)
+    state simply never call [mark].
+
+    The table that holds the keys uses the generic [Hashtbl.hash], which
+    reads only the first ten meaningful words of a key: a structured key
+    puts most states into a few buckets and every lookup then compares
+    along a long chain.  Pass a compact key instead, such as an [int] id
+    the runner interned under a full-structure hash ({!Explore.iter_dpor}
+    does this). *)
 
 val interrupted : 'k sched -> bool
 (** Whether this run was aborted by the oracle (sleep, bound, or dedup) —

@@ -28,6 +28,11 @@ let to_set = function
   | Sparse s -> s
   | Dense bv -> Bitvec.fold_set S.add bv S.empty
 
+(* A balanced tree's shape depends on the order its elements were added,
+   so every Sparse value is rebuilt from its sorted elements: the shape is
+   then a function of the contents. *)
+let sparse s = Sparse (S.of_list (S.elements s))
+
 (* Sparse results re-canonicalise: drop back to Dense when every element is
    below the limit again (e.g. after [diff] removed the large ids). *)
 let of_set s =
@@ -35,7 +40,7 @@ let of_set s =
   | None -> empty
   | Some m when m < dense_limit ->
     Dense (S.fold (fun i bv -> Bitvec.set_grow bv i true) s (Bitvec.zero 1))
-  | Some _ -> Sparse s
+  | Some _ -> sparse s
 
 let is_empty = function Dense bv -> Bitvec.is_zero bv | Sparse _ -> false
 
@@ -47,8 +52,8 @@ let add i t =
   check_element i;
   match t with
   | Dense bv when i < dense_limit -> Dense (Bitvec.set_grow bv i true)
-  | Dense _ -> Sparse (S.add i (to_set t))
-  | Sparse s -> Sparse (S.add i s)
+  | Dense _ -> sparse (S.add i (to_set t))
+  | Sparse s -> sparse (S.add i s)
 
 let remove i t =
   match t with
@@ -85,6 +90,10 @@ let equal a b =
   | Dense x, Dense y -> Bitvec.equal x y
   | Sparse x, Sparse y -> S.equal x y
   | Dense _, Sparse _ | Sparse _, Dense _ -> false (* canonical: max differs *)
+
+let hash = function
+  | Dense bv -> Bitvec.hash bv
+  | Sparse s -> Hashtbl.hash (S.fold (fun i h -> (h * 65599) + i) s 1)
 
 let subset a b = is_empty (diff a b)
 

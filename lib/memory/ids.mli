@@ -33,6 +33,9 @@ val subset : t -> t -> bool
 
 val equal : t -> t -> bool
 
+val hash : t -> int
+(** A hash over every element, agreeing with {!equal}. *)
+
 val compare : t -> t -> int
 (** An arbitrary total order (useful for [Map]/[Set] keys); {e not} the
     lexicographic element order of [Set.Make(Int)]. *)

@@ -270,6 +270,13 @@ let ids_properties =
         && same (Ids.remove 7 ia) (Iset.remove 7 sa)
         && Ids.mem 7 ia = Iset.mem 7 sa
         && Ids.cardinal ia = Iset.cardinal sa);
+    (* A sparse set's tree shape must not remember insertion order: the
+       dedup keys of Explore.iter_dpor compare Psets with [=] and hash them
+       with [Ids.hash]. *)
+    ids_prop "= and hash ignore insertion order" (fun (ia, _) (ib, _) ->
+        let ab = Ids.union ia ib and ba = Ids.union ib ia in
+        let rev = Ids.of_list (List.rev (Ids.elements ab)) in
+        ab = ba && ab = rev && Ids.hash ab = Ids.hash ba && Ids.hash ab = Ids.hash rev);
     ids_prop "filter/choose/max match Set" (fun (ia, sa) _ ->
         let even x = x mod 2 = 0 in
         same (Ids.filter even ia) (Iset.filter even sa)

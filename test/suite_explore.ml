@@ -739,50 +739,6 @@ let render_event = function
   | Explore.Flushed (pid, reg, v) -> Format.asprintf "%d:flush R%d=%a" pid reg Value.pp v
   | Explore.Returned (pid, r) -> Printf.sprintf "%d:ret %d" pid r
 
-let visit_order iter =
-  let buf = Buffer.create 4096 in
-  let stats =
-    iter ~f:(fun run ->
-        List.iter
-          (fun e ->
-            Buffer.add_string buf (render_event e);
-            Buffer.add_char buf ' ')
-          run.Explore.events;
-        Buffer.add_char buf '\n')
-  in
-  (stats.Sched_tree.schedules, Digest.to_hex (Digest.string (Buffer.contents buf)))
-
-let test_dpor_visit_order_pinned () =
-  let corpus entry ~n ~coin_range ~f =
-    let program_of, inits = entry.Corpus.make ~n in
-    Explore.iter_dpor ~n ~program_of ~inits ~coin_range ~dedup:true ~f ()
-  in
-  let sb_tso ~f =
-    let inits = [ (0, Value.Int 0); (1, Value.Int 0) ] in
-    Explore.iter_dpor ~n:2 ~program_of:sb_program_of ~inits ~model:Memory_model.TSO
-      ~dedup:false ~f ()
-  in
-  List.iter
-    (fun (name, iter, schedules, digest) ->
-      let got_schedules, got_digest = visit_order iter in
-      Alcotest.(check int) (name ^ ": schedules") schedules got_schedules;
-      Alcotest.(check string) (name ^ ": visit-order digest") digest got_digest)
-    [
-      ( "post-collect n=3",
-        corpus Corpus.post_collect ~n:3 ~coin_range:[ 0 ],
-        52,
-        "96dd9ed2257cb19a5b59bc42d11cd37a" );
-      ( "move-collect n=2",
-        corpus Corpus.move_collect ~n:2 ~coin_range:[ 0 ],
-        6,
-        "05145f2788151453b639e16bcc040dc0" );
-      ( "two-counter n=2",
-        corpus Corpus.two_counter ~n:2 ~coin_range:[ 0; 1 ],
-        38,
-        "4116cfdef1fd4f98a99158b3b87aaaee" );
-      ("SB under TSO", sb_tso, 64, "440ee1a74de904aa6ca8a1b6ed9a362a");
-    ]
-
 (* ---- re-arming a drained subtree ---- *)
 
 (* A runner straight over the Sched_tree oracle: process [p] performs the
@@ -844,6 +800,229 @@ let test_rearm_drained_subtree () =
     Sched_tree.
       [ stats.schedules; stats.sleep_blocked; stats.deduped; stats.elided; stats.max_depth ]
 
+(* schedules/sleep-blocked/deduped/elided/depth *)
+let pp_walk_stats (s : Sched_tree.stats) =
+  Printf.sprintf "%d/%d/%d/%d/%d" s.schedules s.sleep_blocked s.deduped s.elided s.max_depth
+
+let visit_order iter =
+  let buf = Buffer.create 4096 in
+  let stats =
+    iter ~f:(fun run ->
+        List.iter
+          (fun e ->
+            Buffer.add_string buf (render_event e);
+            Buffer.add_char buf ' ')
+          run.Explore.events;
+        Buffer.add_char buf '\n')
+  in
+  (stats, Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+(* A random program for [synthetic_walk]: two or three processes of three
+   to six steps each, every step on one or two of registers 0-2, one step
+   in ten blocking. *)
+let synthetic_procs rng =
+  let step () =
+    let r = Random.State.int rng 3 in
+    let regs =
+      if Random.State.int rng 4 = 0 then List.sort_uniq compare [ r; Random.State.int rng 3 ]
+      else [ r ]
+    in
+    { Sched_tree.regs; blocking = Random.State.int rng 10 = 0 }
+  in
+  Array.init (2 + Random.State.int rng 2) (fun _ ->
+      Array.init (3 + Random.State.int rng 4) (fun _ -> step ()))
+
+(* Each cell pins the walk's stats and a digest of the ordered list of
+   completed runs, one line per run, every event with its invocation and
+   response; a synthetic cell's digest covers its launch-order log, cut
+   runs included.  The stateful cells (dedup on) exercise the summary
+   pass: move-collect n=3 and two-counter n=3 through thousands of cuts,
+   the litmus shapes through flush decisions, and the synthetic walks
+   through deliberately colliding keys — each program counter taken mod 3
+   to 7, so a process's fourth step can look like its first, and cuts and
+   summary re-fires are frequent (as in [test_rearm_drained_subtree]).
+   The digests predate the interned dedup keys and summary bitsets of
+   [Explore.iter_dpor] and [Sched_tree.explore], which must reproduce
+   them exactly. *)
+let test_dpor_visit_order_pinned () =
+  let corpus entry ~n ~coin_range ~f =
+    let program_of, inits = entry.Corpus.make ~n in
+    Explore.iter_dpor ~n ~program_of ~inits ~coin_range ~dedup:true ~f ()
+  in
+  let sb_tso ~f =
+    let inits = [ (0, Value.Int 0); (1, Value.Int 0) ] in
+    Explore.iter_dpor ~n:2 ~program_of:sb_program_of ~inits ~model:Memory_model.TSO
+      ~dedup:false ~f ()
+  in
+  let litmus name model ~f =
+    let t = Option.get (Litmus.find name) in
+    Explore.iter_dpor ~n:t.Litmus.n ~program_of:t.Litmus.program_of ~inits:t.Litmus.inits
+      ~model ~f ()
+  in
+  let cells =
+    [
+      ("post-collect n=3", corpus Corpus.post_collect ~n:3 ~coin_range:[ 0 ]);
+      ("move-collect n=2", corpus Corpus.move_collect ~n:2 ~coin_range:[ 0 ]);
+      ("two-counter n=2", corpus Corpus.two_counter ~n:2 ~coin_range:[ 0; 1 ]);
+      ("SB under TSO", sb_tso);
+      ("move-collect n=3", corpus Corpus.move_collect ~n:3 ~coin_range:[ 0 ]);
+      ("two-counter n=3", corpus Corpus.two_counter ~n:3 ~coin_range:[ 0; 1 ]);
+      ("SB under TSO, dedup", litmus "sb" Memory_model.TSO);
+      ("SB under PSO, dedup", litmus "sb" Memory_model.PSO);
+      ("IRIW under TSO, dedup", litmus "iriw" Memory_model.TSO);
+      ("IRIW under PSO, dedup", litmus "iriw" Memory_model.PSO);
+    ]
+  in
+  let got =
+    List.map
+      (fun (name, iter) ->
+        let stats, digest = visit_order iter in
+        Printf.sprintf "%s: %s %s" name (pp_walk_stats stats) digest)
+      cells
+    @ List.init 20 (fun seed ->
+          let procs = synthetic_procs (Random.State.make [| seed |]) in
+          let modulus = 3 + (seed mod 5) in
+          let key pc = Array.map (fun c -> c mod modulus) pc in
+          let stats, log = synthetic_walk procs ~key in
+          Printf.sprintf "synthetic seed %d: %s %s" seed (pp_walk_stats stats)
+            (Digest.to_hex (Digest.string (String.concat "\n" log))))
+  in
+  Alcotest.(check (list string))
+    "visit order"
+    [
+      "post-collect n=3: 52/0/634/0/15 96dd9ed2257cb19a5b59bc42d11cd37a";
+      "move-collect n=2: 6/0/30/0/12 05145f2788151453b639e16bcc040dc0";
+      "two-counter n=2: 38/0/86/0/12 4116cfdef1fd4f98a99158b3b87aaaee";
+      "SB under TSO: 64/2/0/0/8 440ee1a74de904aa6ca8a1b6ed9a362a";
+      "move-collect n=3: 66/0/6457/0/24 1a4a883adfa696343a18bea0e8e0239c";
+      "two-counter n=3: 2424/0/17989/0/21 5517fb3923fe1380200ed40b75393c80";
+      "SB under TSO, dedup: 8/2/16/0/8 90e489e585c09e1dc9e60f4ffef1fcdc";
+      "SB under PSO, dedup: 8/2/16/0/8 90e489e585c09e1dc9e60f4ffef1fcdc";
+      "IRIW under TSO, dedup: 40/0/161/0/12 6ebb9cd5f18404f6ecb00c4d40efe727";
+      "IRIW under PSO, dedup: 40/0/161/0/12 6ebb9cd5f18404f6ecb00c4d40efe727";
+      "synthetic seed 0: 1/0/4/0/6 8d81ff3c192fd4b26c118ce1a5e6633d";
+      "synthetic seed 1: 0/0/1/0/5 f5cccc57f426d434aae74ae283c5b33b";
+      "synthetic seed 2: 0/0/142/0/12 ed79e45fd90801f9940a13ea99aaa659";
+      "synthetic seed 3: 1/0/323/0/16 c9ccd1b0a123be4931a6f1866a549b1a";
+      "synthetic seed 4: 2/0/20/0/9 a2c8c411dc8c67df16728ddea29c1524";
+      "synthetic seed 5: 0/0/1/0/4 fea4534be1bc17a6e09a8f89ff00bd48";
+      "synthetic seed 6: 0/0/8/0/7 5e7aaf80833749031694f3e41e1d6ddd";
+      "synthetic seed 7: 0/0/1/0/6 8a9084a56c43c8346dd7c7f8493f8b7c";
+      "synthetic seed 8: 1/0/28/0/12 d4cdeb4839f08904473d2a7292e8a122";
+      "synthetic seed 9: 2/0/22/0/10 2c7cd0b1ea0f751f0da49245a3578a32";
+      "synthetic seed 10: 0/0/1/0/4 fea4534be1bc17a6e09a8f89ff00bd48";
+      "synthetic seed 11: 0/0/16/0/8 e790bd1cc52441fe7ee878625aa23cc3";
+      "synthetic seed 12: 1/0/19/0/9 1d9a611a6365f714583222552f73dc0b";
+      "synthetic seed 13: 2/0/2/0/10 b691f87d247531b7321f79a6ec33cc23";
+      "synthetic seed 14: 2/0/14/0/8 92aa7e03af3b43f00b897f3ff56ed7af";
+      "synthetic seed 15: 0/0/6/0/6 6df5af74bdd39e8f2f290ee7d2fa0ae7";
+      "synthetic seed 16: 0/0/1/0/5 f5cccc57f426d434aae74ae283c5b33b";
+      "synthetic seed 17: 3/1/144/0/12 2d78d21265e3854fc609425703e1a93c";
+      "synthetic seed 18: 2/0/7/0/8 d90846e424298145ac211bd0ec4886f8";
+      "synthetic seed 19: 3/0/205/0/12 0efe1c8c207f62630dfed3a3555d94a2";
+    ]
+    got
+
+(* ---- the stateful-DPOR state key ---- *)
+
+(* A random [Explore.state_key] built from [seed].  The shape (which
+   registers, buffers, histories, list lengths) comes from one stream;
+   every leaf (a value, a Pset, an invocation, a response, a coin
+   outcome, the summary's set) draws from a stream of its own, numbered
+   in build order.  Leaf [redraw] draws from a different stream instead,
+   so the result differs from the [redraw = -1] key in that leaf alone.
+   Returns the key and its leaf count. *)
+let random_state_key ~seed ~redraw =
+  let shape = Random.State.make [| seed |] in
+  let leaves = ref 0 in
+  let leaf draw =
+    let i = !leaves in
+    incr leaves;
+    draw (Random.State.make (if i = redraw then [| seed; i; 1 |] else [| seed; i |]))
+  in
+  let int rng k = Random.State.int rng k in
+  let rec value rng depth =
+    match int rng (if depth = 0 then 5 else 8) with
+    | 0 -> Value.Int (int rng 1000 - 500)
+    | 1 -> Value.Bits (Bitvec.of_int ~width:(1 + int rng 130) (int rng 1_000_000))
+    | 2 -> Value.Bits (Bitvec.ones (1 + int rng 130))
+    | 3 -> Value.Str (String.init (int rng 6) (fun _ -> Char.chr (97 + int rng 26)))
+    | 4 -> if Random.State.bool rng then Value.Bool (Random.State.bool rng) else Value.Unit
+    | 5 | 6 -> Value.Pair (value rng (depth - 1), value rng (depth - 1))
+    | _ -> Value.List (List.init (int rng 4) (fun _ -> value rng (depth - 1)))
+  in
+  let pset rng =
+    Ids.of_list (List.init (int rng 4) (fun _ -> if int rng 8 = 0 then 70_000 else int rng 8))
+  in
+  let invocation rng =
+    let r = int rng 6 in
+    match int rng 7 with
+    | 0 -> Op.Ll r
+    | 1 -> Op.Sc (r, value rng 2)
+    | 2 -> Op.Validate r
+    | 3 -> Op.Swap (r, value rng 2)
+    | 4 -> Op.Move (r, int rng 6)
+    | 5 -> Op.Write (r, value rng 2)
+    | _ -> Op.Fence
+  in
+  let response rng =
+    match int rng 3 with
+    | 0 -> Op.Value (value rng 2)
+    | 1 -> Op.Flagged (Random.State.bool rng, value rng 2)
+    | _ -> Op.Ack
+  in
+  let some k f =
+    List.filter_map Fun.id (List.init k (fun i -> if int shape 2 = 0 then Some (f i) else None))
+  in
+  let regs = some 6 (fun r -> (r, (leaf (fun rng -> value rng 3), leaf pset))) in
+  let buffers =
+    some 3 (fun pid ->
+        (pid, List.init (1 + int shape 3) (fun _ -> (int shape 6, leaf (fun rng -> value rng 2)))))
+  in
+  let hists =
+    some 3 (fun pid ->
+        ( pid,
+          List.init (1 + int shape 4) (fun _ ->
+              ( leaf invocation,
+                leaf response,
+                List.init (int shape 3) (fun _ -> leaf (fun rng -> int rng 2)) )) ))
+  in
+  let summary =
+    if int shape 2 = 0 then Explore.Before (leaf pset) else Explore.After (leaf pset)
+  in
+  (((regs, buffers), hists, summary), !leaves)
+
+(* The dedup key's hash agrees with [=]: a deep copy (fresh allocation
+   everywhere) hashes equal, and redrawing any one leaf changes the hash
+   whenever it changes the key.  The second half is a quality claim a
+   30-bit hash could fail by chance; every case this generator can draw
+   (all 10,000 seeds, every leaf) was checked once and none collides. *)
+let prop_state_key_hash =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:1000 ~name:"dpor state-key hash agrees with ="
+       QCheck.(pair (int_bound 9_999) (int_bound 999))
+       (fun (seed, pick) ->
+         let key, leaves = random_state_key ~seed ~redraw:(-1) in
+         let copy : Explore.state_key = Marshal.from_string (Marshal.to_string key []) 0 in
+         let redraw = if leaves = 0 then -1 else pick mod leaves in
+         let other, _ = random_state_key ~seed ~redraw in
+         let h = Explore.hash_state_key in
+         copy = key
+         && h copy = h key
+         && if other = key then h other = h key else h other <> h key))
+
+(* The hash's spread on a real walk: move-collect at n=3 interns 3,426
+   distinct states, which the generic [Hashtbl.hash] (ten meaningful
+   words) maps to 40 values.  The full-structure hash must keep nearly
+   all of them apart. *)
+let test_state_key_hash_spread () =
+  let program_of, inits = Corpus.move_collect.Corpus.make ~n:3 in
+  let keys = Explore.dpor_state_keys ~n:3 ~program_of ~inits () in
+  Alcotest.(check int) "distinct states" 3426 (List.length keys);
+  let hashes = List.sort_uniq Int.compare (List.map Explore.hash_state_key keys) in
+  let spread = List.length hashes in
+  if spread < 3400 then Alcotest.failf "%d distinct hash values for 3426 states" spread
+
 let suite =
   [
     prop_pure_matches_mutable;
@@ -881,4 +1060,7 @@ let suite =
     Alcotest.test_case "dpor visit order (pinned)" `Quick test_dpor_visit_order_pinned;
     Alcotest.test_case "re-armed drained subtree is explored" `Quick
       test_rearm_drained_subtree;
+    prop_state_key_hash;
+    Alcotest.test_case "dpor state-key hash spread (move-collect n=3)" `Quick
+      test_state_key_hash_spread;
   ]
