@@ -394,28 +394,57 @@ let walk_dpor ~on_state ~n ~program_of ?(inits = []) ?(coin_range = [ 0 ])
         on_state key;
         id
   in
+  (* The runner's state, reset at the start of each run.  Every component
+     is an immutable value (persistent memory and maps), so a snapshot for
+     [Sched_tree.save] costs one closure, and [Sched_tree.resume] can put
+     the runner back at the previous run's state just short of this run's
+     divergence instead of replaying the prefix from the initial state. *)
+  let memory = ref memory0 in
+  let procs = ref Pmap.empty in
+  let hists = ref Pmap.empty in
+  let runnable = ref [] in
+  let summary = ref (Before Ids.empty) in
+  let events = ref [] in
+  let step = ref 0 in
+  let pid = ref 0 in
+  let save sched =
+    let m = !memory and ps = !procs and hs = !hists and r = !runnable in
+    let sm = !summary and evs = !events and st = !step and p = !pid in
+    Sched_tree.save sched (fun () ->
+        memory := m;
+        procs := ps;
+        hists := hs;
+        runnable := r;
+        summary := sm;
+        events := evs;
+        step := st;
+        pid := p)
+  in
   (* One run under the oracle: the same forced initial expansion and step
      semantics as [iter_reduced], but scheduling decisions, coin-branch
      selection, and state dedup all delegate to the scheduler tree. *)
   let run sched =
-    let memory = ref memory0 in
-    let procs = ref Pmap.empty in
-    let hists = ref Pmap.empty in
-    let runnable = ref [] in
-    let summary = ref (Before Ids.empty) in
-    let events = ref [] in
-    let step = ref 0 in
+    memory := memory0;
+    procs := Pmap.empty;
+    hists := Pmap.empty;
+    runnable := [];
+    summary := Before Ids.empty;
+    events := [];
+    step := 0;
+    pid := 0;
+    ignore (Sched_tree.resume sched);
     let aborted = ref false in
+    (* Marks the state after each committed step, then saves it. *)
     let mark () =
       if dedup then
         Sched_tree.mark sched
-          ~key:(intern (Pure_memory.canonical_full !memory, Pmap.bindings !hists, !summary))
+          ~key:(intern (Pure_memory.canonical_full !memory, Pmap.bindings !hists, !summary));
+      save sched
     in
     (* Initial expansion: one forced pseudo-decision per process, so initial
        coin branches are siblings in the tree like any other branch. *)
-    let pid = ref 0 in
     while (not !aborted) && !pid < n do
-      (match Sched_tree.choose sched ~step:!step ~enabled:[ !pid ] with
+      match Sched_tree.choose sched ~step:!step ~enabled:[ !pid ] with
       | None -> aborted := true
       | Some p ->
         assert (p = !pid);
@@ -435,8 +464,8 @@ let walk_dpor ~on_state ~n ~program_of ?(inits = []) ?(coin_range = [ 0 ])
         procs := Pmap.add p proc !procs;
         events := expand_events @ !events;
         incr step;
-        mark ());
-      incr pid
+        incr pid;
+        mark ()
     done;
     (* Flushes stay schedulable after every process has returned: they must
        pass through the tree (not drain silently) so they appear in traces —

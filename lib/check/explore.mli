@@ -196,7 +196,10 @@ val iter_dpor :
     traces and can explode on long programs (tree-collect at n=2 already
     does) — use it only on small systems or under [bounds].  [max_runs]
     (default 200_000) caps total run executions and raises
-    {!Limit_exceeded} when hit.
+    {!Limit_exceeded} when hit.  A run does not replay its prefix: it
+    resumes from the state the previous run saved where their paths part
+    ({!Sched_tree.resume}), so it usually executes only its divergence
+    step and what follows it.
 
     [model] (default SC): under TSO/PSO, enabled flushes join the tree's
     decision alphabet as pseudo-process ids (stable across replays because

@@ -143,6 +143,17 @@ let bit_add bits id =
   Bytes.set bits i (Char.chr (Char.code (Bytes.get bits i) lor (1 lsl (id land 7))));
   bits
 
+(* What a run leaves for the next one to resume from (see [resume]): its
+   trace, its marks and its saved restore thunks as (depth, thunk), both
+   deepest first.  A cut run's cut key is not among the marks, and need
+   not be: the next run cannot resume as deep as the cut, because the cut
+   run's last step leads to no tree node yet, so no todo lies there. *)
+type 'k past = {
+  p_trace : tstep array;
+  p_marks : ('k * int) list;
+  p_saves : (int * (unit -> unit)) list;
+}
+
 type 'k dpor = {
   d_bounds : bounds;
   d_visited : ('k, 'k vent) Hashtbl.t;  (* canonical state -> bookkeeping *)
@@ -160,6 +171,8 @@ type 'k dpor = {
   (* A successful [choose] parks (pid, enabled, prefix branch) here until
      the matching [commit] arrives with the footprint. *)
   mutable d_pending : (int * int list * int option) option;
+  d_past : 'k past option;  (* the previous run, when it saved anything *)
+  mutable d_saves : (int * (unit -> unit)) list;  (* deepest first *)
 }
 
 type 'k sched = Dpor of 'k dpor | Sample of int | Replay of int list ref
@@ -231,6 +244,17 @@ let choose (s : _ sched) ~step ~enabled =
             Some pid)
     end)
 
+(* Append step [t] to the run's trace and advance the bounds' counters:
+   the bookkeeping [commit] and [resume] share. *)
+let advance d t =
+  d.d_trace <- t :: d.d_trace;
+  (match d.d_last with
+  | Some q when q <> t.t_pid && List.mem q t.t_enabled -> d.d_preempts <- d.d_preempts + 1
+  | _ -> ());
+  d.d_last <- Some t.t_pid;
+  Hashtbl.replace d.d_counts t.t_pid (count d t.t_pid + 1);
+  d.d_depth <- d.d_depth + 1
+
 let commit (s : _ sched) ~fp ~branches =
   match s with
   | Sample _ | Replay _ -> 0
@@ -248,7 +272,7 @@ let commit (s : _ sched) ~fp ~branches =
         | None -> d.d_sleep
         | Some _ -> if at_divergence then d.d_div_sleep else []
       in
-      d.d_trace <-
+      advance d
         {
           t_pid = pid;
           t_branch = branch;
@@ -258,14 +282,7 @@ let commit (s : _ sched) ~fp ~branches =
           t_sleep = sleep_before;
           t_preempts = d.d_preempts;
           t_also = [];
-        }
-        :: d.d_trace;
-      (match d.d_last with
-      | Some q when q <> pid && List.mem q enabled -> d.d_preempts <- d.d_preempts + 1
-      | _ -> ());
-      d.d_last <- Some pid;
-      Hashtbl.replace d.d_counts pid (count d pid + 1);
-      d.d_depth <- d.d_depth + 1;
+        };
       (match from_prefix with
       | Some _ ->
         d.d_prefix <- List.tl d.d_prefix;
@@ -299,7 +316,8 @@ let mark (s : _ sched) ~key =
         (* Replayed prefix: the state is already in the table (its original
            run marked it) and aborting the replay would orphan the todo —
            but this run's continuation still lies below it, so remember the
-           position for the summary pass. *)
+           position for the summary pass.  A resumed prefix never gets
+           here: [resume] restores these positions from the previous run. *)
         d.d_marks <- (key, d.d_depth) :: d.d_marks
       else begin
         let current = List.map (fun e -> e.sl_pid) d.d_sleep in
@@ -320,6 +338,46 @@ let mark (s : _ sched) ~key =
 
 let interrupted (s : _ sched) =
   match s with Sample _ | Replay _ -> false | Dpor d -> d.d_status <> Running
+
+let save (s : _ sched) restore =
+  match s with
+  | Sample _ | Replay _ -> ()
+  | Dpor d -> if d.d_status = Running then d.d_saves <- (d.d_depth, restore) :: d.d_saves
+
+let rec drop_while f = function x :: rest when f x -> drop_while f rest | l -> l
+
+(* Skip the previous run's shared prefix instead of replaying it: restore
+   the runner at the deepest saved depth this run's prefix shares with the
+   previous trace, short of the divergence decision, and leave the oracle
+   as replaying that far would — prefix steps record an empty sleep set,
+   and [mark] would have recorded the previous run's positions. *)
+let resume (s : _ sched) =
+  match s with
+  | Sample _ | Replay _ -> false
+  | Dpor d -> (
+    match d.d_past with
+    | None -> false
+    | Some p -> (
+      let limit = min (List.length d.d_prefix - 1) (Array.length p.p_trace) in
+      let rec shared i = function
+        | (pid, b) :: rest
+          when i < limit && pid = p.p_trace.(i).t_pid && b = p.p_trace.(i).t_branch ->
+          shared (i + 1) rest
+        | _ -> i
+      in
+      let upto = shared 0 d.d_prefix in
+      match drop_while (fun (k, _) -> k > upto) p.p_saves with
+      | [] -> false
+      | (depth, restore) :: _ as saves ->
+        restore ();
+        d.d_saves <- saves;
+        d.d_marks <- drop_while (fun (_, k) -> k > depth) p.p_marks;
+        for i = 0 to depth - 1 do
+          let t = p.p_trace.(i) in
+          advance d (if t.t_sleep = [] then t else { t with t_sleep = [] })
+        done;
+        d.d_prefix <- List.filteri (fun i _ -> i >= depth) d.d_prefix;
+        true))
 
 (* ---- the persistent scheduler tree: operations ---- *)
 
@@ -710,6 +768,7 @@ let explore ?(bounds = no_bounds) ?(max_schedules = 200_000) ~run ~f () =
   let root = ref None in
   let total = ref 0 in
   let continue_ = ref true in
+  let past = ref None in
   let exec prefix div_sleep =
     incr total;
     if !total > max_schedules then raise (Schedule_limit max_schedules);
@@ -729,6 +788,8 @@ let explore ?(bounds = no_bounds) ?(max_schedules = 200_000) ~run ~f () =
         d_marks = [];
         d_cut = None;
         d_pending = None;
+        d_past = !past;
+        d_saves = [];
       }
     in
     (match run (Dpor d) with
@@ -742,6 +803,11 @@ let explore ?(bounds = no_bounds) ?(max_schedules = 200_000) ~run ~f () =
       | Bound_blocked | Running -> counters.c_elided <- counters.c_elided + 1));
     let trace = Array.of_list (List.rev d.d_trace) in
     counters.c_depth <- max counters.c_depth (Array.length trace);
+    (* Only the latest run is kept, and only if its runner saved states:
+       runners that never call [save] pay nothing for resuming. *)
+    past :=
+      if d.d_saves = [] then None
+      else Some { p_trace = trace; p_marks = d.d_marks; p_saves = d.d_saves };
     let nodes = incorporate root trace in
     let hb = compute_hb trace in
     add_backtracks counters bounds nodes trace hb;

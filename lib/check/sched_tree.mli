@@ -11,7 +11,9 @@
     {2 The model}
 
     A runner executes one schedule at a time (stateless model checking:
-    every run restarts from the initial state).  At each scheduling point it
+    every run restarts from the initial state, or, if the runner {!save}s
+    its states, from the previous run's state where the two runs' paths
+    part — see {!resume}).  At each scheduling point it
     calls {!choose} with the currently enabled processes, executes the
     returned process's next shared-memory step, and reports the step's
     {e footprint} back with {!commit}.  Two steps are {e dependent} when
@@ -132,6 +134,37 @@ val mark : 'k sched -> key:'k -> unit
     along a long chain.  Pass a compact key instead, such as an [int] id
     the runner interned under a full-structure hash ({!Explore.iter_dpor}
     does this). *)
+
+val save : 'k sched -> (unit -> unit) -> unit
+(** Offer the oracle a way back to the runner's current state: [restore]
+    must put the runner exactly where it is now, after the latest
+    {!commit} and its {!also} and {!mark} calls.  {!explore} keeps the
+    thunks of the previous run's path only — one per depth, so memory is
+    O(depth) — and {!resume} runs one of them at the start of the next
+    run.  A thunk over persistent values (an immutable memory, a [Map]) is
+    O(1) to take.  Samplers and replayers ignore it, and a runner that
+    never calls it pays nothing. *)
+
+val resume : 'k sched -> bool
+(** Call first thing in a run, after resetting the runner to its initial
+    state.  It finds the longest prefix this run's decisions share with
+    the previous run's trace, stopping before this run's divergence
+    decision, and runs the thunk the previous run {!save}d at the deepest
+    depth at or below that point; [false] if there is none (the first run,
+    a previous run that saved nothing, or a sampler or replayer), and the
+    runner then starts from its initial state as before.  Any prefix left
+    after the resumed depth is replayed through {!choose} as usual.
+
+    The contract is {e exactly as replay}: the oracle is left as replaying
+    the resumed decisions would have left it — the same trace (each
+    resumed step with the empty sleep set a replayed prefix step records
+    and the {!also} siblings it recorded), the same pre-emption and
+    fairness counters, and the same {!mark}ed positions, up to and
+    including the resumed depth, with no dedup table lookups — and the
+    resumed depths' thunks carry over to this run's saves.  So a resuming
+    walk visits the same runs in the same order with the same stats as a
+    replaying one, provided the runner is deterministic and each thunk
+    restores everything later steps read. *)
 
 val interrupted : 'k sched -> bool
 (** Whether this run was aborted by the oracle (sleep, bound, or dedup) —

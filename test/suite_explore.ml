@@ -744,14 +744,22 @@ let render_event = function
 (* A runner straight over the Sched_tree oracle: process [p] performs the
    footprints [procs.(p)] in order and nothing else, and after each step
    marks the state with [key] of the program counters.  Returns the walk's
-   stats and every run in launch order — its pid trail, with " cut" when
-   the oracle aborted it. *)
-let synthetic_walk procs ~key =
+   stats, every run in launch order — its pid trail, with " cut" when the
+   oracle aborted it — and the depth each run started at.  With [resume]
+   the runner saves a copy of its program counters and trail after every
+   step and starts each run with [Sched_tree.resume]; without it every run
+   replays from the root and starts at depth 0. *)
+let synthetic_walk ?bounds ?(resume = false) procs ~key =
   let n = Array.length procs in
   let log = ref [] in
+  let starts = ref [] in
+  let pc = Array.make n 0 in
+  let trail = Buffer.create 16 in
   let run sched =
-    let pc = Array.make n 0 in
-    let trail = Buffer.create 16 in
+    Array.fill pc 0 n 0;
+    Buffer.clear trail;
+    if resume then ignore (Sched_tree.resume sched);
+    starts := Buffer.length trail :: !starts;
     let rec go step =
       let enabled =
         List.filter (fun p -> pc.(p) < Array.length procs.(p)) (List.init n Fun.id)
@@ -765,14 +773,21 @@ let synthetic_walk procs ~key =
           pc.(p) <- pc.(p) + 1;
           Buffer.add_string trail (string_of_int p);
           Sched_tree.mark sched ~key:(key pc);
+          if resume then begin
+            let saved = Array.copy pc and so_far = Buffer.contents trail in
+            Sched_tree.save sched (fun () ->
+                Array.blit saved 0 pc 0 n;
+                Buffer.clear trail;
+                Buffer.add_string trail so_far)
+          end;
           go (step + 1)
     in
-    let result = go 0 in
+    let result = go (Buffer.length trail) in
     log := (Buffer.contents trail ^ if result = None then " cut" else "") :: !log;
     result
   in
-  let stats = Sched_tree.explore ~run ~f:(fun _ -> true) () in
-  (stats, List.rev !log)
+  let stats = Sched_tree.explore ?bounds ~run ~f:(fun _ -> true) () in
+  (stats, List.rev !log, List.rev !starts)
 
 (* A todo can land in a subtree the walk has already drained: a run cut at
    a covered state subscribes to that state's summary, and when the
@@ -786,11 +801,13 @@ let synthetic_walk procs ~key =
    a node the walk drained before launching run 2.  Losing that todo
    drops runs 3 and 4, and with them the only completed schedule.  The key
    is not a sound abstraction; the pin is on the walk's mechanics. *)
-let test_rearm_drained_subtree () =
+let rearm_procs =
   let fp r = { Sched_tree.regs = [ r ]; blocking = false } in
-  let procs = [| [| fp 2; fp 1 |]; [| fp 1; fp 0 |]; [| fp 0; fp 0 |] |] in
-  let key pc = ((9 * pc.(0)) + (3 * pc.(1)) + pc.(2)) mod 5 in
-  let stats, log = synthetic_walk procs ~key in
+  [| [| fp 2; fp 1 |]; [| fp 1; fp 0 |]; [| fp 0; fp 0 |] |]
+
+let rearm_key pc = ((9 * pc.(0)) + (3 * pc.(1)) + pc.(2)) mod 5
+
+let check_rearm_walk (stats : Sched_tree.stats) log =
   Alcotest.(check (list string))
     "runs in launch order"
     [ "0011 cut"; "002 cut"; "00122 cut"; "001212"; "01 cut" ]
@@ -799,6 +816,19 @@ let test_rearm_drained_subtree () =
     "schedules, sleep-blocked, deduped, elided, depth" [ 1; 0; 4; 0; 6 ]
     Sched_tree.
       [ stats.schedules; stats.sleep_blocked; stats.deduped; stats.elided; stats.max_depth ]
+
+let test_rearm_drained_subtree () =
+  let stats, log, _ = synthetic_walk rearm_procs ~key:rearm_key in
+  check_rearm_walk stats log
+
+(* The same walk with a resuming runner.  Each run starts where its path
+   leaves the previous run's: run 3 ("00122") diverges on run 1's path, not
+   run 2's ("002"), so it resumes run 2's state at depth 2, replays "1"
+   and only then takes its divergence decision — a partial resume. *)
+let test_rearm_drained_subtree_resumed () =
+  let stats, log, starts = synthetic_walk ~resume:true rearm_procs ~key:rearm_key in
+  check_rearm_walk stats log;
+  Alcotest.(check (list int)) "resumed depths" [ 0; 2; 2; 4; 1 ] starts
 
 (* schedules/sleep-blocked/deduped/elided/depth *)
 let pp_walk_stats (s : Sched_tree.stats) =
@@ -831,6 +861,46 @@ let synthetic_procs rng =
   in
   Array.init (2 + Random.State.int rng 2) (fun _ ->
       Array.init (3 + Random.State.int rng 4) (fun _ -> step ()))
+
+(* Resuming is invisible to the walk: over seeded synthetic programs, key
+   moduli 3-7 and each kind of bound, the resuming runner launches the
+   same runs in the same order with the same stats as the replaying one.
+   And it really resumes: each run starts at the depth its path shares
+   with the previous run's — its save there is the deepest one it can use,
+   as the runner saves after every step. *)
+let prop_resume_is_replay =
+  let bounds =
+    Sched_tree.
+      [|
+        no_bounds;
+        { no_bounds with preempt = Some 1 };
+        { no_bounds with fair = Some 1 };
+        { no_bounds with length = Some 5 };
+      |]
+  in
+  (* The common prefix of two runs' pid trails. *)
+  let shared a b =
+    let trail run = List.hd (String.split_on_char ' ' run) in
+    let a = trail a and b = trail b in
+    let rec go i =
+      if i < String.length a && i < String.length b && a.[i] = b.[i] then go (i + 1) else i
+    in
+    go 0
+  in
+  let rec resumed_at = function
+    | a :: (b :: _ as rest) -> shared a b :: resumed_at rest
+    | _ -> []
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:300 ~name:"dpor resume = replay (synthetic walks)"
+       QCheck.(triple (int_bound 9_999) (int_range 3 7) (int_bound 3))
+       (fun (seed, modulus, b) ->
+         let procs = synthetic_procs (Random.State.make [| seed |]) in
+         let key pc = Array.map (fun c -> c mod modulus) pc in
+         let bounds = bounds.(b) in
+         let stats, log, _ = synthetic_walk ~bounds procs ~key in
+         let stats', log', starts = synthetic_walk ~bounds ~resume:true procs ~key in
+         stats = stats' && log = log' && starts = 0 :: resumed_at log))
 
 (* Each cell pins the walk's stats and a digest of the ordered list of
    completed runs, one line per run, every event with its invocation and
@@ -883,7 +953,7 @@ let test_dpor_visit_order_pinned () =
           let procs = synthetic_procs (Random.State.make [| seed |]) in
           let modulus = 3 + (seed mod 5) in
           let key pc = Array.map (fun c -> c mod modulus) pc in
-          let stats, log = synthetic_walk procs ~key in
+          let stats, log, _ = synthetic_walk procs ~key in
           Printf.sprintf "synthetic seed %d: %s %s" seed (pp_walk_stats stats)
             (Digest.to_hex (Digest.string (String.concat "\n" log))))
   in
@@ -922,6 +992,59 @@ let test_dpor_visit_order_pinned () =
       "synthetic seed 19: 3/0/205/0/12 0efe1c8c207f62630dfed3a3555d94a2";
     ]
     got
+
+(* Executed program steps: [counted program_of] wraps every [Op]
+   continuation with a counter, so the count is the number of steps the
+   runner really performed, resumed prefixes excluded. *)
+let counted program_of =
+  let steps = ref 0 in
+  let rec wrap = function
+    | Program.Return _ as p -> p
+    | Program.Op (inv, k) ->
+      Program.Op
+        ( inv,
+          fun r ->
+            incr steps;
+            wrap (k r) )
+    | Program.Toss k -> Program.Toss (fun o -> wrap (k o))
+  in
+  (steps, fun pid -> wrap (program_of pid))
+
+(* A deterministic gate on the fork: how many program steps a whole
+   [iter_dpor] walk executes.  The replay counts were derived at the
+   parent of the change that made runs resume, with this same counter:
+   every run replayed its prefix from the initial state.  On move-collect
+   n=3 each of the 6,522 runs after the first resumes one step short of
+   its divergence, so it executes its divergence step and its fresh steps
+   and nothing else: 11,302 = the first run's 21 steps + 6,522 divergence
+   steps + 4,759 fresh ones.  A run that replayed even one prefix step
+   would raise the count. *)
+let test_dpor_executed_steps () =
+  let walk ~n ~program_of ~inits ?model () =
+    let steps, program_of = counted program_of in
+    let stats = Explore.iter_dpor ~n ~program_of ~inits ?model ~f:ignore () in
+    (stats, !steps)
+  in
+  let move_collect () =
+    let program_of, inits = Corpus.move_collect.Corpus.make ~n:3 in
+    walk ~n:3 ~program_of ~inits ()
+  in
+  let iriw_pso () =
+    let t = Option.get (Litmus.find "iriw") in
+    walk ~n:t.Litmus.n ~program_of:t.Litmus.program_of ~inits:t.Litmus.inits
+      ~model:Memory_model.PSO ()
+  in
+  List.iter
+    (fun (name, cell, pinned_stats, replayed, pinned) ->
+      let stats, steps = cell () in
+      Alcotest.(check string) (name ^ " stats") pinned_stats (pp_walk_stats stats);
+      Alcotest.(check int)
+        (Printf.sprintf "%s executed steps (%d when every run replayed)" name replayed)
+        pinned steps)
+    [
+      ("move-collect n=3", move_collect, "66/0/6457/0/24", 89_073, 11_302);
+      ("IRIW under PSO", iriw_pso, "40/0/161/0/12", 917, 302);
+    ]
 
 (* ---- the stateful-DPOR state key ---- *)
 
@@ -1060,6 +1183,10 @@ let suite =
     Alcotest.test_case "dpor visit order (pinned)" `Quick test_dpor_visit_order_pinned;
     Alcotest.test_case "re-armed drained subtree is explored" `Quick
       test_rearm_drained_subtree;
+    Alcotest.test_case "re-armed drained subtree, resumed runs" `Quick
+      test_rearm_drained_subtree_resumed;
+    prop_resume_is_replay;
+    Alcotest.test_case "dpor executed steps (pinned)" `Quick test_dpor_executed_steps;
     prop_state_key_hash;
     Alcotest.test_case "dpor state-key hash spread (move-collect n=3)" `Quick
       test_state_key_hash_spread;
