@@ -1,7 +1,7 @@
 (* Benchmark regression gate.
 
    The gated series: the latest BENCH_simulator.json snapshot (written by
-   `bench/main.exe time` or `bench/main.exe service`) against
+   `bench/main.exe time`) against
    bench/BASELINE_simulator.json, tolerance +30% (the noise floor of shared
    CI runners).
 

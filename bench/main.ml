@@ -1,7 +1,7 @@
 (* Benchmark harness.
 
    Two halves:
-   1. The experiment tables E1-E11 (one per paper lemma/theorem — the paper,
+   1. The experiment tables E1-E14 (one per paper lemma/theorem — the paper,
       a theory paper, has no numbered tables/figures; these are its results
       as measurements).  `EXPERIMENTS.md` records paper-vs-measured.
    2. Bechamel wall-clock micro-benchmarks of the simulator and of one
@@ -10,12 +10,12 @@
       the announce-array baseline) mirrors the shared-access counts.
 
    Usage:
-     bench/main.exe              all experiments + timing benches + service
+     bench/main.exe              all experiments + charts + timing + hardware benches
      bench/main.exe exp          all experiment tables
      bench/main.exe exp e7       one experiment
      bench/main.exe quick        reduced-size experiment tables
      bench/main.exe time         timing benches only
-     bench/main.exe service      service-layer cold vs warm-cache + dedup bench
+     bench/main.exe chart        complexity-shape charts only
      bench/main.exe hw           hardware backend: wall-clock curves on real domains
 
    A `-j N` / `--jobs N` pair anywhere in the arguments fans each experiment's
@@ -192,91 +192,6 @@ let timing () =
   let path = Bench_out.append ~suite:"simulator" data in
   Format.printf "(wrote %s)@." path
 
-(* ---- service layer: cold vs warm-cache latency, in-flight dedup ---- *)
-
-(* Two acceptance checks for the lib/service tentpole, measured on full-size
-   requests and appended to BENCH_simulator.json:
-   - a warm-cache request must be >= 10x faster than the cold computation
-     (it is a hash lookup vs seconds of simulation);
-   - a batch of two identical uncached requests must compute the table
-     exactly once, observable as service.misses = 1 + service.dedup_inflight
-     = 1 in the service metrics. *)
-let service ~jobs () =
-  let open Lb_service in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let ok_response = function
-    | [ { Executor.outcome = Executor.Ok _; _ } ] -> ()
-    | [ { Executor.outcome = Executor.Error msg; _ } ] -> failwith ("service bench: " ^ msg)
-    | _ -> failwith "service bench: unexpected response shape"
-  in
-  let failures = ref [] in
-  Format.printf "@.== Service layer: cold vs warm-cache request latency (full-size)@.@.";
-  let rows =
-    List.concat_map
-      (fun id ->
-        let registry = Metrics.create () in
-        Metrics.with_registry registry (fun () ->
-            let cache = Cache.create ~capacity:64 () in
-            let executor = Executor.create ~jobs ~cache ~compute:Catalog.compute () in
-            let req = Request.experiment id in
-            let cold_resp, cold = time (fun () -> Executor.run_batch executor [ req ]) in
-            ok_response cold_resp;
-            let warm_resp, warm = time (fun () -> Executor.run_batch executor [ req ]) in
-            ok_response warm_resp;
-            (match warm_resp with
-            | [ { Executor.cached = true; _ } ] -> ()
-            | _ -> failures := Printf.sprintf "%s: warm request not served from cache" id :: !failures);
-            let speedup = if warm > 0.0 then cold /. warm else infinity in
-            Format.printf "%-4s cold %8.3f s   warm %10.6f s   speedup %10.0fx%s@." id cold
-              warm speedup
-              (if speedup >= 10.0 then "" else "  BELOW 10x");
-            if speedup < 10.0 then
-              failures :=
-                Printf.sprintf "%s: warm-cache speedup %.1fx < 10x" id speedup :: !failures;
-            [
-              (Printf.sprintf "service %s cold request" id, cold *. 1e9);
-              (Printf.sprintf "service %s warm request" id, warm *. 1e9);
-            ]))
-      [ "e5"; "e7" ]
-  in
-  (* In-flight dedup: two identical uncached requests, one computation. *)
-  let registry = Metrics.create () in
-  Metrics.with_registry registry (fun () ->
-      let cache = Cache.create ~capacity:64 () in
-      let executor = Executor.create ~jobs ~cache ~compute:Catalog.compute () in
-      let req = Request.experiment "e7" in
-      let responses = Executor.run_batch executor [ req; req ] in
-      let misses = Metrics.counter_value registry "service.misses" in
-      let dedups = Metrics.counter_value registry "service.dedup_inflight" in
-      Format.printf
-        "@.dedup: 2 identical in-flight e7 requests -> %d computation(s), %d deduped \
-         (service.misses=%d service.dedup_inflight=%d)@."
-        misses dedups misses dedups;
-      if not (misses = 1 && dedups = 1 && List.length responses = 2) then
-        failures := "in-flight dedup did not collapse two identical requests" :: !failures);
-  let data =
-    Json.Obj
-      [
-        ( "benchmarks",
-          Json.Arr
-            (List.map
-               (fun (name, ns) ->
-                 Json.Obj [ ("name", Json.Str name); ("ns_per_run", Json.Float ns) ])
-               rows) );
-      ]
-  in
-  let path = Bench_out.append ~suite:"simulator" ~meta:[ ("jobs", Json.Int jobs) ] data in
-  Format.printf "(wrote %s)@." path;
-  match !failures with
-  | [] -> Format.printf "service benchmark OK@."
-  | fs ->
-    List.iter (fun f -> Format.printf "service benchmark FAILED: %s@." f) fs;
-    exit 1
-
 (* ---- shape chart: the paper's complexity landscape at a glance ---- *)
 
 let charts () =
@@ -410,7 +325,7 @@ let () =
   match args with
   | "exp" :: [] -> run_tables ~jobs (Lb_experiments.Experiments.thunks ~jobs ~quick:false ())
   | "exp" :: id :: _ -> (
-    match Lb_experiments.Experiments.by_id ~jobs id with
+    match Lb_experiments.Experiments.by_id ~jobs ~quick:false id with
     | Some f -> run_tables ~jobs [ (String.lowercase_ascii id, f) ]
     | None ->
       Format.printf "unknown experiment %s (have: %s)@." id
@@ -420,11 +335,9 @@ let () =
     run_tables ~quick:true ~jobs (Lb_experiments.Experiments.thunks ~jobs ~quick:true ())
   | "time" :: _ -> timing ()
   | "chart" :: _ -> charts ()
-  | "service" :: _ -> service ~jobs ()
   | "hw" :: _ -> hardware ()
   | _ ->
     run_tables ~jobs (Lb_experiments.Experiments.thunks ~jobs ~quick:false ());
     charts ();
     timing ();
-    service ~jobs ();
     hardware ()

@@ -7,9 +7,13 @@
      corpus            list the wakeup algorithm corpus
      trace NAME -n N   print the round-by-round (All, A)-run of an algorithm
      sweep CONSTR      complexity sweep of a universal construction
+     upsets NAME -n N  show the round-by-round growth of the UP sets
+     profile CONSTR    per-register contention profile of a construction
      faults TARGET     certify wait-freedom under an injected fault plan
-     serve             run the batching request server on a Unix socket
-     request [SPECS..] send requests (or control ops) to a running server *)
+     conform [TARGET]  check the constructions' histories for linearizability
+     explore NAME -n N verify a wakeup algorithm over every interleaving
+     litmus [TEST]     run the memory-model litmus suite
+     hw                run the constructions on real OCaml domains *)
 
 open Lowerbound
 open Cmdliner
@@ -35,11 +39,33 @@ let jobs_arg =
 
 let resolve_jobs jobs = if jobs = 0 then Pool.default_jobs () else jobs
 
+(* Process and operation counts: 0 or less is a usage error (exit 124), not
+   an empty run that reports a verdict or an exception deep in a layer. *)
+let pos_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some k when k >= 1 -> Ok k
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv ~docv:"N" (parse, Format.pp_print_int)
+
 (* ---- exp ---- *)
 
 let exp_cmd =
+  let experiment_id =
+    let ids = Lb_experiments.Experiments.ids in
+    let parse s =
+      let id = String.lowercase_ascii s in
+      if List.mem id ids then Ok id
+      else
+        Error
+          (`Msg (Printf.sprintf "unknown experiment %S (one of: %s)" s (String.concat ", " ids)))
+    in
+    Arg.conv ~docv:"ID" (parse, Format.pp_print_string)
+  in
   let ids_arg =
-    Arg.(value & pos_all string [] & info [] ~docv:"ID" ~doc:"Experiment ids (e1 .. e11).")
+    Arg.(
+      value & pos_all experiment_id [] & info [] ~docv:"ID" ~doc:"Experiment ids (e1 .. e14).")
   in
   let quick =
     Arg.(value & flag & info [ "quick" ] ~doc:"Reduced-size sweeps (fast).")
@@ -51,10 +77,7 @@ let exp_cmd =
       | [] -> Lb_experiments.Experiments.all ~jobs ~quick ()
       | ids ->
         List.map
-          (fun id ->
-            match Lb_experiments.Experiments.by_id ~jobs id with
-            | Some f -> f ()
-            | None -> failwith (Printf.sprintf "unknown experiment %s" id))
+          (fun id -> Option.get (Lb_experiments.Experiments.by_id ~jobs ~quick id) ())
           ids
     in
     List.iter (fun t -> Format.printf "%a@.@." Lb_experiments.Table.pp t) tables;
@@ -88,7 +111,7 @@ let corpus_cmd =
 (* ---- shared args ---- *)
 
 let n_arg =
-  Arg.(value & opt int 16 & info [ "n" ] ~docv:"N" ~doc:"Number of processes.")
+  Arg.(value & opt pos_int 16 & info [ "n" ] ~docv:"N" ~doc:"Number of processes.")
 
 let seed_arg =
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Toss-assignment seed.")
@@ -261,7 +284,7 @@ let sweep_cmd =
   let ns_arg =
     Arg.(
       value
-      & opt (list int) [ 2; 4; 8; 16; 32; 64; 128; 256 ]
+      & opt (list pos_int) [ 2; 4; 8; 16; 32; 64; 128; 256 ]
       & info [ "ns" ] ~docv:"NS" ~doc:"Comma-separated process counts.")
   in
   let run () which ns =
@@ -386,7 +409,7 @@ let faults_cmd =
   in
   let ops_arg =
     Arg.(
-      value & opt int 1
+      value & opt pos_int 1
       & info [ "ops" ] ~docv:"K" ~doc:"Operations per process (construction targets only).")
   in
   let run () target n seed plan_name ops jobs =
@@ -455,7 +478,7 @@ let conform_cmd =
              $(b,direct), or $(b,all).")
   in
   let cn_arg =
-    Arg.(value & opt int 4 & info [ "n" ] ~docv:"N" ~doc:"Number of processes.")
+    Arg.(value & opt pos_int 4 & info [ "n" ] ~docv:"N" ~doc:"Number of processes.")
   in
   let type_arg =
     Arg.(
@@ -472,7 +495,7 @@ let conform_cmd =
              to sweep every named plan.")
   in
   let ops_arg =
-    Arg.(value & opt int 4 & info [ "ops" ] ~docv:"K" ~doc:"Operations per process.")
+    Arg.(value & opt pos_int 4 & info [ "ops" ] ~docv:"K" ~doc:"Operations per process.")
   in
   let schedules_arg =
     Arg.(
@@ -663,12 +686,12 @@ let hw_cmd =
   in
   let hn_arg =
     Arg.(
-      value & opt int 4
+      value & opt pos_int 4
       & info [ "n" ] ~docv:"N"
           ~doc:"Domains (= processes).  Beyond the core count they timeshare.")
   in
   let ops_arg =
-    Arg.(value & opt int 64 & info [ "ops" ] ~docv:"K" ~doc:"Operations per process.")
+    Arg.(value & opt pos_int 64 & info [ "ops" ] ~docv:"K" ~doc:"Operations per process.")
   in
   let check_flag =
     Arg.(
@@ -867,9 +890,28 @@ let explore_cmd =
 (* ---- litmus ---- *)
 
 let litmus_cmd =
+  (* [None] is the whole catalog. *)
+  let litmus_test =
+    let parse = function
+      | "all" -> Ok None
+      | s -> (
+        match Litmus.find s with
+        | Some t -> Ok (Some t)
+        | None ->
+          Error
+            (`Msg
+              (Printf.sprintf "unknown litmus test %S (one of: %s, or all)" s
+                 (String.concat ", " (List.map (fun t -> t.Litmus.name) Litmus.catalog)))))
+    in
+    let print ppf = function
+      | None -> Format.pp_print_string ppf "all"
+      | Some t -> Format.pp_print_string ppf t.Litmus.name
+    in
+    Arg.conv ~docv:"TEST" (parse, print)
+  in
   let test_arg =
     Arg.(
-      value & pos 0 string "all"
+      value & pos 0 litmus_test None
       & info [] ~docv:"TEST"
           ~doc:
             "Litmus test to run ($(b,SB), $(b,SB+fence), $(b,SB+rmw), $(b,MP), \
@@ -915,17 +957,8 @@ let litmus_cmd =
         ])
   in
   let run () test max_runs report_file =
-    let whole_catalog = test = "all" in
-    let tests =
-      if whole_catalog then Litmus.catalog
-      else
-        match Litmus.find test with
-        | Some t -> [ t ]
-        | None ->
-          failwith
-            (Printf.sprintf "unknown litmus test %S (one of: %s, or all)" test
-               (String.concat ", " (List.map (fun t -> t.Litmus.name) Litmus.catalog)))
-    in
+    let whole_catalog = test = None in
+    let tests = match test with None -> Litmus.catalog | Some t -> [ t ] in
     let verdicts = List.map (Litmus.check ~max_runs) tests in
     List.iter (fun v -> Format.printf "%a@.@." Litmus.pp_verdict v) verdicts;
     (* Pairwise separation is a property of the catalog, not of one test. *)
@@ -966,271 +999,6 @@ let litmus_cmd =
           (exit 3 on any mismatch).")
     Term.(const run $ logging $ test_arg $ max_runs_arg $ report_arg)
 
-(* ---- serve / request: the experiment service layer (lib/service) ---- *)
-
-let socket_arg =
-  Arg.(
-    value
-    & opt string "lowerbound.sock"
-    & info [ "socket"; "s" ] ~docv:"PATH" ~doc:"Unix-domain socket path of the server.")
-
-let serve_cmd =
-  let cache_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "cache" ] ~docv:"FILE"
-          ~doc:
-            "Append-only JSONL result-cache journal: reloaded at startup (corrupt lines \
-             skipped), appended on every store — identical requests are then served without \
-             recomputation across server restarts.")
-  in
-  let capacity_arg =
-    Arg.(
-      value & opt int 256
-      & info [ "capacity" ] ~docv:"K" ~doc:"In-memory LRU capacity (entries).")
-  in
-  let timeout_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "timeout" ] ~docv:"SECONDS"
-          ~doc:
-            "Per-request computation deadline (enforced via SIGALRM when the executor is \
-             sequential, i.e. $(b,--jobs 1); advisory at higher job counts).")
-  in
-  let max_requests_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "max-requests" ] ~docv:"K"
-          ~doc:"Stop after answering $(docv) requests (0 = serve until shutdown).")
-  in
-  let trace_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace" ] ~docv:"FILE"
-          ~doc:
-            "Stream the structured event trace of every computation the server performs to \
-             $(docv) as JSONL.")
-  in
-  let fsync_flag =
-    Arg.(
-      value & flag
-      & info [ "fsync" ]
-          ~doc:
-            "fsync the cache journal at every batch boundary, making acknowledged results \
-             machine-crash durable (default: flush to the OS only).")
-  in
-  let run () socket cache capacity timeout max_requests trace jobs fsync =
-    let jobs = resolve_jobs jobs in
-    let c = Lb_service.Cache.create ~capacity ?path:cache ~fsync () in
-    if Lb_service.Cache.loaded c > 0 || Lb_service.Cache.corrupt c > 0 then
-      Format.printf "(cache: reloaded %d entries, skipped %d corrupt lines)@."
-        (Lb_service.Cache.loaded c) (Lb_service.Cache.corrupt c);
-    let executor =
-      Lb_service.Executor.create ~jobs ?timeout_s:timeout ~cache:c
-        ~compute:Lb_service.Catalog.compute ()
-    in
-    let max_requests = if max_requests > 0 then Some max_requests else None in
-    let serve () =
-      Lb_service.Server.serve ~socket ~executor ?max_requests
-        ~log:(fun line -> Format.printf "%s@." line)
-        ()
-    in
-    let stats =
-      match trace with
-      | None -> serve ()
-      | Some path ->
-        let oc = open_out path in
-        let tracer = Tracer.on_channel oc in
-        let stats = Tracer.with_tracer tracer serve in
-        Tracer.flush tracer;
-        close_out oc;
-        stats
-    in
-    Format.printf "served %d request(s) in %d batch(es) over %d connection(s)@."
-      stats.Lb_service.Server.served stats.Lb_service.Server.batches
-      stats.Lb_service.Server.clients;
-    0
-  in
-  Cmd.v
-    (Cmd.info "serve"
-       ~doc:
-         "Run the experiment service: a batching line-JSON request server on a Unix-domain \
-          socket ($(b,--socket)) with a content-keyed result cache — concurrently queued \
-          requests coalesce into one batch, identical in-flight requests compute once, and \
-          cached requests never recompute.  $(b,--fsync) makes the cache journal \
-          machine-crash durable (docs/ROBUSTNESS.md).")
-    Term.(
-      const run $ logging $ socket_arg $ cache_arg $ capacity_arg $ timeout_arg
-      $ max_requests_arg $ trace_arg $ jobs_arg $ fsync_flag)
-
-let request_cmd =
-  let specs_arg =
-    Arg.(
-      value & pos_all string []
-      & info [] ~docv:"SPEC"
-          ~doc:
-            "Experiment ids to request (e1 .. e14), each served from the cache when \
-             possible.")
-  in
-  let quick_flag =
-    Arg.(value & flag & info [ "quick" ] ~doc:"Request the reduced-size sweeps.")
-  in
-  let certify_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "certify" ] ~docv:"TARGET"
-          ~doc:"Also request one certification run of $(docv) (see `lowerbound faults`).")
-  in
-  let plan_arg =
-    Arg.(
-      value & opt string "crash-stop"
-      & info [ "plan" ] ~docv:"PLAN" ~doc:"Fault plan for $(b,--certify).")
-  in
-  let ops_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "ops" ] ~docv:"K" ~doc:"Operations per process for $(b,--certify).")
-  in
-  let conform_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "conform" ] ~docv:"TARGET"
-          ~doc:"Also request one conformance fuzz cell of $(docv) (see `lowerbound conform`).")
-  in
-  let otype_arg =
-    Arg.(
-      value & opt string "fetch-inc"
-      & info [ "otype" ] ~docv:"TYPE" ~doc:"Object type for $(b,--conform).")
-  in
-  let schedules_arg =
-    Arg.(
-      value & opt int 200
-      & info [ "schedules" ] ~docv:"S" ~doc:"Random schedules for $(b,--conform).")
-  in
-  let metrics_flag =
-    Arg.(
-      value & flag
-      & info [ "metrics" ]
-          ~doc:"Fetch the server's metrics registry snapshot (the service.* family included).")
-  in
-  let ping_flag = Arg.(value & flag & info [ "ping" ] ~doc:"Round-trip a ping.") in
-  let shutdown_flag =
-    Arg.(value & flag & info [ "shutdown" ] ~doc:"Ask the server to shut down gracefully.")
-  in
-  let timeout_arg =
-    Arg.(
-      value & opt float 600.0
-      & info [ "timeout" ] ~docv:"SECONDS" ~doc:"Client-side response deadline.")
-  in
-  let raw_flag =
-    Arg.(
-      value & flag
-      & info [ "raw" ] ~doc:"Print raw response JSON lines instead of the summary rendering.")
-  in
-  let run () socket specs quick certify conform otype schedules plan ops n seed metrics
-      ping shutdown timeout raw jobs =
-    let requests =
-      List.map
-        (fun id -> Lb_service.Request.with_jobs (Lb_service.Request.experiment ~quick id) jobs)
-        specs
-      @ (match certify with
-        | None -> []
-        | Some target ->
-          [
-            Lb_service.Request.with_jobs
-              (Lb_service.Request.certify ~n ~ops ~seed ~target ~plan ())
-              jobs;
-          ])
-      @
-      match conform with
-      | None -> []
-      | Some target ->
-        [
-          Lb_service.Request.with_jobs
-            (Lb_service.Request.conform ~otype ~plan:"none" ~n:4 ~ops:4 ~schedules ~seed
-               ~target ())
-            jobs;
-        ]
-    in
-    let control =
-      (if ping then [ Json.Obj [ ("op", Json.Str "ping") ] ] else [])
-      @ (if metrics then [ Json.Obj [ ("op", Json.Str "metrics") ] ] else [])
-      @ if shutdown then [ Json.Obj [ ("op", Json.Str "shutdown") ] ] else []
-    in
-    let lines = List.map Lb_service.Request.to_json requests @ control in
-    if lines = [] then begin
-      Format.printf "nothing to send (give experiment ids, --certify, --metrics, --ping or \
-                     --shutdown)@.";
-      2
-    end
-    else
-      match Lb_service.Client.call ~socket ~timeout_s:timeout lines with
-      | Error e ->
-        Format.printf "request failed: %s@." (Lb_service.Client.error_message e);
-        1
-      | Ok responses ->
-        let ok = ref true in
-        List.iter
-          (fun response ->
-            if raw then Format.printf "%s@." (Json.to_string response)
-            else begin
-              let str name =
-                Option.value ~default:"?"
-                  (Option.bind (Json.member name response) Json.to_str_opt)
-              in
-              let flag name =
-                Option.value ~default:false
-                  (Option.bind (Json.member name response) Json.to_bool_opt)
-              in
-              match str "status" with
-              | "ok" when Json.member "op" response <> None -> (
-                match Json.member "data" response with
-                | Some data -> Format.printf "%s@." (Json.to_string ~pretty:true data)
-                | None -> Format.printf "ok: %s@." (str "op"))
-              | "ok" ->
-                let served =
-                  if flag "cached" then "cache hit"
-                  else if flag "deduped" then "deduped in-flight"
-                  else "computed"
-                in
-                let elapsed =
-                  Option.value ~default:0.0
-                    (Option.bind (Json.member "elapsed_s" response) Json.to_float_opt)
-                in
-                Format.printf "ok (%s, %.3fs, key %s)@." served elapsed (str "key");
-                (match Json.member "data" response with
-                | Some data ->
-                  Format.printf "%s@." (Json.to_string ~pretty:true data);
-                  (match Option.bind (Json.member "pass" data) Json.to_bool_opt with
-                  | Some false -> ok := false
-                  | _ -> ())
-                | None -> ())
-              | "timeout" ->
-                ok := false;
-                Format.printf "TIMEOUT (key %s)@." (str "key")
-              | _ ->
-                ok := false;
-                Format.printf "ERROR: %s@." (str "error")
-            end)
-          responses;
-        if !ok then 0 else 1
-  in
-  Cmd.v
-    (Cmd.info "request"
-       ~doc:
-         "Send a batch of requests to a running `lowerbound serve` over its Unix-domain \
-          socket ($(b,--socket)) and print the responses (exit 1 on any error, timeout or \
-          failing table).")
-    Term.(
-      const run $ logging $ socket_arg $ specs_arg $ quick_flag $ certify_arg $ conform_arg
-      $ otype_arg $ schedules_arg $ plan_arg $ ops_arg $ n_arg $ seed_arg $ metrics_flag
-      $ ping_flag $ shutdown_flag $ timeout_arg $ raw_flag $ jobs_arg)
-
 let main_cmd =
   let doc =
     "Executable reproduction of Jayanti's PODC 1998 \\(Omega\\)(log n) lower bound for \
@@ -1240,7 +1008,7 @@ let main_cmd =
     (Cmd.info "lowerbound" ~version:"1.0.0" ~doc)
     [
       exp_cmd; corpus_cmd; analyze_cmd; trace_cmd; sweep_cmd; explore_cmd; litmus_cmd;
-      profile_cmd; upsets_cmd; faults_cmd; conform_cmd; hw_cmd; serve_cmd; request_cmd;
+      profile_cmd; upsets_cmd; faults_cmd; conform_cmd; hw_cmd;
     ]
 
 let () = exit (Cmd.eval' main_cmd)

@@ -123,7 +123,7 @@ let pp_report ppf r =
   Format.fprintf ppf "verdict: %s@ " (if ok r then "CONFORMANT" else "NON-CONFORMANT");
   Format.fprintf ppf "@]"
 
-(* ---- JSON (for the service layer) ---- *)
+(* ---- JSON (the --report file) ---- *)
 
 let json_of_counterexample (cx : Fuzz.counterexample) =
   Lb_observe.Json.(

@@ -88,6 +88,5 @@ val ok : report -> bool
 val pp_mutant_cell : Format.formatter -> mutant_cell -> unit
 val pp_report : Format.formatter -> report -> unit
 
-val json_of_cell : Fuzz.cell -> Lb_observe.Json.t
 val json_of_mutant_cell : mutant_cell -> Lb_observe.Json.t
 val json_of_report : report -> Lb_observe.Json.t

@@ -242,7 +242,7 @@ let pp_report ppf r =
   Format.fprintf ppf "verdict: %s@ " (if ok r then "CERTIFIED" else "NON-CONFORMANT");
   Format.fprintf ppf "@]"
 
-(* ---- JSON (for CI artifacts and the service layer) ---- *)
+(* ---- JSON (the --report file CI reads) ---- *)
 
 let json_of_bounds (b : Sched_tree.bounds) =
   let opt = function None -> Lb_observe.Json.Null | Some k -> Lb_observe.Json.Int k in

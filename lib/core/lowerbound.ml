@@ -44,11 +44,9 @@
       real OCaml 5 domains over [Atomic] LL/SC cells (Blelloch–Wei tagged
       indirection), with recorded histories certified by {!Linearize}.
 
-    Two libraries sit {e above} this facade in the dependency DAG and so
+    One library sits {e above} this facade in the dependency DAG and so
     cannot be re-exported from it: [Lb_experiments] (E1–E14 as
-    table-producing thunks) and [Lb_service] (the memoizing experiment
-    server on one Unix-domain socket, with a content-keyed result cache,
-    behind [lowerbound serve] / [lowerbound request]).  Executables that need them depend on them
+    table-producing thunks).  Executables that need it depend on it
     directly.  The full layer map is docs/ARCHITECTURE.md. *)
 
 (* Shared-memory model *)

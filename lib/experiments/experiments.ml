@@ -755,5 +755,7 @@ let thunks ?(jobs = 1) ~quick () =
 
 let all ?(jobs = 1) ~quick () = List.map (fun (_, f) -> f ()) (thunks ~jobs ~quick ())
 
-let by_id ?(jobs = 1) id = List.assoc_opt (String.lowercase_ascii id) (registry ~jobs)
+let by_id ?(jobs = 1) ~quick id =
+  List.assoc_opt (String.lowercase_ascii id) (thunks ~jobs ~quick ())
+
 let ids = List.map fst (registry ~jobs:1)

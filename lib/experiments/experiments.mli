@@ -65,7 +65,8 @@ val thunks : ?jobs:int -> quick:bool -> unit -> (string * (unit -> Table.t)) lis
     each experiment individually (the benchmark harness uses this to emit
     per-experiment wall-clock into BENCH_experiments.json). *)
 
-val by_id : ?jobs:int -> string -> (unit -> Table.t) option
-(** Lookup by id ("e1" .. "e14", case-insensitive), full-size parameters. *)
+val by_id : ?jobs:int -> quick:bool -> string -> (unit -> Table.t) option
+(** Lookup by id ("e1" .. "e14", case-insensitive) in [thunks ~quick]: the
+    thunk is the one {!all} runs at the same [quick]. *)
 
 val ids : string list

@@ -9,8 +9,8 @@
     - a baseline benchmark {e missing} from the current run is a warning
       (benches get renamed, subsets get run);
     - a current benchmark with {e no baseline entry yet} is a warning —
-      newly added benchmarks (the service cold/warm pair, say) must never
-      fail the gate before a baseline for them is committed. *)
+      newly added benchmarks must never fail the gate before a baseline
+      for them is committed. *)
 
 type comparison = {
   name : string;

@@ -19,7 +19,6 @@ let () =
       ("observe", Suite_observe.suite);
       ("exec", Suite_exec.suite);
       ("experiments", Suite_experiments.suite);
-      ("service", Suite_service.suite);
       ("conformance", Suite_conformance.suite);
       ("hardware", Suite_hardware.suite);
     ]

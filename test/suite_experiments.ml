@@ -14,11 +14,44 @@ let test_registry_complete () =
     [ "e1"; "e2"; "e3"; "e4"; "e5"; "e6"; "e7"; "e8"; "e9"; "e10"; "e11"; "e12"; "e13"; "e14" ]
     Lb_experiments.Experiments.ids;
   List.iter
-    (fun id ->
-      Alcotest.(check bool) (id ^ " resolvable") true
-        (Lb_experiments.Experiments.by_id id <> None))
-    Lb_experiments.Experiments.ids;
-  Alcotest.(check bool) "unknown id" true (Lb_experiments.Experiments.by_id "e99" = None)
+    (fun quick ->
+      List.iter
+        (fun id ->
+          Alcotest.(check bool) (id ^ " resolvable") true
+            (Lb_experiments.Experiments.by_id ~quick id <> None))
+        Lb_experiments.Experiments.ids;
+      Alcotest.(check bool) "unknown id" true
+        (Lb_experiments.Experiments.by_id ~quick "e99" = None))
+    [ false; true ]
+
+(* [exp --quick e7] must print the table [exp --quick] prints for E7, not
+   the full-size one. *)
+let test_by_id_quick () =
+  let quick_e7 =
+    List.find
+      (fun (t : Lb_experiments.Table.t) -> t.Lb_experiments.Table.id = "E7")
+      (Lb_experiments.Experiments.all ~quick:true ())
+  in
+  match Lb_experiments.Experiments.by_id ~quick:true "E7" with
+  | None -> Alcotest.fail "e7 not found"
+  | Some f ->
+    Alcotest.(check string) "same table"
+      (Format.asprintf "%a" Lb_experiments.Table.pp quick_e7)
+      (Format.asprintf "%a" Lb_experiments.Table.pp (f ()))
+
+(* A table's JSON is a function of the computation: two fresh runs print
+   the same bytes, and the printed form parses back to them. *)
+let test_table_json_deterministic () =
+  let json () =
+    match Lb_experiments.Experiments.by_id ~quick:true "e1" with
+    | Some f -> Lowerbound.Json.to_string (Lb_experiments.Table.to_json (f ()))
+    | None -> Alcotest.fail "e1 not found"
+  in
+  let first = json () in
+  Alcotest.(check string) "two fresh computations" first (json ());
+  match Lowerbound.Json.parse first with
+  | Ok j -> Alcotest.(check string) "parse -> print" first (Lowerbound.Json.to_string j)
+  | Error msg -> Alcotest.fail msg
 
 let test_table_rendering () =
   let table =
@@ -60,4 +93,7 @@ let suite =
     Alcotest.test_case "registry complete" `Quick test_registry_complete;
     Alcotest.test_case "table rendering" `Quick test_table_rendering;
     Alcotest.test_case "quick experiment suite passes" `Slow test_quick_suite;
+    Alcotest.test_case "by_id honours quick" `Quick test_by_id_quick;
+    Alcotest.test_case "table JSON is deterministic and re-parses" `Quick
+      test_table_json_deterministic;
   ]

@@ -142,6 +142,42 @@ let test_json_roundtrip_cases () =
   | Ok (Json.Str s) -> Alcotest.(check string) "unicode escape" "\xc3\xa9A" s
   | Ok _ | Error _ -> Alcotest.fail "unicode escape did not parse to a string"
 
+(* Printing is a function of the tree: a value that went through a file
+   (print, parse, print again) comes back as the same bytes. *)
+let gen_json =
+  QCheck.Gen.(
+    sized_size (0 -- 3)
+    @@ fix (fun self depth ->
+           let leaf =
+             oneof
+               [
+                 return Json.Null;
+                 map (fun b -> Json.Bool b) bool;
+                 map (fun i -> Json.Int i) int;
+                 map (fun s -> Json.Str s) (string_size ~gen:printable (0 -- 20));
+               ]
+           in
+           if depth = 0 then leaf
+           else
+             oneof
+               [
+                 leaf;
+                 map (fun xs -> Json.Arr xs) (list_size (0 -- 4) (self (depth - 1)));
+                 map
+                   (fun fields -> Json.Obj fields)
+                   (list_size (0 -- 4)
+                      (pair (string_size ~gen:printable (1 -- 8)) (self (depth - 1))));
+               ]))
+
+let test_json_reprint_byte_identical =
+  qcheck ~count:200 "json: print -> parse -> print is byte-identical"
+    (QCheck.make ~print:Json.to_string gen_json)
+    (fun j ->
+      let s = Json.to_string j in
+      match Json.parse s with
+      | Ok j' -> String.equal (Json.to_string j') s
+      | Error msg -> QCheck.Test.fail_reportf "parse: %s" msg)
+
 let test_json_rejects () =
   List.iter
     (fun s ->
@@ -501,6 +537,7 @@ let suite =
   [
     Alcotest.test_case "json: round-trips" `Quick test_json_roundtrip_cases;
     Alcotest.test_case "json: rejects malformed input" `Quick test_json_rejects;
+    test_json_reprint_byte_identical;
     test_event_roundtrip;
     Alcotest.test_case "event: kind tags" `Quick test_event_kinds;
     Alcotest.test_case "tracer: does not perturb runs" `Quick test_tracing_does_not_perturb;
