@@ -49,6 +49,39 @@ let pos_int =
   in
   Arg.conv ~docv:"N" (parse, Format.pp_print_int)
 
+(* Bounds where 0 means something ([--preempt-bound 0]: no pre-emption at
+   all): only a negative value is a usage error. *)
+let nonneg_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some k when k >= 0 -> Ok k
+    | _ -> Error (`Msg (Printf.sprintf "expected a non-negative integer, got %S" s))
+  in
+  Arg.conv ~docv:"N" (parse, Format.pp_print_int)
+
+(* A name checked when the command line is parsed: one that [valid]
+   rejects is a usage error (exit 124) listing the valid [names], not a
+   [Failure] out of the run. *)
+let known_name ?(more = "") ~what ~names valid =
+  let parse s =
+    if valid s then Ok s
+    else
+      Error
+        (`Msg
+          (Printf.sprintf "unknown %s %S (one of: %s%s)" what s
+             (String.concat ", " (names ()))
+             more))
+  in
+  Arg.conv ~docv:"NAME" (parse, Format.pp_print_string)
+
+(* A fault plan: a named plan, several joined with '+', or all. *)
+let plan_name =
+  known_name ~what:"plan" ~more:"; join with '+', or all"
+    ~names:(fun () -> Fault_plan.plan_names)
+    (fun s ->
+      s = "all"
+      || List.for_all (fun p -> List.mem p Fault_plan.plan_names) (String.split_on_char '+' s))
+
 (* ---- exp ---- *)
 
 let exp_cmd =
@@ -116,19 +149,27 @@ let n_arg =
 let seed_arg =
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Toss-assignment seed.")
 
+let corpus_entries () = Corpus.correct_algorithms () @ Corpus.cheaters ~n_hint:64
+
+let find_entry_opt name =
+  List.find_opt (fun (e : Corpus.entry) -> e.Corpus.name = name) (corpus_entries ())
+
+let find_entry name =
+  match find_entry_opt name with
+  | Some e -> e
+  | None -> failwith (Printf.sprintf "unknown algorithm %S (try `lowerbound corpus`)" name)
+
+let algorithm_names () = List.map (fun (e : Corpus.entry) -> e.Corpus.name) (corpus_entries ())
+
 let name_arg =
   Arg.(
     required
-    & pos 0 (some string) None
+    & pos 0
+        (some
+           (known_name ~what:"algorithm" ~names:algorithm_names (fun s ->
+                find_entry_opt s <> None)))
+        None
     & info [] ~docv:"ALGORITHM" ~doc:"Corpus entry name (see `lowerbound corpus`).")
-
-let find_entry name =
-  match Corpus.find name with
-  | Some e -> e
-  | None -> (
-    match List.find_opt (fun (e : Corpus.entry) -> e.Corpus.name = name) (Corpus.cheaters ~n_hint:64) with
-    | Some e -> e
-    | None -> failwith (Printf.sprintf "unknown algorithm %S (try `lowerbound corpus`)" name))
 
 (* ---- analyze ---- *)
 
@@ -389,10 +430,17 @@ let profile_cmd =
 (* ---- faults ---- *)
 
 let faults_cmd =
+  let target =
+    known_name ~what:"target"
+      ~names:(fun () ->
+        List.map (fun (c : Iface.t) -> c.Iface.name) Fault_targets.all
+        @ ("all" :: algorithm_names ()))
+      (fun s -> s = "all" || Fault_targets.find s <> None || find_entry_opt s <> None)
+  in
   let target_arg =
     Arg.(
       required
-      & pos 0 (some string) None
+      & pos 0 (some target) None
       & info [] ~docv:"TARGET"
           ~doc:
             "What to certify: $(b,adt-tree), $(b,herlihy), $(b,consensus-list), $(b,direct) \
@@ -401,7 +449,7 @@ let faults_cmd =
   in
   let plan_arg =
     Arg.(
-      value & opt string "crash-stop"
+      value & opt plan_name "crash-stop"
       & info [ "plan" ] ~docv:"PLAN"
           ~doc:
             "Fault plan: a named plan, several joined with $(b,+) (e.g. \
@@ -416,13 +464,7 @@ let faults_cmd =
     let jobs = resolve_jobs jobs in
     let plans =
       if plan_name = "all" then Fault_plan.named ~n |> List.map snd
-      else
-        match Fault_plan.of_name ~n plan_name with
-        | Some p -> [ p ]
-        | None ->
-          failwith
-            (Printf.sprintf "unknown plan %S (one of: %s; join with '+', or 'all')" plan_name
-               (String.concat ", " Fault_plan.plan_names))
+      else [ Option.get (Fault_plan.of_name ~n plan_name) ]
     in
     (* Certifications fan across domains; the reports print sequentially in
        plan-matrix order afterwards, so the output is job-count-invariant. *)
@@ -469,9 +511,15 @@ let faults_cmd =
 (* ---- conform ---- *)
 
 let conform_cmd =
+  let target =
+    known_name ~what:"construction"
+      ~names:(fun () ->
+        List.map (fun (c : Iface.t) -> c.Iface.name) Conformance.constructions @ [ "all" ])
+      (fun s -> s = "all" || Conformance.find_construction s <> None)
+  in
   let target_arg =
     Arg.(
-      value & pos 0 string "all"
+      value & pos 0 target "all"
       & info [] ~docv:"TARGET"
           ~doc:
             "Construction to check: $(b,adt-tree), $(b,herlihy), $(b,consensus-list), \
@@ -480,15 +528,20 @@ let conform_cmd =
   let cn_arg =
     Arg.(value & opt pos_int 4 & info [ "n" ] ~docv:"N" ~doc:"Number of processes.")
   in
+  let object_type =
+    known_name ~what:"object type" ~more:", or all"
+      ~names:(fun () -> Schedule_fuzz.type_names)
+      (fun s -> s = "all" || Schedule_fuzz.find_type s <> None)
+  in
   let type_arg =
     Arg.(
-      value & opt string "all"
+      value & opt object_type "all"
       & info [ "type" ] ~docv:"TYPE"
           ~doc:"Object type to fuzz (e.g. $(b,fetch-inc), $(b,queue)), or $(b,all).")
   in
   let plan_arg =
     Arg.(
-      value & opt string "none"
+      value & opt plan_name "none"
       & info [ "plan" ] ~docv:"PLAN"
           ~doc:
             "Fault plan to fuzz under: a named plan, several joined with $(b,+), or $(b,all) \
@@ -499,12 +552,12 @@ let conform_cmd =
   in
   let schedules_arg =
     Arg.(
-      value & opt int 1000
+      value & opt pos_int 1000
       & info [ "schedules" ] ~docv:"S" ~doc:"Random schedules per (construction, type, plan) cell.")
   in
   let max_states_arg =
     Arg.(
-      value & opt int 200_000
+      value & opt pos_int 200_000
       & info [ "max-states" ] ~docv:"B" ~doc:"Linearizability checker state budget per history.")
   in
   let mutate_flag =
@@ -529,29 +582,31 @@ let conform_cmd =
   let preempt_bound_arg =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some nonneg_int) None
       & info [ "preempt-bound" ] ~docv:"K"
           ~doc:"Max pre-emptive context switches per schedule ($(b,--exhaustive)).")
   in
   let fair_bound_arg =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some pos_int) None
       & info [ "fair-bound" ] ~docv:"D"
           ~doc:"Max step-count lead over the least-stepped enabled process ($(b,--exhaustive)).")
   in
   let len_bound_arg =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some pos_int) None
       & info [ "len-bound" ] ~docv:"L"
           ~doc:"Max scheduling decisions per schedule ($(b,--exhaustive)).")
   in
   let max_schedules_arg =
     Arg.(
-      value & opt int 200_000
+      value & opt pos_int 200_000
       & info [ "max-schedules" ] ~docv:"M"
-          ~doc:"Abort an $(b,--exhaustive) walk past this many runs (safety valve, an error).")
+          ~doc:
+            "Abort an $(b,--exhaustive) walk past this many runs (a safety valve: the command \
+             then exits 4, nothing certified).")
   in
   let report_arg =
     Arg.(
@@ -559,50 +614,32 @@ let conform_cmd =
       & opt (some string) None
       & info [ "report" ] ~docv:"FILE" ~doc:"Also write the report to $(docv) as JSON.")
   in
+  let model =
+    let parse s = Result.map_error (fun msg -> `Msg msg) (Memory_model.of_string s) in
+    let print ppf m = Format.pp_print_string ppf (Memory_model.to_string m) in
+    Arg.conv ~docv:"MODEL" (parse, print)
+  in
   let model_arg =
     Arg.(
-      value & opt string "sc"
+      value & opt model Memory_model.SC
       & info [ "model" ] ~docv:"MODEL"
           ~doc:
             "Memory model to run every cell under: $(b,sc) (default), $(b,tso) or $(b,pso).               The constructions use only the fencing LL/SC repertoire, so conformance must              survive relaxation unchanged — see docs/MEMORY_MODELS.md.")
   in
   let run () target n seed typ plan_name ops schedules max_states mutate exhaustive preempt
-      fair len max_schedules report_file model_name jobs =
+      fair len max_schedules report_file model jobs =
     let jobs = resolve_jobs jobs in
-    let model =
-      match Memory_model.of_string model_name with
-      | Ok m -> m
-      | Error msg -> failwith msg
-    in
     let constructions =
       if target = "all" then Conformance.constructions
-      else
-        match Conformance.find_construction target with
-        | Some c -> [ c ]
-        | None ->
-          failwith
-            (Printf.sprintf "unknown construction %S (adt-tree, herlihy, consensus-list, direct, all)"
-               target)
+      else [ Option.get (Conformance.find_construction target) ]
     in
     let types () =
       if typ = "all" then Schedule_fuzz.object_types
-      else
-        match Schedule_fuzz.find_type typ with
-        | Some t -> [ t ]
-        | None ->
-          failwith
-            (Printf.sprintf "unknown object type %S (one of: %s, or all)" typ
-               (String.concat ", " Schedule_fuzz.type_names))
+      else [ Option.get (Schedule_fuzz.find_type typ) ]
     in
     let plans () =
       if plan_name = "all" then Fault_plan.named ~n
-      else
-        match Fault_plan.of_name ~n plan_name with
-        | Some p -> [ (plan_name, p) ]
-        | None ->
-          failwith
-            (Printf.sprintf "unknown plan %S (one of: %s; join with '+', or 'all')" plan_name
-               (String.concat ", " Fault_plan.plan_names))
+      else [ (plan_name, Option.get (Fault_plan.of_name ~n plan_name)) ]
     in
     let write_json path json =
       let oc = open_out path in
@@ -616,7 +653,7 @@ let conform_cmd =
         if preempt = None && fair = None && len = None then Exhaustive.default_bounds
         else { Sched_tree.preempt; fair; length = len }
       in
-      let report =
+      match
         if mutate then
           {
             Exhaustive.certs = [];
@@ -631,10 +668,17 @@ let conform_cmd =
                 ~model ~n ~ops ~seed ~bounds ~max_schedules ~max_states ();
             mutants = [];
           }
-      in
-      Format.printf "%a@." Exhaustive.pp_report report;
-      Option.iter (fun path -> write_json path (Exhaustive.json_of_report report)) report_file;
-      if Exhaustive.ok report then 0 else 3
+      with
+      | report ->
+        Format.printf "%a@." Exhaustive.pp_report report;
+        Option.iter (fun path -> write_json path (Exhaustive.json_of_report report)) report_file;
+        if Exhaustive.ok report then 0 else 3
+      | exception Sched_tree.Schedule_limit k ->
+        Format.eprintf
+          "lowerbound: an exhaustive walk passed --max-schedules %d runs; nothing was \
+           certified@."
+          k;
+        4
     end
     else begin
       let report =
@@ -666,7 +710,8 @@ let conform_cmd =
           linearizability, shrink any counterexample to a locally-minimal schedule (exit 3 on \
           violation).  With $(b,--mutate), verify the checker catches seeded bugs.  With \
           $(b,--exhaustive), replace sampling by a bounded-exhaustive DPOR walk of the \
-          schedule space.")
+          schedule space; it exits 4 when a walk passes $(b,--max-schedules) (nothing \
+          certified).")
     Term.(
       const run $ logging $ target_arg $ cn_arg $ seed_arg $ type_arg $ plan_arg $ ops_arg
       $ schedules_arg $ max_states_arg $ mutate_flag $ exhaustive_flag $ preempt_bound_arg
@@ -677,8 +722,14 @@ let conform_cmd =
 
 let hw_cmd =
   let construction_arg =
+    let construction =
+      known_name ~what:"construction"
+        ~names:(fun () ->
+          List.map (fun (c : Iface.t) -> c.Iface.name) Fault_targets.all @ [ "all" ])
+        (fun s -> s = "all" || Fault_targets.find s <> None)
+    in
     Arg.(
-      value & opt string "all"
+      value & opt construction "all"
       & info [ "construction" ] ~docv:"CONSTR"
           ~doc:
             "Construction to run on hardware: $(b,adt-tree), $(b,herlihy), $(b,direct), or \
@@ -711,45 +762,43 @@ let hw_cmd =
   in
   let max_states_arg =
     Arg.(
-      value & opt int 500_000
+      value & opt pos_int 500_000
       & info [ "max-states" ] ~docv:"B" ~doc:"Linearizability checker state budget.")
   in
   let wakeup_arg =
+    let algorithm =
+      known_name ~what:"wakeup algorithm"
+        ~names:(fun () ->
+          List.map (fun (e : Corpus.entry) -> e.Corpus.name) (Corpus.correct_algorithms ()))
+        (fun s -> Corpus.find s <> None)
+    in
     Arg.(
-      value & opt (some string) None
+      value & opt (some algorithm) None
       & info [ "wakeup" ] ~docv:"ALGORITHM"
           ~doc:"Run a wakeup-corpus algorithm on hardware instead of a construction.")
   in
   let constructions_of name =
-    let hw_targets =
+    if name = "all" then
       List.filter (fun (c : Iface.t) -> c.Iface.name <> "consensus-list") Fault_targets.all
-    in
-    if name = "all" then hw_targets
-    else
-      match Fault_targets.find name with
-      | Some c -> [ c ]
-      | None ->
-        failwith (Printf.sprintf "unknown construction %S (adt-tree, herlihy, direct, all)" name)
+    else [ Option.get (Fault_targets.find name) ]
   in
   let run_wakeup name n seed =
-    match Corpus.find name with
-    | None -> failwith (Printf.sprintf "unknown wakeup algorithm %S (see `lowerbound corpus`)" name)
-    | Some entry ->
-      let w = Hw_harness.run_wakeup ~make:entry.Corpus.make ~n ~seed () in
-      Format.printf "%s on hardware, n=%d: results %s  (%.3f ms, %d shared ops, max/pid %d)@."
-        entry.Corpus.name n
-        (String.concat " "
-           (List.map (fun (p, r) -> Printf.sprintf "p%d:%d" p r) w.Hw_harness.results))
-        (w.Hw_harness.welapsed_s *. 1e3) w.Hw_harness.wtotal_shared_ops
-        w.Hw_harness.wmax_shared_ops;
-      if w.Hw_harness.issues = [] then begin
-        Format.printf "wakeup conditions OK (bits decided; someone returned 1)@.";
-        0
-      end
-      else begin
-        List.iter (fun i -> Format.printf "ISSUE: %s@." i) w.Hw_harness.issues;
-        3
-      end
+    let entry = Option.get (Corpus.find name) in
+    let w = Hw_harness.run_wakeup ~make:entry.Corpus.make ~n ~seed () in
+    Format.printf "%s on hardware, n=%d: results %s  (%.3f ms, %d shared ops, max/pid %d)@."
+      entry.Corpus.name n
+      (String.concat " "
+         (List.map (fun (p, r) -> Printf.sprintf "p%d:%d" p r) w.Hw_harness.results))
+      (w.Hw_harness.welapsed_s *. 1e3) w.Hw_harness.wtotal_shared_ops
+      w.Hw_harness.wmax_shared_ops;
+    if w.Hw_harness.issues = [] then begin
+      Format.printf "wakeup conditions OK (bits decided; someone returned 1)@.";
+      0
+    end
+    else begin
+      List.iter (fun i -> Format.printf "ISSUE: %s@." i) w.Hw_harness.issues;
+      3
+    end
   in
   let run () construction n ops seed check bench max_states wakeup =
     match wakeup with

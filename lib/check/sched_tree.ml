@@ -89,7 +89,7 @@ type 'k vent = {
 and 'k sub = {
   s_trace : tstep array;
   s_nodes : node array;
-  s_hb : int -> int -> bool;
+  s_virtual : int -> fp -> int list;  (* the trace's [analysis.virtual_races] *)
   s_marks : ('k * int) list;
 }
 
@@ -597,100 +597,170 @@ let request counters bounds nodes trace i p =
           add_point counters bounds nodes trace i q)
       t.t_enabled
 
-(* Happens-before over the trace — program order plus pairwise dependence
-   — as vector clocks.  [vc.(j).(q)] counts how many steps of process
-   index [q] happen before-or-at step [j]; [seq.(j)] is step [j]'s own
-   occurrence number within its process. *)
-let compute_hb trace =
+(* ---- race analysis ---- *)
+
+type analysis = {
+  hb : int -> int -> bool;
+  races : (int * int) list;
+  virtual_races : int -> fp -> int list;
+}
+
+(* The last step on each register, indexed by register (registers are
+   non-negative); -1 where none. *)
+let last_on a r = if r < Array.length a then a.(r) else -1
+
+let rec set_last_on a j = function
+  | [] -> ()
+  | r :: rest ->
+    a.(r) <- j;
+    set_last_on a j rest
+
+(* Add step [i] (none if negative) to the [n] predecessors in
+   [buf.(0 .. n-1)], kept distinct and descending; returns the new count. *)
+let add_pred buf n i =
+  if i < 0 then n
+  else begin
+    let k = ref n in
+    while !k > 0 && buf.(!k - 1) < i do
+      decr k
+    done;
+    if !k > 0 && buf.(!k - 1) = i then n
+    else begin
+      for s = n downto !k + 1 do
+        buf.(s) <- buf.(s - 1)
+      done;
+      buf.(!k) <- i;
+      n + 1
+    end
+  end
+
+let rec add_reg_preds buf n last = function
+  | [] -> n
+  | r :: rest -> add_reg_preds buf (add_pred buf n (last_on last r)) last rest
+
+(* Happens-before over the trace is program order plus pairwise dependence.
+   A step's immediate predecessors are the previous step of its process,
+   the last earlier step on each of its registers, the last earlier
+   blocking step and, for a blocking step, the last step of every process.
+   Steps on a common register are pairwise dependent, and so are blocking
+   steps, so every earlier step dependent with step [j] happens before (or
+   is) one of [j]'s predecessors.  Hence (a) [j]'s vector clock is the join
+   of its predecessors' clocks; (b) a reversible race (i, j) — one that no
+   step between them bridges in happens-before order — has [i] among [j]'s
+   predecessors; and (c) a predecessor [i] is bridged exactly when it
+   happens before another of them.  [vc.(j * m + x)] counts the steps of
+   process index [x] that happen before-or-at step [j]; [seq.(j)] is step
+   [j]'s own occurrence number within its process. *)
+let analyze trace =
   let len = Array.length trace in
   (* [pix.(j)]: the index of step [j]'s process, numbered by first
-     appearance, computed once per step rather than once per query. *)
+     appearance; [pids] maps indices back. *)
   let pids = ref [] in
   let pix =
     Array.map
-      (fun t ->
+      (fun (pid, _) ->
         let rec find i = function
           | [] ->
-            pids := !pids @ [ t.t_pid ];
+            pids := !pids @ [ pid ];
             i
-          | q :: rest -> if q = t.t_pid then i else find (i + 1) rest
+          | q :: rest -> if q = pid then i else find (i + 1) rest
         in
         find 0 !pids)
       trace
   in
-  let m = max (List.length !pids) 1 in
-  let vc = Array.make_matrix (max len 1) m 0 in
-  let seq = Array.make (max len 1) 0 in
+  let pids = Array.of_list !pids in
+  let m = max (Array.length pids) 1 in
+  let vc = Array.make (len * m) 0 in
+  let seq = Array.make len 0 in
   let last_of = Array.make m (-1) in
-  for j = 0 to len - 1 do
-    let p = pix.(j) in
-    let join i =
-      for q = 0 to m - 1 do
-        if vc.(i).(q) > vc.(j).(q) then vc.(j).(q) <- vc.(i).(q)
-      done
-    in
-    if last_of.(p) >= 0 then join last_of.(p);
-    for i = 0 to j - 1 do
-      if dependent trace.(i).t_fp trace.(j).t_fp then join i
-    done;
-    vc.(j).(p) <- vc.(j).(p) + 1;
-    seq.(j) <- vc.(j).(p);
-    last_of.(p) <- j
-  done;
-  fun i j -> i = j || (i < j && vc.(j).(pix.(i)) >= seq.(i))
-
-let add_backtracks counters bounds nodes trace hb =
-  let len = Array.length trace in
-  (* A race (i, j) is reversible when no third step bridges it in
-     happens-before order; only reversible races need backtracking points
-     (source-DPOR): deeper races re-appear as reversible ones in the
-     re-explored subtrees. *)
-  let reversible i j =
-    let bridged = ref false in
-    let k = ref (i + 1) in
-    while (not !bridged) && !k < j do
-      if hb i !k && hb !k j then bridged := true;
-      incr k
-    done;
-    not !bridged
+  let last_on_reg =
+    let rec highest hi = function [] -> hi | r :: rest -> highest (max hi r) rest in
+    Array.make (1 + Array.fold_left (fun hi (_, fp) -> highest hi fp.regs) (-1) trace) (-1)
   in
-  for j = 1 to len - 1 do
-    let p = trace.(j).t_pid in
-    let fpj = trace.(j).t_fp in
-    for i = j - 1 downto 0 do
-      let t = trace.(i) in
-      if t.t_pid <> p && dependent t.t_fp fpj && reversible i j then
-        request counters bounds nodes trace i p
-    done
-  done
+  let last_blocking = ref (-1) in
+  let hb i j = i = j || (i < j && vc.((j * m) + pix.(i)) >= seq.(i)) in
+  (* Fill [buf] with the predecessors of a step of process index [x] (-1:
+     none of the trace's processes) and footprint [fp], placed after every
+     step so far; returns their count. *)
+  let predecessors buf x fp =
+    let n = if x >= 0 then add_pred buf 0 last_of.(x) else 0 in
+    let n = add_pred buf (add_reg_preds buf n last_on_reg fp.regs) !last_blocking in
+    if not fp.blocking then n
+    else begin
+      let n = ref n in
+      for y = 0 to m - 1 do
+        n := add_pred buf !n last_of.(y)
+      done;
+      !n
+    end
+  in
+  (* Whether predecessor [buf.(a)] races a step of process [pid]: it is
+     another process's, and it happens before no other predecessor (one
+     that it did would be larger, so earlier in [buf]). *)
+  let races buf a pid =
+    let i = buf.(a) in
+    pids.(pix.(i)) <> pid
+    &&
+    let b = ref 0 in
+    while !b < a && not (hb i buf.(!b)) do
+      incr b
+    done;
+    !b = a
+  in
+  let widest = Array.fold_left (fun w (_, fp) -> max w (List.length fp.regs)) 0 trace in
+  let buf = Array.make (m + widest + 2) 0 in
+  let found = ref [] in
+  for j = 0 to len - 1 do
+    let pid, fp = trace.(j) in
+    let x = pix.(j) in
+    let n = predecessors buf x fp in
+    let row = j * m in
+    for a = 0 to n - 1 do
+      let from = buf.(a) * m in
+      for y = 0 to m - 1 do
+        if vc.(from + y) > vc.(row + y) then vc.(row + y) <- vc.(from + y)
+      done
+    done;
+    vc.(row + x) <- vc.(row + x) + 1;
+    seq.(j) <- vc.(row + x);
+    for a = 0 to n - 1 do
+      if races buf a pid then found := (buf.(a), j) :: !found
+    done;
+    last_of.(x) <- j;
+    set_last_on last_on_reg j fp.regs;
+    if fp.blocking then last_blocking := j
+  done;
+  (* A virtual step comes after every real step: its predecessors come from
+     the final last-access tables. *)
+  let virtual_races q fq =
+    let rec index x =
+      if x = Array.length pids then -1 else if pids.(x) = q then x else index (x + 1)
+    in
+    let buf = Array.make (m + List.length fq.regs + 2) 0 in
+    let n = predecessors buf (index 0) fq in
+    let acc = ref [] in
+    for a = n - 1 downto 0 do
+      if races buf a q then acc := buf.(a) :: !acc
+    done;
+    !acc
+  in
+  { hb; races = List.rev !found; virtual_races }
+
+(* Request the other process at the earlier step of every reversible race,
+   in the analysis's order. *)
+let add_backtracks counters bounds nodes trace a =
+  List.iter (fun (i, j) -> request counters bounds nodes trace i trace.(j).t_pid) a.races
 
 (* Race the trace's steps against [(q, fq)] steps known to occur somewhere
    below the trace's final state (stateful DPOR's virtual steps): a cut
    run never executed its continuation, so the races its race pass would
    have found against the prefix must be reconstructed from the summary.
-   A virtual step happens after every real step, so a race (i, virtual) is
-   bridged by any real [k > i] that happens-after [i] and precedes the
-   virtual step in happens-before order — [q]'s own steps or steps
-   dependent with [fq]. *)
-let virtual_backtracks counters bounds nodes trace hb entries ids =
-  let len = Array.length trace in
+   [virtual_races] is the trace's [analysis.virtual_races]. *)
+let virtual_backtracks counters bounds nodes trace virtual_races entries ids =
   List.iter
     (fun id ->
       let q, fq = entries.entry id in
-      for i = len - 1 downto 0 do
-        let t = trace.(i) in
-        if t.t_pid <> q && dependent t.t_fp fq then begin
-          let bridged = ref false in
-          for k = i + 1 to len - 1 do
-            if
-              (not !bridged)
-              && hb i k
-              && (trace.(k).t_pid = q || dependent trace.(k).t_fp fq)
-            then bridged := true
-          done;
-          if not !bridged then request counters bounds nodes trace i q
-        end
-      done)
+      List.iter (fun i -> request counters bounds nodes trace i q) (virtual_races q fq))
     ids
 
 let find_vent visited k =
@@ -719,7 +789,7 @@ let add_sum visited entries counters bounds key ids =
       v.v_has <- List.fold_left bit_add v.v_has fresh;
       List.iter
         (fun sub ->
-          virtual_backtracks counters bounds sub.s_nodes sub.s_trace sub.s_hb entries fresh;
+          virtual_backtracks counters bounds sub.s_nodes sub.s_trace sub.s_virtual entries fresh;
           List.iter (fun (k', _) -> Queue.add (k', fresh) queue) sub.s_marks)
         v.v_subs
     end
@@ -747,16 +817,16 @@ let suffixes entries trace =
    learns [k]'s summarized continuation (everything below [k] counts as
    below each of its own ancestors too), races its prefix against that
    summary now, and subscribes for entries [k] gains later. *)
-let update_summaries visited entries counters bounds nodes trace hb marks cut =
+let update_summaries visited entries counters bounds nodes trace virtual_races marks cut =
   let suf = suffixes entries trace in
   List.iter (fun (k, i) -> add_sum visited entries counters bounds k suf.(i)) marks;
   match cut with
   | None -> ()
   | Some k ->
     let v = find_vent visited k in
-    let sub = { s_trace = trace; s_nodes = nodes; s_hb = hb; s_marks = marks } in
+    let sub = { s_trace = trace; s_nodes = nodes; s_virtual = virtual_races; s_marks = marks } in
     v.v_subs <- sub :: v.v_subs;
-    virtual_backtracks counters bounds nodes trace hb entries v.v_sum;
+    virtual_backtracks counters bounds nodes trace virtual_races entries v.v_sum;
     List.iter (fun (k', _) -> add_sum visited entries counters bounds k' v.v_sum) marks
 
 let explore ?(bounds = no_bounds) ?(max_schedules = 200_000) ~run ~f () =
@@ -809,10 +879,11 @@ let explore ?(bounds = no_bounds) ?(max_schedules = 200_000) ~run ~f () =
       if d.d_saves = [] then None
       else Some { p_trace = trace; p_marks = d.d_marks; p_saves = d.d_saves };
     let nodes = incorporate root trace in
-    let hb = compute_hb trace in
-    add_backtracks counters bounds nodes trace hb;
+    let a = analyze (Array.map (fun t -> (t.t_pid, t.t_fp)) trace) in
+    add_backtracks counters bounds nodes trace a;
     if d.d_marks <> [] || d.d_cut <> None then
-      update_summaries visited entries counters bounds nodes trace hb d.d_marks d.d_cut
+      update_summaries visited entries counters bounds nodes trace a.virtual_races d.d_marks
+        d.d_cut
   in
   exec [] [];
   (match !root with

@@ -216,6 +216,34 @@ val explore :
     flagged and skipped, so finding the next schedule costs
     O(depth × branching) node visits, not a walk of the whole tree. *)
 
+(** {1 Race analysis} *)
+
+type analysis = {
+  hb : int -> int -> bool;
+      (** [hb i j]: step [i] is step [j] or happens before it — program
+          order plus {!dependent} steps, closed transitively. *)
+  races : (int * int) list;
+      (** The reversible races [(i, j)]: [i < j], steps of different
+          processes, {!dependent}, and no step [k] between them with
+          [hb i k] and [hb k j].  Ordered by [j] ascending, then [i]
+          descending — the order {!explore} requests backtracking points
+          in. *)
+  virtual_races : int -> fp -> int list;
+      (** [virtual_races q fq]: the steps [i], descending, in reversible
+          race with a {e virtual} step [(q, fq)] placed after the whole
+          trace (a step known to occur below a cut run's final state; see
+          {!mark}). *)
+}
+
+val analyze : (int * fp) array -> analysis
+(** The race analysis {!explore} runs on every trace of [(pid, fp)] steps
+    (registers are non-negative, as in [Lb_memory.Memory]).  It is linear
+    in the trace's length: each step's vector clock joins only its
+    immediate predecessors — the previous step of its process, the last
+    earlier step on each of its registers, the last earlier blocking
+    step, and for a blocking step the last step of every process — and
+    only those predecessors can be in reversible race with it. *)
+
 (** {1 Sampling and replay oracles} *)
 
 val sampler : seed:int -> 'k sched

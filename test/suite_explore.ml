@@ -993,6 +993,210 @@ let test_dpor_visit_order_pinned () =
     ]
     got
 
+(* The digests above come from unbounded walks; a bound changes what
+   [request] does with a race — under a pre-emption bound it adds BPOR's
+   companion point, and a todo outside the bound is counted as elided
+   instead of queued.  These cells pin the same synthetic walks under each
+   kind of bound.  The digests were derived at the parent of the change
+   that added them. *)
+let test_dpor_visit_order_bounded_pinned () =
+  let bounds =
+    Sched_tree.
+      [
+        { no_bounds with preempt = Some 1 };
+        { no_bounds with fair = Some 1 };
+        { no_bounds with length = Some 5 };
+      ]
+  in
+  let got =
+    List.concat_map
+      (fun bounds ->
+        List.init 10 (fun seed ->
+            let procs = synthetic_procs (Random.State.make [| seed |]) in
+            let modulus = 3 + (seed mod 5) in
+            let key pc = Array.map (fun c -> c mod modulus) pc in
+            let stats, log, _ = synthetic_walk ~bounds procs ~key in
+            Format.asprintf "synthetic seed %d, %a: %s %s" seed Sched_tree.pp_bounds bounds
+              (pp_walk_stats stats)
+              (Digest.to_hex (Digest.string (String.concat "\n" log)))))
+      bounds
+  in
+  Alcotest.(check (list string))
+    "visit order"
+    [
+      "synthetic seed 0, preempt<=1: 1/0/2/1/6 5078d4ebe433b749d12032b21849ea28";
+      "synthetic seed 1, preempt<=1: 0/0/1/0/5 f5cccc57f426d434aae74ae283c5b33b";
+      "synthetic seed 2, preempt<=1: 0/0/42/44/12 0082e46716ce9c065e02a3636256b872";
+      "synthetic seed 3, preempt<=1: 1/0/21/41/16 449b84573a04107c11cd41ee1b3980ca";
+      "synthetic seed 4, preempt<=1: 2/0/7/4/9 0362848741b0cc1ffebbd0b37532ae0e";
+      "synthetic seed 5, preempt<=1: 0/0/1/0/4 fea4534be1bc17a6e09a8f89ff00bd48";
+      "synthetic seed 6, preempt<=1: 0/0/4/2/7 aab9c1e01683c56412e8a65345df9a31";
+      "synthetic seed 7, preempt<=1: 0/0/1/0/6 8a9084a56c43c8346dd7c7f8493f8b7c";
+      "synthetic seed 8, preempt<=1: 1/0/6/13/12 1895572a070824dc38100a231f0051ba";
+      "synthetic seed 9, preempt<=1: 2/0/8/6/10 2fbdc23c88c048ec00f271e5eb2b6eb2";
+      "synthetic seed 0, fair<=1: 2/0/1/1/6 5afa45ef1a914096437267a39347b0d6";
+      "synthetic seed 1, fair<=1: 1/0/2/9/10 8434b9290424ed04d46dac9cc7cbaf4e";
+      "synthetic seed 2, fair<=1: 1/0/8/32/13 cc5d05665793bad3faa456aea11ef822";
+      "synthetic seed 3, fair<=1: 2/0/18/38/16 eecd70949cb40629172f99d599e3ae27";
+      "synthetic seed 4, fair<=1: 1/0/2/7/9 1241b2b94e7318e34a1f0f7fae5ddc57";
+      "synthetic seed 5, fair<=1: 0/0/3/20/11 9a5eb55cfba5837f1ed0df4b3b77fd94";
+      "synthetic seed 6, fair<=1: 1/0/3/6/8 2c3781f00c282cc8aec909ed28678c05";
+      "synthetic seed 7, fair<=1: 1/0/11/26/14 5bf25c3930339ef401517d57a5ed2e1b";
+      "synthetic seed 8, fair<=1: 1/0/2/13/12 a0660e214ab35923fe864ab029e5186d";
+      "synthetic seed 9, fair<=1: 1/0/2/7/10 6c43e3702759708bc959ade9100d7cdd";
+      "synthetic seed 0, length<=5: 0/0/4/1/5 1266f19d7bba107a64df674891dc7069";
+      "synthetic seed 1, length<=5: 0/0/1/0/5 f5cccc57f426d434aae74ae283c5b33b";
+      "synthetic seed 2, length<=5: 0/0/2/3/5 06681dc65552ac315b05e0f52a9e0733";
+      "synthetic seed 3, length<=5: 0/0/0/4/5 ab34a367b11e1d52ca47afe374d772b8";
+      "synthetic seed 4, length<=5: 0/0/0/1/5 f5cccc57f426d434aae74ae283c5b33b";
+      "synthetic seed 5, length<=5: 0/0/1/0/4 fea4534be1bc17a6e09a8f89ff00bd48";
+      "synthetic seed 6, length<=5: 0/0/4/2/5 9249b354d5b0be0862489e3b17ea0380";
+      "synthetic seed 7, length<=5: 0/0/0/1/5 f5cccc57f426d434aae74ae283c5b33b";
+      "synthetic seed 8, length<=5: 0/0/0/1/5 f5cccc57f426d434aae74ae283c5b33b";
+      "synthetic seed 9, length<=5: 0/0/0/1/5 f5cccc57f426d434aae74ae283c5b33b";
+    ]
+    got
+
+(* ---- the race analysis against the quadratic scan it replaced ---- *)
+
+(* The race analysis [Sched_tree.analyze] replaced, verbatim but for
+   reading [(pid, fp)] pairs: happens-before from every dependent pair,
+   and every dependent pair scanned for a bridging step. *)
+let reference_hb trace =
+  let len = Array.length trace in
+  let pids = ref [] in
+  let pix =
+    Array.map
+      (fun (pid, _) ->
+        let rec find i = function
+          | [] ->
+            pids := !pids @ [ pid ];
+            i
+          | q :: rest -> if q = pid then i else find (i + 1) rest
+        in
+        find 0 !pids)
+      trace
+  in
+  let m = max (List.length !pids) 1 in
+  let vc = Array.make_matrix (max len 1) m 0 in
+  let seq = Array.make (max len 1) 0 in
+  let last_of = Array.make m (-1) in
+  for j = 0 to len - 1 do
+    let p = pix.(j) in
+    let join i =
+      for q = 0 to m - 1 do
+        if vc.(i).(q) > vc.(j).(q) then vc.(j).(q) <- vc.(i).(q)
+      done
+    in
+    if last_of.(p) >= 0 then join last_of.(p);
+    for i = 0 to j - 1 do
+      if Sched_tree.dependent (snd trace.(i)) (snd trace.(j)) then join i
+    done;
+    vc.(j).(p) <- vc.(j).(p) + 1;
+    seq.(j) <- vc.(j).(p);
+    last_of.(p) <- j
+  done;
+  fun i j -> i = j || (i < j && vc.(j).(pix.(i)) >= seq.(i))
+
+let reference_races trace hb =
+  let len = Array.length trace in
+  let reversible i j =
+    let bridged = ref false in
+    let k = ref (i + 1) in
+    while (not !bridged) && !k < j do
+      if hb i !k && hb !k j then bridged := true;
+      incr k
+    done;
+    not !bridged
+  in
+  let races = ref [] in
+  for j = 1 to len - 1 do
+    let p, fpj = trace.(j) in
+    for i = j - 1 downto 0 do
+      let q, fpi = trace.(i) in
+      if q <> p && Sched_tree.dependent fpi fpj && reversible i j then races := (i, j) :: !races
+    done
+  done;
+  List.rev !races
+
+let reference_virtual_races trace hb q fq =
+  let len = Array.length trace in
+  let races = ref [] in
+  for i = len - 1 downto 0 do
+    let p, fp = trace.(i) in
+    if p <> q && Sched_tree.dependent fp fq then begin
+      let bridged = ref false in
+      for k = i + 1 to len - 1 do
+        if
+          (not !bridged)
+          && hb i k
+          && (fst trace.(k) = q || Sched_tree.dependent (snd trace.(k)) fq)
+        then bridged := true
+      done;
+      if not !bridged then races := i :: !races
+    end
+  done;
+  List.rev !races
+
+(* Random traces: 0-80 steps of 2-6 processes over registers 0-5, each
+   step on one or two registers or on none (a fence), one in eight
+   blocking. *)
+let gen_race_trace =
+  let open QCheck.Gen in
+  let fp =
+    map2
+      (fun regs k -> { Sched_tree.regs; blocking = k = 0 })
+      (frequency
+         [
+           (1, return []);
+           (6, map (fun r -> [ r ]) (int_bound 5));
+           (3, map2 (fun a b -> List.sort_uniq compare [ a; b ]) (int_bound 5) (int_bound 5));
+         ])
+      (int_bound 7)
+  in
+  int_range 2 6 >>= fun pids ->
+  int_range 0 80 >>= fun len ->
+  map (fun steps -> (pids, Array.of_list steps)) (list_repeat len (pair (int_bound (pids - 1)) fp))
+
+let print_race_trace (pids, trace) =
+  let step (p, (fp : Sched_tree.fp)) =
+    Printf.sprintf "%d:[%s]%s" p
+      (String.concat "," (List.map string_of_int fp.regs))
+      (if fp.blocking then "!" else "")
+  in
+  Printf.sprintf "%d pids: %s" pids (String.concat " " (Array.to_list (Array.map step trace)))
+
+(* The linear analysis agrees with the quadratic one: the same
+   happens-before on every pair, the same reversible races in the same
+   order, and the same races against a virtual step of every process (one
+   absent from the trace included) with a spread of footprints. *)
+let prop_race_analysis =
+  let virtual_fps =
+    Sched_tree.(
+      { regs = []; blocking = false }
+      :: { regs = []; blocking = true }
+      :: { regs = [ 1; 4 ]; blocking = false }
+      :: { regs = [ 2 ]; blocking = true }
+      :: List.init 6 (fun r -> { regs = [ r ]; blocking = false }))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:500 ~name:"race analysis = quadratic race scan"
+       (QCheck.make ~print:print_race_trace gen_race_trace)
+       (fun (pids, trace) ->
+         let len = Array.length trace in
+         let hb = reference_hb trace in
+         let a = Sched_tree.analyze trace in
+         let pairs = List.init len (fun i -> List.init len (fun j -> (i, j))) |> List.concat in
+         List.for_all (fun (i, j) -> a.Sched_tree.hb i j = hb i j) pairs
+         && a.Sched_tree.races = reference_races trace hb
+         && List.for_all
+              (fun q ->
+                List.for_all
+                  (fun fq ->
+                    a.Sched_tree.virtual_races q fq = reference_virtual_races trace hb q fq)
+                  virtual_fps)
+              (List.init (pids + 1) Fun.id)))
+
 (* Executed program steps: [counted program_of] wraps every [Op]
    continuation with a counter, so the count is the number of steps the
    runner really performed, resumed prefixes excluded. *)
@@ -1181,11 +1385,14 @@ let suite =
     Alcotest.test_case "canonical_full keeps buffered states apart" `Quick
       test_canonical_full_distinguishes_buffers;
     Alcotest.test_case "dpor visit order (pinned)" `Quick test_dpor_visit_order_pinned;
+    Alcotest.test_case "dpor visit order, bounded walks (pinned)" `Quick
+      test_dpor_visit_order_bounded_pinned;
     Alcotest.test_case "re-armed drained subtree is explored" `Quick
       test_rearm_drained_subtree;
     Alcotest.test_case "re-armed drained subtree, resumed runs" `Quick
       test_rearm_drained_subtree_resumed;
     prop_resume_is_replay;
+    prop_race_analysis;
     Alcotest.test_case "dpor executed steps (pinned)" `Quick test_dpor_executed_steps;
     prop_state_key_hash;
     Alcotest.test_case "dpor state-key hash spread (move-collect n=3)" `Quick
