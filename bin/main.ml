@@ -59,19 +59,14 @@ let nonneg_int =
   in
   Arg.conv ~docv:"N" (parse, Format.pp_print_int)
 
+let unknown ?(more = "") ~what names s =
+  Printf.sprintf "unknown %s %S (one of: %s%s)" what s (String.concat ", " names) more
+
 (* A name checked when the command line is parsed: one that [valid]
    rejects is a usage error (exit 124) listing the valid [names], not a
    [Failure] out of the run. *)
-let known_name ?(more = "") ~what ~names valid =
-  let parse s =
-    if valid s then Ok s
-    else
-      Error
-        (`Msg
-          (Printf.sprintf "unknown %s %S (one of: %s%s)" what s
-             (String.concat ", " (names ()))
-             more))
-  in
+let known_name ?more ~what ~names valid =
+  let parse s = if valid s then Ok s else Error (`Msg (unknown ?more ~what (names ()) s)) in
   Arg.conv ~docv:"NAME" (parse, Format.pp_print_string)
 
 (* A fault plan: a named plan, several joined with '+', or all. *)
@@ -219,7 +214,13 @@ let trace_cmd =
   let kinds_arg =
     Arg.(
       value
-      & opt (some (list string)) None
+      & opt
+          (some
+             (list
+                (known_name ~what:"event kind"
+                   ~names:(fun () -> Event.kinds)
+                   (fun k -> List.mem k Event.kinds))))
+          None
       & info [ "kinds" ] ~docv:"KINDS"
           ~doc:"Comma-separated event kinds to keep (with --events or --diff): access, toss, \
                 sched, round, crash, recovery, invoke, complete, give-up, end.")
@@ -231,37 +232,23 @@ let trace_cmd =
           ~doc:"Diff two recorded traces positionally; exit 1 when they differ, 0 when \
                 identical.")
   in
-  let check_kinds = function
-    | None -> ()
-    | Some ks ->
-      List.iter
-        (fun k ->
-          if not (List.mem k Event.kinds) then
-            failwith
-              (Printf.sprintf "unknown event kind %S (one of: %s)" k
-                 (String.concat ", " Event.kinds)))
-        ks
-  in
   let keep kinds (e : Event.stamped) =
     match kinds with None -> true | Some ks -> List.mem (Event.kind e.Event.event) ks
   in
-  let run_diff kinds = function
-    | [ left_path; right_path ] ->
-      let load path =
-        match Trace_file.load path with Ok events -> events | Error msg -> failwith msg
-      in
-      let entries = Trace_diff.compute ?kinds (load left_path) (load right_path) in
-      if entries = [] then begin
-        Format.printf "traces are identical (0 differences)@.";
-        0
-      end
-      else begin
-        Format.printf "%a@." Trace_diff.pp entries;
-        Format.printf "(%d difference(s))@." (List.length entries);
-        1
-      end
-    | args ->
-      failwith (Printf.sprintf "--diff takes exactly two trace files, got %d" (List.length args))
+  let run_diff kinds left_path right_path =
+    let load path =
+      match Trace_file.load path with Ok events -> events | Error msg -> failwith msg
+    in
+    let entries = Trace_diff.compute ?kinds (load left_path) (load right_path) in
+    if entries = [] then begin
+      Format.printf "traces are identical (0 differences)@.";
+      0
+    end
+    else begin
+      Format.printf "%a@." Trace_diff.pp entries;
+      Format.printf "(%d difference(s))@." (List.length entries);
+      1
+    end
   in
   let run_record name n seed max_print record events kinds =
     let entry = find_entry name in
@@ -291,13 +278,19 @@ let trace_cmd =
          (List.map (fun (p, v) -> Printf.sprintf "p%d=%d" p v) run.All_run.results));
     0
   in
+  (* The positional arguments are files or a name depending on --diff, so
+     they are checked here; a bad one is still a usage error (exit 124). *)
   let run () args n seed max_print record events kinds diff =
-    check_kinds kinds;
-    if diff then run_diff kinds args
-    else
-      match args with
-      | [ name ] -> run_record name n seed max_print record events kinds
-      | _ -> failwith "trace takes exactly one algorithm name (or two files with --diff)"
+    match (diff, args) with
+    | true, [ left_path; right_path ] -> `Ok (run_diff kinds left_path right_path)
+    | true, _ ->
+      `Error
+        (true, Printf.sprintf "--diff takes exactly two trace files, got %d" (List.length args))
+    | false, [ name ] when find_entry_opt name <> None ->
+      `Ok (run_record name n seed max_print record events kinds)
+    | false, [ name ] -> `Error (true, unknown ~what:"algorithm" (algorithm_names ()) name)
+    | false, _ ->
+      `Error (true, "trace takes exactly one algorithm name (or two files with --diff)")
   in
   Cmd.v
     (Cmd.info "trace"
@@ -306,8 +299,9 @@ let trace_cmd =
           event trace ($(b,--record)), pretty-print and filter the events ($(b,--events), \
           $(b,--kinds)), or diff two recorded traces ($(b,--diff)).")
     Term.(
-      const run $ logging $ args_arg $ n_arg $ seed_arg $ rounds_arg $ record_arg $ events_flag
-      $ kinds_arg $ diff_flag)
+      ret
+        (const run $ logging $ args_arg $ n_arg $ seed_arg $ rounds_arg $ record_arg
+       $ events_flag $ kinds_arg $ diff_flag))
 
 (* ---- sweep ---- *)
 
@@ -648,6 +642,11 @@ let conform_cmd =
       close_out oc;
       Format.printf "report written to %s@." path
     in
+    (* Exit 4: no failure found, but no certificate either. *)
+    let nothing_certified why =
+      Format.eprintf "lowerbound: %s; nothing was certified@." why;
+      4
+    in
     if exhaustive then begin
       let bounds =
         if preempt = None && fair = None && len = None then Exhaustive.default_bounds
@@ -672,13 +671,14 @@ let conform_cmd =
       | report ->
         Format.printf "%a@." Exhaustive.pp_report report;
         Option.iter (fun path -> write_json path (Exhaustive.json_of_report report)) report_file;
-        if Exhaustive.ok report then 0 else 3
+        if Exhaustive.ok report then 0
+        else if Exhaustive.inconclusive report then
+          nothing_certified "no schedule completed within the bounds"
+        else 3
       | exception Sched_tree.Schedule_limit k ->
-        Format.eprintf
-          "lowerbound: an exhaustive walk passed --max-schedules %d runs; nothing was \
-           certified@."
-          k;
-        4
+        nothing_certified
+          (Printf.sprintf "an exhaustive walk passed --max-schedules %d runs" k)
+      | exception Exhaustive.Inconclusive cell -> nothing_certified cell
     end
     else begin
       let report =
@@ -699,7 +699,10 @@ let conform_cmd =
       in
       Format.printf "%a@." Conformance.pp_report report;
       Option.iter (fun path -> write_json path (Conformance.json_of_report report)) report_file;
-      if Conformance.ok report then 0 else 3
+      if Conformance.ok report then 0
+      else if Conformance.inconclusive report then
+        nothing_certified "the checker exhausted --max-states on a history"
+      else 3
     end
   in
   Cmd.v
@@ -710,8 +713,9 @@ let conform_cmd =
           linearizability, shrink any counterexample to a locally-minimal schedule (exit 3 on \
           violation).  With $(b,--mutate), verify the checker catches seeded bugs.  With \
           $(b,--exhaustive), replace sampling by a bounded-exhaustive DPOR walk of the \
-          schedule space; it exits 4 when a walk passes $(b,--max-schedules) (nothing \
-          certified).")
+          schedule space.  Exits 4 when nothing was certified yet nothing refuted: a walk \
+          passed $(b,--max-schedules) or completed no schedule within its bounds, or the \
+          checker exhausted $(b,--max-states) on a history.")
     Term.(
       const run $ logging $ target_arg $ cn_arg $ seed_arg $ type_arg $ plan_arg $ ops_arg
       $ schedules_arg $ max_states_arg $ mutate_flag $ exhaustive_flag $ preempt_bound_arg
@@ -891,9 +895,10 @@ let explore_cmd =
       value & flag
       & info [ "reduced" ]
           ~doc:
-            "Use sleep-set + state-dedup reduction: explores a schedule subset covering every \
-             distinct (results, wakeup verdict) outcome, and reports how many subtrees were \
-             pruned.  Sound for the wakeup check; orders of magnitude fewer schedules.")
+            "Use dynamic partial-order reduction with sleep sets and state dedup: explores a \
+             schedule subset covering every distinct (results, wakeup verdict) outcome, and \
+             reports how many runs were cut.  Sound for the wakeup check; orders of magnitude \
+             fewer schedules.")
   in
   let run () name n max_runs reduced =
     let entry = find_entry name in
@@ -905,13 +910,13 @@ let explore_cmd =
     (try
        if reduced then begin
          let stats =
-           Explore.iter_reduced ~n ~program_of ~inits ~coin_range ~max_runs ~f:check ()
+           Explore.iter_dpor ~n ~program_of ~inits ~coin_range ~max_runs ~f:check ()
          in
          Format.printf
-           "%s at n = %d (reduced): %d schedules explored (%d sleep-set prunes, %d revisited \
+           "%s at n = %d (reduced): %d schedules explored (%d sleep-blocked runs, %d revisited \
             states cut), %d wakeup violations -> %s@."
-           name n stats.Explore.runs stats.Explore.sleep_pruned stats.Explore.dedup_pruned
-           !violations
+           name n stats.Sched_tree.schedules stats.Sched_tree.sleep_blocked
+           stats.Sched_tree.deduped !violations
            (if !violations = 0 then "VERIFIED" else "VIOLATED")
        end
        else begin

@@ -131,14 +131,15 @@ let iter ~n ~program_of ?(inits = []) ?(coin_range = [ 0 ]) ?(model = Memory_mod
 
 exception Found
 
+(* Whether [f] holds on every run [walk] emits, stopping at the first run
+   where it fails. *)
+let holds walk f =
+  match walk (fun run -> if not (f run) then raise Found) with
+  | _ -> true
+  | exception Found -> false
+
 let for_all ~n ~program_of ?inits ?coin_range ?model ?eager_flush ?max_runs ~f () =
-  try
-    ignore
-      (iter ~n ~program_of ?inits ?coin_range ?model ?eager_flush ?max_runs
-         ~f:(fun run -> if not (f run) then raise Found)
-         ());
-    true
-  with Found -> false
+  holds (fun f -> iter ~n ~program_of ?inits ?coin_range ?model ?eager_flush ?max_runs ~f ()) f
 
 let exists ~n ~program_of ?inits ?coin_range ?model ?eager_flush ?max_runs ~f () =
   not
@@ -167,9 +168,7 @@ let wakeup_ok ~n run =
   in
   returns_ok && somebody && cond3
 
-(* ---- reduced exploration ---- *)
-
-type stats = { runs : int; sleep_pruned : int; dedup_pruned : int }
+(* ---- dynamic partial-order reduction ---- *)
 
 (* The full dependency footprint of a step under the memory's model: fencing
    operations also drain the issuing process's buffer, so their effect
@@ -182,12 +181,6 @@ let step_fp_regs memory ~pid inv =
     match Pure_memory.buffered_regs memory ~pid with
     | [] -> base
     | buffered -> List.sort_uniq Int.compare (base @ buffered)
-
-(* Register disjointness is the cheap sound commutation check: two
-   invocations with disjoint footprints commute exactly in [Pure_memory]. *)
-let conflicts a b =
-  let fa = Sched_tree.footprint a in
-  List.exists (fun r -> List.mem r fa) (Sched_tree.footprint b)
 
 (* The run-prefix information [wakeup_ok]-style predicates depend on:
    which processes have stepped, frozen at the first [Returned (_, 1)].
@@ -205,124 +198,6 @@ let update_summary summary chrono_events =
       | Before _, Returned (_, _) -> s
       | Before _, Flushed _ -> s)
     summary chrono_events
-
-let iter_reduced ~n ~program_of ?(inits = []) ?(coin_range = [ 0 ])
-    ?(max_runs = 200_000) ~f () =
-  if coin_range = [] then invalid_arg "Explore.iter_reduced: empty coin range";
-  let memory0 = Pure_memory.create ~inits () in
-  let runs = ref 0 in
-  let sleep_pruned = ref 0 in
-  let dedup_pruned = ref 0 in
-  (* Visited states, keyed on (canonical memory, per-pid histories, summary)
-     — everything a state's future depends on.  Histories are (invocation,
-     response, toss outcomes) triples plus the initial-expansion outcomes,
-     so equal keys mean semantically equal continuations even though the
-     continuation closures themselves are incomparable.  The stored value is
-     the sleep set the state was explored with: a revisit with a sleep
-     superset is fully covered (prune); a revisit with new awake pids
-     re-explores under the intersection. *)
-  let visited = Hashtbl.create 1024 in
-  let emit procs events =
-    incr runs;
-    if !runs > max_runs then raise (Limit_exceeded max_runs);
-    f { events = List.rev events; results = results_of procs }
-  in
-  let pending_inv procs pid =
-    match Pmap.find pid procs with
-    | Blocked (inv, _) -> inv
-    | Done _ -> assert false
-  in
-  let rec go memory procs hists runnable summary sleep events =
-    match runnable with
-    | [] -> emit procs events
-    | _ :: _ -> (
-      let key = (Pure_memory.canonical_full memory, Pmap.bindings hists, summary) in
-      match Hashtbl.find_opt visited key with
-      | Some old_sleep when Ids.subset old_sleep sleep -> incr dedup_pruned
-      | previous ->
-        let sleep =
-          match previous with
-          | Some old_sleep -> Ids.inter old_sleep sleep
-          | None -> sleep
-        in
-        Hashtbl.replace visited key sleep;
-        let z = ref sleep in
-        List.iter
-          (fun pid ->
-            if Ids.mem pid !z then incr sleep_pruned
-            else
-              match Pmap.find pid procs with
-              | Done _ -> assert false
-              | Blocked (inv, k) ->
-                let response, memory' = Pure_memory.apply memory ~pid inv in
-                let stepped = Stepped (pid, inv, response) in
-                let branches = expand coin_range pid (k response) in
-                List.iter
-                  (fun (proc', expand_events, outcomes) ->
-                    let summary' =
-                      update_summary summary (stepped :: List.rev expand_events)
-                    in
-                    (* A branch that returned is ordered w.r.t. everything
-                       (returns move the cond3 frontier), so it wakes every
-                       sleeper; an op-only branch wakes just the sleepers
-                       whose pending invocation touches a common register. *)
-                    let child_sleep =
-                      if expand_events <> [] then Ids.empty
-                      else
-                        Ids.filter
-                          (fun p -> not (conflicts (pending_inv procs p) inv))
-                          !z
-                    in
-                    let hists' =
-                      Pmap.add pid
-                        ((inv, response, outcomes) :: Pmap.find pid hists)
-                        hists
-                    in
-                    let runnable' =
-                      match proc' with
-                      | Done _ -> remove_runnable pid runnable
-                      | Blocked _ -> runnable
-                    in
-                    go memory' (Pmap.add pid proc' procs) hists' runnable' summary'
-                      child_sleep
-                      (expand_events @ (stepped :: events)))
-                  branches;
-                (* Sleepable only if no branch returned: sleeping a returning
-                   step would commute a [Returned] past later [Stepped]s,
-                   changing the summary of the pruned run's representative. *)
-                if List.for_all (fun (_, evs, _) -> evs = []) branches then
-                  z := Ids.add pid !z)
-          runnable)
-  in
-  let rec init pid procs hists runnable summary events =
-    if pid = n then go memory0 procs hists (List.rev runnable) summary Ids.empty events
-    else
-      List.iter
-        (fun (proc, expand_events, outcomes) ->
-          let summary' = update_summary summary (List.rev expand_events) in
-          (* The initial expansion is recorded as a pseudo-entry so states
-             reached through different initial coin outcomes never merge. *)
-          let hists' = Pmap.add pid [ (Op.Validate (-1), Op.Ack, outcomes) ] hists in
-          let runnable' =
-            match proc with Done _ -> runnable | Blocked _ -> pid :: runnable
-          in
-          init (pid + 1) (Pmap.add pid proc procs) hists' runnable' summary'
-            (expand_events @ events))
-        (expand coin_range pid (program_of pid))
-  in
-  init 0 Pmap.empty Pmap.empty [] (Before Ids.empty) [];
-  { runs = !runs; sleep_pruned = !sleep_pruned; dedup_pruned = !dedup_pruned }
-
-let for_all_reduced ~n ~program_of ?inits ?coin_range ?max_runs ~f () =
-  try
-    ignore
-      (iter_reduced ~n ~program_of ?inits ?coin_range ?max_runs
-         ~f:(fun run -> if not (f run) then raise Found)
-         ());
-    true
-  with Found -> false
-
-(* ---- dynamic partial-order reduction ---- *)
 
 type state_key =
   ((int * (Value.t * Ids.t)) list * (int * (int * Value.t) list) list)
@@ -420,9 +295,9 @@ let walk_dpor ~on_state ~n ~program_of ?(inits = []) ?(coin_range = [ 0 ])
         step := st;
         pid := p)
   in
-  (* One run under the oracle: the same forced initial expansion and step
-     semantics as [iter_reduced], but scheduling decisions, coin-branch
-     selection, and state dedup all delegate to the scheduler tree. *)
+  (* One run under the oracle: the step semantics of [iter], but
+     scheduling decisions, coin-branch selection, and state dedup all
+     delegate to the scheduler tree. *)
   let run sched =
     memory := memory0;
     procs := Pmap.empty;
@@ -434,7 +309,11 @@ let walk_dpor ~on_state ~n ~program_of ?(inits = []) ?(coin_range = [ 0 ])
     pid := 0;
     ignore (Sched_tree.resume sched);
     let aborted = ref false in
-    (* Marks the state after each committed step, then saves it. *)
+    (* Marks the state after each committed step, then saves it.  The key
+       holds everything the state's future depends on: the continuation
+       closures are incomparable, but the per-pid histories of (invocation,
+       response, coin outcomes) determine them, and the summary holds the
+       outcome-relevant past. *)
     let mark () =
       if dedup then
         Sched_tree.mark sched
@@ -560,10 +439,6 @@ let dpor_state_keys ~n ~program_of ?inits ?coin_range ?model ?max_runs () =
   List.rev !keys
 
 let for_all_dpor ~n ~program_of ?inits ?coin_range ?model ?bounds ?dedup ?max_runs ~f () =
-  try
-    ignore
-      (iter_dpor ~n ~program_of ?inits ?coin_range ?model ?bounds ?dedup ?max_runs
-         ~f:(fun run -> if not (f run) then raise Found)
-         ());
-    true
-  with Found -> false
+  holds
+    (fun f -> iter_dpor ~n ~program_of ?inits ?coin_range ?model ?bounds ?dedup ?max_runs ~f ())
+    f

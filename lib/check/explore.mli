@@ -103,20 +103,23 @@ val wakeup_ok : n:int -> int run -> bool
     shared-op-step interpretation above, the one relevant to all corpus
     algorithms). *)
 
-(** {1 Reduced exploration}
+(** {1 Dynamic partial-order reduction}
 
     [iter] enumerates the full multinomial schedule space; most of those
     schedules only differ by swapping adjacent steps that touch disjoint
     registers, and many interleavings reconverge to the same state.
-    {!iter_reduced} prunes both:
+    {!iter_dpor} expands {e one} process at each state and adds
+    alternatives back only where a {e race} — a step dependent with an
+    earlier co-enabled step of another process — proves the reordering
+    can matter ({!Sched_tree}).  On top of that:
 
-    - {e sleep sets}: after exploring a process's step at a state, the
-      step is put to sleep for the sibling subtrees and stays asleep until
-      a conflicting step (shared register) executes — every pruned
-      schedule differs from an explored one only by commuting adjacent
-      independent steps.  A step whose expansion returns is treated as
-      dependent with everything, because commuting a [Returned] past a
-      [Stepped] changes which processes stepped before it.
+    - {e sleep sets}: an explored alternative stays asleep in its
+      siblings' subtrees until a dependent step (shared register) wakes
+      it, so every pruned schedule differs from an explored one only by
+      commuting adjacent independent steps.  A step whose expansion
+      returns is {e blocking} (dependent with everything), because
+      commuting a [Returned] past a [Stepped] changes which processes
+      stepped before it.
     - {e state dedup}: a state is keyed on (canonical memory, per-process
       operation/response/toss histories, the {!steppers_before_first_one}
       summary); reaching a visited key with a sleep set that covers the
@@ -126,53 +129,11 @@ val wakeup_ok : n:int -> int run -> bool
     [(results, wakeup verdict)] outcomes — sound for {!wakeup_ok}-style
     predicates, which depend on the results and on which processes stepped
     before the first 1-return, but {e not} for predicates sensitive to the
-    exact event order of every schedule.  The callback sees strictly fewer
-    runs; counts are reported in {!stats}.  See docs/PERFORMANCE.md for
-    the full argument. *)
-
-type stats = {
-  runs : int;  (** runs the callback saw. *)
-  sleep_pruned : int;  (** subtrees skipped by sleep sets. *)
-  dedup_pruned : int;  (** subtrees skipped as revisited states. *)
-}
-
-val iter_reduced :
-  n:int ->
-  program_of:(int -> int Program.t) ->
-  ?inits:(int * Value.t) list ->
-  ?coin_range:int list ->
-  ?max_runs:int ->
-  f:(int run -> unit) ->
-  unit ->
-  stats
-(** Like {!iter} under the reduction above.  [max_runs] bounds the runs
-    actually emitted. *)
-
-val for_all_reduced :
-  n:int ->
-  program_of:(int -> int Program.t) ->
-  ?inits:(int * Value.t) list ->
-  ?coin_range:int list ->
-  ?max_runs:int ->
-  f:(int run -> bool) ->
-  unit ->
-  bool
-(** {!for_all} over the reduced schedule set — equivalent to the full
-    [for_all] for predicates within the soundness scope above. *)
-
-(** {1 Dynamic partial-order reduction}
-
-    {!iter_reduced} expands {e every} awake process at every state and
-    relies on sleep sets plus dedup to cut the tree after the fact.
-    {!iter_dpor} inverts this: each state expands {e one} process, and
-    alternatives are added back only where a {e race} — a step dependent
-    with an earlier co-enabled step of another process — proves the
-    reordering can matter ({!Sched_tree}).  The same sleep sets, state
-    dedup, and soundness scope as {!iter_reduced} apply (the callback sees
-    one representative per distinct [(results, wakeup verdict)] outcome,
-    not every schedule), with the same coin-resolution caveat, and
-    optional {!Sched_tree.bounds} degrade the exploration gracefully
-    instead of raising {!Limit_exceeded}: see docs/EXPLORATION.md. *)
+    exact event order of every schedule.  The callback sees one
+    representative per covered class, not every schedule; local coins are
+    resolved eagerly as in {!iter}.  Optional {!Sched_tree.bounds} degrade
+    the exploration gracefully instead of raising {!Limit_exceeded}.  See
+    docs/PERFORMANCE.md and docs/EXPLORATION.md for the full argument. *)
 
 val iter_dpor :
   n:int ->
@@ -206,9 +167,7 @@ val iter_dpor :
     the flushable set is a function of the re-derived state), each with the
     flushed register as footprint; a fencing step's footprint is widened by
     its dynamically buffered registers; and the dedup key includes buffer
-    contents — a buffered-but-unflushed write is part of canonical state.
-    {!iter_reduced} has no [model] parameter: its static sleep-set
-    machinery predates the flush alphabet, so it explores SC only. *)
+    contents — a buffered-but-unflushed write is part of canonical state. *)
 
 (** {2 State keys}
 
@@ -262,5 +221,6 @@ val for_all_dpor :
   f:(int run -> bool) ->
   unit ->
   bool
-(** {!for_all} over the DPOR-reduced schedule set; stops at the first
-    counterexample. *)
+(** {!for_all} over the DPOR-reduced schedule set — equivalent to the full
+    [for_all] for predicates within the soundness scope above; stops at the
+    first counterexample. *)

@@ -125,7 +125,7 @@ val mark : 'k sched -> key:'k -> unit
     that summary as {e virtual steps}, and re-fires the analysis when the
     summary grows later.  The key must determine both the future behaviour
     (memory, per-process continuations) and the outcome-relevant past, as
-    {!Explore.iter_reduced}'s key does.  Runners that cannot canonicalize
+    {!Explore.state_key} does.  Runners that cannot canonicalize
     state simply never call [mark].
 
     The table that holds the keys uses the generic [Hashtbl.hash], which

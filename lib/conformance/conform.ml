@@ -98,6 +98,11 @@ type report = { cells : Fuzz.cell list; mutants : mutant_cell list }
 
 let ok r = List.for_all Fuzz.cell_ok r.cells && List.for_all mutant_killed r.mutants
 
+let inconclusive r =
+  (not (ok r))
+  && List.for_all (fun c -> Fuzz.cell_ok c || Fuzz.cell_inconclusive c) r.cells
+  && List.for_all mutant_killed r.mutants
+
 let outcome_string = function
   | Killed { seed; minimized_len; _ } ->
     Printf.sprintf "KILLED (seed %d, minimal schedule %d steps)" seed minimized_len
@@ -120,7 +125,8 @@ let pp_report ppf r =
     Format.fprintf ppf "%s@ " (String.make 76 '-');
     List.iter (fun c -> Format.fprintf ppf "%a@ " pp_mutant_cell c) r.mutants
   end;
-  Format.fprintf ppf "verdict: %s@ " (if ok r then "CONFORMANT" else "NON-CONFORMANT");
+  Format.fprintf ppf "verdict: %s@ "
+    (if ok r then "CONFORMANT" else if inconclusive r then "INCONCLUSIVE" else "NON-CONFORMANT");
   Format.fprintf ppf "@]"
 
 (* ---- JSON (the --report file) ---- *)

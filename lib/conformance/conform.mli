@@ -85,6 +85,10 @@ type report = { cells : Fuzz.cell list; mutants : mutant_cell list }
 
 val ok : report -> bool
 
+val inconclusive : report -> bool
+(** Not {!ok}, yet nothing refuted: every cell short of conformance is
+    {!Fuzz.cell_inconclusive} and every mutant is killed. *)
+
 val pp_mutant_cell : Format.formatter -> mutant_cell -> unit
 val pp_report : Format.formatter -> report -> unit
 

@@ -23,7 +23,12 @@ type cert = {
   xc_counterexample : Fuzz.counterexample option;
 }
 
-let cert_ok c = c.xc_counterexample = None
+(* A walk whose bounds cut every run certifies nothing and refutes
+   nothing. *)
+let empty c = c.xc_stats.Sched_tree.schedules = 0
+let cert_ok c = c.xc_counterexample = None && not (empty c)
+
+exception Inconclusive of string
 
 (* One schedule under the DPOR oracle.  The oracle's [choose] needs each
    step's dependency footprint, which is only observable inside the run:
@@ -102,6 +107,11 @@ let certify_cell ~(construction : Iface.t) ~ot ~plan_name ~plan
         | Fuzz.Degraded _ ->
           incr degraded;
           true
+        | Fuzz.Fail (Fuzz.Check_budget { states }) ->
+          raise
+            (Inconclusive
+               (Printf.sprintf "%s | %s | %s: the checker exhausted its budget of %d states"
+                  construction.Iface.name ot.Fuzz.ot_name plan_name states))
         | Fuzz.Fail _ ->
           failed := Some r;
           false)
@@ -141,7 +151,7 @@ type mutant_cert = {
 
 (* A mutant is certified killed when the bounded-exhaustive walk finds a
    failing schedule; one that never fired cannot be killed regardless. *)
-let mutant_cert_killed m = m.xm_fired > 0 && not (cert_ok m.xm_cert)
+let mutant_cert_killed m = m.xm_fired > 0 && m.xm_cert.xc_counterexample <> None
 let mutant_cert_ok m = m.xm_fired = 0 || mutant_cert_killed m
 
 let certify_mutant ~(construction : Iface.t) ~mutant ?model ~n ~ops ~seed ?bounds
@@ -157,7 +167,7 @@ let certify_mutant ~(construction : Iface.t) ~mutant ?model ~n ~ops ~seed ?bound
   let reg = Metrics.current () in
   Metrics.incr reg
     (if fired () = 0 then "conformance.exhaustive.mutants_inapplicable"
-     else if cert_ok cert then "conformance.exhaustive.mutants_survived"
+     else if cert.xc_counterexample = None then "conformance.exhaustive.mutants_survived"
      else "conformance.exhaustive.mutants_killed");
   {
     xm_construction = construction.Iface.name;
@@ -171,6 +181,11 @@ let certify_mutant ~(construction : Iface.t) ~mutant ?model ~n ~ops ~seed ?bound
 type report = { certs : cert list; mutants : mutant_cert list }
 
 let ok r = List.for_all cert_ok r.certs && List.for_all mutant_cert_ok r.mutants
+
+let inconclusive r =
+  (not (ok r))
+  && List.for_all (fun c -> cert_ok c || empty c) r.certs
+  && List.for_all (fun m -> mutant_cert_ok m || empty m.xm_cert) r.mutants
 
 let matrix ?jobs ?(constructions = Targets.all) ?(types = Fuzz.object_types)
     ?(plans = [ ("none", Fault_plan.none) ]) ?model ~n ~ops ~seed ?bounds ?max_schedules
@@ -213,6 +228,7 @@ let pp_cert ppf c =
      else "")
     (if c.xc_degraded > 0 then Printf.sprintf " (%d degraded)" c.xc_degraded else "")
     (match c.xc_counterexample with
+    | None when empty c -> " | INCONCLUSIVE (no schedule completed within the bounds)"
     | None -> ""
     | Some cx ->
       Format.asprintf " | COUNTEREXAMPLE |sched| %d -> %d (%a)"
@@ -225,6 +241,8 @@ let pp_mutant_cert ppf m =
     (if m.xm_fired = 0 then "not applicable (never fired)"
      else if mutant_cert_killed m then
        Format.asprintf "KILLED (%a)" Sched_tree.pp_stats m.xm_cert.xc_stats
+     else if empty m.xm_cert then
+       Format.asprintf "INCONCLUSIVE (%a)" Sched_tree.pp_stats m.xm_cert.xc_stats
      else Format.asprintf "SURVIVED (%a)" Sched_tree.pp_stats m.xm_cert.xc_stats)
 
 let pp_report ppf r =
@@ -239,7 +257,8 @@ let pp_report ppf r =
     Format.fprintf ppf "%s@ " (String.make 76 '-');
     List.iter (fun m -> Format.fprintf ppf "%a@ " pp_mutant_cert m) r.mutants
   end;
-  Format.fprintf ppf "verdict: %s@ " (if ok r then "CERTIFIED" else "NON-CONFORMANT");
+  Format.fprintf ppf "verdict: %s@ "
+    (if ok r then "CERTIFIED" else if inconclusive r then "INCONCLUSIVE" else "NON-CONFORMANT");
   Format.fprintf ppf "@]"
 
 (* ---- JSON (the --report file CI reads) ---- *)

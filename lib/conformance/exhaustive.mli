@@ -20,8 +20,8 @@
     sound — the walk degrades to bounded enumeration, still exhaustive
     within the bounds.
 
-    Soundness scope is inherited from the sleep-set argument in
-    {!Lb_check.Explore.iter_reduced}: the set of distinct verdicts is preserved;
+    Soundness scope is inherited from the sleep-set and race argument of
+    {!Lb_check.Explore.iter_dpor}: the set of distinct verdicts is preserved;
     individual schedule orders are not.  See docs/EXPLORATION.md. *)
 
 open Lb_universal
@@ -45,6 +45,14 @@ type cert = {
 }
 
 val cert_ok : cert -> bool
+(** No counterexample, and at least one schedule completed: a walk whose
+    bounds cut every run certifies nothing. *)
+
+exception Inconclusive of string
+(** Raised by {!certify_cell} when a schedule's history exhausts the
+    checker's [max_states] budget: that schedule neither passes nor fails,
+    so the cell is neither certified nor refuted.  The message names the
+    cell. *)
 
 val default_bounds : Lb_check.Sched_tree.bounds
 (** Pre-emption bound 2, the classic systematic-testing default: most
@@ -68,7 +76,8 @@ val certify_cell :
 (** Walk every in-bound schedule of one cell (stopping at the first
     failure, which is then shrunk).  [seed] fixes the workload; the walk
     itself is deterministic.  [max_schedules] (default 200_000) raises
-    {!Lb_check.Sched_tree.Schedule_limit} when exceeded.  [model] (default
+    {!Lb_check.Sched_tree.Schedule_limit} when exceeded; an exhausted
+    checker budget raises {!Inconclusive}.  [model] (default
     SC) runs the cell on a relaxed memory: flush pseudo-pids enter the
     DPOR alphabet with their encoded register as footprint, and since the
     constructions use only the fencing LL/SC repertoire, certificates must
@@ -108,6 +117,10 @@ val certify_mutant :
 type report = { certs : cert list; mutants : mutant_cert list }
 
 val ok : report -> bool
+
+val inconclusive : report -> bool
+(** Not {!ok}, yet nothing refuted: every cell or mutant short of its goal
+    completed no schedule within the bounds. *)
 
 val matrix :
   ?jobs:int ->

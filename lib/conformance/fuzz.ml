@@ -340,21 +340,23 @@ let shrink_failure ~construction ~ot ~plan ~n ~ops ~seed ?model ~max_states (fai
 let check_cell ~(construction : Iface.t) ~ot ~plan_name ~plan
     ?(model = Memory_model.SC) ~n ~ops ~schedules ~seed ~max_states () =
   let passed = ref 0 and degraded = ref 0 in
+  let cell ~runs counterexample =
+    {
+      construction = construction.Iface.name;
+      object_type = ot.ot_name;
+      plan_name;
+      model;
+      n;
+      ops;
+      budget = schedules;
+      runs;
+      passed = !passed;
+      degraded = !degraded;
+      counterexample;
+    }
+  in
   let rec go i =
-    if i >= schedules then
-      {
-        construction = construction.Iface.name;
-        object_type = ot.ot_name;
-        plan_name;
-        model;
-        n;
-        ops;
-        budget = schedules;
-        runs = schedules;
-        passed = !passed;
-        degraded = !degraded;
-        counterexample = None;
-      }
+    if i >= schedules then cell ~runs:schedules None
     else
       let seed_i = seed + i in
       let r =
@@ -368,27 +370,19 @@ let check_cell ~(construction : Iface.t) ~ot ~plan_name ~plan
       | Degraded _ ->
         incr degraded;
         go (i + 1)
+      (* An undecided history is no counterexample: there is nothing to
+         shrink towards, and the cell stops inconclusive. *)
+      | Fail (Check_budget _) -> cell ~runs:(i + 1) None
       | Fail _ ->
         let cx =
           shrink_failure ~construction ~ot ~plan ~n ~ops ~seed:seed_i ~model ~max_states r
         in
-        {
-          construction = construction.Iface.name;
-          object_type = ot.ot_name;
-          plan_name;
-          model;
-          n;
-          ops;
-          budget = schedules;
-          runs = i + 1;
-          passed = !passed;
-          degraded = !degraded;
-          counterexample = Some cx;
-        }
+        cell ~runs:(i + 1) (Some cx)
   in
   go 0
 
-let cell_ok c = c.counterexample = None
+let cell_inconclusive c = c.counterexample = None && c.passed + c.degraded < c.runs
+let cell_ok c = c.counterexample = None && not (cell_inconclusive c)
 
 let pp_cell ppf c =
   Format.fprintf ppf "%-15s | %-12s | %-13s | %4d/%d ok (%d degraded)%s%s" c.construction
@@ -397,6 +391,8 @@ let pp_cell ppf c =
        Printf.sprintf " [%s]" (Memory_model.to_string c.model)
      else "")
     (match c.counterexample with
+    | None when cell_inconclusive c ->
+      Printf.sprintf " | INCONCLUSIVE (checker budget exhausted on schedule %d)" c.runs
     | None -> ""
     | Some cx ->
       Format.asprintf " | COUNTEREXAMPLE seed=%d |sched| %d -> %d (%a)%s" cx.seed_used

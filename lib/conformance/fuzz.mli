@@ -168,6 +168,8 @@ type cell = {
   ops : int;
   budget : int;
   runs : int;
+      (** schedules executed, including an undecided last one when the
+          checker's budget ran out ({!cell_inconclusive}). *)
   passed : int;
   degraded : int;
   counterexample : counterexample option;
@@ -186,9 +188,16 @@ val check_cell :
   max_states:int ->
   unit ->
   cell
-(** Fuzz one cell; stops at (and shrinks) the first failure. *)
+(** Fuzz one cell; stops at (and shrinks) the first failure.  A history
+    that exhausts the checker's [max_states] budget is no failure: the cell
+    stops there unshrunk, inconclusive. *)
 
 val cell_ok : cell -> bool
+(** Every schedule passed (possibly degraded). *)
+
+val cell_inconclusive : cell -> bool
+(** No counterexample, but the checker ran out of budget on the last
+    schedule: neither conformant nor refuted. *)
 
 val pp_failure : Format.formatter -> failure -> unit
 val pp_verdict : Format.formatter -> verdict -> unit

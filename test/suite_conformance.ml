@@ -488,6 +488,52 @@ let test_exhaustive_kills_mutants () =
           cx.Schedule_fuzz.locally_minimal)
     [ "drop-sc-validation"; "stale-ll"; "lost-sc-write"; "lost-swap-write" ]
 
+let test_exhaustive_empty_walk_inconclusive () =
+  (* A length bound of 1 cuts every run before it completes: the walk
+     certifies nothing, refutes nothing, and kills no mutant. *)
+  let bounds = { Sched_tree.no_bounds with length = Some 1 } in
+  let cert =
+    Exhaustive.certify_cell ~construction:herlihy ~ot:fetch_inc ~plan_name:"none"
+      ~plan:Fault_plan.none ~n:2 ~ops:1 ~seed:42 ~bounds ~max_states:200_000 ()
+  in
+  Alcotest.(check int) "no schedule completed" 0 cert.Exhaustive.xc_stats.Sched_tree.schedules;
+  Alcotest.(check bool) "not certified" false (Exhaustive.cert_ok cert);
+  let report = { Exhaustive.certs = [ cert ]; mutants = [] } in
+  Alcotest.(check bool) "report not ok" false (Exhaustive.ok report);
+  Alcotest.(check bool) "report inconclusive" true (Exhaustive.inconclusive report);
+  let mutant = Option.get (Mutate.find "lost-swap-write") in
+  let mc =
+    Exhaustive.certify_mutant ~construction:herlihy ~mutant ~n:2 ~ops:1 ~seed:42 ~bounds
+      ~max_states:200_000 ()
+  in
+  Alcotest.(check bool) "mutant fired" true (mc.Exhaustive.xm_fired > 0);
+  Alcotest.(check bool) "empty walk is no kill" false (Exhaustive.mutant_cert_killed mc);
+  Alcotest.(check bool) "mutant report inconclusive" true
+    (Exhaustive.inconclusive { Exhaustive.certs = []; mutants = [ mc ] })
+
+let test_check_budget_inconclusive () =
+  (* A history the checker cannot decide within its budget is neither a
+     pass nor a counterexample: the fuzz cell stops there unshrunk, and the
+     exhaustive walk raises [Inconclusive]. *)
+  let cell =
+    Schedule_fuzz.check_cell ~construction:herlihy ~ot:fetch_inc ~plan_name:"none"
+      ~plan:Fault_plan.none ~n:2 ~ops:1 ~schedules:5 ~seed:1 ~max_states:1 ()
+  in
+  Alcotest.(check bool) "no counterexample" true (cell.Schedule_fuzz.counterexample = None);
+  Alcotest.(check int) "stops at the undecided schedule" 1 cell.Schedule_fuzz.runs;
+  Alcotest.(check bool) "cell not ok" false (Schedule_fuzz.cell_ok cell);
+  Alcotest.(check bool) "cell inconclusive" true (Schedule_fuzz.cell_inconclusive cell);
+  let report = { Conformance.cells = [ cell ]; mutants = [] } in
+  Alcotest.(check bool) "report not ok" false (Conformance.ok report);
+  Alcotest.(check bool) "report inconclusive" true (Conformance.inconclusive report);
+  Alcotest.(check bool) "exhaustive walk inconclusive" true
+    (match
+       Exhaustive.certify_cell ~construction:herlihy ~ot:fetch_inc ~plan_name:"none"
+         ~plan:Fault_plan.none ~n:2 ~ops:1 ~seed:42 ~max_states:1 ()
+     with
+    | _ -> false
+    | exception Exhaustive.Inconclusive _ -> true)
+
 let test_exhaustive_report_json () =
   let report =
     {
@@ -542,4 +588,8 @@ let suite =
     Alcotest.test_case "exhaustive: every mutant killed in-bounds" `Slow
       test_exhaustive_kills_mutants;
     Alcotest.test_case "exhaustive: report gate + JSON" `Quick test_exhaustive_report_json;
+    Alcotest.test_case "exhaustive: no completed schedule certifies nothing" `Quick
+      test_exhaustive_empty_walk_inconclusive;
+    Alcotest.test_case "checker budget exhausted is inconclusive" `Quick
+      test_check_budget_inconclusive;
   ]

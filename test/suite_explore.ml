@@ -189,39 +189,49 @@ let test_exhaustive_cheater_found () =
        ~f:(fun run -> not (Explore.wakeup_ok ~n:2 run))
        ())
 
-(* ---- reduced exploration agrees with full exploration ---- *)
+(* ---- reduced (DPOR + dedup) exploration agrees with full exploration ---- *)
 
 (* The reduction contract: strictly fewer schedules, identical set of
    distinct (results, wakeup verdict) outcomes. *)
 let outcome run ~n =
   (List.sort compare run.Explore.results, Explore.wakeup_ok ~n run)
 
-let reduced_agrees ?(strict = true) name entry ~n ~coin_range =
-  let program_of, inits = entry.Corpus.make ~n in
+let distinct l = List.sort_uniq compare l
+
+(* The distinct outcomes of the full walk, and how many runs it took. *)
+let full_outcomes ~n ~program_of ~inits ~coin_range =
   let full = ref [] in
-  let reduced = ref [] in
-  let full_count =
+  let count =
     Explore.iter ~n ~program_of ~inits ~coin_range
       ~f:(fun run -> full := outcome run ~n :: !full)
       ()
   in
+  (distinct !full, count)
+
+(* The outcomes the reduced walk's callback saw, in order, and its stats. *)
+let reduced_outcomes ~n ~program_of ~inits ~coin_range =
+  let reduced = ref [] in
   let stats =
-    Explore.iter_reduced ~n ~program_of ~inits ~coin_range
+    Explore.iter_dpor ~n ~program_of ~inits ~coin_range
       ~f:(fun run -> reduced := outcome run ~n :: !reduced)
       ()
   in
-  let distinct l = List.sort_uniq compare l in
+  (!reduced, stats)
+
+let reduced_agrees ?(strict = true) name entry ~n ~coin_range =
+  let program_of, inits = entry.Corpus.make ~n in
+  let full, full_count = full_outcomes ~n ~program_of ~inits ~coin_range in
+  let reduced, stats = reduced_outcomes ~n ~program_of ~inits ~coin_range in
   Alcotest.(check int)
-    (name ^ ": stats.runs counts the callback") (List.length !reduced) stats.Explore.runs;
-  Alcotest.(check bool)
-    (name ^ ": same distinct outcomes") true
-    (distinct !full = distinct !reduced);
+    (name ^ ": stats.schedules counts the callback") (List.length reduced)
+    stats.Sched_tree.schedules;
+  Alcotest.(check bool) (name ^ ": same distinct outcomes") true (full = distinct reduced);
   if strict then
     Alcotest.(check bool)
-      (Printf.sprintf "%s: strictly fewer schedules (%d < %d)" name stats.Explore.runs
+      (Printf.sprintf "%s: strictly fewer schedules (%d < %d)" name stats.Sched_tree.schedules
          full_count)
       true
-      (stats.Explore.runs < full_count)
+      (stats.Sched_tree.schedules < full_count)
 
 let test_reduced_corpus () =
   reduced_agrees "naive n=2" Corpus.naive ~n:2 ~coin_range:[ 0 ];
@@ -237,11 +247,11 @@ let test_reduced_finds_cheater () =
      verdict — the blind cheater's violation survives reduction. *)
   let program_of, inits = Cheaters.blind ~n:2 in
   Alcotest.(check bool) "violation survives reduction" false
-    (Explore.for_all_reduced ~n:2 ~program_of ~inits
+    (Explore.for_all_dpor ~n:2 ~program_of ~inits
        ~f:(Explore.wakeup_ok ~n:2) ())
 
 let test_reduced_wakeup_verdicts () =
-  (* for_all_reduced gives the same verdict as for_all on the whole corpus
+  (* for_all_dpor gives the same verdict as for_all on the whole corpus
      at n=2. *)
   List.iter
     (fun (name, entry) ->
@@ -252,7 +262,7 @@ let test_reduced_wakeup_verdicts () =
           ~f:(Explore.wakeup_ok ~n:2) ()
       in
       let got =
-        Explore.for_all_reduced ~n:2 ~program_of ~inits ~coin_range
+        Explore.for_all_dpor ~n:2 ~program_of ~inits ~coin_range
           ~f:(Explore.wakeup_ok ~n:2) ()
       in
       Alcotest.(check bool) (name ^ ": reduced verdict = full verdict") expected got)
@@ -290,26 +300,16 @@ let inject_spurious ~pid ~at program_of p =
     go 1 (program_of p)
 
 let reduced_agrees_on name ~n ~coin_range ~program_of ~inits =
-  let full = ref [] and reduced = ref [] in
-  let full_count =
-    Explore.iter ~n ~program_of ~inits ~coin_range
-      ~f:(fun run -> full := outcome run ~n :: !full)
-      ()
-  in
-  let stats =
-    Explore.iter_reduced ~n ~program_of ~inits ~coin_range
-      ~f:(fun run -> reduced := outcome run ~n :: !reduced)
-      ()
-  in
-  let distinct l = List.sort_uniq compare l in
+  let full, full_count = full_outcomes ~n ~program_of ~inits ~coin_range in
+  let reduced, stats = reduced_outcomes ~n ~program_of ~inits ~coin_range in
   Alcotest.(check bool)
     (name ^ ": same distinct outcomes under faults") true
-    (distinct !full = distinct !reduced);
+    (full = distinct reduced);
   Alcotest.(check bool)
-    (Printf.sprintf "%s: no more schedules than full (%d <= %d)" name stats.Explore.runs
-       full_count)
+    (Printf.sprintf "%s: no more schedules than full (%d <= %d)" name
+       stats.Sched_tree.schedules full_count)
     true
-    (stats.Explore.runs <= full_count)
+    (stats.Sched_tree.schedules <= full_count)
 
 let test_reduced_under_fault_plan () =
   (* The spuriously failed SC changes the independence structure (an SC
@@ -338,7 +338,7 @@ let test_reduced_under_fault_plan () =
   Alcotest.(check bool) "full: pid 0 never wins" true
     (Explore.for_all ~n:2 ~program_of ~inits ~f:zero_never_wins ());
   Alcotest.(check bool) "reduced: pid 0 never wins" true
-    (Explore.for_all_reduced ~n:2 ~program_of ~inits ~f:zero_never_wins ());
+    (Explore.for_all_dpor ~n:2 ~program_of ~inits ~f:zero_never_wins ());
   reduced_agrees_on "ll/sc race + spurious-sc@0:1" ~n:2 ~coin_range:[ 0 ] ~program_of ~inits
 
 (* ---- exhaustive CAS linearizability ---- *)
@@ -461,32 +461,19 @@ let prop_dpor_agrees =
          full = dpor && full = dedup))
 
 (* The canonical-count property: with state dedup on, the surviving
-   schedule set has one representative per covered class, and the DPOR
-   walk lands on exactly [iter_reduced]'s counts — the two reductions
-   agree not just on outcomes but on size.  Each row pins that count. *)
+   schedule set has one representative per covered class.  Each row pins
+   that count (the one [explore --reduced] prints) and checks the walk
+   against full exploration's distinct outcomes. *)
 let test_dpor_corpus_agreement () =
   List.iter
     (fun (name, entry, n, coin_range, schedules) ->
       let program_of, inits = (entry : Corpus.entry).Corpus.make ~n in
-      let reduced = ref [] in
-      let stats =
-        Explore.iter_reduced ~n ~program_of ~inits ~coin_range
-          ~f:(fun run -> reduced := outcome run ~n :: !reduced)
-          ()
-      in
-      let dpor = ref [] in
-      let dstats =
-        Explore.iter_dpor ~n ~program_of ~inits ~coin_range ~dedup:true
-          ~f:(fun run -> dpor := outcome run ~n :: !dpor)
-          ()
-      in
-      let distinct l = List.sort_uniq compare l in
-      Alcotest.(check int) (name ^ ": reduced schedule count") schedules stats.Explore.runs;
-      Alcotest.(check int)
-        (name ^ ": dpor+dedup schedule count = reduced count")
-        stats.Explore.runs dstats.Sched_tree.schedules;
-      Alcotest.(check bool) (name ^ ": same distinct outcomes") true
-        (distinct !reduced = distinct !dpor))
+      let full, _ = full_outcomes ~n ~program_of ~inits ~coin_range in
+      let dpor, stats = reduced_outcomes ~n ~program_of ~inits ~coin_range in
+      Alcotest.(check int) (name ^ ": dpor+dedup schedule count") schedules
+        stats.Sched_tree.schedules;
+      Alcotest.(check bool) (name ^ ": same distinct outcomes as full") true
+        (full = distinct dpor))
     [
       ("naive n=2", Corpus.naive, 2, [ 0 ], 4);
       ("naive n=3", Corpus.naive, 3, [ 0 ], 60);
@@ -496,21 +483,25 @@ let test_dpor_corpus_agreement () =
       ("tree-collect n=2", Corpus.tree_collect, 2, [ 0 ], 100);
       ("two-counter n=2", Corpus.two_counter, 2, [ 0; 1 ], 38);
       ("backoff-collect n=2", Corpus.backoff_collect, 2, [ 0; 1 ], 16);
-    ]
+    ];
+  (* Full enumeration is out of reach at naive-collect n=4, so this row
+     pins the counts alone. *)
+  let program_of, inits = Corpus.naive.Corpus.make ~n:4 in
+  let _, stats = reduced_outcomes ~n:4 ~program_of ~inits ~coin_range:[ 0 ] in
+  Alcotest.(check (pair int int))
+    "naive n=4: dpor+dedup schedules and deduped runs" (3120, 1985)
+    (stats.Sched_tree.schedules, stats.Sched_tree.deduped)
 
-(* The headline reduction: on tree-collect n=2, sleep-set POR explores
-   100 schedules; the pre-emption-bounded DPOR walk explores strictly
-   fewer, reports exactly what the bound elided, and still reproduces
-   the identical outcome set (empirically — bounding is unsound in
-   general, which is why [stats.elided] exists). *)
+(* The headline reduction: on tree-collect n=2, the unbounded sleep-set
+   DPOR walk explores 100 schedules (pinned above); the pre-emption-
+   bounded walk explores strictly fewer, reports exactly what the bound
+   elided, and still reproduces full exploration's outcome set
+   (empirically — bounding is unsound in general, which is why
+   [stats.elided] exists). *)
 let test_dpor_bounded_tree_collect () =
   let program_of, inits = Corpus.tree_collect.Corpus.make ~n:2 in
-  let reduced = ref [] in
-  let stats =
-    Explore.iter_reduced ~n:2 ~program_of ~inits ~coin_range:[ 0 ]
-      ~f:(fun run -> reduced := outcome run ~n:2 :: !reduced)
-      ()
-  in
+  let full, _ = full_outcomes ~n:2 ~program_of ~inits ~coin_range:[ 0 ] in
+  let unbounded = 100 in
   let check_bounded ~preempt ~dedup =
     let dpor = ref [] in
     let bounds = { Sched_tree.no_bounds with preempt = Some preempt } in
@@ -519,12 +510,11 @@ let test_dpor_bounded_tree_collect () =
         ~f:(fun run -> dpor := outcome run ~n:2 :: !dpor)
         ()
     in
-    let distinct l = List.sort_uniq compare l in
     Alcotest.(check bool)
       (Printf.sprintf "preempt<=%d: strictly fewer schedules (%d < %d)" preempt
-         dstats.Sched_tree.schedules stats.Explore.runs)
+         dstats.Sched_tree.schedules unbounded)
       true
-      (dstats.Sched_tree.schedules < stats.Explore.runs);
+      (dstats.Sched_tree.schedules < unbounded);
     Alcotest.(check bool)
       (Printf.sprintf "preempt<=%d: truncation is reported" preempt)
       true
@@ -532,14 +522,14 @@ let test_dpor_bounded_tree_collect () =
     Alcotest.(check bool)
       (Printf.sprintf "preempt<=%d: identical outcome set" preempt)
       true
-      (distinct !reduced = distinct !dpor)
+      (full = distinct !dpor)
   in
   check_bounded ~preempt:1 ~dedup:false;
   check_bounded ~preempt:2 ~dedup:true
 
 let test_dpor_limit () =
   (* Satellite regression: the run cap surfaces as [Limit_exceeded], like
-     [iter] and [iter_reduced] — not as a silent truncation. *)
+     [iter] — not as a silent truncation. *)
   let program_of, inits = Corpus.naive.Corpus.make ~n:3 in
   Alcotest.check_raises "dpor limit enforced" (Explore.Limit_exceeded 10) (fun () ->
       ignore
