@@ -7,6 +7,7 @@ let find_construction = Targets.find
 type mutant_outcome =
   | Killed of { seed : int; failure : Fuzz.failure; minimized_len : int }
   | Survived of { runs : int }
+  | Inconclusive of { seed : int }
   | Not_applicable
 
 type mutant_cell = {
@@ -16,12 +17,15 @@ type mutant_cell = {
   outcome : mutant_outcome;
 }
 
-let mutant_killed c = match c.outcome with Killed _ | Not_applicable -> true | Survived _ -> false
+let mutant_killed c =
+  match c.outcome with Killed _ | Not_applicable -> true | Survived _ | Inconclusive _ -> false
 
 (* Kill one mutant on one construction: fuzz the mutated construction on
    fetch&increment (the one type every target implements) under the
    fault-free plan until the checker rejects a history.  A mutant that never
-   fired cannot be killed and is reported not-applicable. *)
+   fired cannot be killed and is reported not-applicable; a history the
+   checker cannot decide within [max_states] stops the hunt unshrunk,
+   inconclusive, as in [Fuzz.check_cell]. *)
 let hunt_mutant ~construction ~mutant ?model ~n ~ops ~schedules ~seed ~max_states () =
   let mutated, fired = Mutate.wrap mutant construction in
   let ot =
@@ -37,6 +41,7 @@ let hunt_mutant ~construction ~mutant ?model ~n ~ops ~schedules ~seed ~max_state
           ?model ~max_states ~scheduler:(Fuzz.sample_scheduler ~seed:seed_i) ()
       in
       match r.Fuzz.verdict with
+      | Fuzz.Fail (Fuzz.Check_budget _) -> Inconclusive { seed = seed_i }
       | Fuzz.Fail failure ->
         let cx =
           Fuzz.shrink_failure ~construction:mutated ~ot ~plan:Fault_plan.none ~n ~ops
@@ -51,6 +56,7 @@ let hunt_mutant ~construction ~mutant ?model ~n ~ops ~schedules ~seed ~max_state
     (match outcome with
     | Killed _ -> "conformance.mutants_killed"
     | Survived _ -> "conformance.mutants_survived"
+    | Inconclusive _ -> "conformance.mutants_inconclusive"
     | Not_applicable -> "conformance.mutants_inapplicable");
   {
     mc_construction = construction.Iface.name;
@@ -101,12 +107,16 @@ let ok r = List.for_all Fuzz.cell_ok r.cells && List.for_all mutant_killed r.mut
 let inconclusive r =
   (not (ok r))
   && List.for_all (fun c -> Fuzz.cell_ok c || Fuzz.cell_inconclusive c) r.cells
-  && List.for_all mutant_killed r.mutants
+  && List.for_all
+       (fun c -> match c.outcome with Inconclusive _ -> true | _ -> mutant_killed c)
+       r.mutants
 
 let outcome_string = function
   | Killed { seed; minimized_len; _ } ->
     Printf.sprintf "KILLED (seed %d, minimal schedule %d steps)" seed minimized_len
   | Survived { runs } -> Printf.sprintf "SURVIVED %d schedules" runs
+  | Inconclusive { seed } ->
+    Printf.sprintf "INCONCLUSIVE (checker budget exhausted on seed %d)" seed
   | Not_applicable -> "not applicable (never fired)"
 
 let pp_mutant_cell ppf c =

@@ -19,6 +19,9 @@ val find_construction : string -> Iface.t option
 type mutant_outcome =
   | Killed of { seed : int; failure : Fuzz.failure; minimized_len : int }
   | Survived of { runs : int }
+  | Inconclusive of { seed : int }
+      (** The checker exhausted its state budget on the history of schedule
+          [seed]: neither killed nor survived, and never shrunk. *)
   | Not_applicable
       (** The mutation never fired on this construction (e.g. a Swap mutant
           on a construction that never swaps) — excluded from the gate. *)
@@ -87,7 +90,8 @@ val ok : report -> bool
 
 val inconclusive : report -> bool
 (** Not {!ok}, yet nothing refuted: every cell short of conformance is
-    {!Fuzz.cell_inconclusive} and every mutant is killed. *)
+    {!Fuzz.cell_inconclusive} and every mutant short of killed is
+    [Inconclusive]. *)
 
 val pp_mutant_cell : Format.formatter -> mutant_cell -> unit
 val pp_report : Format.formatter -> report -> unit

@@ -191,13 +191,17 @@ let execute ~(construction : Iface.t) ~ot ~plan ~n ~ops ~seed
   in
   (result, List.rev !log)
 
+let cost_bound ~(construction : Iface.t) ~plan ~n =
+  let bound = construction.Iface.worst_case ~n in
+  let recovering = Fault_plan.crash_recovering plan in
+  fun pid -> if List.mem pid recovering then 2 * bound else bound
+
 (* Judge one executed run: completion accounting, the analytic cost bound,
-   give-up excuses, then linearizability.  Shared verbatim by the fuzzer
-   and the exhaustive checker, so a schedule is judged identically however
-   it was produced. *)
+   give-up excuses, then linearizability.  Shared verbatim by the fuzzer,
+   the exhaustive checker and the [faults] command, so a run is judged
+   identically however it was produced. *)
 let assess ~(construction : Iface.t) ~ot ~plan ~n ~ops ~max_states ~schedule result =
   let spec = ot.spec_of ~n in
-  let bound = construction.Iface.worst_case ~n in
   let history = result.Harness.history in
   let checked_ops = List.length history in
   let stopped = Fault_plan.crash_stopped plan in
@@ -227,23 +231,30 @@ let assess ~(construction : Iface.t) ~ot ~plan ~n ~ops ~max_states ~schedule res
   if starved <> [] then finish (Fail (Starved { pids = starved })) 0
   else
     (* Conformance is linearizability *plus* the analytic worst-case cost:
-       the paper's upper-bound claim is about shared-access time, so a
-       fault-free run where an operation overshoots the construction's bound
-       is a conformance failure (it kills helping-removal mutants that are
-       linearizability-preserving).  Faulty plans relax it, as in Certify. *)
+       the paper's upper-bound claim is about shared-access time, so an
+       operation that overshoots the construction's bound is a conformance
+       failure (it kills helping-removal mutants that are
+       linearizability-preserving).  Crash-stopped pids are exempt, a
+       crash-recovering pid may spend twice the bound (its re-invocation
+       starts over), and injected spurious SC failures excuse an overshoot
+       as a degradation. *)
+    let bound_of = cost_bound ~construction ~plan ~n in
     let over_bound =
-      if Fault_plan.has_spurious plan || Fault_plan.has_crash plan then None
-      else
-        List.find_opt (fun (s : Harness.op_stat) -> s.Harness.cost > bound) result.Harness.stats
+      List.find_opt
+        (fun (s : Harness.op_stat) ->
+          s.Harness.cost > bound_of s.Harness.pid && not (List.mem s.Harness.pid stopped))
+        result.Harness.stats
+      |> Option.map (fun (s : Harness.op_stat) ->
+             Bound_exceeded
+               { pid = s.Harness.pid; seq = s.Harness.seq; cost = s.Harness.cost;
+                 bound = bound_of s.Harness.pid })
     in
+    let spurious = Fault_plan.has_spurious plan in
     match over_bound with
-    | Some s ->
-      finish
-        (Fail (Bound_exceeded { pid = s.Harness.pid; seq = s.Harness.seq; cost = s.Harness.cost; bound }))
-        0
-    | None ->
+    | Some failure when not spurious -> finish (Fail failure) 0
+    | _ ->
     let unexcused =
-      if Fault_plan.has_spurious plan then None
+      if spurious then None
       else
         match result.Harness.failures with
         | [] -> None
@@ -260,11 +271,18 @@ let assess ~(construction : Iface.t) ~ot ~plan ~n ~ops ~max_states ~schedule res
           finish
             (Degraded (Printf.sprintf "%d give-up(s) under injected spurious SC failures" gave_up))
             stats.Linearize.states
-        else if result.Harness.restarts > 0 then
-          finish
-            (Degraded (Printf.sprintf "%d crash-recovery restart(s)" result.Harness.restarts))
-            stats.Linearize.states
-        else finish Pass stats.Linearize.states
+        else (
+          match over_bound with
+          | Some failure ->
+            finish
+              (Degraded
+                 (Format.asprintf "%a under injected spurious SC failures" pp_failure failure))
+              stats.Linearize.states
+          | None when result.Harness.restarts > 0 ->
+            finish
+              (Degraded (Printf.sprintf "%d crash-recovery restart(s)" result.Harness.restarts))
+              stats.Linearize.states
+          | None -> finish Pass stats.Linearize.states)
       | Linearize.Not_linearizable { stats; completed; bad_prefix } ->
         finish
           (Fail (Not_linearizable { states = stats.Linearize.states; bad_prefix; completed }))

@@ -7,11 +7,14 @@
     minimized with {!Shrink} to a locally-minimal interleaving that replays
     deterministically to the same failure class.
 
-    Give-ups are excused (degraded, not failing) exactly when the plan
-    injects spurious SC failures, mirroring {!Lb_faults.Certify}; crash-
-    stopped pids are exempt from the completion requirement; crash-recovery
-    restarts contribute ghost pending operations to the checked history (see
-    {!Lb_objects.History.ghosts}). *)
+    Give-ups and cost-bound overshoots are excused (degraded, not failing)
+    exactly when the plan injects spurious SC failures; crash-stopped pids
+    are exempt from the completion requirement and the cost bound; a
+    crash-recovering pid may spend twice the bound; crash-recovery restarts
+    contribute ghost pending operations to the checked history (see
+    {!Lb_objects.History.ghosts}) and degrade the run.  {!assess} is the one
+    judge of a construction run: the fuzzer, the exhaustive checker and the
+    [faults] command all use it. *)
 
 open Lb_memory
 open Lb_runtime
@@ -43,11 +46,13 @@ type failure =
   | Unexcused_give_up of { pid : int; seq : int; reason : string }
   | Starved of { pids : int list }
   | Bound_exceeded of { pid : int; seq : int; cost : int; bound : int }
-      (** A fault-free run where an operation's shared-access cost exceeds
-          the construction's analytic worst case — the paper's upper-bound
+      (** An operation of a pid that was not crash-stopped costs more shared
+          accesses than the construction's analytic worst case ([bound] is
+          twice it for a crash-recovering pid) — the paper's upper-bound
           claim is about time, so overshooting it is a conformance failure
           (and the kill condition for helping-removal mutants that preserve
-          linearizability). *)
+          linearizability).  Under injected spurious SC failures it is a
+          degradation instead. *)
   | Check_budget of { states : int }
 
 type verdict = Pass | Degraded of string | Fail of failure
@@ -82,6 +87,11 @@ val execute :
     fault hooks — the exhaustive checker taps [filter] to read each
     process's pending shared operation for its dependency footprints. *)
 
+val cost_bound : construction:Iface.t -> plan:Fault_plan.t -> n:int -> int -> int
+(** [cost_bound ~construction ~plan ~n pid]: the shared-access cost {!assess}
+    allows each operation of [pid] — the construction's analytic worst case,
+    twice it when the plan crash-recovers [pid]. *)
+
 val assess :
   construction:Iface.t ->
   ot:object_type ->
@@ -92,11 +102,12 @@ val assess :
   schedule:int list ->
   Harness.result ->
   run
-(** Judge an executed run: completion accounting, the analytic cost bound,
+(** Judge an executed run: completion accounting, the analytic cost bound
+    (the first completed operation over it, in [result.stats] order),
     give-up excuses, then {!Lb_objects.Linearize} on [result.history].
     [run_once] is [execute] followed by [assess]; the exhaustive checker
-    shares this judge so a schedule is assessed identically however it was
-    produced. *)
+    and the [faults] command share this judge so a run is assessed
+    identically however it was produced. *)
 
 val run_once :
   construction:Iface.t ->

@@ -30,8 +30,9 @@
     - {!Pool}: the domain pool — deterministic order-preserving parallel
       [map] with per-task metric/trace capture merged at join;
     - {!Fault_plan}, {!Fault_engine}, {!Retry}, {!Fault_targets}, {!Faults}:
-      fault injection (crashes, recovery, weak LL/SC, delays) and the
-      wait-freedom-under-adversity certification driver;
+      fault injection (crashes, recovery, weak LL/SC, delays) and wakeup
+      certification under it (constructions under a plan are judged by
+      {!Schedule_fuzz.assess});
     - {!Conf_history}, {!Mutate}, {!Schedule_fuzz}, {!Shrink},
       {!Conformance}, {!Exhaustive}: the conformance subsystem — histories
       rebuilt from recorded traces, mutation testing, differential schedule

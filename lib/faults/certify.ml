@@ -1,211 +1,9 @@
 open Lb_memory
 open Lb_runtime
-open Lb_universal
+
+(* Wakeup certification: System-based, with run diagnostics. *)
 
 type status = Certified | Degraded | Violated
-
-type role = Survivor | Crashed | Recovered
-
-type process_report = {
-  pid : int;
-  role : role;
-  expected : int;
-  completed : int;
-  failed : int;
-  max_cost : int; (* worst completed-operation cost; 0 if none completed *)
-  bound : int; (* analytic worst case, relaxed x2 for recovered pids *)
-  within_bound : bool;
-  shared_ops : int; (* t(p, R) from the memory's accounting *)
-  spurious_sc : int;
-}
-
-type report = {
-  target : string;
-  plan : Fault_plan.t;
-  n : int;
-  seed : int;
-  status : status;
-  reasons : string list; (* certification violations *)
-  notes : string list; (* graceful degradations, reported not fatal *)
-  processes : process_report list;
-  spurious_injected : int;
-  restarts : int;
-  failures : Harness.op_failure list;
-  consistent : bool;
-  consistency : string; (* which consistency check ran *)
-  total_shared_ops : int;
-  raw : Harness.result;
-}
-
-let certified r = r.status <> Violated
-
-let failure_events r =
-  List.map
-    (fun (f : Harness.op_failure) ->
-      Lb_observe.Event.Op_failed
-        { pid = f.Harness.pid; seq = f.Harness.seq; op = f.Harness.op; reason = f.Harness.reason; cost = f.Harness.cost })
-    r.failures
-
-let publish_metrics r =
-  let reg = Lb_observe.Metrics.current () in
-  Lb_observe.Metrics.incr reg "certify.runs";
-  Lb_observe.Metrics.incr reg
-    (match r.status with
-    | Certified -> "certify.certified"
-    | Degraded -> "certify.degraded"
-    | Violated -> "certify.violated");
-  Lb_observe.Metrics.incr ~by:r.spurious_injected reg "certify.spurious_injected";
-  Lb_observe.Metrics.incr ~by:r.restarts reg "certify.restarts";
-  Lb_observe.Metrics.observe_int reg "certify.total_shared_ops" r.total_shared_ops
-
-(* Fetch&increment responses of the completed operations must be distinct
-   and form 0 .. max with at most [holes] missing values — one hole per
-   operation that may have taken effect without responding (a crashed
-   process's in-flight operation, or a published-then-given-up one). *)
-let counter_consistent ~holes responses =
-  let sorted = List.sort_uniq Int.compare responses in
-  List.length sorted = List.length responses
-  && (match List.rev sorted with
-     | [] -> true
-     | max_v :: _ ->
-       List.for_all (fun v -> v >= 0) sorted
-       && max_v - (List.length sorted - 1) <= holes)
-
-let run ~target ~plan ~n ?(seed = 1) ?(ops_per_process = 1) () =
-  if n <= 0 then invalid_arg "Certify.run: n must be positive";
-  let spec = Lb_objects.Counters.fetch_inc ~bits:62 in
-  let engine = Fault_engine.instantiate ~seed plan in
-  let layout = Layout.create () in
-  let handle = target.Iface.create layout ~n spec in
-  let memory = Memory.create () in
-  Layout.install layout memory;
-  Fault_engine.arm engine memory;
-  let bound = target.Iface.worst_case ~n in
-  let fuel = (64 * n * ops_per_process * (bound + 8)) + Fault_plan.horizon plan in
-  let result =
-    Harness.run_handle ~memory ~handle ~n
-      ~ops:(fun _ -> List.init ops_per_process (fun _ -> Value.Unit))
-      ~scheduler:Scheduler.round_robin ~assignment:(Coin.uniform ~seed) ~fuel
-      ~hooks:(Fault_engine.hooks engine) ()
-  in
-  let in_range pids = List.filter (fun p -> p >= 0 && p < n) pids in
-  let stopped = in_range (Fault_plan.crash_stopped plan) in
-  let recovering = in_range (Fault_plan.crash_recovering plan) in
-  let role_of pid =
-    if List.mem pid stopped then Crashed
-    else if List.mem pid recovering then Recovered
-    else Survivor
-  in
-  let reasons = ref [] and notes = ref [] in
-  let violation fmt = Printf.ksprintf (fun s -> reasons := s :: !reasons) fmt in
-  let note fmt = Printf.ksprintf (fun s -> notes := s :: !notes) fmt in
-  let spurious_excused = Fault_plan.has_spurious plan in
-  let processes =
-    List.init n (fun pid ->
-        let role = role_of pid in
-        let mine = List.filter (fun (s : Harness.op_stat) -> s.Harness.pid = pid) result.Harness.stats in
-        let completed = List.length mine in
-        let failed =
-          List.length
-            (List.filter (fun (f : Harness.op_failure) -> f.Harness.pid = pid) result.Harness.failures)
-        in
-        let max_cost =
-          List.fold_left (fun acc (s : Harness.op_stat) -> max acc s.Harness.cost) 0 mine
-        in
-        let bound = match role with Recovered -> 2 * bound | Survivor | Crashed -> bound in
-        let within_bound = max_cost <= bound in
-        (match role with
-        | Survivor | Recovered ->
-          let who = match role with Recovered -> "recovered process" | _ -> "survivor" in
-          if completed + failed < ops_per_process then
-            violation "%s p%d starved: %d of %d operations unaccounted for" who pid
-              (ops_per_process - completed - failed) ops_per_process;
-          if failed > 0 then
-            if spurious_excused then
-              note "p%d gave up on %d operation(s) under injected spurious SC failures" pid failed
-            else violation "p%d gave up on %d operation(s) with no spurious faults to excuse it" pid failed;
-          if not within_bound then
-            if spurious_excused then
-              note "p%d exceeded the analytic bound (%d > %d) due to injected retries" pid max_cost
-                bound
-            else violation "p%d exceeded the analytic wait-free bound: %d > %d" pid max_cost bound
-        | Crashed ->
-          if completed < ops_per_process && failed = 0 then
-            note "crashed p%d left an operation in flight (helped or lost atomically)" pid);
-        {
-          pid;
-          role;
-          expected = ops_per_process;
-          completed;
-          failed;
-          max_cost;
-          bound;
-          within_bound;
-          shared_ops = Memory.ops_of memory ~pid;
-          spurious_sc = Fault_engine.spurious_of engine ~pid;
-        })
-  in
-  (* Consistency of the completed operations' responses.  Full
-     linearizability when every effect is accounted for in the history;
-     counter consistency (distinct responses, bounded holes) when crashed or
-     given-up operations may have taken effect without responding. *)
-  let in_flight_crashed =
-    List.filter (fun (p : process_report) -> p.role = Crashed && p.completed + p.failed < p.expected) processes
-    |> List.length
-  in
-  let holes = in_flight_crashed + List.length result.Harness.failures in
-  let consistent, consistency =
-    if holes = 0 && not (Fault_plan.has_crash plan) then
-      if n * ops_per_process <= 32 then
-        (Harness.check_linearizable ~spec result, "linearizable (Wing–Gong)")
-      else (true, "linearizability skipped (history too large)")
-    else
-      ( counter_consistent ~holes
-          (List.map (fun (s : Harness.op_stat) -> Value.to_int s.Harness.response) result.Harness.stats),
-        Printf.sprintf "counter-consistent modulo %d unaccounted operation(s)" holes )
-  in
-  if not consistent then violation "responses are not %s" consistency;
-  if Fault_engine.spurious_injected engine > 0 then
-    note "%d spurious SC failure(s) injected" (Fault_engine.spurious_injected engine);
-  if result.Harness.restarts > 0 then
-    note "%d crash-recovery re-invocation(s)" result.Harness.restarts;
-  let status =
-    if !reasons <> [] then Violated
-    else if List.exists (fun (p : process_report) -> p.failed > 0 || not p.within_bound) processes
-    then Degraded
-    else Certified
-  in
-  let report =
-    {
-      target = target.Iface.name;
-      plan;
-      n;
-      seed;
-      status;
-      reasons = List.rev !reasons;
-      notes = List.rev !notes;
-      processes;
-      spurious_injected = Fault_engine.spurious_injected engine;
-      restarts = result.Harness.restarts;
-      failures = result.Harness.failures;
-      consistent;
-      consistency;
-      total_shared_ops = result.Harness.total_shared_ops;
-      raw = result;
-    }
-  in
-  publish_metrics report;
-  report
-
-let grid ~targets ~plans ~ns ?(seed = 1) ?(ops_per_process = 1) () =
-  List.concat_map
-    (fun target ->
-      List.concat_map
-        (fun plan -> List.map (fun n -> run ~target ~plan ~n ~seed ~ops_per_process ()) ns)
-        plans)
-    targets
-
-(* ---- wakeup certification (System-based, with run diagnostics) ---- *)
 
 type wakeup_report = {
   algorithm : string;
@@ -291,29 +89,6 @@ let status_string = function
   | Violated -> "VIOLATED"
 
 let pp_status ppf s = Format.pp_print_string ppf (status_string s)
-
-let role_string = function Survivor -> "survivor" | Crashed -> "crashed" | Recovered -> "recovered"
-
-let pp_process ppf (p : process_report) =
-  Format.fprintf ppf "p%-3d | %-9s | %5d/%d | %6d | %5s | %5d | %6d | %8d" p.pid
-    (role_string p.role) p.completed p.expected p.failed
-    (if p.completed = 0 then "-" else string_of_int p.max_cost)
-    p.bound p.shared_ops p.spurious_sc
-
-let pp_report ppf r =
-  Format.fprintf ppf "@[<v>%s under %s (n = %d, seed = %d): %a@ " r.target
-    (Fault_plan.name r.plan) r.n r.seed pp_status r.status;
-  Format.fprintf ppf "consistency: %s -> %b; spurious injected: %d; restarts: %d; total ops: %d@ "
-    r.consistency r.consistent r.spurious_injected r.restarts r.total_shared_ops;
-  Format.fprintf ppf "pid  | role      |  done  | failed | worst | bound | t(p,R) | spurious@ ";
-  Format.fprintf ppf "%s@ " (String.make 74 '-');
-  List.iter (fun p -> Format.fprintf ppf "%a@ " pp_process p) r.processes;
-  (* Failures are rendered through the trace-event vocabulary, so a verdict
-     table and a recorded trace show the same give-up lines. *)
-  List.iter (fun e -> Format.fprintf ppf "%a@ " Lb_observe.Event.pp e) (failure_events r);
-  List.iter (fun s -> Format.fprintf ppf "violation: %s@ " s) r.reasons;
-  List.iter (fun s -> Format.fprintf ppf "note: %s@ " s) r.notes;
-  Format.fprintf ppf "@]"
 
 let pp_wakeup_report ppf r =
   Format.fprintf ppf "@[<v>%s under %s (n = %d, seed = %d): %a@ " r.algorithm

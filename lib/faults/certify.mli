@@ -1,86 +1,16 @@
-(** Certification driver: runs constructions (and wakeup algorithms) under
-    fault plans and returns structured verdicts instead of raising.
+(** Wakeup certification: runs wakeup algorithms under fault plans and
+    returns structured verdicts instead of raising.
 
-    A run is {e certified} when every non-crashed process completed its
-    operations within the construction's analytic wait-free bound and the
-    completed responses are consistent; {e degraded} when injected adversity
-    forced a reported give-up or a bound excess that the plan excuses
-    (spurious SC failures break wait-freedom of lock-free retry loops by
-    design — the requirement is that the implementation reports it
-    gracefully); {e violated} when a survivor starved, a recovered process
-    never finished, an operation gave up with no spurious faults to excuse
-    it, or the responses are inconsistent. *)
+    A run is {e certified} when every survivor terminated with a 0/1 answer
+    and nobody claimed wakeup while another process never took a step;
+    {e degraded} when crashes made wakeup unattainable and the survivors
+    declined to claim it; {e violated} when a survivor did not terminate,
+    returned something else, or a claim was false.  Constructions are
+    judged by [Lb_conformance.Fuzz.assess] instead. *)
 
 open Lb_runtime
-open Lb_universal
 
 type status = Certified | Degraded | Violated
-
-type role = Survivor | Crashed | Recovered
-
-type process_report = {
-  pid : int;
-  role : role;
-  expected : int;
-  completed : int;
-  failed : int;
-  max_cost : int;  (** worst completed-operation cost; 0 if none completed. *)
-  bound : int;  (** analytic worst case; relaxed x2 for recovered pids. *)
-  within_bound : bool;
-  shared_ops : int;  (** the paper's t(p, R), from the memory's accounting. *)
-  spurious_sc : int;  (** spurious SC failures injected against this pid. *)
-}
-
-type report = {
-  target : string;
-  plan : Fault_plan.t;
-  n : int;
-  seed : int;
-  status : status;
-  reasons : string list;  (** certification violations. *)
-  notes : string list;  (** graceful degradations — reported, not fatal. *)
-  processes : process_report list;
-  spurious_injected : int;
-  restarts : int;
-  failures : Harness.op_failure list;
-  consistent : bool;
-  consistency : string;  (** which consistency check ran. *)
-  total_shared_ops : int;
-  raw : Harness.result;
-}
-
-val certified : report -> bool
-(** [status <> Violated] — degraded-but-reported passes certification. *)
-
-val failure_events : report -> Lb_observe.Event.t list
-(** The report's give-ups as {!Lb_observe.Event.Op_failed} trace events —
-    the same payload a live tracer records, so verdict tables and traces
-    agree on what failed.  {!pp_report} prints these. *)
-
-val run :
-  target:Iface.t ->
-  plan:Fault_plan.t ->
-  n:int ->
-  ?seed:int ->
-  ?ops_per_process:int ->
-  unit ->
-  report
-(** One certification run of a fetch&increment workload ([ops_per_process]
-    operations per process, default 1) under the plan.  Consistency check:
-    full linearizability when every effect is accounted for in the history;
-    counter consistency (distinct responses with at most one hole per
-    unaccounted operation) when crashed or given-up operations may have
-    taken effect without responding. *)
-
-val grid :
-  targets:Iface.t list ->
-  plans:Fault_plan.t list ->
-  ns:int list ->
-  ?seed:int ->
-  ?ops_per_process:int ->
-  unit ->
-  report list
-(** The sweep: targets x plans x n. *)
 
 (** {1 Wakeup certification}
 
@@ -125,5 +55,4 @@ val run_wakeup :
 
 val status_string : status -> string
 val pp_status : Format.formatter -> status -> unit
-val pp_report : Format.formatter -> report -> unit
 val pp_wakeup_report : Format.formatter -> wakeup_report -> unit

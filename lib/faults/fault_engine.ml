@@ -19,7 +19,6 @@ type t = {
   delays : (int * int * int) list; (* pid, from, until *)
   stalls : (int list * int * int) list; (* regs, from, until *)
   mutable spurious_total : int;
-  spurious_by : (int, int) Hashtbl.t;
   mutable memory : Memory.t option;
 }
 
@@ -36,7 +35,6 @@ let instantiate ?(seed = 0) plan =
       delays = [];
       stalls = [];
       spurious_total = 0;
-      spurious_by = Hashtbl.create 8;
       memory = None;
     }
   in
@@ -86,8 +84,6 @@ let arm t memory =
               and no fault is injected (or counted). *)
            if wanted && Ids.mem pid (Memory.pset memory r) then begin
              t.spurious_total <- t.spurious_total + 1;
-             Hashtbl.replace t.spurious_by pid
-               (1 + Option.value ~default:0 (Hashtbl.find_opt t.spurious_by pid));
              Memory.Fail_sc
            end
            else Memory.Proceed
@@ -178,7 +174,6 @@ let choice t ?(pending = fun _ -> None) inner ~step ~runnable =
     | None -> None)
 
 let spurious_injected t = t.spurious_total
-let spurious_of t ~pid = Option.value ~default:0 (Hashtbl.find_opt t.spurious_by pid)
 let steps_of t ~pid = taken t pid
 
 let crashed t =

@@ -43,9 +43,6 @@ val spurious_injected : t -> int
     succeeded count — an SC that had already lost its link fails for the
     strong-semantics reason). *)
 
-val spurious_of : t -> pid:int -> int
-(** Spurious SC failures injected against [pid]. *)
-
 val steps_of : t -> pid:int -> int
 (** Shared-memory steps [pid] has executed, as counted by the engine. *)
 

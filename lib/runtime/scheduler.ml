@@ -16,11 +16,6 @@ let crash ~dead choice ~step ~runnable =
   let alive = List.filter (fun pid -> not (Lb_memory.Ids.mem pid dead)) runnable in
   match alive with [] -> None | _ :: _ -> choice ~step ~runnable:alive
 
-let filtered keep choice ~step ~runnable =
-  match List.filter (fun pid -> keep ~step ~pid) runnable with
-  | [] -> None
-  | allowed -> choice ~step ~runnable:allowed
-
 let fixed sequence =
   let remaining = ref sequence in
   fun ~step:_ ~runnable ->

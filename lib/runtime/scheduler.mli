@@ -22,12 +22,6 @@ val crash : dead:Lb_memory.Ids.t -> choice -> choice
     at all — a crash-from-the-start failure pattern); defers to [c] for the
     rest and stalls when only dead processes remain. *)
 
-val filtered : (step:int -> pid:int -> bool) -> choice -> choice
-(** [filtered keep c] hides every pid for which [keep ~step ~pid] is false
-    from [c], stalling when nothing is left.  The generic building block for
-    fault injection: crash, delay and stall-region injectors are all
-    step-indexed filters (see {!Lb_faults.Fault_engine}). *)
-
 val fixed : int list -> choice
 (** Plays the given pid sequence, then stalls.  Skips entries that are no
     longer runnable. *)

@@ -309,6 +309,7 @@ let test_fuzz_kills_mutant () =
     Alcotest.(check bool) "hunt is deterministic" true
       (again.Conformance.outcome = cell.Conformance.outcome)
   | Conformance.Survived { runs } -> Alcotest.failf "mutant survived %d runs" runs
+  | Conformance.Inconclusive { seed } -> Alcotest.failf "checker budget exhausted on seed %d" seed
   | Conformance.Not_applicable -> Alcotest.fail "mutant reported as not applicable"
 
 let test_fuzz_shrunk_counterexample_certified () =
@@ -534,6 +535,28 @@ let test_check_budget_inconclusive () =
     | _ -> false
     | exception Exhaustive.Inconclusive _ -> true)
 
+let test_mutant_hunt_budget_inconclusive () =
+  (* The mutant hunt treats an undecided history like the fuzz cell does: a
+     mutant whose first history exhausts the checker budget is neither
+     killed nor survived, nothing is shrunk, and the report is inconclusive
+     rather than conformant. *)
+  let mutant =
+    match Mutate.find "drop-sc-validation" with
+    | Some m -> m
+    | None -> Alcotest.fail "drop-sc-validation mutant missing"
+  in
+  let cell =
+    Conformance.hunt_mutant ~construction:herlihy ~mutant ~n:2 ~ops:1 ~schedules:3 ~seed:1
+      ~max_states:1 ()
+  in
+  Alcotest.(check bool) "budget exhaustion is no kill" false (Conformance.mutant_killed cell);
+  (match cell.Conformance.outcome with
+  | Conformance.Inconclusive { seed } -> Alcotest.(check int) "stops at the first schedule" 1 seed
+  | _ -> Alcotest.fail "expected an inconclusive hunt");
+  let report = { Conformance.cells = []; mutants = [ cell ] } in
+  Alcotest.(check bool) "report not ok" false (Conformance.ok report);
+  Alcotest.(check bool) "report inconclusive" true (Conformance.inconclusive report)
+
 let test_exhaustive_report_json () =
   let report =
     {
@@ -592,4 +615,6 @@ let suite =
       test_exhaustive_empty_walk_inconclusive;
     Alcotest.test_case "checker budget exhausted is inconclusive" `Quick
       test_check_budget_inconclusive;
+    Alcotest.test_case "mutant hunt: checker budget exhausted is inconclusive" `Quick
+      test_mutant_hunt_budget_inconclusive;
   ]

@@ -1,11 +1,12 @@
 (* Fault injection: wait-freedom of the universal constructions under
-   adversity, via the lb_faults plan/engine/certification stack.
+   adversity, via the lb_faults plan/engine stack and the conformance judge.
 
    A wait-free implementation guarantees that a process completes its
    operation in a bounded number of its own steps regardless of the other
    processes — including when they crash mid-operation, recover and retry,
-   or suffer spurious SC failures (weak LL/SC).  Certification runs a
-   workload under a declarative fault plan and returns a structured verdict
+   or suffer spurious SC failures (weak LL/SC).  A [faults] run drives a
+   round-robin fetch&increment workload under a declarative fault plan and
+   judges it with [Schedule_fuzz.assess], which returns a structured verdict
    instead of raising; these tests pin down the verdicts. *)
 
 open Lowerbound
@@ -14,8 +15,35 @@ let certifiable = [ Adt_tree.construction; Herlihy.construction ]
 
 let crash_plan ~crash_steps = Fault_plan.crash_stop ~pid:0 ~after:crash_steps
 
-let process_report (r : Faults.report) pid =
-  List.find (fun (p : Faults.process_report) -> p.Faults.pid = pid) r.Faults.processes
+let fetch_inc = Option.get (Schedule_fuzz.find_type "fetch-inc")
+
+(* One run as [lowerbound faults] makes it: one fetch&increment per
+   process, round robin, judged under the default checker budget. *)
+let judge ~(construction : Iface.t) ~plan ~n =
+  let result, schedule =
+    Schedule_fuzz.execute ~construction ~ot:fetch_inc ~plan ~n ~ops:1 ~seed:1
+      ~scheduler:Scheduler.round_robin ()
+  in
+  let run =
+    Schedule_fuzz.assess ~construction ~ot:fetch_inc ~plan ~n ~ops:1 ~max_states:200_000
+      ~schedule result
+  in
+  (result, run.Schedule_fuzz.verdict)
+
+(* Passed, possibly degraded: what the CLI counts as not violated. *)
+let certified = function
+  | Schedule_fuzz.Pass | Schedule_fuzz.Degraded _ -> true
+  | Schedule_fuzz.Fail _ -> false
+
+let linearizable = function
+  | Schedule_fuzz.Fail (Schedule_fuzz.Not_linearizable _) -> false
+  | _ -> true
+
+let stats_of (result : Harness.result) pid =
+  List.filter (fun (s : Harness.op_stat) -> s.Harness.pid = pid) result.Harness.stats
+
+let max_cost result pid =
+  List.fold_left (fun acc (s : Harness.op_stat) -> max acc s.Harness.cost) 0 (stats_of result pid)
 
 let test_survivors_complete () =
   List.iter
@@ -27,18 +55,16 @@ let test_survivors_complete () =
               let label =
                 Printf.sprintf "%s n=%d crash@%d" construction.Iface.name n crash_steps
               in
-              let r =
-                Faults.run ~target:construction ~plan:(crash_plan ~crash_steps) ~n ()
-              in
-              Alcotest.(check bool) (label ^ ": certified") true (Faults.certified r);
+              let result, verdict = judge ~construction ~plan:(crash_plan ~crash_steps) ~n in
+              Alcotest.(check bool) (label ^ ": certified") true (certified verdict);
               List.iter
                 (fun pid ->
-                  let p = process_report r pid in
                   Alcotest.(check int) (Printf.sprintf "%s: p%d finished" label pid) 1
-                    p.Faults.completed;
+                    (List.length (stats_of result pid));
                   Alcotest.(check bool)
                     (Printf.sprintf "%s: p%d within bound" label pid)
-                    true p.Faults.within_bound)
+                    true
+                    (max_cost result pid <= construction.Iface.worst_case ~n))
                 (List.init (n - 1) (fun i -> i + 1)))
             [ 3; 5; 8 ])
         [ 1; 2; 5; 9 ])
@@ -46,17 +72,17 @@ let test_survivors_complete () =
 
 let test_crashed_op_helped_or_lost_atomically () =
   (* The crashed process's increment either took effect (a helper applied
-     its announced descriptor) or it did not — never half.  [Faults.run]
-     checks exactly this under crash plans: survivors' responses are
-     distinct and form 0..max with at most one hole per in-flight crash. *)
+     its announced descriptor) or it did not — never half.  The judge checks
+     exactly this: the crashed operation is a pending occurrence in the
+     checked history, which must linearize with or without it. *)
   List.iter
     (fun (construction : Iface.t) ->
       List.iter
         (fun crash_steps ->
-          let r = Faults.run ~target:construction ~plan:(crash_plan ~crash_steps) ~n:6 () in
+          let _, verdict = judge ~construction ~plan:(crash_plan ~crash_steps) ~n:6 in
           let label = Printf.sprintf "%s crash@%d" construction.Iface.name crash_steps in
-          Alcotest.(check bool) (label ^ ": consistent counter") true r.Faults.consistent;
-          Alcotest.(check bool) (label ^ ": certified") true (Faults.certified r))
+          Alcotest.(check bool) (label ^ ": consistent counter") true (linearizable verdict);
+          Alcotest.(check bool) (label ^ ": certified") true (certified verdict))
         [ 1; 2; 3; 4; 6; 10 ])
     certifiable
 
@@ -70,9 +96,9 @@ let test_multiple_crashes () =
         Fault_plan.compose ~name:"crash-all-but-p7"
           (List.init 7 (fun pid -> Fault_plan.crash_stop ~pid ~after:0))
       in
-      let r = Faults.run ~target:construction ~plan ~n () in
-      Alcotest.(check bool) (construction.Iface.name ^ ": certified") true (Faults.certified r);
-      match List.filter (fun (s : Harness.op_stat) -> s.Harness.pid = 7) r.Faults.raw.Harness.stats with
+      let result, verdict = judge ~construction ~plan ~n in
+      Alcotest.(check bool) (construction.Iface.name ^ ": certified") true (certified verdict);
+      match stats_of result 7 with
       | [ s ] ->
         Alcotest.(check int) (construction.Iface.name ^ ": survivor sees 0") 0
           (Value.to_int s.Harness.response);
@@ -89,10 +115,10 @@ let test_all_targets_certified_under_crash_stop () =
       let plan = Option.get (Fault_plan.of_name ~n "crash-stop") in
       List.iter
         (fun (target : Iface.t) ->
-          let r = Faults.run ~target ~plan ~n () in
+          let _, verdict = judge ~construction:target ~plan ~n in
           Alcotest.(check bool)
             (Printf.sprintf "%s n=%d certified under crash-stop" target.Iface.name n)
-            true (Faults.certified r))
+            true (certified verdict))
         Fault_targets.all)
     [ 4; 8 ]
 
@@ -100,43 +126,97 @@ let test_crash_recovery_reinvokes () =
   (* Crash-recovery: p0 loses its volatile state mid-operation, comes back,
      and re-invokes the operation from scratch with the same descriptor.
      The dedup in the constructions makes this idempotent, so the run stays
-     consistent and p0 completes within the relaxed (2x) bound. *)
+     consistent and p0 completes within the relaxed (2x) bound.  The
+     restart itself is a degradation. *)
   List.iter
     (fun (construction : Iface.t) ->
       let n = 6 in
       let plan = Fault_plan.crash_recover ~pid:0 ~after:2 ~restart:(6 * n) in
-      let r = Faults.run ~target:construction ~plan ~n () in
+      let result, verdict = judge ~construction ~plan ~n in
       let label = construction.Iface.name in
-      Alcotest.(check bool) (label ^ ": certified") true (Faults.certified r);
-      Alcotest.(check bool) (label ^ ": restarted") true (r.Faults.restarts >= 1);
-      let p0 = process_report r 0 in
-      Alcotest.(check int) (label ^ ": recovered p0 completed") 1 p0.Faults.completed;
+      Alcotest.(check bool) (label ^ ": certified") true (certified verdict);
+      Alcotest.(check bool) (label ^ ": restarted") true (result.Harness.restarts >= 1);
+      Alcotest.(check bool) (label ^ ": degraded by the restart") true
+        (match verdict with Schedule_fuzz.Degraded _ -> true | _ -> false);
+      Alcotest.(check int) (label ^ ": recovered p0 completed") 1
+        (List.length (stats_of result 0));
       Alcotest.(check bool) (label ^ ": recovered within relaxed bound") true
-        p0.Faults.within_bound;
-      Alcotest.(check bool) (label ^ ": consistent") true r.Faults.consistent)
+        (max_cost result 0 <= 2 * construction.Iface.worst_case ~n);
+      Alcotest.(check bool) (label ^ ": consistent") true (linearizable verdict))
     certifiable
+
+(* herlihy claiming a bound of one shared access per operation: every
+   completed operation overshoots it. *)
+let herlihy_too_cheap = { Herlihy.construction with Iface.worst_case = (fun ~n:_ -> 1) }
+
+let test_survivor_bound_under_crash_stop () =
+  (* A crash plan does not switch the cost bound off: the first completed
+     operation of a process that was not crash-stopped is judged against
+     it, so an understated bound fails the run. *)
+  let n = 4 in
+  let plan = Option.get (Fault_plan.of_name ~n "crash-stop") in
+  let _, verdict = judge ~construction:herlihy_too_cheap ~plan ~n in
+  match verdict with
+  | Schedule_fuzz.Fail (Schedule_fuzz.Bound_exceeded { pid; bound; cost; _ }) ->
+    Alcotest.(check bool) "a survivor overshot" false
+      (List.mem pid (Fault_plan.crash_stopped plan));
+    Alcotest.(check int) "judged against the stated bound" 1 bound;
+    Alcotest.(check bool) "cost over it" true (cost > bound)
+  | v -> Alcotest.failf "expected a bound violation, got %a" Schedule_fuzz.pp_verdict v
+
+let test_recovering_pid_within_twice_the_bound () =
+  (* A crash-recovering process re-invokes its operation from scratch and
+     may spend up to twice the bound: herlihy's p0 overshoots the plain
+     bound after its restart yet the run only degrades. *)
+  let n = 4 in
+  let construction = Herlihy.construction in
+  let plan = Option.get (Fault_plan.of_name ~n "crash-recover") in
+  let result, verdict = judge ~construction ~plan ~n in
+  let bound = construction.Iface.worst_case ~n in
+  Alcotest.(check bool) "p0 is over the plain bound" true (max_cost result 0 > bound);
+  Alcotest.(check bool) "p0 is within twice the bound" true (max_cost result 0 <= 2 * bound);
+  Alcotest.(check int) "allowance" (2 * bound)
+    (Schedule_fuzz.cost_bound ~construction ~plan ~n 0);
+  Alcotest.(check bool) "degraded, not failed" true
+    (match verdict with Schedule_fuzz.Degraded _ -> true | _ -> false)
+
+(* Spurious SC failures injected during [f ()], per pid, read off the
+   trace: the memory tap marks each spuriously failed SC. *)
+let spurious_by_pid f =
+  let tracer = Tracer.ring () in
+  let x = Tracer.with_tracer tracer f in
+  let pids =
+    List.filter_map
+      (fun (e : Event.stamped) ->
+        match e.Event.event with
+        | Event.Shared_access { pid; spurious = true; _ } -> Some pid
+        | _ -> None)
+      (Tracer.events tracer)
+  in
+  (x, pids)
 
 let test_spurious_sc_surgical () =
   (* Solo run, direct target: the first would-be-successful SC is failed
      spuriously; the retry loop absorbs it at the cost of one extra LL/SC
      pair.  Deterministic — no rates involved. *)
   let plan = Fault_plan.spurious_sc_at ~pid:0 ~at:[ 1 ] in
-  let r = Faults.run ~target:Fault_targets.direct ~plan ~n:1 () in
-  Alcotest.(check int) "exactly one injection" 1 r.Faults.spurious_injected;
-  let p0 = process_report r 0 in
-  Alcotest.(check int) "p0 completed" 1 p0.Faults.completed;
-  Alcotest.(check int) "one retry: LL SC LL SC" 4 p0.Faults.max_cost;
-  Alcotest.(check bool) "still certified" true (Faults.certified r);
-  Alcotest.(check int) "injection attributed to p0" 1 p0.Faults.spurious_sc
+  let (result, verdict), injected =
+    spurious_by_pid (fun () -> judge ~construction:Fault_targets.direct ~plan ~n:1)
+  in
+  Alcotest.(check int) "exactly one injection" 1 (List.length injected);
+  Alcotest.(check int) "p0 completed" 1 (List.length (stats_of result 0));
+  Alcotest.(check int) "one retry: LL SC LL SC" 4 (max_cost result 0);
+  Alcotest.(check bool) "still certified" true (certified verdict);
+  Alcotest.(check (list int)) "injection attributed to p0" [ 0 ] injected
 
 let test_spurious_sc_exhausts_retry () =
   (* Rate 1.0: every would-be-successful SC fails, so the bounded retry
-     loops exhaust and give up.  Certification reports the give-ups
-     (graceful degradation) instead of crashing: DEGRADED, not VIOLATED. *)
+     loops exhaust and give up.  The judge reports the give-ups (graceful
+     degradation) instead of crashing: degraded, not failed. *)
   let n = 4 in
   let plan = Fault_plan.spurious_sc_rate 1.0 in
-  let r = Faults.run ~target:Fault_targets.direct ~plan ~n () in
-  Alcotest.(check bool) "some operations gave up" true (r.Faults.failures <> []);
+  let result, verdict = judge ~construction:Fault_targets.direct ~plan ~n in
+  Alcotest.(check bool) "some operations gave up" true (result.Harness.failures <> []);
   List.iter
     (fun (f : Harness.op_failure) ->
       let contains hay needle =
@@ -146,14 +226,15 @@ let test_spurious_sc_exhausts_retry () =
       in
       Alcotest.(check bool) "failure reason mentions the give-up" true
         (contains f.Harness.reason "gave up"))
-    r.Faults.failures;
-  Alcotest.(check bool) "degraded, not violated" true (r.Faults.status = Faults.Degraded);
-  Alcotest.(check bool) "still certified (reported gracefully)" true (Faults.certified r);
+    result.Harness.failures;
+  Alcotest.(check bool) "degraded, not violated" true
+    (match verdict with Schedule_fuzz.Degraded _ -> true | _ -> false);
+  Alcotest.(check bool) "still certified (reported gracefully)" true (certified verdict);
   (* Give-ups still cost shared ops: they count toward t(R). *)
   List.iter
     (fun (f : Harness.op_failure) ->
       Alcotest.(check bool) "give-up cost accounted" true (f.Harness.cost > 0))
-    r.Faults.failures
+    result.Harness.failures
 
 let test_delay_and_stall_windows () =
   (* Bounded adversarial windows (starved process, stalled memory region)
@@ -165,15 +246,16 @@ let test_delay_and_stall_windows () =
       let plan = Option.get (Fault_plan.of_name ~n plan_name) in
       List.iter
         (fun (target : Iface.t) ->
-          let r = Faults.run ~target ~plan ~n () in
+          let result, verdict = judge ~construction:target ~plan ~n in
           let label = Printf.sprintf "%s under %s" target.Iface.name plan_name in
-          Alcotest.(check bool) (label ^ ": certified") true (Faults.certified r);
+          Alcotest.(check bool) (label ^ ": certified") true (certified verdict);
           List.iter
-            (fun (p : Faults.process_report) ->
+            (fun pid ->
               Alcotest.(check int)
-                (Printf.sprintf "%s: p%d completed" label p.Faults.pid)
-                1 p.Faults.completed)
-            r.Faults.processes)
+                (Printf.sprintf "%s: p%d completed" label pid)
+                1
+                (List.length (stats_of result pid)))
+            (List.init n Fun.id))
         [ Adt_tree.construction; Fault_targets.direct ])
     [ "delay"; "stall" ]
 
@@ -284,4 +366,8 @@ let suite =
     Alcotest.test_case "cheater plan duals are graceful" `Quick
       test_cheater_plan_duals_are_graceful;
     Alcotest.test_case "plan grammar" `Quick test_plan_grammar;
+    Alcotest.test_case "survivor bound holds under crash-stop" `Quick
+      test_survivor_bound_under_crash_stop;
+    Alcotest.test_case "recovering pid allowed twice the bound" `Quick
+      test_recovering_pid_within_twice_the_bound;
   ]
