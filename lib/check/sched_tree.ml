@@ -171,7 +171,8 @@ type 'k dpor = {
   (* A successful [choose] parks (pid, enabled, prefix branch) here until
      the matching [commit] arrives with the footprint. *)
   mutable d_pending : (int * int list * int option) option;
-  d_past : 'k past option;  (* the previous run, when it saved anything *)
+  mutable d_past : 'k past option;
+      (* the previous run, when it saved anything, until [resume] used it *)
   mutable d_saves : (int * (unit -> unit)) list;  (* deepest first *)
 }
 
@@ -358,6 +359,9 @@ let resume (s : _ sched) =
     match d.d_past with
     | None -> false
     | Some p -> (
+      (* Only this call reads the past: dropping it lets the saves deeper
+         than the resumed depth go while this run executes. *)
+      d.d_past <- None;
       let limit = min (List.length d.d_prefix - 1) (Array.length p.p_trace) in
       let rec shared i = function
         | (pid, b) :: rest
@@ -862,6 +866,7 @@ let explore ?(bounds = no_bounds) ?(max_schedules = 200_000) ~run ~f () =
         d_saves = [];
       }
     in
+    past := None;
     (match run (Dpor d) with
     | Some result ->
       counters.c_schedules <- counters.c_schedules + 1;

@@ -141,9 +141,12 @@ val save : 'k sched -> (unit -> unit) -> unit
     {!commit} and its {!also} and {!mark} calls.  {!explore} keeps the
     thunks of the previous run's path only — one per depth, so memory is
     O(depth) — and {!resume} runs one of them at the start of the next
-    run.  A thunk over persistent values (an immutable memory, a [Map]) is
-    O(1) to take.  Samplers and replayers ignore it, and a runner that
-    never calls it pays nothing. *)
+    run, keeping those it shares and dropping the deeper ones.  A thunk
+    over persistent values (an immutable memory, a [Map], a
+    [Harness.state]) is cheap to take.  {!Explore.iter_dpor} and the
+    conformance certifier both save after every commit.  Samplers and
+    replayers ignore it, and a runner that never calls it pays
+    nothing. *)
 
 val resume : 'k sched -> bool
 (** Call first thing in a run, after resetting the runner to its initial

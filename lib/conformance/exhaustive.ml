@@ -30,66 +30,76 @@ let cert_ok c = c.xc_counterexample = None && not (empty c)
 
 exception Inconclusive of string
 
-(* One schedule under the DPOR oracle.  The oracle's [choose] needs each
-   step's dependency footprint, which is only observable inside the run:
-   the registers come from the chosen process's pending invocation (tapped
-   from the fault-filter hook), and whether the step was an operation
-   boundary — response published, give-up, or crash restart, all of which
-   must stay ordered against everything because commuting them changes
-   history precedence — only shows in the harness metrics after the step
-   executed.  So each decision commits late, when the next scheduling
-   point (or the end of the run) reveals the boundary counters' delta. *)
-let run_schedule ~construction ~ot ~plan ~model ~n ~ops ~seed ~max_states sched =
-  let reg = Metrics.current () in
-  let boundary () =
-    Metrics.counter_value reg "harness.ops_completed"
-    + Metrics.counter_value reg "harness.ops_failed"
-    + Metrics.counter_value reg "harness.restarts"
-  in
+(* The cell's runner.  The construction is installed once, on one memory,
+   and every run starts from that initial state: the memory is restored to
+   its checkpoint, the handle to its snapshot, and a fresh fault engine is
+   armed.  Each decision commits right after its step, with the step's
+   dependency footprint (the registers of the executed invocation, or the
+   flushed register) and [blocking] when the step crossed an operation
+   boundary — a response published or a give-up — because commuting those
+   changes history precedence and so possibly the verdict.
+
+   Under a pure plan the runner then saves where it is: the harness state,
+   a memory checkpoint, a handle snapshot and the schedule so far.  The
+   next run's [Sched_tree.resume] restores the deepest state it shares
+   with this one, so a run executes its divergence step and what follows,
+   never the prefix again.  Under an impure plan every step blocks and
+   nothing is saved: the fault engine's state is not part of a saved
+   state, so those runs replay from the root. *)
+let runner ~construction ~ot ~plan ~model ~n ~ops ~seed ~max_states =
+  let i = Fuzz.instance ~construction ~ot ~plan ~n ~ops ~seed ~model () in
+  let memory = i.Fuzz.memory and handle = i.Fuzz.handle in
+  let initial = Lb_memory.Memory.checkpoint memory and initial_handle = handle.Iface.snapshot () in
   let impure = not (pure plan) in
-  let pending_of = ref (fun (_ : int) -> None) in
-  let wrap_hooks (h : Harness.fault_hooks) =
-    {
-      h with
-      Harness.filter =
-        (fun ~step ~pending ~runnable ->
-          pending_of := pending;
-          h.Harness.filter ~step ~pending ~runnable);
-    }
-  in
-  let parked = ref None in
-  let commit_parked () =
-    match !parked with
-    | None -> ()
-    | Some (regs, before) ->
-      parked := None;
-      let blocking = impure || boundary () <> before in
-      ignore (Sched_tree.commit sched ~fp:{ Sched_tree.regs; blocking } ~branches:1)
-  in
-  let scheduler ~step ~runnable =
-    commit_parked ();
-    match Sched_tree.choose sched ~step ~enabled:runnable with
-    | None -> None
-    | Some pid ->
+  (* The runner's own state, as [Sched_tree.save]'s thunks put it back:
+     they outlive the run that took them, so these live as long as the
+     cell. *)
+  let state = ref None and log = ref [] in
+  fun sched ->
+    Lb_memory.Memory.restore memory initial;
+    initial_handle ();
+    let engine = Fault_engine.instantiate ~seed plan in
+    Fault_engine.arm engine memory;
+    state := Some (Harness.start ~memory ~handle ~n ~ops:i.Fuzz.workload ~fuel:i.Fuzz.fuel ());
+    log := [];
+    ignore (Sched_tree.resume sched);
+    let scheduler ~step ~runnable =
+      match Sched_tree.choose sched ~step ~enabled:runnable with
+      | Some id ->
+        log := id :: !log;
+        Some id
+      | None -> None
+    in
+    let observe st (o : Harness.outcome) =
       let regs =
         (* A flush pseudo-pid (>= n, see {!Lb_universal.Harness}) writes
-           exactly its encoded register; process steps footprint their
-           pending invocation. *)
-        if pid >= n then [ snd (Lb_memory.Semantics.flush_of_id ~n pid) ]
-        else
-          match !pending_of pid with
-          | Some inv -> Sched_tree.footprint inv
-          | None -> []
+           exactly its encoded register. *)
+        if o.Harness.chosen >= n then [ snd (Lb_memory.Semantics.flush_of_id ~n o.Harness.chosen) ]
+        else match o.Harness.invocation with Some inv -> Sched_tree.footprint inv | None -> []
       in
-      parked := Some (regs, boundary ());
-      Some pid
-  in
-  let result, schedule =
-    Fuzz.execute ~construction ~ot ~plan ~n ~ops ~seed ~model ~wrap_hooks ~scheduler ()
-  in
-  commit_parked ();
-  if Sched_tree.interrupted sched then None
-  else Some (Fuzz.assess ~construction ~ot ~plan ~n ~ops ~max_states ~schedule result)
+      ignore
+        (Sched_tree.commit sched
+           ~fp:{ Sched_tree.regs; blocking = impure || o.Harness.boundary }
+           ~branches:1);
+      if not impure then begin
+        let checkpoint = Lb_memory.Memory.checkpoint memory
+        and restore_handle = handle.Iface.snapshot ()
+        and schedule = !log in
+        Sched_tree.save sched (fun () ->
+            Lb_memory.Memory.restore memory checkpoint;
+            restore_handle ();
+            state := Some st;
+            log := schedule)
+      end
+    in
+    let st, completed =
+      Harness.drive ~hooks:(Fault_engine.hooks engine) ~observe ~scheduler (Option.get !state)
+    in
+    if Sched_tree.interrupted sched then None
+    else
+      Some
+        (Fuzz.assess ~construction ~ot ~plan ~n ~ops ~max_states ~schedule:(List.rev !log)
+           (Harness.finish st ~completed))
 
 let default_bounds = { Sched_tree.no_bounds with Sched_tree.preempt = Some 2 }
 
@@ -100,7 +110,7 @@ let certify_cell ~(construction : Iface.t) ~ot ~plan_name ~plan
   let failed = ref None in
   let stats =
     Sched_tree.explore ~bounds ~max_schedules
-      ~run:(run_schedule ~construction ~ot ~plan ~model ~n ~ops ~seed ~max_states)
+      ~run:(runner ~construction ~ot ~plan ~model ~n ~ops ~seed ~max_states)
       ~f:(fun (r : Fuzz.run) ->
         match r.Fuzz.verdict with
         | Fuzz.Pass -> true

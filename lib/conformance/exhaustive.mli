@@ -10,15 +10,24 @@
     {!Lb_check.Sched_tree.stats}'s [elided] field says exactly how much the bounds
     cut.
 
-    Dependency footprints come from each process's pending shared-memory
+    Dependency footprints come from each step's executed shared-memory
     invocation (register overlap, which subsumes LL/SC link-kill
-    dependence); operation boundaries — a response published, a give-up,
-    a crash restart — are {e blocking} (dependent with everything),
-    because commuting them changes history precedence and so possibly the
+    dependence); operation boundaries — a response published or a
+    give-up — are {e blocking} (dependent with everything), because
+    commuting them changes history precedence and so possibly the
     linearizability verdict.  Under a non-empty fault plan every step is
     blocking: injectors read the global step clock, so no commutation is
     sound — the walk degrades to bounded enumeration, still exhaustive
     within the bounds.
+
+    The walk drives the {!Lb_universal.Harness} step machine itself, on
+    one memory and one handle per cell.  Under a pure plan it saves the
+    harness state, a memory checkpoint and a handle snapshot after every
+    step, and each run resumes where it parts from the previous one
+    ({!Lb_check.Sched_tree.resume}), so no run re-executes a shared
+    prefix; impure plans replay every run from the root.  Either way the
+    walk, its stats, verdicts and counterexamples are those of a walk
+    that replays every run.
 
     Soundness scope is inherited from the sleep-set and race argument of
     {!Lb_check.Explore.iter_dpor}: the set of distinct verdicts is preserved;

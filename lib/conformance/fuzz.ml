@@ -157,23 +157,34 @@ let pp_verdict ppf = function
   | Degraded note -> Format.fprintf ppf "degraded (%s)" note
   | Fail f -> Format.fprintf ppf "FAIL: %a" pp_failure f
 
-(* Drive one execution: instantiate construction + fault engine on a fresh
-   memory and run the seeded workload under [scheduler], recording every
-   choice.  [wrap_hooks] lets a caller interpose on the fault hooks (the
-   exhaustive checker taps [filter] to see each process's pending shared
-   operation).  Fully deterministic in (construction, ot, plan, n, ops,
-   seed, scheduler). *)
-let execute ~(construction : Iface.t) ~ot ~plan ~n ~ops ~seed
-    ?(model = Memory_model.SC) ?(wrap_hooks = Fun.id) ~scheduler () =
-  let spec = ot.spec_of ~n in
-  let engine = Fault_engine.instantiate ~seed plan in
+type instance = {
+  handle : Iface.handle;
+  memory : Memory.t;
+  workload : int -> Value.t list;
+  fuel : int;
+}
+
+let instance ~(construction : Iface.t) ~ot ~plan ~n ~ops ~seed ?(model = Memory_model.SC) () =
   let layout = Layout.create () in
-  let handle = construction.Iface.create layout ~n spec in
+  let handle = construction.Iface.create layout ~n (ot.spec_of ~n) in
   let memory = Memory.create ~model () in
   Layout.install layout memory;
-  Fault_engine.arm engine memory;
   let bound = construction.Iface.worst_case ~n in
-  let fuel = (64 * n * ops * (bound + 8)) + Fault_plan.horizon plan in
+  {
+    handle;
+    memory;
+    workload = (fun pid -> List.init ops (fun idx -> ot.op_of ~n ~seed ~pid ~idx));
+    fuel = (64 * n * ops * (bound + 8)) + Fault_plan.horizon plan;
+  }
+
+(* Drive one execution: instantiate construction + fault engine on a fresh
+   memory and run the seeded workload under [scheduler], recording every
+   choice.  [wrap_hooks] lets a caller interpose on the fault hooks.  Fully
+   deterministic in (construction, ot, plan, n, ops, seed, scheduler). *)
+let execute ~construction ~ot ~plan ~n ~ops ~seed ?model ?(wrap_hooks = Fun.id) ~scheduler () =
+  let i = instance ~construction ~ot ~plan ~n ~ops ~seed ?model () in
+  let engine = Fault_engine.instantiate ~seed plan in
+  Fault_engine.arm engine i.memory;
   let log = ref [] in
   let recording ~step ~runnable =
     match scheduler ~step ~runnable with
@@ -182,10 +193,9 @@ let execute ~(construction : Iface.t) ~ot ~plan ~n ~ops ~seed
       Some pid
     | None -> None
   in
-  let workload pid = List.init ops (fun idx -> ot.op_of ~n ~seed ~pid ~idx) in
   let result =
-    Harness.run_handle ~memory ~handle ~n ~ops:workload ~scheduler:recording
-      ~assignment:(Coin.constant 0) ~fuel
+    Harness.run_handle ~memory:i.memory ~handle:i.handle ~n ~ops:i.workload
+      ~scheduler:recording ~fuel:i.fuel
       ~hooks:(wrap_hooks (Fault_engine.hooks engine))
       ()
   in

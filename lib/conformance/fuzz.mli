@@ -67,6 +67,29 @@ type run = {
 val same_class : verdict -> verdict -> bool
 (** Same constructor (the shrinker's notion of "reproduces the failure"). *)
 
+type instance = {
+  handle : Iface.handle;
+  memory : Memory.t;  (** holds the layout's initial values. *)
+  workload : int -> Value.t list;  (** each process's seeded operations. *)
+  fuel : int;
+}
+(** A cell set up for running: what {!execute} builds before each run,
+    except the fault engine, whose state is per run. *)
+
+val instance :
+  construction:Iface.t ->
+  ot:object_type ->
+  plan:Fault_plan.t ->
+  n:int ->
+  ops:int ->
+  seed:int ->
+  ?model:Memory_model.t ->
+  unit ->
+  instance
+(** The construction installed on a fresh memory running [model] (default
+    SC), with the seeded workload and the fuel budget of every run of the
+    cell. *)
+
 val execute :
   construction:Iface.t ->
   ot:object_type ->
@@ -84,8 +107,8 @@ val execute :
     plus the recorded schedule.  Under a relaxed model the schedule may
     contain flush pseudo-pids (see {!Harness.run_handle}); the recorded log
     replays them like any other choice.  [wrap_hooks] interposes on the
-    fault hooks — the exhaustive checker taps [filter] to read each
-    process's pending shared operation for its dependency footprints. *)
+    fault hooks, for example to read each process's pending shared
+    operation at a scheduling point through [filter]. *)
 
 val cost_bound : construction:Iface.t -> plan:Fault_plan.t -> n:int -> int -> int
 (** [cost_bound ~construction ~plan ~n pid]: the shared-access cost {!assess}

@@ -22,11 +22,18 @@ val find : string -> t option
 val wrap : t -> Iface.t -> Iface.t * (unit -> int)
 (** [wrap m c] is the mutated construction (name suffixed with ["+" ^ m.name])
     and a reader of how many times the mutation fired, cumulative across
-    every run of the returned construction. *)
+    every run of the returned construction.  A run resumed from a saved
+    state (see {!Lb_universal.Iface.handle}'s [snapshot]) is credited with
+    the rewrites of the prefix it skipped, so the count is the same as if
+    every run had replayed from the start. *)
 
 val rewrite :
-  (Lb_memory.Op.invocation ->
-  Lb_memory.Op.invocation * (Lb_memory.Op.response -> Lb_memory.Op.response)) ->
+  ('s ->
+  Lb_memory.Op.invocation ->
+  Lb_memory.Op.invocation * (Lb_memory.Op.response -> 's * Lb_memory.Op.response)) ->
+  's ->
   'a Program.t ->
   'a Program.t
-(** The underlying generic rewriter, exposed for tests. *)
+(** The underlying generic rewriter, exposed for tests: [rewrite rule st p]
+    threads the rule's state [st] through [p]'s continuations — the
+    post-map of each response gives the state for the rest of [p]. *)

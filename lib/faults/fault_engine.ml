@@ -9,7 +9,6 @@ type crash = {
 }
 
 type t = {
-  plan : Fault_plan.t;
   seed : int;
   steps : (int, int) Hashtbl.t; (* pid -> executed shared-memory steps *)
   crash : (int, crash) Hashtbl.t;
@@ -19,13 +18,11 @@ type t = {
   delays : (int * int * int) list; (* pid, from, until *)
   stalls : (int list * int * int) list; (* regs, from, until *)
   mutable spurious_total : int;
-  mutable memory : Memory.t option;
 }
 
 let instantiate ?(seed = 0) plan =
   let t =
     {
-      plan;
       seed;
       steps = Hashtbl.create 16;
       crash = Hashtbl.create 8;
@@ -35,7 +32,6 @@ let instantiate ?(seed = 0) plan =
       delays = [];
       stalls = [];
       spurious_total = 0;
-      memory = None;
     }
   in
   let rate = ref 1.0 (* probability that no rate injector fires *) in
@@ -62,7 +58,6 @@ let instantiate ?(seed = 0) plan =
   { t with rate = 1.0 -. !rate; delays = !delays; stalls = !stalls }
 
 let arm t memory =
-  t.memory <- Some memory;
   Memory.set_interposer memory
     (Some
        (fun ~pid invocation ->
@@ -127,13 +122,17 @@ let stalled t ~step invocation =
         from_ <= step && step < until && List.exists (fun r -> List.mem r regs) touched)
       t.stalls
 
+(* With no crash, delay or stall injector nothing is ever filtered, and the
+   runnable list is returned as it came. *)
 let filter t ~step ~pending ~runnable =
-  List.filter
-    (fun pid ->
-      (not (crashed_now t ~step pid))
-      && (not (delayed t ~step pid))
-      && not (stalled t ~step (pending pid)))
-    runnable
+  if Hashtbl.length t.crash = 0 && t.delays = [] && t.stalls = [] then runnable
+  else
+    List.filter
+      (fun pid ->
+        (not (crashed_now t ~step pid))
+        && (not (delayed t ~step pid))
+        && not (stalled t ~step (pending pid)))
+      runnable
 
 let recoveries t ~step =
   Hashtbl.fold
@@ -174,16 +173,8 @@ let choice t ?(pending = fun _ -> None) inner ~step ~runnable =
     | None -> None)
 
 let spurious_injected t = t.spurious_total
-let steps_of t ~pid = taken t pid
 
 let crashed t =
   Hashtbl.fold
     (fun pid c acc -> if c.crashed_at <> None && not c.recovered then Ids.add pid acc else acc)
     t.crash Ids.empty
-
-let recovered t =
-  Hashtbl.fold (fun pid c acc -> if c.recovered then pid :: acc else acc) t.crash []
-  |> List.sort Int.compare
-
-let plan t = t.plan
-let seed t = t.seed

@@ -43,17 +43,5 @@ val spurious_injected : t -> int
     succeeded count — an SC that had already lost its link fails for the
     strong-semantics reason). *)
 
-val steps_of : t -> pid:int -> int
-(** Shared-memory steps [pid] has executed, as counted by the engine. *)
-
 val crashed : t -> Ids.t
 (** Pids currently crashed (crash observed, not recovered). *)
-
-val recovered : t -> int list
-(** Pids that crashed and have since recovered, in recovery order. *)
-
-val plan : t -> Fault_plan.t
-(** The plan this engine was instantiated from. *)
-
-val seed : t -> int
-(** The seed all injection decisions derive from. *)

@@ -24,7 +24,7 @@ let direct_create layout ~n (_spec : Lb_objects.Spec.t) =
     in
     Program.return (Retry.exn_or ~label:"direct fetch&inc" outcome)
   in
-  { Iface.name = "direct"; oblivious = false; n; apply }
+  { Iface.name = "direct"; oblivious = false; n; apply; snapshot = Iface.stateless }
 
 let direct =
   {

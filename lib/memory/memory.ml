@@ -132,6 +132,49 @@ let apply m ~pid invocation =
     tap ~pid invocation response ~spurious);
   response
 
+(* Register values, Psets and buffers are immutable, so a checkpoint copies
+   only the cells' slots: the dense registers up to the last materialised
+   one and the counts up to the last process that has one. *)
+type checkpoint = {
+  c_regs : Semantics.reg option array;
+  c_sparse : (int * Semantics.reg) list;
+  c_counts : int array;
+  c_total : int;
+  c_log : event list;
+  c_buffers : Semantics.buffers;
+}
+
+let checkpoint m =
+  let regs = ref (Array.length m.regs) in
+  while !regs > 0 && Option.is_none m.regs.(!regs - 1) do
+    decr regs
+  done;
+  let pids = ref (Array.length m.counts) in
+  while !pids > 0 && m.counts.(!pids - 1) = 0 do
+    decr pids
+  done;
+  {
+    c_regs = Array.sub m.regs 0 !regs;
+    c_sparse = Hashtbl.fold (fun r reg acc -> (r, reg) :: acc) m.sparse_regs [];
+    c_counts = Array.sub m.counts 0 !pids;
+    c_total = m.total;
+    c_log = m.log;
+    c_buffers = m.buffers;
+  }
+
+let restore m c =
+  let regs = Array.length c.c_regs in
+  Array.blit c.c_regs 0 m.regs 0 regs;
+  Array.fill m.regs regs (Array.length m.regs - regs) None;
+  Hashtbl.reset m.sparse_regs;
+  List.iter (fun (r, reg) -> Hashtbl.replace m.sparse_regs r reg) c.c_sparse;
+  let pids = Array.length c.c_counts in
+  Array.blit c.c_counts 0 m.counts 0 pids;
+  Array.fill m.counts pids (Array.length m.counts - pids) 0;
+  m.total <- c.c_total;
+  m.log <- c.c_log;
+  m.buffers <- c.c_buffers
+
 let fold_regs f m acc =
   let acc = ref acc in
   Array.iteri

@@ -98,6 +98,23 @@ val snapshot : t -> (int * (Value.t * Ids.t)) list
 val largest_value_size : t -> int
 (** Max [Value.size] over touched registers — how big registers grew. *)
 
+(** {1 Checkpoints}
+
+    A checkpoint holds everything a run changes in the memory: the
+    registers' values and Psets, the per-process counts, the store buffers
+    and the log.  Restoring one puts the memory back exactly as it was, so
+    a runner can resume a run from a saved state instead of replaying it.
+    The interposer, the tap and the model are not part of it. *)
+
+type checkpoint
+
+val checkpoint : t -> checkpoint
+(** Copies the register slots up to the last materialised one and the
+    counts up to the last process that has one. *)
+
+val restore : t -> checkpoint -> unit
+(** Put [t] back as it was at the checkpoint, which must come from [t]. *)
+
 (** {1 Accounting} *)
 
 val ops_of : t -> pid:int -> int

@@ -66,6 +66,15 @@ let create layout ~n spec =
     in
     walk ()
   in
-  { Iface.name = "consensus-list"; oblivious = true; n; apply }
+  (* The caches are the handle's local state: a program resumed from a
+     saved run must find them as they were when the run was saved. *)
+  let snapshot () =
+    let p = Array.copy position and s = Array.copy state and t = Array.copy threaded in
+    fun () ->
+      Array.blit p 0 position 0 n;
+      Array.blit s 0 state 0 n;
+      Array.blit t 0 threaded 0 n
+  in
+  { Iface.name = "consensus-list"; oblivious = true; n; apply; snapshot }
 
 let construction = { Iface.name = "consensus-list"; oblivious = true; worst_case; create }

@@ -19,7 +19,7 @@ let compare_and_swap layout ~init =
         Program.return (Value.pair (Value.bool false) u)
       else failwith "direct CAS: distinct-values precondition violated (ABA)"
   in
-  { Iface.name = "direct-cas"; oblivious = false; n = max_int; apply }
+  { Iface.name = "direct-cas"; oblivious = false; n = max_int; apply; snapshot = Iface.stateless }
 
 let fetch_inc_retry layout ?(max_attempts = 4096) () =
   let reg = Layout.alloc layout ~init:(Value.Int 0) in
@@ -32,4 +32,10 @@ let fetch_inc_retry layout ?(max_attempts = 4096) () =
         let* ok = Program.sc_flag reg (Value.Int (Value.to_int v + 1)) in
         Program.return (if ok then Some v else None))
   in
-  { Iface.name = "fetch-inc-retry"; oblivious = false; n = max_int; apply }
+  {
+    Iface.name = "fetch-inc-retry";
+    oblivious = false;
+    n = max_int;
+    apply;
+    snapshot = Iface.stateless;
+  }

@@ -98,6 +98,56 @@ type result = {
           ops; plus one ghost pending op per [restarted] entry. *)
 }
 
+(** {1 The step machine}
+
+    A run is a value of type {!state}: the programs in flight, the clock,
+    the records so far, the step and fuel counters.  {!start} makes the
+    initial one, {!drive} runs it to its end and {!finish} turns the final
+    one into a {!result} — {!run_handle} is exactly those three calls.  A
+    state is immutable, so a runner can keep the states a run passes
+    through and later {!drive} one of them again: the run continues from
+    there as if it had been replayed to that point, provided the runner
+    also puts back the memory ({!Lb_memory.Memory.checkpoint}) and the
+    handle's local state ([Iface.handle.snapshot]) as they were.  The
+    conformance certifier does this to resume each schedule where it
+    leaves the previous one. *)
+
+type state
+
+val start :
+  memory:Memory.t ->
+  handle:Iface.handle ->
+  n:int ->
+  ops:(int -> Value.t list) ->
+  ?assignment:Coin.assignment ->
+  ?fuel:int ->
+  unit ->
+  state
+(** The initial state: every process has invoked its first operation. *)
+
+type outcome = {
+  chosen : int;  (** the pid (or flush pseudo-pid) that stepped. *)
+  invocation : Op.invocation option;
+      (** the shared-memory operation it executed; [None] for a flush. *)
+  boundary : bool;
+      (** the step published a response or a give-up — an operation
+          boundary, whose order against other steps the history records. *)
+}
+
+val drive :
+  ?hooks:fault_hooks ->
+  observe:(state -> outcome -> unit) ->
+  scheduler:Scheduler.choice ->
+  state ->
+  state * bool
+(** Run from [state] until every operation has responded ([true]) or the
+    run stops short — fuel exhausted, the scheduler returned [None], or
+    everyone left is blocked for good ([false]).  [observe] sees the state
+    after each step with that step's outcome. *)
+
+val finish : state -> completed:bool -> result
+(** The run's record, from the final state and {!drive}'s flag. *)
+
 val run_handle :
   memory:Memory.t ->
   handle:Iface.handle ->

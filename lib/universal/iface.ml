@@ -6,7 +6,10 @@ type handle = {
   oblivious : bool;
   n : int;
   apply : pid:int -> seq:int -> Value.t -> Value.t Program.t;
+  snapshot : unit -> unit -> unit;
 }
+
+let stateless () = ignore
 
 type t = {
   name : string;

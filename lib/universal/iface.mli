@@ -19,7 +19,23 @@ type handle = {
       (** The program performing one operation.  [seq] must be strictly
           increasing per process (0, 1, 2, ...); the (pid, seq) pair
           identifies the operation instance. *)
+  snapshot : unit -> unit -> unit;
+      (** [snapshot ()] captures the handle's local state — whatever its
+          programs read or write outside their own values, such as a
+          per-process replay cache — and returns a thunk that puts it
+          back.  A runner that saves a run's state (the programs in
+          flight, the memory) takes a snapshot with it, and runs the thunk
+          when it resumes that state, perhaps after other runs have
+          changed the local state: the programs then see exactly what they
+          saw when the snapshot was taken.  A tally that counts work
+          across runs (a mutant's fire count) is credited with the work a
+          resumed run skips, so it reads as if every run had replayed its
+          prefix.  Constructions whose programs touch nothing outside
+          their values use {!stateless}. *)
 }
+
+val stateless : unit -> unit -> unit
+(** The snapshot of a handle with no local state: restoring does nothing. *)
 
 type t = {
   name : string;

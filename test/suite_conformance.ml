@@ -182,9 +182,9 @@ let test_mutate_rewrite () =
     let* ok = Program.sc_flag 0 (Value.Int (Value.to_int v + 1)) in
     Program.return ok
   in
-  let rule = function
-    | Op.Sc (r, _) -> (Op.Validate r, fun resp -> Op.Flagged (false, Op.value_of resp))
-    | inv -> (inv, Fun.id)
+  let rule () = function
+    | Op.Sc (r, _) -> (Op.Validate r, fun resp -> ((), Op.Flagged (false, Op.value_of resp)))
+    | inv -> (inv, fun resp -> ((), resp))
   in
   let interpret prog =
     let issued = ref [] in
@@ -205,7 +205,7 @@ let test_mutate_rewrite () =
     go prog
   in
   let original_result, original_ops = interpret program in
-  let mutant_result, mutant_ops = interpret (Mutate.rewrite rule program) in
+  let mutant_result, mutant_ops = interpret (Mutate.rewrite rule () program) in
   Alcotest.(check bool) "original SC succeeds" true original_result;
   Alcotest.(check bool) "mutant sees the post-mapped failure" false mutant_result;
   (match original_ops with
@@ -576,6 +576,219 @@ let test_exhaustive_report_json () =
   | Ok j -> Alcotest.(check bool) "JSON round-trip" true (j = json)
   | Error e -> Alcotest.failf "exhaustive report JSON unparsable: %s" e
 
+(* ---- resumed certification = replayed certification ---- *)
+
+(* [Exhaustive]'s runner from before runs resumed, verbatim: every run
+   replays from the root through [Schedule_fuzz.execute], and each decision
+   commits late, at the next scheduling point (or the end of the run),
+   once the harness metrics show whether the step crossed an operation
+   boundary.  Footprints come from the pending invocation, tapped from the
+   fault filter. *)
+let replay_run_schedule ~construction ~ot ~plan ~model ~n ~ops ~seed ~max_states sched =
+  let reg = Metrics.current () in
+  let boundary () =
+    Metrics.counter_value reg "harness.ops_completed"
+    + Metrics.counter_value reg "harness.ops_failed"
+    + Metrics.counter_value reg "harness.restarts"
+  in
+  let impure = not (Exhaustive.pure plan) in
+  let pending_of = ref (fun (_ : int) -> None) in
+  let wrap_hooks (h : Harness.fault_hooks) =
+    {
+      h with
+      Harness.filter =
+        (fun ~step ~pending ~runnable ->
+          pending_of := pending;
+          h.Harness.filter ~step ~pending ~runnable);
+    }
+  in
+  let parked = ref None in
+  let commit_parked () =
+    match !parked with
+    | None -> ()
+    | Some (regs, before) ->
+      parked := None;
+      let blocking = impure || boundary () <> before in
+      ignore (Sched_tree.commit sched ~fp:{ Sched_tree.regs; blocking } ~branches:1)
+  in
+  let scheduler ~step ~runnable =
+    commit_parked ();
+    match Sched_tree.choose sched ~step ~enabled:runnable with
+    | None -> None
+    | Some pid ->
+      let regs =
+        if pid >= n then [ snd (Semantics.flush_of_id ~n pid) ]
+        else
+          match !pending_of pid with
+          | Some inv -> Sched_tree.footprint inv
+          | None -> []
+      in
+      parked := Some (regs, boundary ());
+      Some pid
+  in
+  let result, schedule =
+    Schedule_fuzz.execute ~construction ~ot ~plan ~n ~ops ~seed ~model ~wrap_hooks ~scheduler ()
+  in
+  commit_parked ();
+  if Sched_tree.interrupted sched then None
+  else Some (Schedule_fuzz.assess ~construction ~ot ~plan ~n ~ops ~max_states ~schedule result)
+
+let pp_cx ppf (cx : Schedule_fuzz.counterexample) =
+  Format.fprintf ppf "cx [%s] -> [%s] %a minimal=%b deterministic=%b"
+    (String.concat ";" (List.map string_of_int cx.Schedule_fuzz.original))
+    (String.concat ";" (List.map string_of_int cx.Schedule_fuzz.minimized))
+    Schedule_fuzz.pp_verdict cx.Schedule_fuzz.minimized_verdict cx.Schedule_fuzz.locally_minimal
+    cx.Schedule_fuzz.deterministic
+
+(* One cell's outcome: stats, degraded count, verdict, counterexample. *)
+let cell_summary stats degraded ok cx =
+  Format.asprintf "%a, %d degraded, %s%a" Sched_tree.pp_stats stats degraded
+    (if ok then "ok" else "not ok")
+    (Format.pp_print_option (fun ppf cx -> Format.fprintf ppf ", %a" pp_cx cx))
+    cx
+
+(* [Exhaustive.certify_cell]'s walk over the replaying runner. *)
+let replay_certify ~construction ~ot ~plan ~model ~n ~ops ~seed ~bounds =
+  let max_states = 200_000 in
+  let degraded = ref 0 and failed = ref None in
+  let stats =
+    Sched_tree.explore ~bounds
+      ~run:(replay_run_schedule ~construction ~ot ~plan ~model ~n ~ops ~seed ~max_states)
+      ~f:(fun (r : Schedule_fuzz.run) ->
+        match r.Schedule_fuzz.verdict with
+        | Schedule_fuzz.Pass -> true
+        | Schedule_fuzz.Degraded _ ->
+          incr degraded;
+          true
+        | Schedule_fuzz.Fail _ ->
+          failed := Some r;
+          false)
+      ()
+  in
+  let cx =
+    Option.map
+      (Schedule_fuzz.shrink_failure ~construction ~ot ~plan ~n ~ops ~seed ~model ~max_states)
+      !failed
+  in
+  cell_summary stats !degraded (!failed = None && stats.Sched_tree.schedules > 0) cx
+
+let resumed_summary (c : Exhaustive.cert) =
+  cell_summary c.Exhaustive.xc_stats c.Exhaustive.xc_degraded (Exhaustive.cert_ok c)
+    c.Exhaustive.xc_counterexample
+
+(* Resuming each run where the previous one left off must be invisible:
+   every cell gives what the replaying runner gives.  The cells cover a
+   handle with local state (consensus-list's replay caches), the mutants
+   (stale-ll's threaded cache, and the fire tally a resumed run must be
+   credited with), a relaxed memory model, and an impure plan (which never
+   resumes). *)
+let test_exhaustive_resume_replay () =
+  let seed = 7 in
+  let pair ?(model = Memory_model.SC) ?(plan_name = "none") ?(plan = Fault_plan.none)
+      ?(bounds = Exhaustive.default_bounds) (construction : Iface.t) ot ~n ~ops =
+    let label =
+      Printf.sprintf "%s/%s/%s/%s n=%d ops=%d" construction.Iface.name ot.Schedule_fuzz.ot_name
+        plan_name (Memory_model.to_string model) n ops
+    in
+    let resumed =
+      Exhaustive.certify_cell ~construction ~ot ~plan_name ~plan ~model ~n ~ops ~seed ~bounds
+        ~max_states:200_000 ()
+    in
+    ( label ^ ": " ^ resumed_summary resumed,
+      label ^ ": " ^ replay_certify ~construction ~ot ~plan ~model ~n ~ops ~seed ~bounds )
+  in
+  let matrix =
+    List.concat_map
+      (fun construction ->
+        List.concat_map
+          (fun ot ->
+            if Schedule_fuzz.supports ~construction ot then
+              List.map (fun ops -> pair construction ot ~n:2 ~ops) [ 1; 2 ]
+            else [])
+          Schedule_fuzz.object_types)
+      Fault_targets.all
+  in
+  let mutants =
+    List.concat_map
+      (fun construction ->
+        List.map
+          (fun mutant ->
+            let bounds = { Sched_tree.no_bounds with preempt = Some 1 } in
+            let label =
+              Printf.sprintf "%s+%s n=3" construction.Iface.name mutant.Mutate.name
+            in
+            let m =
+              Exhaustive.certify_mutant ~construction ~mutant ~n:3 ~ops:1 ~seed ~bounds
+                ~max_states:200_000 ()
+            in
+            let mutated, fired = Mutate.wrap mutant construction in
+            let replayed =
+              replay_certify ~construction:mutated ~ot:fetch_inc ~plan:Fault_plan.none
+                ~model:Memory_model.SC ~n:3 ~ops:1 ~seed ~bounds
+            in
+            ( Printf.sprintf "%s: fired %d, %s" label m.Exhaustive.xm_fired
+                (resumed_summary m.Exhaustive.xm_cert),
+              Printf.sprintf "%s: fired %d, %s" label (fired ()) replayed ))
+          Mutate.all)
+      Fault_targets.all
+  in
+  let bounds = { Sched_tree.no_bounds with preempt = Some 1 } in
+  let others =
+    [
+      pair ~model:Memory_model.TSO ~bounds herlihy fetch_inc ~n:3 ~ops:1;
+      pair ~plan_name:"crash-stop" ~plan:(Fault_plan.crash_stop ~pid:0 ~after:2) ~bounds herlihy
+        fetch_inc ~n:2 ~ops:1;
+    ]
+  in
+  let resumed, replayed = List.split (matrix @ mutants @ others) in
+  Alcotest.(check (list string)) "resumed walks = replayed walks" replayed resumed
+
+(* Program steps a certify walk executes: [counted] wraps every [Op]
+   continuation of the construction's programs with a counter. *)
+let counted (c : Iface.t) =
+  let steps = ref 0 in
+  let rec wrap = function
+    | Program.Return _ as p -> p
+    | Program.Op (inv, k) ->
+      Program.Op
+        ( inv,
+          fun r ->
+            incr steps;
+            wrap (k r) )
+    | Program.Toss k -> Program.Toss (fun o -> wrap (k o))
+  in
+  let create layout ~n spec =
+    let h = c.Iface.create layout ~n spec in
+    { h with Iface.apply = (fun ~pid ~seq op -> wrap (h.Iface.apply ~pid ~seq op)) }
+  in
+  (steps, { c with Iface.create })
+
+(* A deterministic gate on resuming: the program steps the CI cell
+   (herlihy fetch-inc, n=4, one op each, pre-emption bound 1) executes.
+   Every one of its 1,896 runs is a complete schedule of 56 steps, so a
+   walk that replays every run from the root executes 1,896 x 56 = 106,176
+   steps.  Each run after the first resumes at its divergence depth d (one
+   save per committed step, so no prefix step is replayed) and executes
+   56 - d steps, its divergence step included; the divergence depths sum
+   to 51,772, so the walk executes 106,176 - 51,772 = 54,404.  A run that
+   replayed even one prefix step would raise the count. *)
+let test_exhaustive_executed_steps () =
+  let bounds = { Sched_tree.no_bounds with preempt = Some 1 } in
+  let steps, construction = counted herlihy in
+  let cert =
+    Exhaustive.certify_cell ~construction ~ot:fetch_inc ~plan_name:"none" ~plan:Fault_plan.none
+      ~n:4 ~ops:1 ~seed:1 ~bounds ~max_states:200_000 ()
+  in
+  Alcotest.(check string) "walk"
+    "1896 schedules (0 sleep-blocked, 0 deduped, 4186 elided, depth 56) [BOUNDED]"
+    (Format.asprintf "%a" Sched_tree.pp_stats cert.Exhaustive.xc_stats);
+  Alcotest.(check int) "executed steps (106,176 when every run replayed)" 54_404 !steps;
+  let replay_steps, construction = counted herlihy in
+  ignore
+    (replay_certify ~construction ~ot:fetch_inc ~plan:Fault_plan.none ~model:Memory_model.SC
+       ~n:4 ~ops:1 ~seed:1 ~bounds);
+  Alcotest.(check int) "executed steps of the replaying walk" 106_176 !replay_steps
+
 let suite =
   [
     Alcotest.test_case "history: of_events lifecycle + ghosts" `Quick test_history_of_events;
@@ -617,4 +830,7 @@ let suite =
       test_check_budget_inconclusive;
     Alcotest.test_case "mutant hunt: checker budget exhausted is inconclusive" `Quick
       test_mutant_hunt_budget_inconclusive;
+    Alcotest.test_case "exhaustive resume = replay" `Slow test_exhaustive_resume_replay;
+    Alcotest.test_case "exhaustive executed steps (pinned)" `Quick
+      test_exhaustive_executed_steps;
   ]

@@ -546,6 +546,40 @@ let test_model_strings () =
     && Memory_model.weaker_or_equal Memory_model.TSO Memory_model.PSO
     && not (Memory_model.weaker_or_equal Memory_model.PSO Memory_model.TSO))
 
+(* A checkpoint puts back everything a run changes: register values and
+   Psets (registers first touched later disappear again), store buffers,
+   per-process counts and the log — rewinding to it and then forward to a
+   later one. *)
+let test_checkpoint_restore () =
+  let m = Memory.create ~model:Memory_model.TSO ~log:true ~default:(Value.Int 0) () in
+  let far = (1 lsl 20) + 5 in
+  let observe () =
+    ( Memory.snapshot m,
+      Memory.buffers m,
+      List.map (Format.asprintf "%a" Memory.pp_event) (Memory.events m),
+      List.init 8 (fun pid -> Memory.ops_of m ~pid),
+      Memory.total_ops m,
+      Memory.largest_value_size m )
+  in
+  let apply pid inv = ignore (Memory.apply m ~pid inv) in
+  apply 0 (Op.Ll 0);
+  apply 1 (Op.Write (1, Value.Int 4));
+  apply 2 (Op.Swap (far, Value.Int 9));
+  let early = Memory.checkpoint m and seen_early = observe () in
+  apply 0 (Op.Sc (0, Value.pair (Value.Int 1) (Value.Int 2)));
+  Memory.flush m ~pid:1 ~reg:1;
+  apply 1 (Op.Ll 7);
+  apply 6 (Op.Swap (far + 1, Value.Int 3));
+  apply 3 (Op.Write (2, Value.Int 5));
+  let late = Memory.checkpoint m and seen_late = observe () in
+  apply 4 (Op.Swap (9, Value.Int 1));
+  Memory.restore m early;
+  Alcotest.(check bool) "rewound to the early checkpoint" true (observe () = seen_early);
+  Alcotest.(check (list int)) "later registers untouched again" [ 0; far ] (Memory.touched m);
+  Memory.restore m late;
+  Alcotest.(check bool) "forward to the late checkpoint" true (observe () = seen_late);
+  Alcotest.(check bool) "its link survives" true (Ids.mem 1 (Memory.pset m 7))
+
 let suite =
   [
     Alcotest.test_case "initial default" `Quick test_initial_default;
@@ -562,6 +596,7 @@ let suite =
     Alcotest.test_case "event log" `Quick test_log;
     Alcotest.test_case "log disabled" `Quick test_log_disabled;
     Alcotest.test_case "snapshot/touched" `Quick test_snapshot_touched;
+    Alcotest.test_case "checkpoint/restore" `Quick test_checkpoint_restore;
     Alcotest.test_case "negative register rejected" `Quick test_negative_register;
     Alcotest.test_case "self-move rejected" `Quick test_self_move;
     Alcotest.test_case "negative pid rejected" `Quick test_negative_pid;
