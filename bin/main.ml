@@ -952,7 +952,7 @@ let hw_cmd =
 let explore_cmd =
   let max_runs_arg =
     Arg.(
-      value & opt int 500_000
+      value & opt pos_int 500_000
       & info [ "max-runs" ] ~docv:"K" ~doc:"Abort if more interleavings than this.")
   in
   let reduced_flag =
@@ -1038,9 +1038,9 @@ let litmus_cmd =
   in
   let max_runs_arg =
     Arg.(
-      value & opt int 200_000
+      value & opt pos_int 200_000
       & info [ "max-runs" ] ~docv:"K"
-          ~doc:"Abort a per-model DPOR walk past this many runs (an error).")
+          ~doc:"Abort a per-model DPOR walk past this many runs (exit 4, nothing checked).")
   in
   let report_arg =
     Arg.(
@@ -1078,35 +1078,40 @@ let litmus_cmd =
   let run () test max_runs report_file =
     let whole_catalog = test = None in
     let tests = match test with None -> Litmus.catalog | Some t -> [ t ] in
-    let verdicts = List.map (Litmus.check ~max_runs) tests in
-    List.iter (fun v -> Format.printf "%a@.@." Litmus.pp_verdict v) verdicts;
-    (* Pairwise separation is a property of the catalog, not of one test. *)
-    let distinguishes = whole_catalog && Litmus.distinguishes_all_models verdicts in
-    let ok = Litmus.all_ok verdicts && ((not whole_catalog) || distinguishes) in
-    if whole_catalog then
-      Format.printf "models pairwise distinguished: %b@." distinguishes;
-    Format.printf "litmus: %d test%s x %d models -> %s@." (List.length verdicts)
-      (if List.length verdicts = 1 then "" else "s")
-      (List.length Memory_model.all)
-      (if ok then "PASS" else "MISMATCH");
-    Option.iter
-      (fun path ->
-        let json =
-          Json.(
-            Obj
-              [
-                ("tests", Arr (List.map json_of_verdict verdicts));
-                ("distinguishes_all_models", Bool distinguishes);
-                ("ok", Bool ok);
-              ])
-        in
-        let oc = open_out path in
-        output_string oc (Json.to_string ~pretty:true json);
-        output_string oc "\n";
-        close_out oc;
-        Format.printf "report written to %s@." path)
-      report_file;
-    if ok then 0 else 3
+    match List.map (Litmus.check ~max_runs) tests with
+    | exception Litmus.Run_limit { test; model; runs } ->
+      Format.printf "litmus %s under %s: state space exceeds %d runs; raise --max-runs@." test
+        (Memory_model.to_string model) runs;
+      4
+    | verdicts ->
+      List.iter (fun v -> Format.printf "%a@.@." Litmus.pp_verdict v) verdicts;
+      (* Pairwise separation is a property of the catalog, not of one test. *)
+      let distinguishes = whole_catalog && Litmus.distinguishes_all_models verdicts in
+      let ok = Litmus.all_ok verdicts && ((not whole_catalog) || distinguishes) in
+      if whole_catalog then
+        Format.printf "models pairwise distinguished: %b@." distinguishes;
+      Format.printf "litmus: %d test%s x %d models -> %s@." (List.length verdicts)
+        (if List.length verdicts = 1 then "" else "s")
+        (List.length Memory_model.all)
+        (if ok then "PASS" else "MISMATCH");
+      Option.iter
+        (fun path ->
+          let json =
+            Json.(
+              Obj
+                [
+                  ("tests", Arr (List.map json_of_verdict verdicts));
+                  ("distinguishes_all_models", Bool distinguishes);
+                  ("ok", Bool ok);
+                ])
+          in
+          let oc = open_out path in
+          output_string oc (Json.to_string ~pretty:true json);
+          output_string oc "\n";
+          close_out oc;
+          Format.printf "report written to %s@." path)
+        report_file;
+      if ok then 0 else 3
   in
   Cmd.v
     (Cmd.info "litmus"
@@ -1115,7 +1120,7 @@ let litmus_cmd =
           SC, TSO and PSO by exhaustive DPOR (flushes in the decision alphabet) and compare \
           against the expected admissibility of its relaxed outcome — SB must separate SC \
           from TSO/PSO, MP must separate TSO from PSO, fenced variants must restore SC \
-          (exit 3 on any mismatch).")
+          (exit 3 on any mismatch, 4 when a walk hit $(b,--max-runs)).")
     Term.(const run $ logging $ test_arg $ max_runs_arg $ report_arg)
 
 let main_cmd =

@@ -241,12 +241,113 @@ let hash_state_key (((regs, buffers), hists, summary) : state_key) =
     | Before stepped -> mix (mix h 13) (Ids.hash stepped)
     | After stepped -> mix (mix h 14) (Ids.hash stepped))
 
+(* A DPOR walk's state between steps.  Every component is an immutable
+   value (persistent memory and maps), so a state is its own snapshot. *)
+type 'a walk = {
+  w_memory : Pure_memory.t;
+  w_procs : 'a proc Pmap.t;
+  w_hists : (Op.invocation * Op.response * int list) list Pmap.t;
+      (* per pid, newest first; with the summary, the dedup key's past *)
+  w_runnable : int list;
+  w_summary : summary;
+  w_events : 'a event list;  (* newest first *)
+  w_expanded : int;  (* processes past their initial expansion *)
+}
+
+(* A step whose expansion returns publishes a return: commuting it changes
+   the wakeup summary. *)
+let returns branches = List.exists (fun (_, evs, _) -> evs <> []) branches
+
+(* Initial expansion first: one forced pseudo-decision per process, so
+   initial coin branches are siblings in the tree like any other branch.
+   Then every blocked process and every enabled flush.  Flushes stay
+   schedulable after every process has returned: they must pass through
+   the tree (not drain silently) so they appear in traces — DPOR only
+   backtracks around steps that occur in some executed run, and a flush
+   that never executes can never be raced against a read.  Flush actions
+   take ids in the tree's decision alphabet
+   ({!Lb_memory.Semantics.flush_id}), stable across runs: the same tree
+   node always re-derives the same memory, hence the same flushable set. *)
+let poll_walk ~n w =
+  if w.w_expanded < n then (w, Sched_tree.Enabled [ w.w_expanded ])
+  else
+    match w.w_runnable @ Pure_memory.flush_ids w.w_memory ~n with
+    | [] -> (w, Sched_tree.Finished true)
+    | ids -> (w, Sched_tree.Enabled ids)
+
+(* The step semantics of [iter] for decision [id], with the coin branch
+   left to the scheduler tree: process [id]'s initial expansion (recorded
+   in its history as a pseudo-step), a flush, or process [id]'s pending
+   operation. *)
+let step_walk ~n ~coin_range ~program_of w id =
+  (* [stepped] (chronological) is the step's event, if any; [branches]
+     expand what follows it. *)
+  let branch_to ?(absorbed = []) ~regs ~memory ~inv ~response ~stepped branches =
+    {
+      Sched_tree.fp = { Sched_tree.regs; blocking = returns branches };
+      branches = List.length branches;
+      absorbed;
+      next =
+        (fun b ->
+          let proc, expand_events, outcomes = List.nth branches b in
+          let past = Option.value ~default:[] (Pmap.find_opt id w.w_hists) in
+          {
+            w_memory = memory;
+            w_procs = Pmap.add id proc w.w_procs;
+            w_hists = Pmap.add id ((inv, response, outcomes) :: past) w.w_hists;
+            w_runnable =
+              (match proc with
+              | Done _ -> remove_runnable id w.w_runnable
+              | Blocked _ when w.w_expanded = id -> w.w_runnable @ [ id ]
+              | Blocked _ -> w.w_runnable);
+            w_summary = update_summary w.w_summary (stepped @ List.rev expand_events);
+            w_events = expand_events @ List.rev_append stepped w.w_events;
+            w_expanded = max w.w_expanded (id + 1);
+          });
+    }
+  in
+  if w.w_expanded < n then
+    branch_to ~regs:[] ~memory:w.w_memory ~inv:(Op.Validate (-1)) ~response:Op.Ack ~stepped:[]
+      (expand coin_range id (program_of id))
+  else if id >= n then begin
+    (* A flush decision: apply the oldest buffered write.  Its footprint is
+       the flushed register — this is where a buffered write becomes
+       dependent with other processes' accesses. *)
+    let pid, reg = Semantics.flush_of_id ~n id in
+    let memory = Pure_memory.flush w.w_memory ~pid ~reg in
+    let v = Pure_memory.peek memory reg in
+    {
+      Sched_tree.fp = { Sched_tree.regs = [ reg ]; blocking = false };
+      branches = 1;
+      absorbed = [];
+      next =
+        (fun _ -> { w with w_memory = memory; w_events = Flushed (pid, reg, v) :: w.w_events });
+    }
+  end
+  else
+    match Pmap.find id w.w_procs with
+    | Done _ -> assert false
+    | Blocked (inv, k) ->
+      (* The footprint of a fencing step includes the registers its buffer
+         drain writes, so compute it before applying; the drain absorbs
+         the enabled flush decisions of its own buffer. *)
+      let regs = step_fp_regs w.w_memory ~pid:id inv in
+      let absorbed =
+        if Op.fences inv then
+          List.filter_map
+            (fun ((p, _) as pr) -> if p = id then Some (Semantics.flush_id ~n pr) else None)
+            (Pure_memory.flushable w.w_memory)
+        else []
+      in
+      let response, memory = Pure_memory.apply w.w_memory ~pid:id inv in
+      branch_to ~absorbed ~regs ~memory ~inv ~response ~stepped:[ Stepped (id, inv, response) ]
+        (expand coin_range id (k response))
+
 (* [on_state] sees each distinct dedup key once, when it is interned. *)
 let walk_dpor ~on_state ~n ~program_of ?(inits = []) ?(coin_range = [ 0 ])
     ?(model = Memory_model.SC) ?(bounds = Sched_tree.no_bounds) ?(dedup = true)
     ?(max_runs = 200_000) ~f () =
   if coin_range = [] then invalid_arg "Explore.iter_dpor: empty coin range";
-  let memory0 = Pure_memory.create ~inits ~model () in
   (* Each distinct state key is interned once into a dense id, which is
      all the scheduler tree's tables ever hash or compare.  The full-
      structure hash matters: the generic one reads only the first ten
@@ -269,157 +370,36 @@ let walk_dpor ~on_state ~n ~program_of ?(inits = []) ?(coin_range = [ 0 ])
         on_state key;
         id
   in
-  (* The runner's state, reset at the start of each run.  Every component
-     is an immutable value (persistent memory and maps), so a snapshot for
-     [Sched_tree.save] costs one closure, and [Sched_tree.resume] can put
-     the runner back at the previous run's state just short of this run's
-     divergence instead of replaying the prefix from the initial state. *)
-  let memory = ref memory0 in
-  let procs = ref Pmap.empty in
-  let hists = ref Pmap.empty in
-  let runnable = ref [] in
-  let summary = ref (Before Ids.empty) in
-  let events = ref [] in
-  let step = ref 0 in
-  let pid = ref 0 in
-  let save sched =
-    let m = !memory and ps = !procs and hs = !hists and r = !runnable in
-    let sm = !summary and evs = !events and st = !step and p = !pid in
-    Sched_tree.save sched (fun () ->
-        memory := m;
-        procs := ps;
-        hists := hs;
-        runnable := r;
-        summary := sm;
-        events := evs;
-        step := st;
-        pid := p)
+  let initial =
+    {
+      w_memory = Pure_memory.create ~inits ~model ();
+      w_procs = Pmap.empty;
+      w_hists = Pmap.empty;
+      w_runnable = [];
+      w_summary = Before Ids.empty;
+      w_events = [];
+      w_expanded = 0;
+    }
   in
-  (* One run under the oracle: the step semantics of [iter], but
-     scheduling decisions, coin-branch selection, and state dedup all
-     delegate to the scheduler tree. *)
-  let run sched =
-    memory := memory0;
-    procs := Pmap.empty;
-    hists := Pmap.empty;
-    runnable := [];
-    summary := Before Ids.empty;
-    events := [];
-    step := 0;
-    pid := 0;
-    ignore (Sched_tree.resume sched);
-    let aborted = ref false in
-    (* Marks the state after each committed step, then saves it.  The key
-       holds everything the state's future depends on: the continuation
-       closures are incomparable, but the per-pid histories of (invocation,
-       response, coin outcomes) determine them, and the summary holds the
-       outcome-relevant past. *)
-    let mark () =
-      if dedup then
-        Sched_tree.mark sched
-          ~key:(intern (Pure_memory.canonical_full !memory, Pmap.bindings !hists, !summary));
-      save sched
-    in
-    (* Initial expansion: one forced pseudo-decision per process, so initial
-       coin branches are siblings in the tree like any other branch. *)
-    while (not !aborted) && !pid < n do
-      match Sched_tree.choose sched ~step:!step ~enabled:[ !pid ] with
-      | None -> aborted := true
-      | Some p ->
-        assert (p = !pid);
-        let branches = expand coin_range p (program_of p) in
-        let blocking = List.exists (fun (_, evs, _) -> evs <> []) branches in
-        let b =
-          Sched_tree.commit sched
-            ~fp:{ Sched_tree.regs = []; blocking }
-            ~branches:(List.length branches)
-        in
-        let proc, expand_events, outcomes = List.nth branches b in
-        summary := update_summary !summary (List.rev expand_events);
-        hists := Pmap.add p [ (Op.Validate (-1), Op.Ack, outcomes) ] !hists;
-        (match proc with
-        | Done _ -> ()
-        | Blocked _ -> runnable := !runnable @ [ p ]);
-        procs := Pmap.add p proc !procs;
-        events := expand_events @ !events;
-        incr step;
-        incr pid;
-        mark ()
-    done;
-    (* Flushes stay schedulable after every process has returned: they must
-       pass through the tree (not drain silently) so they appear in traces —
-       DPOR only backtracks around steps that occur in some executed run, and
-       a flush that never executes can never be raced against a read. *)
-    (* Flush actions are scheduler-visible decisions, so they take ids in
-       the tree's decision alphabet ({!Lb_memory.Semantics.flush_id}),
-       stable across runs: the same tree node always re-derives the same
-       memory, hence the same flushable set. *)
-    let enabled_now () = !runnable @ Pure_memory.flush_ids !memory ~n in
-    let enabled = ref (enabled_now ()) in
-    while (not !aborted) && !enabled <> [] do
-      match Sched_tree.choose sched ~step:!step ~enabled:!enabled with
-      | None -> aborted := true
-      | Some id when id >= n ->
-        (* A flush decision: apply the oldest buffered write.  Its footprint
-           is the flushed register — this is where a buffered write becomes
-           dependent with other processes' accesses. *)
-        let pid, reg = Semantics.flush_of_id ~n id in
-        let memory' = Pure_memory.flush !memory ~pid ~reg in
-        let v = Pure_memory.peek memory' reg in
-        ignore
-          (Sched_tree.commit sched
-             ~fp:{ Sched_tree.regs = [ reg ]; blocking = false }
-             ~branches:1);
-        memory := memory';
-        events := Flushed (pid, reg, v) :: !events;
-        incr step;
-        enabled := enabled_now ();
-        mark ()
-      | Some pid -> (
-        match Pmap.find pid !procs with
-        | Done _ -> assert false
-        | Blocked (inv, k) ->
-          (* The footprint of a fencing step includes the registers its
-             buffer drain writes, so compute it before applying.  A fencing
-             step also absorbs the enabled flush decisions of its own
-             buffer — capture them now and report them to the tree after
-             the commit, or "flush early, interleave, then fence" schedules
-             would be unexplorable (an absorbed flush never appears in any
-             trace, and DPOR only backtracks around observed steps). *)
-          let fp_regs = step_fp_regs !memory ~pid inv in
-          let absorbed =
-            if Op.fences inv then
-              List.filter (fun (p, _) -> p = pid) (Pure_memory.flushable !memory)
-            else []
-          in
-          let response, memory' = Pure_memory.apply !memory ~pid inv in
-          let stepped = Stepped (pid, inv, response) in
-          let branches = expand coin_range pid (k response) in
-          let blocking = List.exists (fun (_, evs, _) -> evs <> []) branches in
-          let b =
-            Sched_tree.commit sched
-              ~fp:{ Sched_tree.regs = fp_regs; blocking }
-              ~branches:(List.length branches)
-          in
-          List.iter (fun pr -> Sched_tree.also sched ~pid:(Semantics.flush_id ~n pr)) absorbed;
-          let proc', expand_events, outcomes = List.nth branches b in
-          summary := update_summary !summary (stepped :: List.rev expand_events);
-          hists :=
-            Pmap.add pid ((inv, response, outcomes) :: Pmap.find pid !hists) !hists;
-          memory := memory';
-          procs := Pmap.add pid proc' !procs;
-          (match proc' with
-          | Done _ -> runnable := remove_runnable pid !runnable
-          | Blocked _ -> ());
-          events := expand_events @ (stepped :: !events);
-          incr step;
-          enabled := enabled_now ();
-          mark ())
-    done;
-    if !aborted then None else Some { events = List.rev !events; results = results_of !procs }
+  (* The key holds everything a state's future depends on: the
+     continuation closures are incomparable, but the per-pid histories of
+     (invocation, response, coin outcomes) determine them, and the summary
+     holds the outcome-relevant past. *)
+  let key w =
+    intern (Pure_memory.canonical_full w.w_memory, Pmap.bindings w.w_hists, w.w_summary)
+  in
+  let machine =
+    {
+      Sched_tree.reset = (fun () -> initial);
+      poll = poll_walk ~n;
+      exec = (fun w ~enabled:_ id -> step_walk ~n ~coin_range ~program_of w id);
+      key = (if dedup then Some key else None);
+      snapshot = Some (fun w () -> w);
+      judge = (fun w _ -> { events = List.rev w.w_events; results = results_of w.w_procs });
+    }
   in
   try
-    Sched_tree.explore ~bounds ~max_schedules:max_runs ~run
+    Sched_tree.drive ~bounds ~max_schedules:max_runs machine
       ~f:(fun run ->
         f run;
         true)

@@ -158,9 +158,9 @@ val iter_dpor :
     does) — use it only on small systems or under [bounds].  [max_runs]
     (default 200_000) caps total run executions and raises
     {!Limit_exceeded} when hit.  A run does not replay its prefix: it
-    resumes from the state the previous run saved where their paths part
-    ({!Sched_tree.resume}), so it usually executes only its divergence
-    step and what follows it.
+    resumes from the state the previous run left where their paths part
+    (a {!Sched_tree.machine}'s snapshot), so it usually executes only its
+    divergence step and what follows it.
 
     [model] (default SC): under TSO/PSO, enabled flushes join the tree's
     decision alphabet as pseudo-process ids (stable across replays because

@@ -165,13 +165,18 @@ let find name =
 
 (* ---- running ---- *)
 
+exception Run_limit of { test : string; model : Memory_model.t; runs : int }
+
 let outcomes ?(max_runs = 200_000) test ~model =
   let collect = ref Outcomes.empty in
-  ignore
-    (Explore.iter_dpor ~n:test.n ~program_of:test.program_of ~inits:test.inits ~model
+  (match
+     Explore.iter_dpor ~n:test.n ~program_of:test.program_of ~inits:test.inits ~model
        ~max_runs
        ~f:(fun run -> collect := Outcomes.add run.Explore.results !collect)
-       ());
+       ()
+   with
+  | _ -> ()
+  | exception Explore.Limit_exceeded runs -> raise (Run_limit { test = test.name; model; runs }));
   !collect
 
 type cell = {

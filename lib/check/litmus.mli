@@ -54,8 +54,12 @@ val catalog : t list
 val find : string -> t option
 (** Case-insensitive lookup by name. *)
 
+exception Run_limit of { test : string; model : Memory_model.t; runs : int }
+(** A DPOR walk needed more than [runs] runs ([max_runs]): no outcome set. *)
+
 val outcomes : ?max_runs:int -> t -> model:Memory_model.t -> Outcomes.t
-(** The exact outcome set under [model], by exhaustive DPOR enumeration. *)
+(** The exact outcome set under [model], by exhaustive DPOR enumeration;
+    raises {!Run_limit} past [max_runs] runs (default 200,000). *)
 
 type cell = {
   model : Memory_model.t;

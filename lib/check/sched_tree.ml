@@ -51,7 +51,7 @@ type tstep = {
   t_enabled : int list;
   t_sleep : entry list;  (* sleep set in force before this step. *)
   t_preempts : int;  (* pre-emptive switches strictly before this step. *)
-  mutable t_also : int list;  (* mandatory sibling decisions (see [also]). *)
+  mutable t_also : int list;  (* mandatory sibling decisions (see [absorb]). *)
 }
 
 type status = Running | Sleep_blocked | Bound_blocked | Deduped
@@ -291,97 +291,79 @@ let commit (s : _ sched) ~fp ~branches =
       | None -> d.d_sleep <- wake d.d_sleep fp);
       branch)
 
-(* A step that silently performs another enabled decision's effect hides
-   that decision from every trace, and a decision that never occurs in a
-   trace can never be raced — DPOR's backtracking only reverses observed
-   steps.  The canonical case is a fence draining the store buffer: the
-   drained flush pseudo-decisions vanish from the schedule, so "commit the
-   buffered write first, let other processes run, then fence" is never
-   explored.  [also] lets the runner declare such absorbed alternatives as
-   mandatory siblings of the step just committed; they become todo entries
-   like coin branches (not schedule-reducible), restoring completeness. *)
-let also (s : _ sched) ~pid =
-  match s with
-  | Sample _ | Replay _ -> ()
-  | Dpor d -> (
-    match d.d_trace with
-    | [] -> invalid_arg "Sched_tree.also: no committed step"
-    | t :: _ -> if not (List.mem pid t.t_also) then t.t_also <- pid :: t.t_also)
+(* Declare [pid] a mandatory sibling of the step just committed: a
+   decision whose effect the step absorbed (see [stepped.absorbed]). *)
+let absorb d pid =
+  match d.d_trace with
+  | [] -> assert false
+  | t :: _ -> if not (List.mem pid t.t_also) then t.t_also <- pid :: t.t_also
 
-let mark (s : _ sched) ~key =
-  match s with
-  | Sample _ | Replay _ -> ()
-  | Dpor d ->
-    if d.d_status = Running then begin
-      if d.d_prefix <> [] then
-        (* Replayed prefix: the state is already in the table (its original
-           run marked it) and aborting the replay would orphan the todo —
-           but this run's continuation still lies below it, so remember the
-           position for the summary pass.  A resumed prefix never gets
-           here: [resume] restores these positions from the previous run. *)
+(* State dedup: a revisit whose stored sleep set is covered by the current
+   one cuts the run (the next [choose] returns [None]). *)
+let mark d key =
+  if d.d_status = Running then begin
+    if d.d_prefix <> [] then
+      (* Replayed prefix: the state is already in the table (its original
+         run marked it) and aborting the replay would orphan the todo —
+         but this run's continuation still lies below it, so remember the
+         position for the summary pass.  A resumed prefix never gets
+         here: [resume] restores these positions from the previous run. *)
+      d.d_marks <- (key, d.d_depth) :: d.d_marks
+    else begin
+      let current = List.map (fun e -> e.sl_pid) d.d_sleep in
+      match Hashtbl.find_opt d.d_visited key with
+      | Some v when List.for_all (fun p -> List.mem p current) v.v_sleep ->
+        d.d_status <- Deduped;
+        d.d_cut <- Some key
+      | Some v ->
+        (* Godefroid's revisit rule: re-explore, remembering the weaker
+           (intersected) sleep set for future visits. *)
+        v.v_sleep <- List.filter (fun p -> List.mem p current) v.v_sleep;
         d.d_marks <- (key, d.d_depth) :: d.d_marks
-      else begin
-        let current = List.map (fun e -> e.sl_pid) d.d_sleep in
-        match Hashtbl.find_opt d.d_visited key with
-        | Some v when List.for_all (fun p -> List.mem p current) v.v_sleep ->
-          d.d_status <- Deduped;
-          d.d_cut <- Some key
-        | Some v ->
-          (* Godefroid's revisit rule: re-explore, remembering the weaker
-             (intersected) sleep set for future visits. *)
-          v.v_sleep <- List.filter (fun p -> List.mem p current) v.v_sleep;
-          d.d_marks <- (key, d.d_depth) :: d.d_marks
-        | None ->
-          Hashtbl.add d.d_visited key (new_vent current);
-          d.d_marks <- (key, d.d_depth) :: d.d_marks
-      end
+      | None ->
+        Hashtbl.add d.d_visited key (new_vent current);
+        d.d_marks <- (key, d.d_depth) :: d.d_marks
     end
+  end
 
 let interrupted (s : _ sched) =
   match s with Sample _ | Replay _ -> false | Dpor d -> d.d_status <> Running
 
-let save (s : _ sched) restore =
-  match s with
-  | Sample _ | Replay _ -> ()
-  | Dpor d -> if d.d_status = Running then d.d_saves <- (d.d_depth, restore) :: d.d_saves
-
 let rec drop_while f = function x :: rest when f x -> drop_while f rest | l -> l
 
 (* Skip the previous run's shared prefix instead of replaying it: restore
-   the runner at the deepest saved depth this run's prefix shares with the
-   previous trace, short of the divergence decision, and leave the oracle
-   as replaying that far would — prefix steps record an empty sleep set,
-   and [mark] would have recorded the previous run's positions. *)
-let resume (s : _ sched) =
-  match s with
-  | Sample _ | Replay _ -> false
-  | Dpor d -> (
-    match d.d_past with
-    | None -> false
-    | Some p -> (
-      (* Only this call reads the past: dropping it lets the saves deeper
-         than the resumed depth go while this run executes. *)
-      d.d_past <- None;
-      let limit = min (List.length d.d_prefix - 1) (Array.length p.p_trace) in
-      let rec shared i = function
-        | (pid, b) :: rest
-          when i < limit && pid = p.p_trace.(i).t_pid && b = p.p_trace.(i).t_branch ->
-          shared (i + 1) rest
-        | _ -> i
-      in
-      let upto = shared 0 d.d_prefix in
-      match drop_while (fun (k, _) -> k > upto) p.p_saves with
-      | [] -> false
-      | (depth, restore) :: _ as saves ->
-        restore ();
-        d.d_saves <- saves;
-        d.d_marks <- drop_while (fun (_, k) -> k > depth) p.p_marks;
-        for i = 0 to depth - 1 do
-          let t = p.p_trace.(i) in
-          advance d (if t.t_sleep = [] then t else { t with t_sleep = [] })
-        done;
-        d.d_prefix <- List.filteri (fun i _ -> i >= depth) d.d_prefix;
-        true))
+   the deepest saved depth this run's prefix shares with the previous
+   trace, short of the divergence decision, and leave the oracle as
+   replaying that far would — prefix steps record an empty sleep set, and
+   [mark] would have recorded the previous run's positions.  [false] when
+   nothing was restored. *)
+let resume d =
+  match d.d_past with
+  | None -> false
+  | Some p -> (
+    (* Only this call reads the past: dropping it lets the saves deeper
+       than the resumed depth go while this run executes. *)
+    d.d_past <- None;
+    let limit = min (List.length d.d_prefix - 1) (Array.length p.p_trace) in
+    let rec shared i = function
+      | (pid, b) :: rest
+        when i < limit && pid = p.p_trace.(i).t_pid && b = p.p_trace.(i).t_branch ->
+        shared (i + 1) rest
+      | _ -> i
+    in
+    let upto = shared 0 d.d_prefix in
+    match drop_while (fun (k, _) -> k > upto) p.p_saves with
+    | [] -> false
+    | (depth, restore) :: _ as saves ->
+      restore ();
+      d.d_saves <- saves;
+      d.d_marks <- drop_while (fun (_, k) -> k > depth) p.p_marks;
+      for i = 0 to depth - 1 do
+        let t = p.p_trace.(i) in
+        advance d (if t.t_sleep = [] then t else { t with t_sleep = [] })
+      done;
+      d.d_prefix <- List.filteri (fun i _ -> i >= depth) d.d_prefix;
+      true)
 
 (* ---- the persistent scheduler tree: operations ---- *)
 
@@ -512,7 +494,7 @@ let incorporate root trace =
           done;
           e
       in
-      (* Absorbed alternatives (see [also]): mandatory unless the pid is
+      (* Absorbed alternatives (see [absorb]): mandatory unless the pid is
          asleep here — asleep means the alternative was fully explored at
          an ancestor and nothing dependent ran since, so taking it now
          would only replay a covered interleaving. *)
@@ -833,7 +815,8 @@ let update_summaries visited entries counters bounds nodes trace virtual_races m
     virtual_backtracks counters bounds nodes trace virtual_races entries v.v_sum;
     List.iter (fun (k', _) -> add_sum visited entries counters bounds k' v.v_sum) marks
 
-let explore ?(bounds = no_bounds) ?(max_schedules = 200_000) ~run ~f () =
+(* The exhaustive walk: [run] executes one run under the oracle [d]. *)
+let walk ~bounds ~max_schedules ~run ~f =
   let visited = Hashtbl.create 512 in
   let entries = new_entries () in
   let counters =
@@ -867,7 +850,7 @@ let explore ?(bounds = no_bounds) ?(max_schedules = 200_000) ~run ~f () =
       }
     in
     past := None;
-    (match run (Dpor d) with
+    (match run d with
     | Some result ->
       counters.c_schedules <- counters.c_schedules + 1;
       if not (f result) then continue_ := false
@@ -878,8 +861,8 @@ let explore ?(bounds = no_bounds) ?(max_schedules = 200_000) ~run ~f () =
       | Bound_blocked | Running -> counters.c_elided <- counters.c_elided + 1));
     let trace = Array.of_list (List.rev d.d_trace) in
     counters.c_depth <- max counters.c_depth (Array.length trace);
-    (* Only the latest run is kept, and only if its runner saved states:
-       runners that never call [save] pay nothing for resuming. *)
+    (* Only the latest run is kept, and only if its machine saved states:
+       runners that never save pay nothing for resuming. *)
     past :=
       if d.d_saves = [] then None
       else Some { p_trace = trace; p_marks = d.d_marks; p_saves = d.d_saves };
@@ -918,3 +901,51 @@ let explore ?(bounds = no_bounds) ?(max_schedules = 200_000) ~run ~f () =
     elided = counters.c_elided;
     max_depth = counters.c_depth;
   }
+
+let explore ?(bounds = no_bounds) ?(max_schedules = 200_000) ~run ~f () =
+  walk ~bounds ~max_schedules ~run:(fun d -> run (Dpor d)) ~f
+
+(* ---- the step-machine runner ---- *)
+
+type poll = Enabled of int list | Finished of bool
+type 's stepped = { fp : fp; branches : int; absorbed : int list; next : int -> 's }
+
+type ('s, 'k, 'r) machine = {
+  reset : unit -> 's;
+  poll : 's -> 's * poll;
+  exec : 's -> enabled:int list -> int -> 's stepped;
+  key : ('s -> 'k) option;
+  snapshot : ('s -> unit -> 's) option;
+  judge : 's -> bool -> 'r;
+}
+
+(* The oracle protocol, once: reset, resume, then choose, commit, absorb,
+   mark and save at every step until the machine finishes or the oracle
+   aborts the run.  A saved state goes into the tree type-erased, as a
+   thunk that puts it back into [resumed]. *)
+let drive ?(bounds = no_bounds) ?(max_schedules = 200_000) m ~f () =
+  let resumed = ref None in
+  let run d =
+    let sched = Dpor d in
+    let rec go s =
+      match m.poll s with
+      | s, Finished completed -> Some (m.judge s completed)
+      | s, Enabled enabled -> (
+        match choose sched ~step:d.d_depth ~enabled with
+        | None -> None
+        | Some id ->
+          let st = m.exec s ~enabled id in
+          let s = st.next (commit sched ~fp:st.fp ~branches:st.branches) in
+          if st.absorbed <> [] then List.iter (absorb d) st.absorbed;
+          (match m.key with Some key -> mark d (key s) | None -> ());
+          (match m.snapshot with
+          | Some snapshot when d.d_status = Running ->
+            let back = snapshot s in
+            d.d_saves <- (d.d_depth, fun () -> resumed := Some (back ())) :: d.d_saves
+          | _ -> ());
+          go s)
+    in
+    let s = m.reset () in
+    go (if resume d then Option.get !resumed else s)
+  in
+  walk ~bounds ~max_schedules ~run ~f

@@ -10,15 +10,20 @@
 
     {2 The model}
 
-    A runner executes one schedule at a time (stateless model checking:
-    every run restarts from the initial state, or, if the runner {!save}s
-    its states, from the previous run's state where the two runs' paths
-    part — see {!resume}).  At each scheduling point it
+    A runner executes one schedule at a time.  At each scheduling point it
     calls {!choose} with the currently enabled processes, executes the
     returned process's next shared-memory step, and reports the step's
     {e footprint} back with {!commit}.  Two steps are {e dependent} when
     their footprints touch a common register or either is {e blocking}; all
     reduction arguments are relative to this relation (see {!dependent}).
+
+    Both exhaustive checkers hand the walk a {!machine} instead — reset,
+    poll, execute one step, optionally a dedup key and a snapshot, judge —
+    and {!drive} runs the oracle protocol over it: choose, commit, the
+    absorbed siblings, the dedup mark and the snapshot at every step, and
+    at the start of a run a {e resume} from the previous run's snapshot
+    where the two runs' paths part (stateless model checking, with the
+    shared prefix skipped instead of replayed).
 
     In exhaustive mode, {!explore} drives the runner repeatedly.  Each
     completed run's trace is folded into a persistent tree whose nodes carry
@@ -83,13 +88,13 @@ val pp_bounds : Format.formatter -> bounds -> unit
 (** {1 The scheduling oracle} *)
 
 type 'k sched
-(** One run's scheduling oracle.  ['k] is the runner's state-dedup key
-    type (only exercised by {!mark}; samplers and replayers ignore it). *)
+(** One run's scheduling oracle.  ['k] is the state-dedup key type (only
+    exercised by a {!machine}'s [key]; samplers and replayers ignore it). *)
 
 val choose : 'k sched -> step:int -> enabled:int list -> int option
 (** Pick the next process.  [None] aborts the run: every enabled process
-    is asleep, the bounds forbid every choice, or {!mark} hit a visited
-    state.  [step] is the caller's global step clock — used only by
+    is asleep, the bounds forbid every choice, or the dedup key hit a
+    visited state.  [step] is the caller's global step clock — used only by
     samplers/replayers, so gaps (e.g. harness idle ticks) are fine. *)
 
 val commit : 'k sched -> fp:fp -> branches:int -> int
@@ -98,76 +103,6 @@ val commit : 'k sched -> fp:fp -> branches:int -> int
     runner must take.  Exactly one [commit] must follow each successful
     {!choose}.  Sibling branches become mandatory todo entries — coin
     outcomes are resolved eagerly and are not schedule-reducible. *)
-
-val also : 'k sched -> pid:int -> unit
-(** Declare [pid] a {e mandatory} alternative to the step just committed:
-    it is enqueued as a todo sibling at that node, like a coin branch —
-    not schedule-reducible — unless it is asleep there or already
-    explored.  Runners must call this for every enabled decision whose
-    effect the committed step silently absorbed, because an absorbed
-    decision never appears in any trace and an unobserved step can never
-    be raced by the backtracking pass.  The canonical client is
-    [Explore.iter_dpor] under a relaxed memory model: a fencing step
-    drains the issuing process's store buffer, absorbing the enabled
-    flush pseudo-decisions — without [also], "flush first, interleave
-    other processes, then fence" would be silently unexplored.  Call
-    after {!commit}, before the next {!choose}. *)
-
-val mark : 'k sched -> key:'k -> unit
-(** Optional state dedup (stateful DPOR), called after {!commit} with a
-    canonical key of the resulting state.  A revisit whose stored sleep
-    set is covered by the current one aborts the run (the next {!choose}
-    returns [None]).  A cut run's race detection would otherwise be
-    incomplete — races between its prefix and its never-executed
-    continuation go unseen — so {!explore} keeps, per visited state, a
-    summary of every [(process, footprint)] step known to occur below it
-    (Yang–Chen–Gopalakrishnan–Kirby), races a cut run's prefix against
-    that summary as {e virtual steps}, and re-fires the analysis when the
-    summary grows later.  The key must determine both the future behaviour
-    (memory, per-process continuations) and the outcome-relevant past, as
-    {!Explore.state_key} does.  Runners that cannot canonicalize
-    state simply never call [mark].
-
-    The table that holds the keys uses the generic [Hashtbl.hash], which
-    reads only the first ten meaningful words of a key: a structured key
-    puts most states into a few buckets and every lookup then compares
-    along a long chain.  Pass a compact key instead, such as an [int] id
-    the runner interned under a full-structure hash ({!Explore.iter_dpor}
-    does this). *)
-
-val save : 'k sched -> (unit -> unit) -> unit
-(** Offer the oracle a way back to the runner's current state: [restore]
-    must put the runner exactly where it is now, after the latest
-    {!commit} and its {!also} and {!mark} calls.  {!explore} keeps the
-    thunks of the previous run's path only — one per depth, so memory is
-    O(depth) — and {!resume} runs one of them at the start of the next
-    run, keeping those it shares and dropping the deeper ones.  A thunk
-    over persistent values (an immutable memory, a [Map], a
-    [Harness.state]) is cheap to take.  {!Explore.iter_dpor} and the
-    conformance certifier both save after every commit.  Samplers and
-    replayers ignore it, and a runner that never calls it pays
-    nothing. *)
-
-val resume : 'k sched -> bool
-(** Call first thing in a run, after resetting the runner to its initial
-    state.  It finds the longest prefix this run's decisions share with
-    the previous run's trace, stopping before this run's divergence
-    decision, and runs the thunk the previous run {!save}d at the deepest
-    depth at or below that point; [false] if there is none (the first run,
-    a previous run that saved nothing, or a sampler or replayer), and the
-    runner then starts from its initial state as before.  Any prefix left
-    after the resumed depth is replayed through {!choose} as usual.
-
-    The contract is {e exactly as replay}: the oracle is left as replaying
-    the resumed decisions would have left it — the same trace (each
-    resumed step with the empty sleep set a replayed prefix step records
-    and the {!also} siblings it recorded), the same pre-emption and
-    fairness counters, and the same {!mark}ed positions, up to and
-    including the resumed depth, with no dedup table lookups — and the
-    resumed depths' thunks carry over to this run's saves.  So a resuming
-    walk visits the same runs in the same order with the same stats as a
-    replaying one, provided the runner is deterministic and each thunk
-    restores everything later steps read. *)
 
 val interrupted : 'k sched -> bool
 (** Whether this run was aborted by the oracle (sleep, bound, or dedup) —
@@ -219,6 +154,63 @@ val explore :
     flagged and skipped, so finding the next schedule costs
     O(depth × branching) node visits, not a walk of the whole tree. *)
 
+(** {1 The step-machine runner} *)
+
+type poll =
+  | Enabled of int list  (** the ids that may step next. *)
+  | Finished of bool  (** the run is over; [true] if it completed. *)
+
+type 's stepped = {
+  fp : fp;  (** the step's dependency footprint. *)
+  branches : int;  (** its coin-branch fan-out (1 for none). *)
+  absorbed : int list;
+      (** enabled decisions whose effect the step silently performed, as a
+          fence absorbs its process's flush ids.  Each becomes a mandatory
+          todo sibling, like a coin branch, unless asleep or explored there:
+          an absorbed decision is in no trace, so no race can request it. *)
+  next : int -> 's;  (** the successor for each coin branch. *)
+}
+
+type ('s, 'k, 'r) machine = {
+  reset : unit -> 's;
+      (** The initial state.  Called at the start of every run, also one
+          that then resumes: a [snapshot] thunk must put back everything
+          the reset changed. *)
+  poll : 's -> 's * poll;
+      (** What may step next, or whether the run is over.  The returned
+          state replaces the polled one (a harness settles its processes
+          here). *)
+  exec : 's -> enabled:int list -> int -> 's stepped;
+      (** Execute the chosen id, one of [enabled]. *)
+  key : ('s -> 'k) option;
+      (** Stateful DPOR: a canonical key of the state after each step; a
+          revisit whose stored sleep set is covered by the current one
+          aborts the run.  Each visited state keeps a summary of every
+          [(process, footprint)] step known to occur below it
+          (Yang–Chen–Gopalakrishnan–Kirby), and a cut run's prefix is
+          raced against it as {e virtual steps}, again whenever it grows.
+          The key must determine the future behaviour and the
+          outcome-relevant past, as {!Explore.state_key} does.  Keys are
+          hashed with the generic [Hashtbl.hash], which reads ten words, so
+          pass a compact one, such as an interned [int]. *)
+  snapshot : ('s -> unit -> 's) option;
+      (** [snapshot s] takes what restoring [s] needs beyond [s] (a memory
+          checkpoint, say); the thunk puts it back and returns [s].  Each
+          run starts from the deepest snapshot of the previous run that
+          its path shares, short of its divergence decision.  The walk is
+          unchanged — same runs, order and stats — if the machine is
+          deterministic and each thunk restores everything later steps
+          read.  [None]: every run replays from [reset]. *)
+  judge : 's -> bool -> 'r;  (** The finished state, and whether it completed. *)
+}
+
+val drive :
+  ?bounds:bounds -> ?max_schedules:int -> ('s, 'k, 'r) machine -> f:('r -> bool) -> unit -> stats
+(** {!explore} over the machine: the one runner of {!Explore.iter_dpor}
+    and the conformance certifier.  A run is judged when the machine
+    reports [Finished], also when its last step revisited a known state; a
+    run the oracle aborts before that is not. *)
+
 (** {1 Race analysis} *)
 
 type analysis = {
@@ -235,7 +227,7 @@ type analysis = {
       (** [virtual_races q fq]: the steps [i], descending, in reversible
           race with a {e virtual} step [(q, fq)] placed after the whole
           trace (a step known to occur below a cut run's final state; see
-          {!mark}). *)
+          {!machine}'s [key]). *)
 }
 
 val analyze : (int * fp) array -> analysis

@@ -30,76 +30,74 @@ let cert_ok c = c.xc_counterexample = None && not (empty c)
 
 exception Inconclusive of string
 
-(* The cell's runner.  The construction is installed once, on one memory,
-   and every run starts from that initial state: the memory is restored to
-   its checkpoint, the handle to its snapshot, and a fresh fault engine is
-   armed.  Each decision commits right after its step, with the step's
-   dependency footprint (the registers of the executed invocation, or the
-   flushed register) and [blocking] when the step crossed an operation
-   boundary — a response published or a give-up — because commuting those
-   changes history precedence and so possibly the verdict.
+(* The cell's step machine over {!Harness.state}.  The construction is
+   installed once, on one memory, and every run starts from that initial
+   state: the memory is restored to its checkpoint, the handle to its
+   snapshot, and a fresh fault engine is armed.  Each step's footprint is
+   the registers of the executed invocation, or the flushed register, and
+   it is [blocking] when the step crossed an operation boundary — a
+   response published or a give-up — because commuting those changes
+   history precedence and so possibly the verdict.
 
-   Under a pure plan the runner then saves where it is: the harness state,
-   a memory checkpoint, a handle snapshot and the schedule so far.  The
-   next run's [Sched_tree.resume] restores the deepest state it shares
-   with this one, so a run executes its divergence step and what follows,
-   never the prefix again.  Under an impure plan every step blocks and
-   nothing is saved: the fault engine's state is not part of a saved
-   state, so those runs replay from the root. *)
-let runner ~construction ~ot ~plan ~model ~n ~ops ~seed ~max_states =
+   Under a pure plan a state's snapshot is a memory checkpoint and a handle
+   snapshot, so a run executes its divergence step and what follows, never
+   the prefix again.  Under an impure plan every step blocks and there is
+   no snapshot: the fault engine's state is not part of a state, so those
+   runs replay from the root. *)
+let machine ~construction ~ot ~plan ~model ~n ~ops ~seed ~max_states =
   let i = Fuzz.instance ~construction ~ot ~plan ~n ~ops ~seed ~model () in
   let memory = i.Fuzz.memory and handle = i.Fuzz.handle in
   let initial = Lb_memory.Memory.checkpoint memory and initial_handle = handle.Iface.snapshot () in
   let impure = not (pure plan) in
-  (* The runner's own state, as [Sched_tree.save]'s thunks put it back:
-     they outlive the run that took them, so these live as long as the
-     cell. *)
-  let state = ref None and log = ref [] in
-  fun sched ->
-    Lb_memory.Memory.restore memory initial;
-    initial_handle ();
-    let engine = Fault_engine.instantiate ~seed plan in
-    Fault_engine.arm engine memory;
-    state := Some (Harness.start ~memory ~handle ~n ~ops:i.Fuzz.workload ~fuel:i.Fuzz.fuel ());
-    log := [];
-    ignore (Sched_tree.resume sched);
-    let scheduler ~step ~runnable =
-      match Sched_tree.choose sched ~step ~enabled:runnable with
-      | Some id ->
-        log := id :: !log;
-        Some id
-      | None -> None
-    in
-    let observe st (o : Harness.outcome) =
-      let regs =
-        (* A flush pseudo-pid (>= n, see {!Lb_universal.Harness}) writes
-           exactly its encoded register. *)
-        if o.Harness.chosen >= n then [ snd (Lb_memory.Semantics.flush_of_id ~n o.Harness.chosen) ]
-        else match o.Harness.invocation with Some inv -> Sched_tree.footprint inv | None -> []
-      in
-      ignore
-        (Sched_tree.commit sched
-           ~fp:{ Sched_tree.regs; blocking = impure || o.Harness.boundary }
-           ~branches:1);
-      if not impure then begin
-        let checkpoint = Lb_memory.Memory.checkpoint memory
-        and restore_handle = handle.Iface.snapshot ()
-        and schedule = !log in
-        Sched_tree.save sched (fun () ->
-            Lb_memory.Memory.restore memory checkpoint;
-            restore_handle ();
-            state := Some st;
-            log := schedule)
-      end
-    in
-    let st, completed =
-      Harness.drive ~hooks:(Fault_engine.hooks engine) ~observe ~scheduler (Option.get !state)
-    in
-    if Sched_tree.interrupted sched then None
-    else
-      Some
-        (Fuzz.assess ~construction ~ot ~plan ~n ~ops ~max_states ~schedule:(List.rev !log)
-           (Harness.finish st ~completed))
+  (* The hooks of the run in progress: every run arms its own engine. *)
+  let hooks = ref None in
+  (* A state is the harness state and the schedule so far, newest first. *)
+  {
+    Sched_tree.reset =
+      (fun () ->
+        Lb_memory.Memory.restore memory initial;
+        initial_handle ();
+        let engine = Fault_engine.instantiate ~seed plan in
+        Fault_engine.arm engine memory;
+        hooks := Some (Fault_engine.hooks engine);
+        (Harness.start ~memory ~handle ~n ~ops:i.Fuzz.workload ~fuel:i.Fuzz.fuel (), []));
+    poll =
+      (fun (st, log) ->
+        match Harness.poll ?hooks:!hooks st with
+        | st, Harness.Pick ids -> ((st, log), Sched_tree.Enabled ids)
+        | st, Harness.Stop completed -> ((st, log), Sched_tree.Finished completed));
+    exec =
+      (fun (st, log) ~enabled id ->
+        let regs =
+          (* A flush pseudo-pid (>= n, see {!Lb_universal.Harness}) writes
+             exactly its encoded register. *)
+          if id >= n then [ snd (Lb_memory.Semantics.flush_of_id ~n id) ]
+          else match Harness.pending st id with Some inv -> Sched_tree.footprint inv | None -> []
+        in
+        let st' = Harness.step ?hooks:!hooks st ~choices:enabled id in
+        {
+          Sched_tree.fp = { Sched_tree.regs; blocking = impure || Harness.boundary st st' };
+          branches = 1;
+          absorbed = [];
+          next = (fun _ -> (st', id :: log));
+        });
+    key = None;
+    snapshot =
+      (if impure then None
+       else
+         Some
+           (fun s ->
+             let checkpoint = Lb_memory.Memory.checkpoint memory
+             and restore_handle = handle.Iface.snapshot () in
+             fun () ->
+               Lb_memory.Memory.restore memory checkpoint;
+               restore_handle ();
+               s));
+    judge =
+      (fun (st, log) completed ->
+        Fuzz.assess ~construction ~ot ~plan ~n ~ops ~max_states ~schedule:(List.rev log)
+          (Harness.finish st ~completed));
+  }
 
 let default_bounds = { Sched_tree.no_bounds with Sched_tree.preempt = Some 2 }
 
@@ -109,8 +107,8 @@ let certify_cell ~(construction : Iface.t) ~ot ~plan_name ~plan
   let degraded = ref 0 in
   let failed = ref None in
   let stats =
-    Sched_tree.explore ~bounds ~max_schedules
-      ~run:(runner ~construction ~ot ~plan ~model ~n ~ops ~seed ~max_states)
+    Sched_tree.drive ~bounds ~max_schedules
+      (machine ~construction ~ot ~plan ~model ~n ~ops ~seed ~max_states)
       ~f:(fun (r : Fuzz.run) ->
         match r.Fuzz.verdict with
         | Fuzz.Pass -> true

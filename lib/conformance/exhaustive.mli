@@ -20,12 +20,12 @@
     sound — the walk degrades to bounded enumeration, still exhaustive
     within the bounds.
 
-    The walk drives the {!Lb_universal.Harness} step machine itself, on
-    one memory and one handle per cell.  Under a pure plan it saves the
-    harness state, a memory checkpoint and a handle snapshot after every
-    step, and each run resumes where it parts from the previous one
-    ({!Lb_check.Sched_tree.resume}), so no run re-executes a shared
-    prefix; impure plans replay every run from the root.  Either way the
+    The cell is a {!Lb_check.Sched_tree.machine} over the
+    {!Lb_universal.Harness} step machine, on one memory and one handle per
+    cell.  Under a pure plan its snapshot of a state is a memory
+    checkpoint and a handle snapshot, and each run resumes where it parts
+    from the previous one, so no run re-executes a shared prefix; impure
+    plans replay every run from the root.  Either way the
     walk, its stats, verdicts and counterexamples are those of a walk
     that replays every run.
 

@@ -99,8 +99,6 @@ type state = {
   fuel : int;
 }
 
-type outcome = { chosen : int; invocation : Op.invocation option; boundary : bool }
-
 (* The edits of one step (or of the work before a decision), made in
    place; the next state is built from the draft once they are done, so
    a step allocates one state however many edits it makes.  [slots] is
@@ -232,8 +230,8 @@ let rec settle d pid =
       settle d pid
     | Program.Toss _ | Program.Op _ -> set d { slot with current = Some a })
 
-let pending slots pid =
-  match slots.(pid).current with Some a -> Program.pending_op a.program | None -> None
+let pending st pid =
+  match st.slots.(pid).current with Some a -> Program.pending_op a.program | None -> None
 
 (* Crash-recovery restart: the in-flight operation is re-invoked from
    scratch with the same (pid, seq) descriptor — the model of a process
@@ -283,7 +281,7 @@ type next = Pick of int list | Stop of bool
 (* Everything before a scheduling decision: crash-recovery restarts, then
    settling every slot, then the choice set.  [Stop completed] ends the
    run. *)
-let rec choices hooks st =
+let rec poll ?hooks st =
   let d = draft st in
   (match hooks with Some h -> List.iter (restart d) (h.recover ~step:st.step) | None -> ());
   for pid = 0 to Array.length d.d_slots - 1 do
@@ -301,7 +299,7 @@ let rec choices hooks st =
     else
       let allowed =
         match hooks with
-        | Some h -> h.filter ~step:st.step ~pending:(pending st.slots) ~runnable:pids
+        | Some h -> h.filter ~step:st.step ~pending:(pending st) ~runnable:pids
         | None -> pids
       in
       (* Under a relaxed memory model, enabled store-buffer flushes join
@@ -321,38 +319,34 @@ let rec choices hooks st =
            recovery or window expiry can still unblock the run. *)
         match hooks with
         | Some h when h.may_unblock ~step:st.step ->
-          choices hooks { st with step = st.step + 1; fuel = st.fuel - 1 }
+          poll ?hooks { st with step = st.step + 1; fuel = st.fuel - 1 }
         | Some _ | None -> (st, Stop false))
       | ids -> (st, Pick ids))
 
-(* Execute the chosen step, then settle the stepped slot, so the outcome
-   says whether the step crossed an operation boundary: a response
-   published or a give-up, including a zero-cost operation the slot
-   started and finished on local steps. *)
-let step hooks st ~choices chosen =
+(* Execute the chosen step, then settle the stepped slot, so that
+   [boundary] sees a zero-cost operation the slot started and finished on
+   local steps too. *)
+let step ?hooks st ~choices chosen =
   if tracing () then
     trace (Lb_observe.Event.Sched { step = st.step; chosen; runnable = choices });
   let d = draft st in
-  let invocation =
-    if chosen >= st.cfg.n then begin
-      let pid, reg = Semantics.flush_of_id ~n:st.cfg.n chosen in
-      Memory.flush st.cfg.memory ~pid ~reg;
-      None
-    end
-    else
-      let slot = st.slots.(chosen) in
-      match slot.current with
-      | None -> assert false
-      | Some a ->
-        exec d slot a;
-        (match hooks with Some h -> h.note_step ~step:st.step ~pid:chosen | None -> ());
-        settle d chosen;
-        Program.pending_op a.program
-  in
-  let boundary =
-    d.d_records.stats != st.records.stats || d.d_records.failures != st.records.failures
-  in
-  (freeze d ~step:(st.step + 1) ~fuel:(st.fuel - 1), { chosen; invocation; boundary })
+  if chosen >= st.cfg.n then begin
+    let pid, reg = Semantics.flush_of_id ~n:st.cfg.n chosen in
+    Memory.flush st.cfg.memory ~pid ~reg
+  end
+  else begin
+    let slot = st.slots.(chosen) in
+    match slot.current with
+    | None -> assert false
+    | Some a ->
+      exec d slot a;
+      (match hooks with Some h -> h.note_step ~step:st.step ~pid:chosen | None -> ());
+      settle d chosen
+  end;
+  freeze d ~step:(st.step + 1) ~fuel:(st.fuel - 1)
+
+let boundary before after =
+  after.records.stats != before.records.stats || after.records.failures != before.records.failures
 
 let no_records = { stats = []; failures = []; restarts = 0; restarted = [] }
 
@@ -369,20 +363,6 @@ let start ~memory ~handle ~n ~ops ?(assignment = Coin.constant 0) ?fuel () =
   let total_ops = Array.fold_left (fun acc s -> acc + List.length s.queue + 1) 0 d.d_slots in
   let default_fuel = 64 * total_ops * (n + Adt_tree.levels n + 8) in
   freeze d ~step:0 ~fuel:(Option.value ~default:default_fuel fuel)
-
-let drive ?hooks ~observe ~scheduler st =
-  let rec go st =
-    match choices hooks st with
-    | st, Stop completed -> (st, completed)
-    | st, Pick ids -> (
-      match scheduler ~step:st.step ~runnable:ids with
-      | None -> (st, false)
-      | Some chosen ->
-        let st, outcome = step hooks st ~choices:ids chosen in
-        observe st outcome;
-        go st)
-  in
-  go st
 
 let finish st ~completed =
   (* Operations still holding a slot when the run stopped (a crash-stopped
@@ -449,9 +429,15 @@ let finish st ~completed =
 
 let run_handle ~memory ~handle ~n ~ops ?(scheduler = Scheduler.round_robin) ?assignment ?fuel
     ?hooks () =
-  let st = start ~memory ~handle ~n ~ops ?assignment ?fuel () in
-  let st, completed = drive ?hooks ~observe:(fun _ _ -> ()) ~scheduler st in
-  finish st ~completed
+  let rec go st =
+    match poll ?hooks st with
+    | st, Stop completed -> finish st ~completed
+    | st, Pick ids -> (
+      match scheduler ~step:st.step ~runnable:ids with
+      | None -> finish st ~completed:false
+      | Some chosen -> go (step ?hooks st ~choices:ids chosen))
+  in
+  go (start ~memory ~handle ~n ~ops ?assignment ?fuel ())
 
 let run ~construction ~spec ~n ~ops ?scheduler ?fuel ?hooks () =
   let layout = Layout.create () in

@@ -102,15 +102,14 @@ type result = {
 
     A run is a value of type {!state}: the programs in flight, the clock,
     the records so far, the step and fuel counters.  {!start} makes the
-    initial one, {!drive} runs it to its end and {!finish} turns the final
-    one into a {!result} — {!run_handle} is exactly those three calls.  A
+    initial one, {!poll} and {!step} move it and {!finish} turns the final
+    one into a {!result}; {!run_handle} loops those under a scheduler.  A
     state is immutable, so a runner can keep the states a run passes
-    through and later {!drive} one of them again: the run continues from
-    there as if it had been replayed to that point, provided the runner
-    also puts back the memory ({!Lb_memory.Memory.checkpoint}) and the
-    handle's local state ([Iface.handle.snapshot]) as they were.  The
-    conformance certifier does this to resume each schedule where it
-    leaves the previous one. *)
+    through and later continue from one of them as if the run had been
+    replayed to that point, provided it also puts back the memory
+    ({!Lb_memory.Memory.checkpoint}) and the handle's local state
+    ([Iface.handle.snapshot]) as they were.  The conformance certifier does
+    this to resume each schedule where it leaves the previous one. *)
 
 type state
 
@@ -125,28 +124,30 @@ val start :
   state
 (** The initial state: every process has invoked its first operation. *)
 
-type outcome = {
-  chosen : int;  (** the pid (or flush pseudo-pid) that stepped. *)
-  invocation : Op.invocation option;
-      (** the shared-memory operation it executed; [None] for a flush. *)
-  boundary : bool;
-      (** the step published a response or a give-up — an operation
-          boundary, whose order against other steps the history records. *)
-}
+type next =
+  | Pick of int list  (** the ids the scheduler may choose from. *)
+  | Stop of bool  (** the run is over; [true] if every operation responded. *)
 
-val drive :
-  ?hooks:fault_hooks ->
-  observe:(state -> outcome -> unit) ->
-  scheduler:Scheduler.choice ->
-  state ->
-  state * bool
-(** Run from [state] until every operation has responded ([true]) or the
-    run stops short — fuel exhausted, the scheduler returned [None], or
-    everyone left is blocked for good ([false]).  [observe] sees the state
-    after each step with that step's outcome. *)
+val poll : ?hooks:fault_hooks -> state -> state * next
+(** Everything before a scheduling decision — crash-recovery restarts,
+    each process's local coin tosses, idle ticks while only a fault keeps
+    everyone blocked — then the choice set.  At quiescence the remaining
+    buffered stores drain. *)
+
+val step : ?hooks:fault_hooks -> state -> choices:int list -> int -> state
+(** Execute the chosen id, one of the [choices] {!poll} offered: a pid's
+    next shared-memory operation, or a flush pseudo-pid's buffered
+    write. *)
+
+val pending : state -> int -> Op.invocation option
+(** The shared-memory operation the pid executes when it next steps. *)
+
+val boundary : state -> state -> bool
+(** [boundary st (step st ~choices id)]: the step published a response or a
+    give-up, whose order against other steps the history records. *)
 
 val finish : state -> completed:bool -> result
-(** The run's record, from the final state and {!drive}'s flag. *)
+(** The run's record, from the final state and {!poll}'s flag. *)
 
 val run_handle :
   memory:Memory.t ->

@@ -674,8 +674,8 @@ let test_full_iter_store_buffering () =
    full interleaving count to 74 schedules; DPOR covers the identical
    outcome set in 64.  The reduction is modest here by design — SB is all
    conflicts (every step touches a register the other process reads), and
-   the mandatory flush-absorption siblings (Sched_tree.also) add branches
-   plain DPOR would not — but a drop in either number is a reduction
+   the mandatory flush-absorption siblings (a step's [absorbed] ids) add
+   branches plain DPOR would not — but a drop in either number is a reduction
    improvement worth noticing and a rise is a regression. *)
 let test_dpor_relaxed_reduction_pinned () =
   let inits = [ (0, Value.Int 0); (1, Value.Int 0) ] in
@@ -731,52 +731,56 @@ let render_event = function
 
 (* ---- re-arming a drained subtree ---- *)
 
-(* A runner straight over the Sched_tree oracle: process [p] performs the
-   footprints [procs.(p)] in order and nothing else, and after each step
-   marks the state with [key] of the program counters.  Returns the walk's
-   stats, every run in launch order — its pid trail, with " cut" when the
-   oracle aborted it — and the depth each run started at.  With [resume]
-   the runner saves a copy of its program counters and trail after every
-   step and starts each run with [Sched_tree.resume]; without it every run
-   replays from the root and starts at depth 0. *)
+(* A step machine for [Sched_tree.drive]: process [p] performs the
+   footprints [procs.(p)] in order and nothing else, and the dedup key of
+   a state is [key] of the program counters.  Returns the walk's stats,
+   every run in launch order — its pid trail, with " cut" when the oracle
+   aborted it — and the depth each run started at.  With [resume] the
+   machine's snapshot is its state (program counters and trail), so each
+   run resumes where its path leaves the previous run's; without it every
+   run replays from the root and starts at depth 0. *)
 let synthetic_walk ?bounds ?(resume = false) procs ~key =
   let n = Array.length procs in
-  let log = ref [] in
-  let starts = ref [] in
-  let pc = Array.make n 0 in
-  let trail = Buffer.create 16 in
-  let run sched =
-    Array.fill pc 0 n 0;
-    Buffer.clear trail;
-    if resume then ignore (Sched_tree.resume sched);
-    starts := Buffer.length trail :: !starts;
-    let rec go step =
-      let enabled =
-        List.filter (fun p -> pc.(p) < Array.length procs.(p)) (List.init n Fun.id)
-      in
-      if enabled = [] then Some (Buffer.contents trail)
-      else
-        match Sched_tree.choose sched ~step ~enabled with
-        | None -> None
-        | Some p ->
-          ignore (Sched_tree.commit sched ~fp:procs.(p).(pc.(p)) ~branches:1);
-          pc.(p) <- pc.(p) + 1;
-          Buffer.add_string trail (string_of_int p);
-          Sched_tree.mark sched ~key:(key pc);
-          if resume then begin
-            let saved = Array.copy pc and so_far = Buffer.contents trail in
-            Sched_tree.save sched (fun () ->
-                Array.blit saved 0 pc 0 n;
-                Buffer.clear trail;
-                Buffer.add_string trail so_far)
-          end;
-          go (step + 1)
-    in
-    let result = go (Buffer.length trail) in
-    log := (Buffer.contents trail ^ if result = None then " cut" else "") :: !log;
-    result
+  let log = ref [] and starts = ref [] in
+  (* The run in progress: its trail so far and whether it completed. *)
+  let current = ref None in
+  let close () =
+    Option.iter
+      (fun (trail, completed) -> log := (if completed then trail else trail ^ " cut") :: !log)
+      !current;
+    current := None
   in
-  let stats = Sched_tree.explore ?bounds ~run ~f:(fun _ -> true) () in
+  let machine =
+    {
+      Sched_tree.reset =
+        (fun () ->
+          close ();
+          (Array.make n 0, ""));
+      poll =
+        (fun ((pc, trail) as s) ->
+          if !current = None then starts := String.length trail :: !starts;
+          let enabled =
+            List.filter (fun p -> pc.(p) < Array.length procs.(p)) (List.init n Fun.id)
+          in
+          current := Some (trail, enabled = []);
+          (s, if enabled = [] then Sched_tree.Finished true else Sched_tree.Enabled enabled));
+      exec =
+        (fun (pc, trail) ~enabled:_ p ->
+          let pc' = Array.copy pc in
+          pc'.(p) <- pc.(p) + 1;
+          {
+            Sched_tree.fp = procs.(p).(pc.(p));
+            branches = 1;
+            absorbed = [];
+            next = (fun _ -> (pc', trail ^ string_of_int p));
+          });
+      key = Some (fun (pc, _) -> key pc);
+      snapshot = (if resume then Some (fun s () -> s) else None);
+      judge = (fun _ _ -> ());
+    }
+  in
+  let stats = Sched_tree.drive ?bounds machine ~f:(fun () -> true) () in
+  close ();
   (stats, List.rev !log, List.rev !starts)
 
 (* A todo can land in a subtree the walk has already drained: a run cut at
