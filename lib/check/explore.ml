@@ -199,60 +199,125 @@ let update_summary summary chrono_events =
       | Before _, Flushed _ -> s)
     summary chrono_events
 
-type state_key =
+type history = (Op.invocation * Op.response * int list) list
+
+(* A dedup key with each process's history in representation ['h]: the
+   whole list in a {!state_key}, a hash-consed id in a walk's table. *)
+type 'h key =
   ((int * (Value.t * Ids.t)) list * (int * (int * Value.t) list) list)
-  * (int * (Op.invocation * Op.response * int list) list) list
+  * (int * 'h) list
   * summary
+
+type state_key = history key
 
 (* Every node folds a tag and its contents into the accumulator, as in
    [Value.hash]; every list folds a start and an end tag, so moving an
    element across a list boundary changes the hash. *)
-let hash_state_key (((regs, buffers), hists, summary) : state_key) =
-  let mix h x = (h * 65599) + x in
-  let list f h l = mix (List.fold_left f (mix h 1) l) 15 in
-  let value h v = mix h (Value.hash v) in
-  let invocation h = function
-    | Op.Ll r -> mix (mix h 2) r
-    | Op.Sc (r, v) -> value (mix (mix h 3) r) v
-    | Op.Validate r -> mix (mix h 4) r
-    | Op.Swap (r, v) -> value (mix (mix h 5) r) v
-    | Op.Move (src, dst) -> mix (mix (mix h 6) src) dst
-    | Op.Write (r, v) -> value (mix (mix h 7) r) v
-    | Op.Fence -> mix h 8
-  in
-  let response h = function
-    | Op.Value v -> value (mix h 9) v
-    | Op.Flagged (flag, v) -> value (mix h (if flag then 10 else 11)) v
-    | Op.Ack -> mix h 12
-  in
+let mix h x = (h * 65599) + x
+let list f h l = mix (List.fold_left f (mix h 1) l) 15
+let value h v = mix h (Value.hash v)
+
+let invocation h = function
+  | Op.Ll r -> mix (mix h 2) r
+  | Op.Sc (r, v) -> value (mix (mix h 3) r) v
+  | Op.Validate r -> mix (mix h 4) r
+  | Op.Swap (r, v) -> value (mix (mix h 5) r) v
+  | Op.Move (src, dst) -> mix (mix (mix h 6) src) dst
+  | Op.Write (r, v) -> value (mix (mix h 7) r) v
+  | Op.Fence -> mix h 8
+
+let response h = function
+  | Op.Value v -> value (mix h 9) v
+  | Op.Flagged (flag, v) -> value (mix h (if flag then 10 else 11)) v
+  | Op.Ack -> mix h 12
+
+(* A history's hash extends its tail's by the newest entry, so a
+   hash-consed history computes it from its parent's in one step. *)
+let empty_history_hash = 16
+
+let extend_hash h (inv, resp, outcomes) =
+  list mix (response (invocation (mix h 17) inv) resp) outcomes
+
+let hash_history es = List.fold_right (fun e h -> extend_hash h e) es empty_history_hash
+
+(* The one key hash, over any history representation whose hash
+   [history] gives. *)
+let hash_key history (((regs, buffers), hists, summary) : _ key) =
   let h = list (fun h (r, (v, ps)) -> mix (value (mix h r) v) (Ids.hash ps)) 0 regs in
   let write h (r, v) = value (mix h r) v in
   let h = list (fun h (pid, writes) -> list write (mix h pid) writes) h buffers in
-  let h =
-    list
-      (fun h (pid, entries) ->
-        list
-          (fun h (inv, resp, outcomes) -> list mix (response (invocation h inv) resp) outcomes)
-          (mix h pid) entries)
-      h hists
-  in
+  let h = list (fun h (pid, es) -> mix (mix h pid) (history es)) h hists in
   Hashtbl.hash
     (match summary with
     | Before stepped -> mix (mix h 13) (Ids.hash stepped)
     | After stepped -> mix (mix h 14) (Ids.hash stepped))
+
+let hash_state_key key = hash_key hash_history key
+
+(* A walk's hash-consed histories: [extend parent entry] is the id of
+   history [entry :: parent], where [parent] is an id and id 0 is the
+   empty history.  Ids are equal exactly when the histories are, and a
+   history's hash is its {!hash_history}, so an id key hashes and compares
+   as its full {!state_key} would.  [full] rebuilds the list of an id. *)
+type histories = {
+  extend : int -> Op.invocation * Op.response * int list -> int;
+  hash : int -> int;
+  full : int -> history;
+}
+
+let new_histories () =
+  let module Tbl = Hashtbl.Make (struct
+    (* [(parent, entry, hash)]: the hash is a function of the others. *)
+    type t = int * (Op.invocation * Op.response * int list) * int
+
+    let equal (p, e, _) (p', e', _) = p = p' && e = e'
+    let hash (_, _, h) = h
+  end) in
+  let ids = Tbl.create 64 in
+  let hashes = ref (Array.make 64 empty_history_hash) and lists = ref (Array.make 64 []) in
+  let extend parent e =
+    let h = extend_hash !hashes.(parent) e in
+    match Tbl.find_opt ids (parent, e, h) with
+    | Some id -> id
+    | None ->
+      let id = Tbl.length ids + 1 in
+      if id = Array.length !hashes then begin
+        let grow a fill = Array.append a (Array.make (Array.length a) fill) in
+        hashes := grow !hashes 0;
+        lists := grow !lists []
+      end;
+      !hashes.(id) <- h;
+      !lists.(id) <- e :: !lists.(parent);
+      Tbl.add ids (parent, e, h) id;
+      id
+  in
+  { extend; hash = (fun id -> !hashes.(id)); full = (fun id -> !lists.(id)) }
 
 (* A DPOR walk's state between steps.  Every component is an immutable
    value (persistent memory and maps), so a state is its own snapshot. *)
 type 'a walk = {
   w_memory : Pure_memory.t;
   w_procs : 'a proc Pmap.t;
-  w_hists : (Op.invocation * Op.response * int list) list Pmap.t;
-      (* per pid, newest first; with the summary, the dedup key's past *)
+  w_hists : (int * int) list;
+      (* (pid, history id), ascending pid, for every pid past its initial
+         expansion; with the summary, the dedup key's past *)
   w_runnable : int list;
   w_summary : summary;
   w_events : 'a event list;  (* newest first *)
   w_expanded : int;  (* processes past their initial expansion *)
 }
+
+(* [hists] with [pid]'s history id set to [id]. *)
+let rec set_history pid id = function
+  | [] -> [ (pid, id) ]
+  | ((p, _) as b) :: rest ->
+    if p = pid then (pid, id) :: rest
+    else if p > pid then (pid, id) :: b :: rest
+    else b :: set_history pid id rest
+
+let rec history_of pid = function
+  | [] -> 0
+  | (p, id) :: rest -> if p = pid then id else history_of pid rest
 
 (* A step whose expansion returns publishes a return: commuting it changes
    the wakeup summary. *)
@@ -279,7 +344,7 @@ let poll_walk ~n w =
    left to the scheduler tree: process [id]'s initial expansion (recorded
    in its history as a pseudo-step), a flush, or process [id]'s pending
    operation. *)
-let step_walk ~n ~coin_range ~program_of w id =
+let step_walk ~n ~coin_range ~program_of ~histories w id =
   (* [stepped] (chronological) is the step's event, if any; [branches]
      expand what follows it. *)
   let branch_to ?(absorbed = []) ~regs ~memory ~inv ~response ~stepped branches =
@@ -290,11 +355,11 @@ let step_walk ~n ~coin_range ~program_of w id =
       next =
         (fun b ->
           let proc, expand_events, outcomes = List.nth branches b in
-          let past = Option.value ~default:[] (Pmap.find_opt id w.w_hists) in
+          let hist = histories.extend (history_of id w.w_hists) (inv, response, outcomes) in
           {
             w_memory = memory;
             w_procs = Pmap.add id proc w.w_procs;
-            w_hists = Pmap.add id ((inv, response, outcomes) :: past) w.w_hists;
+            w_hists = set_history id hist w.w_hists;
             w_runnable =
               (match proc with
               | Done _ -> remove_runnable id w.w_runnable
@@ -344,21 +409,23 @@ let step_walk ~n ~coin_range ~program_of w id =
         (expand coin_range id (k response))
 
 (* [on_state] sees each distinct dedup key once, when it is interned. *)
-let walk_dpor ~on_state ~n ~program_of ?(inits = []) ?(coin_range = [ 0 ])
+let walk_dpor ?on_state ~n ~program_of ?(inits = []) ?(coin_range = [ 0 ])
     ?(model = Memory_model.SC) ?(bounds = Sched_tree.no_bounds) ?(dedup = true)
     ?(max_runs = 200_000) ~f () =
   if coin_range = [] then invalid_arg "Explore.iter_dpor: empty coin range";
+  let histories = new_histories () in
   (* Each distinct state key is interned once into a dense id, which is
-     all the scheduler tree's tables ever hash or compare.  The full-
-     structure hash matters: the generic one reads only the first ten
-     meaningful words of a key, and the keys of one walk mostly differ
-     deeper than that. *)
+     all the scheduler tree's tables ever hash or compare.  The key holds
+     history ids, so hashing it reads each history's stored hash and a hit
+     compares ints; the memory part still counts in full: the generic
+     hash reads only the first ten meaningful words of a key, and the keys
+     of one walk mostly differ deeper than that. *)
   let intern =
     let module Keys = Hashtbl.Make (struct
-      type t = state_key
+      type t = int key
 
       let equal = ( = )
-      let hash = hash_state_key
+      let hash = hash_key histories.hash
     end) in
     let ids = Keys.create 16 in
     fun key ->
@@ -367,14 +434,22 @@ let walk_dpor ~on_state ~n ~program_of ?(inits = []) ?(coin_range = [ 0 ])
       | None ->
         let id = Keys.length ids in
         Keys.add ids key id;
-        on_state key;
+        Option.iter
+          (fun on_state ->
+            let memory, hists, summary = key in
+            let full = (memory, List.map (fun (pid, h) -> (pid, histories.full h)) hists, summary) in
+            (* The walk's hash is the full key's, so the spread measured
+               on full keys is the table's. *)
+            assert (hash_state_key full = hash_key histories.hash key);
+            on_state full)
+          on_state;
         id
   in
   let initial =
     {
       w_memory = Pure_memory.create ~inits ~model ();
       w_procs = Pmap.empty;
-      w_hists = Pmap.empty;
+      w_hists = [];
       w_runnable = [];
       w_summary = Before Ids.empty;
       w_events = [];
@@ -385,14 +460,12 @@ let walk_dpor ~on_state ~n ~program_of ?(inits = []) ?(coin_range = [ 0 ])
      continuation closures are incomparable, but the per-pid histories of
      (invocation, response, coin outcomes) determine them, and the summary
      holds the outcome-relevant past. *)
-  let key w =
-    intern (Pure_memory.canonical_full w.w_memory, Pmap.bindings w.w_hists, w.w_summary)
-  in
+  let key w = intern (Pure_memory.canonical_full w.w_memory, w.w_hists, w.w_summary) in
   let machine =
     {
       Sched_tree.reset = (fun () -> initial);
       poll = poll_walk ~n;
-      exec = (fun w ~enabled:_ id -> step_walk ~n ~coin_range ~program_of w id);
+      exec = (fun w ~enabled:_ id -> step_walk ~n ~coin_range ~program_of ~histories w id);
       key = (if dedup then Some key else None);
       snapshot = Some (fun w () -> w);
       judge = (fun w _ -> { events = List.rev w.w_events; results = results_of w.w_procs });
@@ -407,8 +480,7 @@ let walk_dpor ~on_state ~n ~program_of ?(inits = []) ?(coin_range = [ 0 ])
   with Sched_tree.Schedule_limit k -> raise (Limit_exceeded k)
 
 let iter_dpor ~n ~program_of ?inits ?coin_range ?model ?bounds ?dedup ?max_runs ~f () =
-  walk_dpor ~on_state:ignore ~n ~program_of ?inits ?coin_range ?model ?bounds ?dedup
-    ?max_runs ~f ()
+  walk_dpor ~n ~program_of ?inits ?coin_range ?model ?bounds ?dedup ?max_runs ~f ()
 
 let dpor_state_keys ~n ~program_of ?inits ?coin_range ?model ?max_runs () =
   let keys = ref [] in

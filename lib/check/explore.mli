@@ -173,8 +173,10 @@ val iter_dpor :
 
     With [dedup] on, {!iter_dpor} marks every state it reaches with a
     {!state_key} and passes the scheduler tree a dense [int] id for it:
-    each walk interns its keys in a table of its own, hashed by
-    {!hash_state_key} and compared by structural equality. *)
+    each walk interns its keys in a table of its own.  The table holds
+    each history as a hash-consed [int] id — equal ids exactly for equal
+    histories — so it merges the states structural equality on
+    {!state_key} would, and hashes each key to its {!hash_state_key}. *)
 
 type summary = Before of Ids.t | After of Ids.t
 (** The processes that stepped before the first [Returned (_, 1)] —
@@ -207,7 +209,8 @@ val dpor_state_keys :
   unit ->
   state_key list
 (** The distinct keys an [iter_dpor ~dedup:true] walk interns, in first
-    visit order — the states its dedup table holds. *)
+    visit order — the states its dedup table holds, each rebuilt in full
+    from the walk's history ids. *)
 
 val for_all_dpor :
   n:int ->

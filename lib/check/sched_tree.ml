@@ -78,19 +78,20 @@ and edge = {
    to occur below it, and the runs that were cut at it — each cut run's
    prefix must be re-raced against summary entries that arrive later.
    Summary entries are interned ids (see [entries]): [v_sum] keeps them in
-   arrival order, [v_has] is the same set as a bitset. *)
-type 'k vent = {
+   arrival order, [v_has] is the same set as a bitset.  A run's marks and
+   cut point at these records, so its summary pass looks up no key. *)
+type vent = {
   mutable v_sleep : int list;
   mutable v_sum : int list;
   mutable v_has : Bytes.t;
-  mutable v_subs : 'k sub list;
+  mutable v_subs : sub list;
 }
 
-and 'k sub = {
+and sub = {
   s_trace : tstep array;
   s_nodes : node array;
   s_virtual : int -> fp -> int list;  (* the trace's [analysis.virtual_races] *)
-  s_marks : ('k * int) list;
+  s_marks : (vent * int) list;
 }
 
 (* The summary entries of one [explore] call: each distinct [(pid, fp)]
@@ -144,19 +145,16 @@ let bit_add bits id =
   bits
 
 (* What a run leaves for the next one to resume from (see [resume]): its
-   trace, its marks and its saved restore thunks as (depth, thunk), both
-   deepest first.  A cut run's cut key is not among the marks, and need
-   not be: the next run cannot resume as deep as the cut, because the cut
-   run's last step leads to no tree node yet, so no todo lies there. *)
-type 'k past = {
-  p_trace : tstep array;
-  p_marks : ('k * int) list;
-  p_saves : (int * (unit -> unit)) list;
-}
+   trace, its marks and its saved states as (depth, save), both deepest
+   first.  A cut run's cut state is not among the marks, and need not be:
+   the next run cannot resume as deep as the cut, because the cut run's
+   last step leads to no tree node yet, so no todo lies there. *)
+type 'v past = { p_trace : tstep array; p_marks : (vent * int) list; p_saves : (int * 'v) list }
 
-type 'k dpor = {
+(* The oracle of one run; ['v] is what its runner saves (see [drive]). *)
+type ('k, 'v) dpor = {
   d_bounds : bounds;
-  d_visited : ('k, 'k vent) Hashtbl.t;  (* canonical state -> bookkeeping *)
+  d_visited : ('k, vent) Hashtbl.t;  (* canonical state -> bookkeeping *)
   mutable d_prefix : (int * int) list;  (* (pid, branch) decisions to replay *)
   d_div_sleep : entry list;  (* sleep set in force at the divergence point *)
   mutable d_sleep : entry list;
@@ -166,17 +164,20 @@ type 'k dpor = {
   mutable d_last : int option;
   d_counts : (int, int) Hashtbl.t;
   mutable d_status : status;
-  mutable d_marks : ('k * int) list;  (* (state key, depth) along this run *)
-  mutable d_cut : 'k option;  (* the covered key this run was cut at *)
+  mutable d_marks : (vent * int) list;  (* (state, depth) along this run *)
+  mutable d_cut : vent option;  (* the covered state this run was cut at *)
   (* A successful [choose] parks (pid, enabled, prefix branch) here until
      the matching [commit] arrives with the footprint. *)
   mutable d_pending : (int * int list * int option) option;
-  mutable d_past : 'k past option;
+  mutable d_past : 'v past option;
       (* the previous run, when it saved anything, until [resume] used it *)
-  mutable d_saves : (int * (unit -> unit)) list;  (* deepest first *)
+  mutable d_saves : (int * 'v) list;  (* deepest first *)
 }
 
-type 'k sched = Dpor of 'k dpor | Sample of int | Replay of int list ref
+(* The runs of {!explore} save nothing. *)
+type nothing = |
+
+type 'k sched = Dpor of ('k, nothing) dpor | Sample of int | Replay of int list ref
 
 let sampler ~seed = Sample seed
 let replayer entries = Replay (ref entries)
@@ -199,6 +200,39 @@ let step_in_bounds d ~enabled p =
        let least = List.fold_left (fun m q -> min m (count d q)) max_int enabled in
        count d p + 1 - least <= dd)
 
+let choose_dpor d ~enabled =
+  if d.d_status <> Running then None
+  else begin
+    assert (d.d_pending = None);
+    match d.d_prefix with
+    | (pid, b) :: _ ->
+      if not (List.mem pid enabled) then
+        failwith "Sched_tree: divergent replay (prefix pid not enabled)";
+      d.d_pending <- Some (pid, enabled, Some b);
+      Some pid
+    | [] -> (
+      let awake = List.filter (fun p -> not (asleep d.d_sleep p)) enabled in
+      if awake = [] then begin
+        d.d_status <- Sleep_blocked;
+        None
+      end
+      else
+        match List.filter (step_in_bounds d ~enabled) awake with
+        | [] ->
+          d.d_status <- Bound_blocked;
+          None
+        | candidates ->
+          (* Prefer continuing the previous process: pre-emption-free by
+             construction, which keeps bounded exploration cheap. *)
+          let pid =
+            match d.d_last with
+            | Some q when List.mem q candidates -> q
+            | _ -> List.hd candidates
+          in
+          d.d_pending <- Some (pid, enabled, None);
+          Some pid)
+  end
+
 let choose (s : _ sched) ~step ~enabled =
   match s with
   | Sample seed ->
@@ -212,38 +246,7 @@ let choose (s : _ sched) ~step ~enabled =
         if List.mem pid enabled then Some pid else pick ()
     in
     pick ()
-  | Dpor d -> (
-    if d.d_status <> Running then None
-    else begin
-      assert (d.d_pending = None);
-      match d.d_prefix with
-      | (pid, b) :: _ ->
-        if not (List.mem pid enabled) then
-          failwith "Sched_tree: divergent replay (prefix pid not enabled)";
-        d.d_pending <- Some (pid, enabled, Some b);
-        Some pid
-      | [] -> (
-        let awake = List.filter (fun p -> not (asleep d.d_sleep p)) enabled in
-        if awake = [] then begin
-          d.d_status <- Sleep_blocked;
-          None
-        end
-        else
-          match List.filter (step_in_bounds d ~enabled) awake with
-          | [] ->
-            d.d_status <- Bound_blocked;
-            None
-          | candidates ->
-            (* Prefer continuing the previous process: pre-emption-free by
-               construction, which keeps bounded exploration cheap. *)
-            let pid =
-              match d.d_last with
-              | Some q when List.mem q candidates -> q
-              | _ -> List.hd candidates
-            in
-            d.d_pending <- Some (pid, enabled, None);
-            Some pid)
-    end)
+  | Dpor d -> choose_dpor d ~enabled
 
 (* Append step [t] to the run's trace and advance the bounds' counters:
    the bookkeeping [commit] and [resume] share. *)
@@ -256,40 +259,40 @@ let advance d t =
   Hashtbl.replace d.d_counts t.t_pid (count d t.t_pid + 1);
   d.d_depth <- d.d_depth + 1
 
+let commit_dpor d ~fp ~branches =
+  match d.d_pending with
+  | None -> invalid_arg "Sched_tree.commit: no choice pending"
+  | Some (pid, enabled, from_prefix) ->
+    d.d_pending <- None;
+    let branch = match from_prefix with Some b -> b | None -> 0 in
+    let at_divergence =
+      from_prefix <> None && List.compare_length_with d.d_prefix 1 = 0
+    in
+    let sleep_before =
+      match from_prefix with
+      | None -> d.d_sleep
+      | Some _ -> if at_divergence then d.d_div_sleep else []
+    in
+    advance d
+      {
+        t_pid = pid;
+        t_branch = branch;
+        t_branches = branches;
+        t_fp = fp;
+        t_enabled = enabled;
+        t_sleep = sleep_before;
+        t_preempts = d.d_preempts;
+        t_also = [];
+      };
+    (match from_prefix with
+    | Some _ ->
+      d.d_prefix <- List.tl d.d_prefix;
+      if d.d_prefix = [] then d.d_sleep <- wake d.d_div_sleep fp
+    | None -> d.d_sleep <- wake d.d_sleep fp);
+    branch
+
 let commit (s : _ sched) ~fp ~branches =
-  match s with
-  | Sample _ | Replay _ -> 0
-  | Dpor d -> (
-    match d.d_pending with
-    | None -> invalid_arg "Sched_tree.commit: no choice pending"
-    | Some (pid, enabled, from_prefix) ->
-      d.d_pending <- None;
-      let branch = match from_prefix with Some b -> b | None -> 0 in
-      let at_divergence =
-        from_prefix <> None && List.compare_length_with d.d_prefix 1 = 0
-      in
-      let sleep_before =
-        match from_prefix with
-        | None -> d.d_sleep
-        | Some _ -> if at_divergence then d.d_div_sleep else []
-      in
-      advance d
-        {
-          t_pid = pid;
-          t_branch = branch;
-          t_branches = branches;
-          t_fp = fp;
-          t_enabled = enabled;
-          t_sleep = sleep_before;
-          t_preempts = d.d_preempts;
-          t_also = [];
-        };
-      (match from_prefix with
-      | Some _ ->
-        d.d_prefix <- List.tl d.d_prefix;
-        if d.d_prefix = [] then d.d_sleep <- wake d.d_div_sleep fp
-      | None -> d.d_sleep <- wake d.d_sleep fp);
-      branch)
+  match s with Sample _ | Replay _ -> 0 | Dpor d -> commit_dpor d ~fp ~branches
 
 (* Declare [pid] a mandatory sibling of the step just committed: a
    decision whose effect the step absorbed (see [stepped.absorbed]). *)
@@ -308,21 +311,22 @@ let mark d key =
          but this run's continuation still lies below it, so remember the
          position for the summary pass.  A resumed prefix never gets
          here: [resume] restores these positions from the previous run. *)
-      d.d_marks <- (key, d.d_depth) :: d.d_marks
+      d.d_marks <- (Hashtbl.find d.d_visited key, d.d_depth) :: d.d_marks
     else begin
       let current = List.map (fun e -> e.sl_pid) d.d_sleep in
       match Hashtbl.find_opt d.d_visited key with
       | Some v when List.for_all (fun p -> List.mem p current) v.v_sleep ->
         d.d_status <- Deduped;
-        d.d_cut <- Some key
+        d.d_cut <- Some v
       | Some v ->
         (* Godefroid's revisit rule: re-explore, remembering the weaker
            (intersected) sleep set for future visits. *)
         v.v_sleep <- List.filter (fun p -> List.mem p current) v.v_sleep;
-        d.d_marks <- (key, d.d_depth) :: d.d_marks
+        d.d_marks <- (v, d.d_depth) :: d.d_marks
       | None ->
-        Hashtbl.add d.d_visited key (new_vent current);
-        d.d_marks <- (key, d.d_depth) :: d.d_marks
+        let v = new_vent current in
+        Hashtbl.add d.d_visited key v;
+        d.d_marks <- (v, d.d_depth) :: d.d_marks
     end
   end
 
@@ -331,15 +335,15 @@ let interrupted (s : _ sched) =
 
 let rec drop_while f = function x :: rest when f x -> drop_while f rest | l -> l
 
-(* Skip the previous run's shared prefix instead of replaying it: restore
-   the deepest saved depth this run's prefix shares with the previous
-   trace, short of the divergence decision, and leave the oracle as
-   replaying that far would — prefix steps record an empty sleep set, and
-   [mark] would have recorded the previous run's positions.  [false] when
-   nothing was restored. *)
+(* Skip the previous run's shared prefix instead of replaying it: return
+   the deepest save this run's prefix shares with the previous trace,
+   short of the divergence decision, and leave the oracle as replaying
+   that far would — prefix steps record an empty sleep set, and [mark]
+   would have recorded the previous run's positions.  [None] when no save
+   applies. *)
 let resume d =
   match d.d_past with
-  | None -> false
+  | None -> None
   | Some p -> (
     (* Only this call reads the past: dropping it lets the saves deeper
        than the resumed depth go while this run executes. *)
@@ -353,9 +357,8 @@ let resume d =
     in
     let upto = shared 0 d.d_prefix in
     match drop_while (fun (k, _) -> k > upto) p.p_saves with
-    | [] -> false
-    | (depth, restore) :: _ as saves ->
-      restore ();
+    | [] -> None
+    | (depth, save) :: _ as saves ->
       d.d_saves <- saves;
       d.d_marks <- drop_while (fun (_, k) -> k > depth) p.p_marks;
       for i = 0 to depth - 1 do
@@ -363,7 +366,7 @@ let resume d =
         advance d (if t.t_sleep = [] then t else { t with t_sleep = [] })
       done;
       d.d_prefix <- List.filteri (fun i _ -> i >= depth) d.d_prefix;
-      true)
+      Some save)
 
 (* ---- the persistent scheduler tree: operations ---- *)
 
@@ -749,71 +752,89 @@ let virtual_backtracks counters bounds nodes trace virtual_races entries ids =
       List.iter (fun i -> request counters bounds nodes trace i q) (virtual_races q fq))
     ids
 
-let find_vent visited k =
-  match Hashtbl.find_opt visited k with
-  | Some v -> v
-  | None ->
-    let v = new_vent [] in
-    Hashtbl.add visited k v;
-    v
+(* Whether the bitset [a] is a subset of [b]. *)
+let bit_subset a b =
+  let la = Bytes.length a and lb = Bytes.length b in
+  let rec go i =
+    i = la
+    ||
+    let x = Char.code (Bytes.get a i) in
+    x land lnot (if i < lb then Char.code (Bytes.get b i) else 0) = 0 && go (i + 1)
+  in
+  go 0
 
-(* Grow the summary of [key] by the entries [ids], firing the virtual race
-   pass of every run cut at [key] and propagating to the summaries of each
+(* Grow the summary of [v] by the entries [ids], firing the virtual race
+   pass of every run cut at [v] and propagating to the summaries of each
    such run's own ancestors, to a fixpoint (summaries grow monotonically
    within a finite footprint universe, so this terminates).  [ids] never
    repeats an entry (every caller passes a suffix list or a summary), so
-   one bit test per entry finds the fresh ones. *)
-let add_sum visited entries counters bounds key ids =
-  let queue = Queue.create () in
-  Queue.add (key, ids) queue;
-  while not (Queue.is_empty queue) do
-    let k, es = Queue.pop queue in
-    let v = find_vent visited k in
-    let fresh = List.filter (fun e -> not (bit_mem v.v_has e)) es in
-    if fresh <> [] then begin
-      v.v_sum <- v.v_sum @ fresh;
-      v.v_has <- List.fold_left bit_add v.v_has fresh;
-      List.iter
-        (fun sub ->
-          virtual_backtracks counters bounds sub.s_nodes sub.s_trace sub.s_virtual entries fresh;
-          List.iter (fun (k', _) -> Queue.add (k', fresh) queue) sub.s_marks)
-        v.v_subs
-    end
-  done
+   one bit test per entry finds the fresh ones.  Nearly every call brings
+   nothing fresh, so that case returns before the queue exists. *)
+let add_sum entries counters bounds v ids =
+  if List.exists (fun e -> not (bit_mem v.v_has e)) ids then begin
+    let queue = Queue.create () in
+    Queue.add (v, ids) queue;
+    while not (Queue.is_empty queue) do
+      let v, es = Queue.pop queue in
+      let fresh = List.filter (fun e -> not (bit_mem v.v_has e)) es in
+      if fresh <> [] then begin
+        v.v_sum <- v.v_sum @ fresh;
+        v.v_has <- List.fold_left bit_add v.v_has fresh;
+        List.iter
+          (fun sub ->
+            virtual_backtracks counters bounds sub.s_nodes sub.s_trace sub.s_virtual entries fresh;
+            List.iter (fun (v', _) -> Queue.add (v', fresh) queue) sub.s_marks)
+          v.v_subs
+      end
+    done
+  end
 
-(* [suffixes entries trace] maps each depth [i] to the distinct entries of
-   [trace.(i..)], ordered by last occurrence — one backward sweep, and
-   consecutive suffixes share their tails. *)
-let suffixes entries trace =
+(* [suffixes entries trace div] maps each depth [i >= div] to the distinct
+   entries of [trace.(i..)], ordered by last occurrence, at index
+   [i - div] — one backward sweep down to [div], and consecutive suffixes
+   share their tails. *)
+let suffixes entries trace div =
   let len = Array.length trace in
-  let suf = Array.make (len + 1) [] in
+  let suf = Array.make (len - div + 1) [] in
   let seen = ref Bytes.empty in
-  for j = len - 1 downto 0 do
+  for j = len - 1 downto div do
     let id = entries.intern trace.(j).t_pid trace.(j).t_fp in
-    if bit_mem !seen id then suf.(j) <- suf.(j + 1)
+    if bit_mem !seen id then suf.(j - div) <- suf.(j - div + 1)
     else begin
       seen := bit_add !seen id;
-      suf.(j) <- id :: suf.(j + 1)
+      suf.(j - div) <- id :: suf.(j - div + 1)
     end
   done;
   suf
 
 (* The per-run summary pass: every marked state along the trace learns the
-   steps that followed it; a run cut at a covered state [k] additionally
-   learns [k]'s summarized continuation (everything below [k] counts as
+   steps that followed it; a run cut at a covered state [v] additionally
+   learns [v]'s summarized continuation (everything below [v] counts as
    below each of its own ancestors too), races its prefix against that
-   summary now, and subscribes for entries [k] gains later. *)
-let update_summaries visited entries counters bounds nodes trace virtual_races marks cut =
-  let suf = suffixes entries trace in
-  List.iter (fun (k, i) -> add_sum visited entries counters bounds k suf.(i)) marks;
+   summary now, and subscribes for entries [v] gains later.
+
+   [div] is the run's divergence depth: its first [div] steps are the
+   path of an earlier run, which marked the same states at the same
+   depths and so already gave each mark at depth [i < div] every entry of
+   [trace.(i .. div-1)].  The distinct entries of [trace.(i..)], by last
+   occurrence, are those last occurring in [i .. div-1] followed by the
+   suffix from [div]; the first part is not fresh, so such a mark gets the
+   suffix from [div] alone — the same fresh entries in the same order.
+   Likewise an ancestor whose summary already covers [v]'s gains nothing
+   from it, which one bitset test shows. *)
+let update_summaries entries counters bounds nodes trace virtual_races marks cut ~div =
+  let suf = suffixes entries trace div in
+  List.iter (fun (v, i) -> add_sum entries counters bounds v suf.(max 0 (i - div))) marks;
   match cut with
   | None -> ()
-  | Some k ->
-    let v = find_vent visited k in
+  | Some v ->
     let sub = { s_trace = trace; s_nodes = nodes; s_virtual = virtual_races; s_marks = marks } in
     v.v_subs <- sub :: v.v_subs;
     virtual_backtracks counters bounds nodes trace virtual_races entries v.v_sum;
-    List.iter (fun (k', _) -> add_sum visited entries counters bounds k' v.v_sum) marks
+    List.iter
+      (fun (v', _) ->
+        if not (bit_subset v.v_has v'.v_has) then add_sum entries counters bounds v' v.v_sum)
+      marks
 
 (* The exhaustive walk: [run] executes one run under the oracle [d]. *)
 let walk ~bounds ~max_schedules ~run ~f =
@@ -870,8 +891,8 @@ let walk ~bounds ~max_schedules ~run ~f =
     let a = analyze (Array.map (fun t -> (t.t_pid, t.t_fp)) trace) in
     add_backtracks counters bounds nodes trace a;
     if d.d_marks <> [] || d.d_cut <> None then
-      update_summaries visited entries counters bounds nodes trace a.virtual_races d.d_marks
-        d.d_cut
+      update_summaries entries counters bounds nodes trace a.virtual_races d.d_marks d.d_cut
+        ~div:(min (max 0 (List.length prefix - 1)) (Array.length trace))
   in
   exec [] [];
   (match !root with
@@ -907,7 +928,7 @@ let explore ?(bounds = no_bounds) ?(max_schedules = 200_000) ~run ~f () =
 
 (* ---- the step-machine runner ---- *)
 
-type poll = Enabled of int list | Finished of bool
+type poll = Scheduler.poll = Enabled of int list | Finished of bool
 type 's stepped = { fp : fp; branches : int; absorbed : int list; next : int -> 's }
 
 type ('s, 'k, 'r) machine = {
@@ -921,31 +942,27 @@ type ('s, 'k, 'r) machine = {
 
 (* The oracle protocol, once: reset, resume, then choose, commit, absorb,
    mark and save at every step until the machine finishes or the oracle
-   aborts the run.  A saved state goes into the tree type-erased, as a
-   thunk that puts it back into [resumed]. *)
+   aborts the run.  The saves are the machine's snapshot thunks. *)
 let drive ?(bounds = no_bounds) ?(max_schedules = 200_000) m ~f () =
-  let resumed = ref None in
   let run d =
-    let sched = Dpor d in
     let rec go s =
       match m.poll s with
       | s, Finished completed -> Some (m.judge s completed)
       | s, Enabled enabled -> (
-        match choose sched ~step:d.d_depth ~enabled with
+        match choose_dpor d ~enabled with
         | None -> None
         | Some id ->
           let st = m.exec s ~enabled id in
-          let s = st.next (commit sched ~fp:st.fp ~branches:st.branches) in
+          let s = st.next (commit_dpor d ~fp:st.fp ~branches:st.branches) in
           if st.absorbed <> [] then List.iter (absorb d) st.absorbed;
           (match m.key with Some key -> mark d (key s) | None -> ());
           (match m.snapshot with
           | Some snapshot when d.d_status = Running ->
-            let back = snapshot s in
-            d.d_saves <- (d.d_depth, fun () -> resumed := Some (back ())) :: d.d_saves
+            d.d_saves <- (d.d_depth, snapshot s) :: d.d_saves
           | _ -> ());
           go s)
     in
     let s = m.reset () in
-    go (if resume d then Option.get !resumed else s)
+    go (match resume d with Some back -> back () | None -> s)
   in
   walk ~bounds ~max_schedules ~run ~f

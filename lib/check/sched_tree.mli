@@ -156,7 +156,7 @@ val explore :
 
 (** {1 The step-machine runner} *)
 
-type poll =
+type poll = Lb_runtime.Scheduler.poll =
   | Enabled of int list  (** the ids that may step next. *)
   | Finished of bool  (** the run is over; [true] if it completed. *)
 

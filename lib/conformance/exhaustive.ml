@@ -39,11 +39,14 @@ exception Inconclusive of string
    response published or a give-up — because commuting those changes
    history precedence and so possibly the verdict.
 
-   Under a pure plan a state's snapshot is a memory checkpoint and a handle
-   snapshot, so a run executes its divergence step and what follows, never
-   the prefix again.  Under an impure plan every step blocks and there is
-   no snapshot: the fault engine's state is not part of a state, so those
-   runs replay from the root. *)
+   A state is a {!Harness.state}; the memory, the handle and the schedule
+   so far live beside it, so a state's snapshot is a memory checkpoint, a
+   handle snapshot and the schedule, and a step allocates little beyond
+   the harness's own state.  Under a pure plan a run therefore executes
+   its divergence step and what follows, never the prefix again.  Under
+   an impure plan every step blocks and there is no snapshot: the fault
+   engine's state is not part of a state, so those runs replay from the
+   root. *)
 let machine ~construction ~ot ~plan ~model ~n ~ops ~seed ~max_states =
   let i = Fuzz.instance ~construction ~ot ~plan ~n ~ops ~seed ~model () in
   let memory = i.Fuzz.memory and handle = i.Fuzz.handle in
@@ -51,7 +54,8 @@ let machine ~construction ~ot ~plan ~model ~n ~ops ~seed ~max_states =
   let impure = not (pure plan) in
   (* The hooks of the run in progress: every run arms its own engine. *)
   let hooks = ref None in
-  (* A state is the harness state and the schedule so far, newest first. *)
+  (* The schedule so far, newest first. *)
+  let log = ref [] in
   {
     Sched_tree.reset =
       (fun () ->
@@ -60,14 +64,11 @@ let machine ~construction ~ot ~plan ~model ~n ~ops ~seed ~max_states =
         let engine = Fault_engine.instantiate ~seed plan in
         Fault_engine.arm engine memory;
         hooks := Some (Fault_engine.hooks engine);
-        (Harness.start ~memory ~handle ~n ~ops:i.Fuzz.workload ~fuel:i.Fuzz.fuel (), []));
-    poll =
-      (fun (st, log) ->
-        match Harness.poll ?hooks:!hooks st with
-        | st, Harness.Pick ids -> ((st, log), Sched_tree.Enabled ids)
-        | st, Harness.Stop completed -> ((st, log), Sched_tree.Finished completed));
+        log := [];
+        Harness.start ~memory ~handle ~n ~ops:i.Fuzz.workload ~fuel:i.Fuzz.fuel ());
+    poll = (fun st -> Harness.poll ?hooks:!hooks st);
     exec =
-      (fun (st, log) ~enabled id ->
+      (fun st ~enabled id ->
         let regs =
           (* A flush pseudo-pid (>= n, see {!Lb_universal.Harness}) writes
              exactly its encoded register. *)
@@ -75,27 +76,30 @@ let machine ~construction ~ot ~plan ~model ~n ~ops ~seed ~max_states =
           else match Harness.pending st id with Some inv -> Sched_tree.footprint inv | None -> []
         in
         let st' = Harness.step ?hooks:!hooks st ~choices:enabled id in
+        log := id :: !log;
         {
           Sched_tree.fp = { Sched_tree.regs; blocking = impure || Harness.boundary st st' };
           branches = 1;
           absorbed = [];
-          next = (fun _ -> (st', id :: log));
+          next = (fun _ -> st');
         });
     key = None;
     snapshot =
       (if impure then None
        else
          Some
-           (fun s ->
+           (fun st ->
              let checkpoint = Lb_memory.Memory.checkpoint memory
-             and restore_handle = handle.Iface.snapshot () in
+             and restore_handle = handle.Iface.snapshot ()
+             and schedule = !log in
              fun () ->
                Lb_memory.Memory.restore memory checkpoint;
                restore_handle ();
-               s));
+               log := schedule;
+               st));
     judge =
-      (fun (st, log) completed ->
-        Fuzz.assess ~construction ~ot ~plan ~n ~ops ~max_states ~schedule:(List.rev log)
+      (fun st completed ->
+        Fuzz.assess ~construction ~ot ~plan ~n ~ops ~max_states ~schedule:(List.rev !log)
           (Harness.finish st ~completed));
   }
 

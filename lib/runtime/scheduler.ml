@@ -1,4 +1,5 @@
 type choice = step:int -> runnable:int list -> int option
+type poll = Enabled of int list | Finished of bool
 
 let round_robin ~step ~runnable =
   match runnable with

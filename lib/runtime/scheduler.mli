@@ -11,6 +11,12 @@
 
 type choice = step:int -> runnable:int list -> int option
 
+type poll =
+  | Enabled of int list  (** the ids that may step next. *)
+  | Finished of bool  (** the run is over; [true] if it completed. *)
+(** What a stepped system offers its scheduler before each decision
+    ([Lb_universal.Harness.poll], a [Lb_check.Sched_tree.machine]). *)
+
 val round_robin : choice
 (** Cycles over the runnable processes in id order. *)
 

@@ -276,11 +276,9 @@ let exec d slot (a : attempt) =
         | Program.Return response -> complete d slot a response
         | Program.Toss _ | Program.Op _ -> set d { slot with current = Some a })))
 
-type next = Pick of int list | Stop of bool
-
 (* Everything before a scheduling decision: crash-recovery restarts, then
-   settling every slot, then the choice set.  [Stop completed] ends the
-   run. *)
+   settling every slot, then the choice set.  [Finished completed] ends
+   the run. *)
 let rec poll ?hooks st =
   let d = draft st in
   (match hooks with Some h -> List.iter (restart d) (h.recover ~step:st.step) | None -> ());
@@ -293,9 +291,9 @@ let rec poll ?hooks st =
     (* Quiescent: every operation responded, so remaining buffered stores
        drain in a deterministic order no one can observe. *)
     Memory.drain_all st.cfg.memory;
-    (st, Stop true)
+    (st, Scheduler.Finished true)
   | pids -> (
-    if st.fuel = 0 then (st, Stop false)
+    if st.fuel = 0 then (st, Scheduler.Finished false)
     else
       let allowed =
         match hooks with
@@ -320,8 +318,8 @@ let rec poll ?hooks st =
         match hooks with
         | Some h when h.may_unblock ~step:st.step ->
           poll ?hooks { st with step = st.step + 1; fuel = st.fuel - 1 }
-        | Some _ | None -> (st, Stop false))
-      | ids -> (st, Pick ids))
+        | Some _ | None -> (st, Scheduler.Finished false))
+      | ids -> (st, Scheduler.Enabled ids))
 
 (* Execute the chosen step, then settle the stepped slot, so that
    [boundary] sees a zero-cost operation the slot started and finished on
@@ -431,8 +429,8 @@ let run_handle ~memory ~handle ~n ~ops ?(scheduler = Scheduler.round_robin) ?ass
     ?hooks () =
   let rec go st =
     match poll ?hooks st with
-    | st, Stop completed -> finish st ~completed
-    | st, Pick ids -> (
+    | st, Scheduler.Finished completed -> finish st ~completed
+    | st, Scheduler.Enabled ids -> (
       match scheduler ~step:st.step ~runnable:ids with
       | None -> finish st ~completed:false
       | Some chosen -> go (step ?hooks st ~choices:ids chosen))

@@ -124,15 +124,12 @@ val start :
   state
 (** The initial state: every process has invoked its first operation. *)
 
-type next =
-  | Pick of int list  (** the ids the scheduler may choose from. *)
-  | Stop of bool  (** the run is over; [true] if every operation responded. *)
-
-val poll : ?hooks:fault_hooks -> state -> state * next
+val poll : ?hooks:fault_hooks -> state -> state * Scheduler.poll
 (** Everything before a scheduling decision — crash-recovery restarts,
     each process's local coin tosses, idle ticks while only a fault keeps
-    everyone blocked — then the choice set.  At quiescence the remaining
-    buffered stores drain. *)
+    everyone blocked — then the ids the scheduler may choose from, or
+    [Finished completed], [true] if every operation responded.  At
+    quiescence the remaining buffered stores drain. *)
 
 val step : ?hooks:fault_hooks -> state -> choices:int list -> int -> state
 (** Execute the chosen id, one of the [choices] {!poll} offered: a pid's

@@ -907,7 +907,11 @@ let prop_resume_is_replay =
    summary re-fires are frequent (as in [test_rearm_drained_subtree]).
    The digests predate the interned dedup keys and summary bitsets of
    [Explore.iter_dpor] and [Sched_tree.explore], which must reproduce
-   them exactly. *)
+   them exactly.  Naive-collect n=4 (1,985 cuts over 3,120 schedules) and
+   fetch&inc via adt-tree n=2 (9,344 cuts, histories up to 36 steps long)
+   lean hardest on the summary pass and the hash-consed histories; their
+   lines were derived at the parent of the change that made the summary
+   pass start at the divergence. *)
 let test_dpor_visit_order_pinned () =
   let corpus entry ~n ~coin_range ~f =
     let program_of, inits = entry.Corpus.make ~n in
@@ -935,6 +939,9 @@ let test_dpor_visit_order_pinned () =
       ("SB under PSO, dedup", litmus "sb" Memory_model.PSO);
       ("IRIW under TSO, dedup", litmus "iriw" Memory_model.TSO);
       ("IRIW under PSO, dedup", litmus "iriw" Memory_model.PSO);
+      ("naive-collect n=4", corpus Corpus.naive ~n:4 ~coin_range:[ 0 ]);
+      ( "fetch&inc via adt-tree n=2",
+        corpus (Option.get (Corpus.find "fetch&inc via adt-tree")) ~n:2 ~coin_range:[ 0 ] );
     ]
   in
   let got =
@@ -964,6 +971,8 @@ let test_dpor_visit_order_pinned () =
       "SB under PSO, dedup: 8/2/16/0/8 90e489e585c09e1dc9e60f4ffef1fcdc";
       "IRIW under TSO, dedup: 40/0/161/0/12 6ebb9cd5f18404f6ecb00c4d40efe727";
       "IRIW under PSO, dedup: 40/0/161/0/12 6ebb9cd5f18404f6ecb00c4d40efe727";
+      "naive-collect n=4: 3120/0/1985/0/24 7f32c3df9deab078a6c27ee29ec23125";
+      "fetch&inc via adt-tree n=2: 1488/0/9344/0/36 b2090307136be0218678d1fddef4a3d9";
       "synthetic seed 0: 1/0/4/0/6 8d81ff3c192fd4b26c118ce1a5e6633d";
       "synthetic seed 1: 0/0/1/0/5 f5cccc57f426d434aae74ae283c5b33b";
       "synthetic seed 2: 0/0/142/0/12 ed79e45fd90801f9940a13ea99aaa659";
@@ -1344,6 +1353,85 @@ let test_state_key_hash_spread () =
   let spread = List.length hashes in
   if spread < 3400 then Alcotest.failf "%d distinct hash values for 3426 states" spread
 
+(* A state key as text: registers with value and Pset, buffered writes,
+   histories (newest entry first) and the summary. *)
+let render_state_key (((regs, buffers), hists, summary) : Explore.state_key) =
+  let ids s = String.concat "," (List.map string_of_int (Ids.elements s)) in
+  let b = Buffer.create 256 in
+  let add fmt = Format.kasprintf (Buffer.add_string b) fmt in
+  List.iter (fun (r, (v, ps)) -> add "R%d=%a{%s} " r Value.pp v (ids ps)) regs;
+  List.iter
+    (fun (pid, writes) ->
+      add "B%d:" pid;
+      List.iter (fun (r, v) -> add "R%d=%a;" r Value.pp v) writes;
+      add " ")
+    buffers;
+  List.iter
+    (fun (pid, entries) ->
+      add "H%d:" pid;
+      List.iter
+        (fun (inv, resp, outcomes) ->
+          add "%a=%a/%s;" Op.pp_invocation inv Op.pp_response resp
+            (String.concat "," (List.map string_of_int outcomes)))
+        entries;
+      add " ")
+    hists;
+  (match summary with
+  | Explore.Before s -> add "before{%s}" (ids s)
+  | Explore.After s -> add "after{%s}" (ids s));
+  Buffer.contents b
+
+(* The states a dedup walk interns, in first-seen order: their count and
+   a digest of their text, for move-collect n=3 and the litmus shapes
+   with buffered writes in the key.  The walk interns hash-consed
+   histories and hands out each full key rebuilt from them, so a change
+   in what merges, or in the order states are first seen, moves a line.
+   Derived at the parent of the change that hash-consed the histories. *)
+let test_dpor_state_keys_pinned () =
+  let line name keys =
+    Printf.sprintf "%s: %d %s" name (List.length keys)
+      (Digest.to_hex (Digest.string (String.concat "\n" (List.map render_state_key keys))))
+  in
+  let litmus name model =
+    let t = Option.get (Litmus.find name) in
+    Explore.dpor_state_keys ~n:t.Litmus.n ~program_of:t.Litmus.program_of ~inits:t.Litmus.inits
+      ~model ()
+  in
+  let program_of, inits = Corpus.move_collect.Corpus.make ~n:3 in
+  Alcotest.(check (list string))
+    "interned states"
+    [
+      "move-collect n=3: 3426 93e7e6ef93f134f971b8a7173e6f9bc4";
+      "SB under TSO: 35 46eb836a788ceed9c5f79519acd24347";
+      "SB under PSO: 35 46eb836a788ceed9c5f79519acd24347";
+      "IRIW under TSO: 213 13b3791643fdc89c36b38385f4cbddae";
+      "IRIW under PSO: 213 13b3791643fdc89c36b38385f4cbddae";
+    ]
+    [
+      line "move-collect n=3" (Explore.dpor_state_keys ~n:3 ~program_of ~inits ());
+      line "SB under TSO" (litmus "sb" Memory_model.TSO);
+      line "SB under PSO" (litmus "sb" Memory_model.PSO);
+      line "IRIW under TSO" (litmus "iriw" Memory_model.TSO);
+      line "IRIW under PSO" (litmus "iriw" Memory_model.PSO);
+    ]
+
+(* The allocation of one stateful walk, a deterministic stand-in for its
+   time: minor words of a move-collect n=3 [iter_dpor] walk (dedup on).
+   The parent of the change that started the summary pass at the
+   divergence and hash-consed the histories allocated 19,020,041 words
+   here; the change brought it to 15,958,379 (OCaml 5.1.1).  The bound
+   is 1.1x the latter. *)
+let test_dpor_walk_allocation () =
+  let program_of, inits = Corpus.move_collect.Corpus.make ~n:3 in
+  let walk () = ignore (Explore.iter_dpor ~n:3 ~program_of ~inits ~f:ignore ()) in
+  walk ();
+  let before = Gc.minor_words () in
+  walk ();
+  let words = Gc.minor_words () -. before in
+  if words > 1.1 *. 15_958_379. then
+    Alcotest.failf "a move-collect n=3 walk allocated %.0f minor words (bound %.0f)" words
+      (1.1 *. 15_958_379.)
+
 let suite =
   [
     prop_pure_matches_mutable;
@@ -1391,4 +1479,7 @@ let suite =
     prop_state_key_hash;
     Alcotest.test_case "dpor state-key hash spread (move-collect n=3)" `Quick
       test_state_key_hash_spread;
+    Alcotest.test_case "dpor state keys (pinned)" `Quick test_dpor_state_keys_pinned;
+    Alcotest.test_case "dpor walk allocation (move-collect n=3)" `Quick
+      test_dpor_walk_allocation;
   ]
