@@ -611,8 +611,10 @@ let conform_cmd =
   in
   let schedules_arg =
     Arg.(
-      value & opt pos_int 1000
-      & info [ "schedules" ] ~docv:"S" ~doc:"Random schedules per (construction, type, plan) cell.")
+      value
+      & opt (some ~none:"1000" pos_int) None
+      & info [ "schedules" ] ~docv:"S"
+          ~doc:"Random schedules per (construction, type, plan) cell (not with $(b,--exhaustive)).")
   in
   let max_states_arg =
     Arg.(
@@ -626,7 +628,9 @@ let conform_cmd =
           ~doc:
             "Mutation-testing mode: inject each known construction bug (dropped SC validation, \
              stale LL, lost SC/swap writes) and require the checker to kill every applicable \
-             mutant.")
+             mutant.  The hunt runs fetch&increment under no fault plan, so a $(b,--type) \
+             other than $(b,fetch-inc) or $(b,all), or a $(b,--plan) other than $(b,none), is \
+             a usage error.")
   in
   let exhaustive_flag =
     Arg.(
@@ -661,7 +665,8 @@ let conform_cmd =
   in
   let max_schedules_arg =
     Arg.(
-      value & opt pos_int 200_000
+      value
+      & opt (some ~none:"200000" pos_int) None
       & info [ "max-schedules" ] ~docv:"M"
           ~doc:
             "Abort an $(b,--exhaustive) walk past this many runs (a safety valve: the command \
@@ -712,63 +717,72 @@ let conform_cmd =
       Format.eprintf "lowerbound: %s; nothing was certified@." why;
       4
     in
-    if exhaustive then begin
-      let bounds =
-        if preempt = None && fair = None && len = None then Exhaustive.default_bounds
-        else { Sched_tree.preempt; fair; length = len }
+    (* A flag the chosen mode never reads is a usage error, not ignored. *)
+    let unread =
+      if exhaustive then [ ("--schedules", schedules <> None) ]
+      else
+        [
+          ("--preempt-bound", preempt <> None);
+          ("--fair-bound", fair <> None);
+          ("--len-bound", len <> None);
+          ("--max-schedules", max_schedules <> None);
+        ]
+    in
+    match List.find_opt snd unread with
+    | Some (flag, _) ->
+      `Error
+        ( true,
+          flag
+          ^ if exhaustive then " does not apply with --exhaustive"
+            else " applies only with --exhaustive" )
+    | None when mutate && not (typ = "all" || typ = "fetch-inc") ->
+      `Error (true, "--mutate hunts on fetch-inc; --type " ^ typ ^ " does not apply")
+    | None when mutate && plan_name <> "none" ->
+      `Error (true, "--mutate hunts fault-free; --plan " ^ plan_name ^ " does not apply")
+    | None -> (
+      let mode =
+        if exhaustive then
+          let bounds =
+            if preempt = None && fair = None && len = None then Exhaustive.default_bounds
+            else { Sched_tree.preempt; fair; length = len }
+          in
+          Conformance.Walk { bounds; max_schedules = Option.value max_schedules ~default:200_000 }
+        else Conformance.Sample { schedules = Option.value schedules ~default:1000 }
       in
       match
         if mutate then
           {
-            Exhaustive.certs = [];
+            Conformance.mode;
+            cells = [];
             mutants =
-              Exhaustive.mutant_matrix ~jobs ~constructions ~model ~n ~ops ~seed ~bounds
-                ~max_schedules ~max_states ();
+              Conformance.mutant_matrix ~jobs ~constructions ~mode ~model ~n ~ops ~seed
+                ~max_states ();
           }
         else
           {
-            Exhaustive.certs =
-              Exhaustive.matrix ~jobs ~constructions ~types:(types ()) ~plans:(plans ())
-                ~model ~n ~ops ~seed ~bounds ~max_schedules ~max_states ();
+            Conformance.mode;
+            cells =
+              Conformance.matrix ~jobs ~constructions ~types:(types ()) ~plans:(plans ()) ~mode
+                ~model ~n ~ops ~seed ~max_states ();
             mutants = [];
           }
       with
       | report ->
-        Format.printf "%a@." Exhaustive.pp_report report;
-        Option.iter (fun path -> write_json path (Exhaustive.json_of_report report)) report_file;
-        if Exhaustive.ok report then 0
-        else if Exhaustive.inconclusive report then
-          nothing_certified "no schedule completed within the bounds"
-        else 3
+        Format.printf "%a@." Conformance.pp_report report;
+        Option.iter (fun path -> write_json path (Conformance.json_of_report report)) report_file;
+        `Ok
+          (if Conformance.ok report then 0
+           else if Conformance.inconclusive report then
+             nothing_certified
+               (match mode with
+               | Conformance.Sample _ -> "the checker exhausted --max-states on a history"
+               | Conformance.Walk _ -> "no schedule completed within the bounds")
+           else 3)
       | exception Sched_tree.Schedule_limit k ->
-        nothing_certified
-          (Printf.sprintf "an exhaustive walk passed --max-schedules %d runs" k)
-      | exception Exhaustive.Inconclusive cell -> nothing_certified cell
-    end
-    else begin
-      let report =
-        if mutate then
-          {
-            Conformance.cells = [];
-            mutants =
-              Conformance.mutation_matrix ~jobs ~constructions ~model ~n ~ops ~schedules
-                ~seed ~max_states ();
-          }
-        else
-          {
-            Conformance.cells =
-              Conformance.fuzz_matrix ~jobs ~constructions ~types:(types ()) ~plans:(plans ())
-                ~model ~n ~ops ~schedules ~seed ~max_states ();
-            mutants = [];
-          }
-      in
-      Format.printf "%a@." Conformance.pp_report report;
-      Option.iter (fun path -> write_json path (Conformance.json_of_report report)) report_file;
-      if Conformance.ok report then 0
-      else if Conformance.inconclusive report then
-        nothing_certified "the checker exhausted --max-states on a history"
-      else 3
-    end
+        `Ok
+          (nothing_certified
+             (Printf.sprintf "an exhaustive walk passed --max-schedules %d runs" k))
+      | exception Exhaustive.Inconclusive cell -> `Ok (nothing_certified cell))
   in
   Cmd.v
     (Cmd.info "conform"
@@ -782,10 +796,11 @@ let conform_cmd =
           passed $(b,--max-schedules) or completed no schedule within its bounds, or the \
           checker exhausted $(b,--max-states) on a history.")
     Term.(
-      const run $ logging $ target_arg $ cn_arg $ seed_arg $ type_arg $ plan_arg $ ops_arg
-      $ schedules_arg $ max_states_arg $ mutate_flag $ exhaustive_flag $ preempt_bound_arg
-      $ fair_bound_arg $ len_bound_arg $ max_schedules_arg $ report_arg $ model_arg
-      $ jobs_arg)
+      ret
+        (const run $ logging $ target_arg $ cn_arg $ seed_arg $ type_arg $ plan_arg $ ops_arg
+       $ schedules_arg $ max_states_arg $ mutate_flag $ exhaustive_flag $ preempt_bound_arg
+       $ fair_bound_arg $ len_bound_arg $ max_schedules_arg $ report_arg $ model_arg
+       $ jobs_arg))
 
 (* ---- hw ---- *)
 

@@ -1,77 +1,98 @@
 open Lb_universal
 open Lb_faults
+module Sched_tree = Lb_check.Sched_tree
 
 let constructions = Targets.all
 let find_construction = Targets.find
 
-type mutant_outcome =
-  | Killed of { seed : int; failure : Fuzz.failure; minimized_len : int }
-  | Survived of { runs : int }
-  | Inconclusive of { seed : int }
-  | Not_applicable
+type mode =
+  | Sample of { schedules : int }
+  | Walk of { bounds : Sched_tree.bounds; max_schedules : int }
 
-type mutant_cell = {
+type cell = Sampled of Fuzz.cell | Walked of Exhaustive.cert
+
+let check_cell ~mode ~construction ~ot ~plan_name ~plan ?model ~n ~ops ~seed ~max_states () =
+  match mode with
+  | Sample { schedules } ->
+    Sampled
+      (Fuzz.check_cell ~construction ~ot ~plan_name ~plan ?model ~n ~ops ~schedules ~seed
+         ~max_states ())
+  | Walk { bounds; max_schedules } ->
+    Walked
+      (Exhaustive.certify_cell ~construction ~ot ~plan_name ~plan ?model ~n ~ops ~seed ~bounds
+         ~max_schedules ~max_states ())
+
+let counterexample = function
+  | Sampled c -> c.Fuzz.counterexample
+  | Walked c -> c.Exhaustive.xc_counterexample
+
+let cell_ok = function Sampled c -> Fuzz.cell_ok c | Walked c -> Exhaustive.cert_ok c
+
+(* Neither conformant nor refuted: the checker could not decide a sampled
+   history, or the bounds cut every walked run. *)
+let cell_inconclusive c = (not (cell_ok c)) && counterexample c = None
+
+type mutant = {
   mc_construction : string;
   mc_mutant : string;
+  seed : int;
   fired : int;
-  outcome : mutant_outcome;
+  cell : cell;
 }
 
-let mutant_killed c =
-  match c.outcome with Killed _ | Not_applicable -> true | Survived _ | Inconclusive _ -> false
+type outcome = Killed | Survived | Inconclusive | Not_applicable
 
-(* Kill one mutant on one construction: fuzz the mutated construction on
-   fetch&increment (the one type every target implements) under the
-   fault-free plan until the checker rejects a history.  A mutant that never
-   fired cannot be killed and is reported not-applicable; a history the
-   checker cannot decide within [max_states] stops the hunt unshrunk,
-   inconclusive, as in [Fuzz.check_cell]. *)
-let hunt_mutant ~construction ~mutant ?model ~n ~ops ~schedules ~seed ~max_states () =
+(* A mutant that never fired ran as the construction itself, so it is not
+   applicable; but a sampled hunt that stopped at a history the checker
+   could not decide might have fired it on a later schedule.  A walked
+   cell never stops short: an undecided history raises
+   [Exhaustive.Inconclusive]. *)
+let outcome m =
+  match m.cell with
+  | c when counterexample c <> None -> Killed
+  | Sampled c when Fuzz.cell_inconclusive c -> Inconclusive
+  | _ when m.fired = 0 -> Not_applicable
+  | c when cell_ok c -> Survived
+  | _ -> Inconclusive
+
+let mutant_ok m =
+  match outcome m with Killed | Not_applicable -> true | Survived | Inconclusive -> false
+
+(* Kill one mutant on one construction: run the mutated construction's
+   fetch&increment cell (the one type every target implements) under the
+   fault-free plan.  The cell stops at, and shrinks, the first failing
+   schedule. *)
+let hunt_mutant ~mode ~construction ~mutant ?model ~n ~ops ~seed ~max_states () =
   let mutated, fired = Mutate.wrap mutant construction in
-  let ot =
-    match Fuzz.find_type "fetch-inc" with Some ot -> ot | None -> assert false
+  let ot = Option.get (Fuzz.find_type "fetch-inc") in
+  let cell =
+    check_cell ~mode ~construction:mutated ~ot ~plan_name:"none" ~plan:Fault_plan.none ?model ~n
+      ~ops ~seed ~max_states ()
   in
-  let rec go i =
-    if i >= schedules then
-      if fired () = 0 then Not_applicable else Survived { runs = schedules }
-    else
-      let seed_i = seed + i in
-      let r =
-        Fuzz.run_once ~construction:mutated ~ot ~plan:Fault_plan.none ~n ~ops ~seed:seed_i
-          ?model ~max_states ~scheduler:(Fuzz.sample_scheduler ~seed:seed_i) ()
-      in
-      match r.Fuzz.verdict with
-      | Fuzz.Fail (Fuzz.Check_budget _) -> Inconclusive { seed = seed_i }
-      | Fuzz.Fail failure ->
-        let cx =
-          Fuzz.shrink_failure ~construction:mutated ~ot ~plan:Fault_plan.none ~n ~ops
-            ~seed:seed_i ?model ~max_states r
-        in
-        Killed { seed = seed_i; failure; minimized_len = List.length cx.Fuzz.minimized }
-      | Fuzz.Pass | Fuzz.Degraded _ -> go (i + 1)
+  let m =
+    {
+      mc_construction = construction.Iface.name;
+      mc_mutant = mutant.Mutate.name;
+      seed;
+      fired = fired ();
+      cell;
+    }
   in
-  let outcome = go 0 in
-  let reg = Lb_observe.Metrics.current () in
-  Lb_observe.Metrics.incr reg
-    (match outcome with
-    | Killed _ -> "conformance.mutants_killed"
-    | Survived _ -> "conformance.mutants_survived"
-    | Inconclusive _ -> "conformance.mutants_inconclusive"
+  Lb_observe.Metrics.incr (Lb_observe.Metrics.current ())
+    (match outcome m with
+    | Killed -> "conformance.mutants_killed"
+    | Survived -> "conformance.mutants_survived"
+    | Inconclusive -> "conformance.mutants_inconclusive"
     | Not_applicable -> "conformance.mutants_inapplicable");
-  {
-    mc_construction = construction.Iface.name;
-    mc_mutant = mutant.Mutate.name;
-    fired = fired ();
-    outcome;
-  }
+  m
 
 (* Both matrices fan their cells across a domain pool.  Every cell is a
    pure function of its (construction, type/mutant, plan, seed) key —
-   the fuzzer derives all randomness from the seed — and [Pool.map] is
-   order-preserving, so reports are byte-identical at every job
-   count. *)
-let mutation_matrix ?jobs ?(constructions = constructions) ?(mutants = Mutate.all) ?model
-    ~n ~ops ~schedules ~seed ~max_states () =
+   the fuzzer derives all randomness from the seed and the walk is
+   deterministic — and [Pool.map] is order-preserving, so reports are
+   byte-identical at every job count. *)
+let mutant_matrix ?jobs ?(constructions = constructions) ?(mutants = Mutate.all) ~mode ?model
+    ~n ~ops ~seed ~max_states () =
   let cells =
     List.concat_map
       (fun construction -> List.map (fun mutant -> (construction, mutant)) mutants)
@@ -79,11 +100,11 @@ let mutation_matrix ?jobs ?(constructions = constructions) ?(mutants = Mutate.al
   in
   Lb_exec.Pool.map ?jobs
     (fun (construction, mutant) ->
-      hunt_mutant ~construction ~mutant ?model ~n ~ops ~schedules ~seed ~max_states ())
+      hunt_mutant ~mode ~construction ~mutant ?model ~n ~ops ~seed ~max_states ())
     cells
 
-let fuzz_matrix ?jobs ?(constructions = constructions) ?(types = Fuzz.object_types)
-    ?(plans = [ ("none", Fault_plan.none) ]) ?model ~n ~ops ~schedules ~seed ~max_states () =
+let matrix ?jobs ?(constructions = constructions) ?(types = Fuzz.object_types)
+    ?(plans = [ ("none", Fault_plan.none) ]) ~mode ?model ~n ~ops ~seed ~max_states () =
   let cells =
     List.concat_map
       (fun construction ->
@@ -96,47 +117,56 @@ let fuzz_matrix ?jobs ?(constructions = constructions) ?(types = Fuzz.object_typ
   in
   Lb_exec.Pool.map ?jobs
     (fun (construction, ot, (plan_name, plan)) ->
-      Fuzz.check_cell ~construction ~ot ~plan_name ~plan ?model ~n ~ops ~schedules ~seed
-        ~max_states ())
+      check_cell ~mode ~construction ~ot ~plan_name ~plan ?model ~n ~ops ~seed ~max_states ())
     cells
 
-type report = { cells : Fuzz.cell list; mutants : mutant_cell list }
+type report = { mode : mode; cells : cell list; mutants : mutant list }
 
-let ok r = List.for_all Fuzz.cell_ok r.cells && List.for_all mutant_killed r.mutants
+let ok r = List.for_all cell_ok r.cells && List.for_all mutant_ok r.mutants
 
 let inconclusive r =
   (not (ok r))
-  && List.for_all (fun c -> Fuzz.cell_ok c || Fuzz.cell_inconclusive c) r.cells
-  && List.for_all
-       (fun c -> match c.outcome with Inconclusive _ -> true | _ -> mutant_killed c)
-       r.mutants
+  && List.for_all (fun c -> cell_ok c || cell_inconclusive c) r.cells
+  && List.for_all (fun m -> mutant_ok m || outcome m = Inconclusive) r.mutants
 
-let outcome_string = function
-  | Killed { seed; minimized_len; _ } ->
-    Printf.sprintf "KILLED (seed %d, minimal schedule %d steps)" seed minimized_len
-  | Survived { runs } -> Printf.sprintf "SURVIVED %d schedules" runs
-  | Inconclusive { seed } ->
-    Printf.sprintf "INCONCLUSIVE (checker budget exhausted on seed %d)" seed
-  | Not_applicable -> "not applicable (never fired)"
+let outcome_string m =
+  match (outcome m, m.cell) with
+  | Not_applicable, _ -> "not applicable (never fired)"
+  | outcome, Walked c ->
+    Format.asprintf "%s (%a)"
+      (match outcome with Killed -> "KILLED" | Inconclusive -> "INCONCLUSIVE" | _ -> "SURVIVED")
+      Sched_tree.pp_stats c.Exhaustive.xc_stats
+  | _, Sampled { Fuzz.counterexample = Some cx; _ } ->
+    Printf.sprintf "KILLED (seed %d, minimal schedule %d steps)" cx.Fuzz.seed_used
+      (List.length cx.Fuzz.minimized)
+  | Inconclusive, Sampled c ->
+    Printf.sprintf "INCONCLUSIVE (checker budget exhausted on seed %d)" (m.seed + c.Fuzz.runs - 1)
+  | _, Sampled c -> Printf.sprintf "SURVIVED %d schedules" c.Fuzz.runs
 
-let pp_mutant_cell ppf c =
-  Format.fprintf ppf "%-15s | %-18s | fired %6d | %s" c.mc_construction c.mc_mutant c.fired
-    (outcome_string c.outcome)
+let pp_cell ppf = function Sampled c -> Fuzz.pp_cell ppf c | Walked c -> Exhaustive.pp_cert ppf c
+
+let pp_mutant ppf m =
+  Format.fprintf ppf "%-15s | %-18s | fired %6d | %s" m.mc_construction m.mc_mutant m.fired
+    (outcome_string m)
 
 let pp_report ppf r =
+  let walk = match r.mode with Walk _ -> true | Sample _ -> false in
   Format.fprintf ppf "@[<v>";
   if r.cells <> [] then begin
-    Format.fprintf ppf "construction    | object type  | plan          | verdict@ ";
+    Format.fprintf ppf "construction    | object type  | plan          | %s@ "
+      (if walk then "exploration" else "verdict");
     Format.fprintf ppf "%s@ " (String.make 76 '-');
-    List.iter (fun c -> Format.fprintf ppf "%a@ " Fuzz.pp_cell c) r.cells
+    List.iter (fun c -> Format.fprintf ppf "%a@ " pp_cell c) r.cells
   end;
   if r.mutants <> [] then begin
     Format.fprintf ppf "construction    | mutant             | fired       | outcome@ ";
     Format.fprintf ppf "%s@ " (String.make 76 '-');
-    List.iter (fun c -> Format.fprintf ppf "%a@ " pp_mutant_cell c) r.mutants
+    List.iter (fun m -> Format.fprintf ppf "%a@ " pp_mutant m) r.mutants
   end;
   Format.fprintf ppf "verdict: %s@ "
-    (if ok r then "CONFORMANT" else if inconclusive r then "INCONCLUSIVE" else "NON-CONFORMANT");
+    (if ok r then if walk then "CERTIFIED" else "CONFORMANT"
+     else if inconclusive r then "INCONCLUSIVE"
+     else "NON-CONFORMANT");
   Format.fprintf ppf "@]"
 
 (* ---- JSON (the --report file) ---- *)
@@ -153,7 +183,7 @@ let json_of_counterexample (cx : Fuzz.counterexample) =
         ("deterministic", Bool cx.Fuzz.deterministic);
       ])
 
-let json_of_cell (c : Fuzz.cell) =
+let json_of_fuzz_cell (c : Fuzz.cell) =
   Lb_observe.Json.(
     Obj
       ([
@@ -173,22 +203,32 @@ let json_of_cell (c : Fuzz.cell) =
       | None -> []
       | Some cx -> [ ("counterexample", json_of_counterexample cx) ]))
 
-let json_of_mutant_cell c =
+let json_of_cell = function Sampled c -> json_of_fuzz_cell c | Walked c -> Exhaustive.json_of_cert c
+
+let json_of_mutant m =
   Lb_observe.Json.(
     Obj
-      [
-        ("construction", Str c.mc_construction);
-        ("mutant", Str c.mc_mutant);
-        ("fired", Int c.fired);
-        ("outcome", Str (outcome_string c.outcome));
-        ("killed", Bool (mutant_killed c));
-      ])
+      ([
+         ("construction", Str m.mc_construction);
+         ("mutant", Str m.mc_mutant);
+         ("fired", Int m.fired);
+       ]
+      @
+      match m.cell with
+      (* A sampled report's "killed" counts a not-applicable mutant too. *)
+      | Sampled _ -> [ ("outcome", Str (outcome_string m)); ("killed", Bool (mutant_ok m)) ]
+      | Walked c ->
+        [
+          ("killed", Bool (outcome m = Killed));
+          ("ok", Bool (mutant_ok m));
+          ("stats", Exhaustive.json_of_stats c.Exhaustive.xc_stats);
+        ]))
 
 let json_of_report r =
   Lb_observe.Json.(
     Obj
       [
         ("cells", Arr (List.map json_of_cell r.cells));
-        ("mutants", Arr (List.map json_of_mutant_cell r.mutants));
+        ("mutants", Arr (List.map json_of_mutant r.mutants));
         ("ok", Bool (ok r));
       ])

@@ -1,11 +1,13 @@
-(** Conformance campaign driver: fuzz matrices, mutation testing, reports.
+(** The conformance campaign: cell matrices, mutation testing, reports.
 
-    The fuzz matrix crosses constructions × object types × fault plans into
-    {!Fuzz.check_cell} cells; the mutation matrix crosses constructions ×
-    {!Mutate.all} and demands that every applicable mutant be {e killed} —
-    some schedule's history must fail the {!Lb_objects.Linearize} checker.
-    [ok] is the gate the CLI turns into its exit code and CI asserts in the
-    conformance smoke step. *)
+    A {!mode} picks the cell runner: {!Fuzz.check_cell} samples seeded
+    random schedules, {!Exhaustive.certify_cell} walks every in-bound
+    schedule.  Either way the cell matrix crosses constructions × object
+    types × fault plans into cells, and the mutant matrix crosses
+    constructions × {!Mutate.all} and demands that every applicable
+    mutant be {e killed} — some schedule's history must fail the
+    {!Fuzz.assess} judge.  [ok] is the gate the CLI turns into its exit
+    code and CI asserts in the conformance smoke steps. *)
 
 open Lb_universal
 open Lb_faults
@@ -16,85 +18,123 @@ val constructions : Iface.t list
 
 val find_construction : string -> Iface.t option
 
-type mutant_outcome =
-  | Killed of { seed : int; failure : Fuzz.failure; minimized_len : int }
-  | Survived of { runs : int }
-  | Inconclusive of { seed : int }
-      (** The checker exhausted its state budget on the history of schedule
-          [seed]: neither killed nor survived, and never shrunk. *)
-  | Not_applicable
-      (** The mutation never fired on this construction (e.g. a Swap mutant
-          on a construction that never swaps) — excluded from the gate. *)
+type mode =
+  | Sample of { schedules : int }  (** seeds [seed] .. [seed + schedules - 1]. *)
+  | Walk of { bounds : Lb_check.Sched_tree.bounds; max_schedules : int }
+      (** bounded DPOR; past [max_schedules] runs the walk raises
+          {!Lb_check.Sched_tree.Schedule_limit}. *)
 
-type mutant_cell = {
+type cell = Sampled of Fuzz.cell | Walked of Exhaustive.cert
+
+val check_cell :
+  mode:mode ->
+  construction:Iface.t ->
+  ot:Fuzz.object_type ->
+  plan_name:string ->
+  plan:Fault_plan.t ->
+  ?model:Lb_memory.Memory_model.t ->
+  n:int ->
+  ops:int ->
+  seed:int ->
+  max_states:int ->
+  unit ->
+  cell
+(** Run one cell with the mode's runner.  A walked cell raises
+    {!Exhaustive.Inconclusive} on a history the checker cannot decide. *)
+
+val counterexample : cell -> Fuzz.counterexample option
+val cell_ok : cell -> bool
+
+val cell_inconclusive : cell -> bool
+(** Neither ok nor refuted: the checker could not decide a sampled
+    history, or the bounds cut every walked run. *)
+
+type mutant = {
   mc_construction : string;
   mc_mutant : string;
-  fired : int;
-  outcome : mutant_outcome;
+  seed : int;  (** the workload's; a sampled hunt's schedule [i] runs under [seed + i]. *)
+  fired : int;  (** rewrites the mutation made over the whole cell. *)
+  cell : cell;  (** the mutated construction's fetch&increment cell, fault-free. *)
 }
 
-val mutant_killed : mutant_cell -> bool
+type outcome =
+  | Killed  (** the cell has a counterexample. *)
+  | Survived
+  | Inconclusive
+      (** A sampled hunt stopped at a history the checker could not decide
+          (never shrunk), or the bounds cut every walked run. *)
+  | Not_applicable
+      (** The mutation never fired (e.g. a Swap mutant on a construction
+          that never swaps) — excluded from the gate. *)
+
+val outcome : mutant -> outcome
+
+val mutant_ok : mutant -> bool
 (** [Killed] or [Not_applicable]. *)
 
 val hunt_mutant :
+  mode:mode ->
   construction:Iface.t ->
   mutant:Mutate.t ->
   ?model:Lb_memory.Memory_model.t ->
   n:int ->
   ops:int ->
-  schedules:int ->
   seed:int ->
   max_states:int ->
   unit ->
-  mutant_cell
+  mutant
+(** {!check_cell} on [Mutate.wrap mutant construction], fetch&increment
+    under the fault-free plan.  A walked kill is a strictly stronger claim
+    than a sampled one: {e some} in-bound schedule fails. *)
 
-val mutation_matrix :
+val mutant_matrix :
   ?jobs:int ->
   ?constructions:Iface.t list ->
   ?mutants:Mutate.t list ->
+  mode:mode ->
   ?model:Lb_memory.Memory_model.t ->
   n:int ->
   ops:int ->
-  schedules:int ->
   seed:int ->
   max_states:int ->
   unit ->
-  mutant_cell list
+  mutant list
 (** [jobs] fans the (construction, mutant) cells across a
     {!Lb_exec.Pool} (default 1, sequential); every cell is a pure
     function of its key and the seed, and the pool preserves order, so
     the report is identical at every job count. *)
 
-val fuzz_matrix :
+val matrix :
   ?jobs:int ->
   ?constructions:Iface.t list ->
   ?types:Fuzz.object_type list ->
   ?plans:(string * Fault_plan.t) list ->
+  mode:mode ->
   ?model:Lb_memory.Memory_model.t ->
   n:int ->
   ops:int ->
-  schedules:int ->
   seed:int ->
   max_states:int ->
   unit ->
-  Fuzz.cell list
+  cell list
 (** Cells a construction does not support (the direct target on anything
-    but fetch-inc) are skipped.  [jobs] as in {!mutation_matrix}.  [model]
+    but fetch-inc) are skipped.  [jobs] as in {!mutant_matrix}.  [model]
     (default SC) runs every cell on a memory with that consistency model —
     the constructions use only the fencing LL/SC repertoire, so conformance
     must survive relaxation unchanged (asserted in EXPERIMENTS.md). *)
 
-type report = { cells : Fuzz.cell list; mutants : mutant_cell list }
+type report = { mode : mode; cells : cell list; mutants : mutant list }
 
 val ok : report -> bool
 
 val inconclusive : report -> bool
-(** Not {!ok}, yet nothing refuted: every cell short of conformance is
-    {!Fuzz.cell_inconclusive} and every mutant short of killed is
+(** Not {!ok}, yet nothing refuted: every cell short of ok is
+    {!cell_inconclusive} and every mutant short of {!mutant_ok} is
     [Inconclusive]. *)
 
-val pp_mutant_cell : Format.formatter -> mutant_cell -> unit
 val pp_report : Format.formatter -> report -> unit
+(** The cell table's last column is headed "verdict" when sampled and
+    "exploration" when walked; an ok report is CONFORMANT when sampled
+    and CERTIFIED when walked. *)
 
-val json_of_mutant_cell : mutant_cell -> Lb_observe.Json.t
 val json_of_report : report -> Lb_observe.Json.t

@@ -152,85 +152,6 @@ let certify_cell ~(construction : Iface.t) ~ot ~plan_name ~plan
     xc_counterexample = counterexample;
   }
 
-(* ---- mutation certification ---- *)
-
-type mutant_cert = {
-  xm_construction : string;
-  xm_mutant : string;
-  xm_fired : int;
-  xm_cert : cert;
-}
-
-(* A mutant is certified killed when the bounded-exhaustive walk finds a
-   failing schedule; one that never fired cannot be killed regardless. *)
-let mutant_cert_killed m = m.xm_fired > 0 && m.xm_cert.xc_counterexample <> None
-let mutant_cert_ok m = m.xm_fired = 0 || mutant_cert_killed m
-
-let certify_mutant ~(construction : Iface.t) ~mutant ?model ~n ~ops ~seed ?bounds
-    ?max_schedules ~max_states () =
-  let mutated, fired = Mutate.wrap mutant construction in
-  let ot =
-    match Fuzz.find_type "fetch-inc" with Some ot -> ot | None -> assert false
-  in
-  let cert =
-    certify_cell ~construction:mutated ~ot ~plan_name:"none" ~plan:Fault_plan.none ?model
-      ~n ~ops ~seed ?bounds ?max_schedules ~max_states ()
-  in
-  let reg = Metrics.current () in
-  Metrics.incr reg
-    (if fired () = 0 then "conformance.exhaustive.mutants_inapplicable"
-     else if cert.xc_counterexample = None then "conformance.exhaustive.mutants_survived"
-     else "conformance.exhaustive.mutants_killed");
-  {
-    xm_construction = construction.Iface.name;
-    xm_mutant = mutant.Mutate.name;
-    xm_fired = fired ();
-    xm_cert = { cert with xc_construction = construction.Iface.name };
-  }
-
-(* ---- matrices and reports ---- *)
-
-type report = { certs : cert list; mutants : mutant_cert list }
-
-let ok r = List.for_all cert_ok r.certs && List.for_all mutant_cert_ok r.mutants
-
-let inconclusive r =
-  (not (ok r))
-  && List.for_all (fun c -> cert_ok c || empty c) r.certs
-  && List.for_all (fun m -> mutant_cert_ok m || empty m.xm_cert) r.mutants
-
-let matrix ?jobs ?(constructions = Targets.all) ?(types = Fuzz.object_types)
-    ?(plans = [ ("none", Fault_plan.none) ]) ?model ~n ~ops ~seed ?bounds ?max_schedules
-    ~max_states () =
-  let cells =
-    List.concat_map
-      (fun construction ->
-        List.concat_map
-          (fun ot ->
-            if not (Fuzz.supports ~construction ot) then []
-            else List.map (fun plan -> (construction, ot, plan)) plans)
-          types)
-      constructions
-  in
-  Lb_exec.Pool.map ?jobs
-    (fun (construction, ot, (plan_name, plan)) ->
-      certify_cell ~construction ~ot ~plan_name ~plan ?model ~n ~ops ~seed ?bounds
-        ?max_schedules ~max_states ())
-    cells
-
-let mutant_matrix ?jobs ?(constructions = Targets.all) ?(mutants = Mutate.all) ?model ~n
-    ~ops ~seed ?bounds ?max_schedules ~max_states () =
-  let cells =
-    List.concat_map
-      (fun construction -> List.map (fun mutant -> (construction, mutant)) mutants)
-      constructions
-  in
-  Lb_exec.Pool.map ?jobs
-    (fun (construction, mutant) ->
-      certify_mutant ~construction ~mutant ?model ~n ~ops ~seed ?bounds ?max_schedules
-        ~max_states ())
-    cells
-
 let pp_cert ppf c =
   Format.fprintf ppf "%-15s | %-12s | %-13s | %a under %a%s%s%s" c.xc_construction
     c.xc_object_type c.xc_plan Sched_tree.pp_stats c.xc_stats Sched_tree.pp_bounds
@@ -246,32 +167,6 @@ let pp_cert ppf c =
       Format.asprintf " | COUNTEREXAMPLE |sched| %d -> %d (%a)"
         (List.length cx.Fuzz.original) (List.length cx.Fuzz.minimized) Fuzz.pp_verdict
         cx.Fuzz.minimized_verdict)
-
-let pp_mutant_cert ppf m =
-  Format.fprintf ppf "%-15s | %-18s | fired %6d | %s" m.xm_construction m.xm_mutant
-    m.xm_fired
-    (if m.xm_fired = 0 then "not applicable (never fired)"
-     else if mutant_cert_killed m then
-       Format.asprintf "KILLED (%a)" Sched_tree.pp_stats m.xm_cert.xc_stats
-     else if empty m.xm_cert then
-       Format.asprintf "INCONCLUSIVE (%a)" Sched_tree.pp_stats m.xm_cert.xc_stats
-     else Format.asprintf "SURVIVED (%a)" Sched_tree.pp_stats m.xm_cert.xc_stats)
-
-let pp_report ppf r =
-  Format.fprintf ppf "@[<v>";
-  if r.certs <> [] then begin
-    Format.fprintf ppf "construction    | object type  | plan          | exploration@ ";
-    Format.fprintf ppf "%s@ " (String.make 76 '-');
-    List.iter (fun c -> Format.fprintf ppf "%a@ " pp_cert c) r.certs
-  end;
-  if r.mutants <> [] then begin
-    Format.fprintf ppf "construction    | mutant             | fired       | outcome@ ";
-    Format.fprintf ppf "%s@ " (String.make 76 '-');
-    List.iter (fun m -> Format.fprintf ppf "%a@ " pp_mutant_cert m) r.mutants
-  end;
-  Format.fprintf ppf "verdict: %s@ "
-    (if ok r then "CERTIFIED" else if inconclusive r then "INCONCLUSIVE" else "NON-CONFORMANT");
-  Format.fprintf ppf "@]"
 
 (* ---- JSON (the --report file CI reads) ---- *)
 
@@ -328,24 +223,3 @@ let json_of_cert c =
                 ("deterministic", Bool cx.Fuzz.deterministic);
               ] );
         ]))
-
-let json_of_mutant_cert m =
-  Lb_observe.Json.(
-    Obj
-      [
-        ("construction", Str m.xm_construction);
-        ("mutant", Str m.xm_mutant);
-        ("fired", Int m.xm_fired);
-        ("killed", Bool (mutant_cert_killed m));
-        ("ok", Bool (mutant_cert_ok m));
-        ("stats", json_of_stats m.xm_cert.xc_stats);
-      ])
-
-let json_of_report r =
-  Lb_observe.Json.(
-    Obj
-      [
-        ("cells", Arr (List.map json_of_cert r.certs));
-        ("mutants", Arr (List.map json_of_mutant_cert r.mutants));
-        ("ok", Bool (ok r));
-      ])

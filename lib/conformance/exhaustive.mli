@@ -1,6 +1,6 @@
-(** Bounded-exhaustive conformance certification.
+(** Bounded-exhaustive conformance certification: the walked cell runner.
 
-    Where {!Fuzz} samples seeded random schedules, this module walks the
+    Where {!Fuzz.check_cell} samples seeded random schedules, this module walks the
     schedule space of one (construction, object type, fault plan) cell
     systematically with {!Lb_check.Sched_tree}'s bounded DPOR: every
     in-bound interleaving of the harness workload is executed and judged
@@ -31,7 +31,10 @@
 
     Soundness scope is inherited from the sleep-set and race argument of
     {!Lb_check.Explore.iter_dpor}: the set of distinct verdicts is preserved;
-    individual schedule orders are not.  See docs/EXPLORATION.md. *)
+    individual schedule orders are not.  See docs/EXPLORATION.md.
+
+    The campaign around the cell — matrices, the mutant hunt and the
+    report — is {!Conform}'s, shared with the sampled runner. *)
 
 open Lb_universal
 open Lb_faults
@@ -92,80 +95,8 @@ val certify_cell :
     constructions use only the fencing LL/SC repertoire, certificates must
     match SC exactly. *)
 
-(** {1 Mutation certification} *)
-
-type mutant_cert = {
-  xm_construction : string;
-  xm_mutant : string;
-  xm_fired : int;
-  xm_cert : cert;  (** the walk over the mutated construction. *)
-}
-
-val mutant_cert_killed : mutant_cert -> bool
-val mutant_cert_ok : mutant_cert -> bool
-(** Killed, or never fired (not applicable). *)
-
-val certify_mutant :
-  construction:Iface.t ->
-  mutant:Mutate.t ->
-  ?model:Lb_memory.Memory_model.t ->
-  n:int ->
-  ops:int ->
-  seed:int ->
-  ?bounds:Lb_check.Sched_tree.bounds ->
-  ?max_schedules:int ->
-  max_states:int ->
-  unit ->
-  mutant_cert
-(** Certify that a mutant is killed by {e some} in-bound schedule on
-    fetch&increment under the fault-free plan — a strictly stronger claim
-    than {!Conform.hunt_mutant}'s sampled kill. *)
-
-(** {1 Matrices and reports} *)
-
-type report = { certs : cert list; mutants : mutant_cert list }
-
-val ok : report -> bool
-
-val inconclusive : report -> bool
-(** Not {!ok}, yet nothing refuted: every cell or mutant short of its goal
-    completed no schedule within the bounds. *)
-
-val matrix :
-  ?jobs:int ->
-  ?constructions:Iface.t list ->
-  ?types:Fuzz.object_type list ->
-  ?plans:(string * Fault_plan.t) list ->
-  ?model:Lb_memory.Memory_model.t ->
-  n:int ->
-  ops:int ->
-  seed:int ->
-  ?bounds:Lb_check.Sched_tree.bounds ->
-  ?max_schedules:int ->
-  max_states:int ->
-  unit ->
-  cert list
-(** Certify the (construction x type x plan) product on a domain pool;
-    cells are pure functions of their key and {!Lb_exec.Pool.map} is
-    order-preserving, so reports are byte-identical at every job count. *)
-
-val mutant_matrix :
-  ?jobs:int ->
-  ?constructions:Iface.t list ->
-  ?mutants:Mutate.t list ->
-  ?model:Lb_memory.Memory_model.t ->
-  n:int ->
-  ops:int ->
-  seed:int ->
-  ?bounds:Lb_check.Sched_tree.bounds ->
-  ?max_schedules:int ->
-  max_states:int ->
-  unit ->
-  mutant_cert list
-
 val pp_cert : Format.formatter -> cert -> unit
-val pp_mutant_cert : Format.formatter -> mutant_cert -> unit
-val pp_report : Format.formatter -> report -> unit
+(** One row of the [conform --exhaustive] cell table. *)
+
+val json_of_stats : Lb_check.Sched_tree.stats -> Lb_observe.Json.t
 val json_of_cert : cert -> Lb_observe.Json.t
-val json_of_mutant_cert : mutant_cert -> Lb_observe.Json.t
-val json_of_report : report -> Lb_observe.Json.t

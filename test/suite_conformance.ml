@@ -17,6 +17,20 @@ let herlihy =
 
 let inc = Value.unit
 
+(* The campaign's two cell runners. *)
+let sample schedules = Conformance.Sample { schedules }
+
+let walk ?(bounds = Exhaustive.default_bounds) () =
+  Conformance.Walk { bounds; max_schedules = 200_000 }
+
+let sampled = function
+  | Conformance.Sampled c -> c
+  | Conformance.Walked _ -> Alcotest.fail "expected a sampled cell"
+
+let walked = function
+  | Conformance.Walked c -> c
+  | Conformance.Sampled _ -> Alcotest.fail "expected a walked cell"
+
 let completed ?(ghost = false) ~pid ~seq ~invoked ~responded response =
   {
     Conf_history.pid;
@@ -291,26 +305,26 @@ let test_fuzz_kills_mutant () =
     | Some m -> m
     | None -> Alcotest.fail "drop-sc-validation mutant missing"
   in
-  let cell =
-    Conformance.hunt_mutant ~construction:herlihy ~mutant ~n:4 ~ops:4 ~schedules:500
-      ~seed:1 ~max_states:200_000 ()
+  let hunt () =
+    Conformance.hunt_mutant ~mode:(sample 500) ~construction:herlihy ~mutant ~n:4 ~ops:4 ~seed:1
+      ~max_states:200_000 ()
   in
-  Alcotest.(check bool) "mutant fired" true (cell.Conformance.fired > 0);
-  match cell.Conformance.outcome with
-  | Conformance.Killed { minimized_len; _ } ->
+  let m = hunt () in
+  Alcotest.(check bool) "mutant fired" true (m.Conformance.fired > 0);
+  match (Conformance.outcome m, Conformance.counterexample m.Conformance.cell) with
+  | Conformance.Killed, Some cx ->
     Alcotest.(check bool) "killed with a non-empty minimized schedule" true
-      (minimized_len > 0);
-    Alcotest.(check bool) "gate counts it as killed" true (Conformance.mutant_killed cell);
+      (cx.Schedule_fuzz.minimized <> []);
+    Alcotest.(check bool) "gate counts it as killed" true (Conformance.mutant_ok m);
     (* Determinism of the whole hunt, shrink included. *)
-    let again =
-      Conformance.hunt_mutant ~construction:herlihy ~mutant ~n:4 ~ops:4 ~schedules:500
-        ~seed:1 ~max_states:200_000 ()
-    in
-    Alcotest.(check bool) "hunt is deterministic" true
-      (again.Conformance.outcome = cell.Conformance.outcome)
-  | Conformance.Survived { runs } -> Alcotest.failf "mutant survived %d runs" runs
-  | Conformance.Inconclusive { seed } -> Alcotest.failf "checker budget exhausted on seed %d" seed
-  | Conformance.Not_applicable -> Alcotest.fail "mutant reported as not applicable"
+    Alcotest.(check bool) "hunt is deterministic" true (hunt () = m)
+  | outcome, _ ->
+    Alcotest.failf "mutant not killed: %s"
+      (match outcome with
+      | Conformance.Survived -> "survived"
+      | Conformance.Inconclusive -> "checker budget exhausted"
+      | Conformance.Not_applicable -> "reported as not applicable"
+      | Conformance.Killed -> "no counterexample")
 
 let test_fuzz_shrunk_counterexample_certified () =
   (* Drive the shrinker through a real failing run and check its two
@@ -392,12 +406,14 @@ let test_fuzz_faulted_cell_not_failing () =
   Alcotest.(check bool) "crash-recovery runs conform" true (Schedule_fuzz.cell_ok cell)
 
 let test_conform_report_json () =
+  let mode = sample 5 in
   let report =
     {
-      Conformance.cells =
+      Conformance.mode;
+      cells =
         [
-          Schedule_fuzz.check_cell ~construction:herlihy ~ot:fetch_inc ~plan_name:"none"
-            ~plan:Fault_plan.none ~n:2 ~ops:2 ~schedules:5 ~seed:3 ~max_states:200_000 ();
+          Conformance.check_cell ~mode ~construction:herlihy ~ot:fetch_inc ~plan_name:"none"
+            ~plan:Fault_plan.none ~n:2 ~ops:2 ~seed:3 ~max_states:200_000 ();
         ];
       mutants = [];
     }
@@ -416,15 +432,16 @@ let test_conform_report_json () =
    same verdict as a sequential run. *)
 let test_matrix_jobs_invariant () =
   let run jobs =
+    let mode = sample 5 in
     let mutants =
-      Conformance.mutation_matrix ~jobs ~constructions:[ herlihy ] ~n:2 ~ops:2 ~schedules:5
-        ~seed:7 ~max_states:60_000 ()
+      Conformance.mutant_matrix ~jobs ~constructions:[ herlihy ] ~mode ~n:2 ~ops:2 ~seed:7
+        ~max_states:60_000 ()
     in
     let cells =
-      Conformance.fuzz_matrix ~jobs ~constructions:[ herlihy ] ~types:[ fetch_inc ] ~n:2
-        ~ops:2 ~schedules:5 ~seed:7 ~max_states:60_000 ()
+      Conformance.matrix ~jobs ~constructions:[ herlihy ] ~types:[ fetch_inc ] ~mode ~n:2
+        ~ops:2 ~seed:7 ~max_states:60_000 ()
     in
-    Json.to_string (Conformance.json_of_report { Conformance.cells; mutants })
+    Json.to_string (Conformance.json_of_report { Conformance.mode; cells; mutants })
   in
   let sequential = run 1 in
   Alcotest.(check string) "jobs=3 report = sequential report" sequential (run 3);
@@ -475,14 +492,14 @@ let test_exhaustive_kills_mutants () =
         | Some m -> m
         | None -> Alcotest.failf "%s mutant missing" name
       in
-      let mc =
-        Exhaustive.certify_mutant ~construction:herlihy ~mutant ~n:3 ~ops:1 ~seed:42
-          ~max_states:200_000 ()
+      let m =
+        Conformance.hunt_mutant ~mode:(walk ()) ~construction:herlihy ~mutant ~n:3 ~ops:1
+          ~seed:42 ~max_states:200_000 ()
       in
-      Alcotest.(check bool) (name ^ " fired") true (mc.Exhaustive.xm_fired > 0);
+      Alcotest.(check bool) (name ^ " fired") true (m.Conformance.fired > 0);
       Alcotest.(check bool) (name ^ " killed in-bounds") true
-        (Exhaustive.mutant_cert_killed mc);
-      match mc.Exhaustive.xm_cert.Exhaustive.xc_counterexample with
+        (Conformance.outcome m = Conformance.Killed);
+      match Conformance.counterexample m.Conformance.cell with
       | None -> Alcotest.fail (name ^ ": killed but no counterexample")
       | Some cx ->
         Alcotest.(check bool) (name ^ ": counterexample is locally minimal") true
@@ -492,44 +509,46 @@ let test_exhaustive_kills_mutants () =
 let test_exhaustive_empty_walk_inconclusive () =
   (* A length bound of 1 cuts every run before it completes: the walk
      certifies nothing, refutes nothing, and kills no mutant. *)
-  let bounds = { Sched_tree.no_bounds with length = Some 1 } in
-  let cert =
-    Exhaustive.certify_cell ~construction:herlihy ~ot:fetch_inc ~plan_name:"none"
-      ~plan:Fault_plan.none ~n:2 ~ops:1 ~seed:42 ~bounds ~max_states:200_000 ()
+  let mode = walk ~bounds:{ Sched_tree.no_bounds with length = Some 1 } () in
+  let cell =
+    Conformance.check_cell ~mode ~construction:herlihy ~ot:fetch_inc ~plan_name:"none"
+      ~plan:Fault_plan.none ~n:2 ~ops:1 ~seed:42 ~max_states:200_000 ()
   in
-  Alcotest.(check int) "no schedule completed" 0 cert.Exhaustive.xc_stats.Sched_tree.schedules;
-  Alcotest.(check bool) "not certified" false (Exhaustive.cert_ok cert);
-  let report = { Exhaustive.certs = [ cert ]; mutants = [] } in
-  Alcotest.(check bool) "report not ok" false (Exhaustive.ok report);
-  Alcotest.(check bool) "report inconclusive" true (Exhaustive.inconclusive report);
+  Alcotest.(check int) "no schedule completed" 0
+    (walked cell).Exhaustive.xc_stats.Sched_tree.schedules;
+  Alcotest.(check bool) "not certified" false (Conformance.cell_ok cell);
+  let report = { Conformance.mode; cells = [ cell ]; mutants = [] } in
+  Alcotest.(check bool) "report not ok" false (Conformance.ok report);
+  Alcotest.(check bool) "report inconclusive" true (Conformance.inconclusive report);
   let mutant = Option.get (Mutate.find "lost-swap-write") in
-  let mc =
-    Exhaustive.certify_mutant ~construction:herlihy ~mutant ~n:2 ~ops:1 ~seed:42 ~bounds
+  let m =
+    Conformance.hunt_mutant ~mode ~construction:herlihy ~mutant ~n:2 ~ops:1 ~seed:42
       ~max_states:200_000 ()
   in
-  Alcotest.(check bool) "mutant fired" true (mc.Exhaustive.xm_fired > 0);
-  Alcotest.(check bool) "empty walk is no kill" false (Exhaustive.mutant_cert_killed mc);
+  Alcotest.(check bool) "mutant fired" true (m.Conformance.fired > 0);
+  Alcotest.(check bool) "empty walk is no kill" false (Conformance.mutant_ok m);
   Alcotest.(check bool) "mutant report inconclusive" true
-    (Exhaustive.inconclusive { Exhaustive.certs = []; mutants = [ mc ] })
+    (Conformance.inconclusive { Conformance.mode; cells = []; mutants = [ m ] })
 
 let test_check_budget_inconclusive () =
   (* A history the checker cannot decide within its budget is neither a
      pass nor a counterexample: the fuzz cell stops there unshrunk, and the
      exhaustive walk raises [Inconclusive]. *)
+  let mode = sample 5 in
   let cell =
-    Schedule_fuzz.check_cell ~construction:herlihy ~ot:fetch_inc ~plan_name:"none"
-      ~plan:Fault_plan.none ~n:2 ~ops:1 ~schedules:5 ~seed:1 ~max_states:1 ()
+    Conformance.check_cell ~mode ~construction:herlihy ~ot:fetch_inc ~plan_name:"none"
+      ~plan:Fault_plan.none ~n:2 ~ops:1 ~seed:1 ~max_states:1 ()
   in
-  Alcotest.(check bool) "no counterexample" true (cell.Schedule_fuzz.counterexample = None);
-  Alcotest.(check int) "stops at the undecided schedule" 1 cell.Schedule_fuzz.runs;
-  Alcotest.(check bool) "cell not ok" false (Schedule_fuzz.cell_ok cell);
-  Alcotest.(check bool) "cell inconclusive" true (Schedule_fuzz.cell_inconclusive cell);
-  let report = { Conformance.cells = [ cell ]; mutants = [] } in
+  Alcotest.(check bool) "no counterexample" true (Conformance.counterexample cell = None);
+  Alcotest.(check int) "stops at the undecided schedule" 1 (sampled cell).Schedule_fuzz.runs;
+  Alcotest.(check bool) "cell not ok" false (Conformance.cell_ok cell);
+  Alcotest.(check bool) "cell inconclusive" true (Conformance.cell_inconclusive cell);
+  let report = { Conformance.mode; cells = [ cell ]; mutants = [] } in
   Alcotest.(check bool) "report not ok" false (Conformance.ok report);
   Alcotest.(check bool) "report inconclusive" true (Conformance.inconclusive report);
   Alcotest.(check bool) "exhaustive walk inconclusive" true
     (match
-       Exhaustive.certify_cell ~construction:herlihy ~ot:fetch_inc ~plan_name:"none"
+       Conformance.check_cell ~mode:(walk ()) ~construction:herlihy ~ot:fetch_inc ~plan_name:"none"
          ~plan:Fault_plan.none ~n:2 ~ops:1 ~seed:42 ~max_states:1 ()
      with
     | _ -> false
@@ -545,33 +564,37 @@ let test_mutant_hunt_budget_inconclusive () =
     | Some m -> m
     | None -> Alcotest.fail "drop-sc-validation mutant missing"
   in
-  let cell =
-    Conformance.hunt_mutant ~construction:herlihy ~mutant ~n:2 ~ops:1 ~schedules:3 ~seed:1
+  let mode = sample 3 in
+  let m =
+    Conformance.hunt_mutant ~mode ~construction:herlihy ~mutant ~n:2 ~ops:1 ~seed:1
       ~max_states:1 ()
   in
-  Alcotest.(check bool) "budget exhaustion is no kill" false (Conformance.mutant_killed cell);
-  (match cell.Conformance.outcome with
-  | Conformance.Inconclusive { seed } -> Alcotest.(check int) "stops at the first schedule" 1 seed
-  | _ -> Alcotest.fail "expected an inconclusive hunt");
-  let report = { Conformance.cells = []; mutants = [ cell ] } in
+  Alcotest.(check bool) "budget exhaustion is no kill" false (Conformance.mutant_ok m);
+  Alcotest.(check bool) "inconclusive hunt" true
+    (Conformance.outcome m = Conformance.Inconclusive);
+  Alcotest.(check int) "stops at the first schedule" 1
+    (sampled m.Conformance.cell).Schedule_fuzz.runs;
+  Alcotest.(check bool) "nothing shrunk" true
+    (Conformance.counterexample m.Conformance.cell = None);
+  let report = { Conformance.mode; cells = []; mutants = [ m ] } in
   Alcotest.(check bool) "report not ok" false (Conformance.ok report);
   Alcotest.(check bool) "report inconclusive" true (Conformance.inconclusive report)
 
 let test_exhaustive_report_json () =
+  let mode = walk ~bounds:{ Sched_tree.no_bounds with preempt = Some 1 } () in
   let report =
     {
-      Exhaustive.certs =
+      Conformance.mode;
+      cells =
         [
-          Exhaustive.certify_cell ~construction:herlihy ~ot:fetch_inc ~plan_name:"none"
-            ~plan:Fault_plan.none ~n:2 ~ops:1 ~seed:3
-            ~bounds:{ Sched_tree.no_bounds with preempt = Some 1 }
-            ~max_states:200_000 ();
+          Conformance.check_cell ~mode ~construction:herlihy ~ot:fetch_inc ~plan_name:"none"
+            ~plan:Fault_plan.none ~n:2 ~ops:1 ~seed:3 ~max_states:200_000 ();
         ];
       mutants = [];
     }
   in
-  Alcotest.(check bool) "report ok" true (Exhaustive.ok report);
-  let json = Exhaustive.json_of_report report in
+  Alcotest.(check bool) "report ok" true (Conformance.ok report);
+  let json = Conformance.json_of_report report in
   match Json.parse (Json.to_string json) with
   | Ok j -> Alcotest.(check bool) "JSON round-trip" true (j = json)
   | Error e -> Alcotest.failf "exhaustive report JSON unparsable: %s" e
@@ -718,16 +741,16 @@ let test_exhaustive_resume_replay () =
               Printf.sprintf "%s+%s n=3" construction.Iface.name mutant.Mutate.name
             in
             let m =
-              Exhaustive.certify_mutant ~construction ~mutant ~n:3 ~ops:1 ~seed ~bounds
-                ~max_states:200_000 ()
+              Conformance.hunt_mutant ~mode:(walk ~bounds ()) ~construction ~mutant ~n:3 ~ops:1
+                ~seed ~max_states:200_000 ()
             in
             let mutated, fired = Mutate.wrap mutant construction in
             let replayed =
               replay_certify ~construction:mutated ~ot:fetch_inc ~plan:Fault_plan.none
                 ~model:Memory_model.SC ~n:3 ~ops:1 ~seed ~bounds
             in
-            ( Printf.sprintf "%s: fired %d, %s" label m.Exhaustive.xm_fired
-                (resumed_summary m.Exhaustive.xm_cert),
+            ( Printf.sprintf "%s: fired %d, %s" label m.Conformance.fired
+                (resumed_summary (walked m.Conformance.cell)),
               Printf.sprintf "%s: fired %d, %s" label (fired ()) replayed ))
           Mutate.all)
       Fault_targets.all
