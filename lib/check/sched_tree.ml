@@ -87,12 +87,11 @@ type vent = {
   mutable v_subs : sub list;
 }
 
-and sub = {
-  s_trace : tstep array;
-  s_nodes : node array;
-  s_virtual : int -> fp -> int list;  (* the trace's [analysis.virtual_races] *)
-  s_marks : (vent * int) list;
-}
+(* A cut run's subscription keeps only its trace and marks: a re-fire
+   rebuilds the race analysis and root path it needs from the trace (see
+   [add_sum]).  Nearly no subscription fires again, and every cut run's
+   vector clocks and node array would otherwise be most of a walk's heap. *)
+and sub = { s_trace : tstep array; s_marks : (vent * int) list }
 
 (* The summary entries of one [explore] call: each distinct [(pid, fp)]
    gets a dense id on first sight, so a summary is a list of ints plus a
@@ -763,14 +762,33 @@ let bit_subset a b =
   in
   go 0
 
+let pid_fps trace = Array.map (fun t -> (t.t_pid, t.t_fp)) trace
+
+(* The tree node at each depth of an incorporated trace, found by following
+   its [(pid, branch)] edges from [root]: every edge of an incorporated
+   trace exists and no node is ever removed, so these are the nodes
+   [incorporate] returned for it. *)
+let root_path root trace =
+  let nodes = Array.make (Array.length trace) root in
+  for i = 1 to Array.length trace - 1 do
+    let t = trace.(i - 1) in
+    let e =
+      List.find (fun e -> e.ed_pid = t.t_pid && e.ed_branch = t.t_branch) nodes.(i - 1).nd_edges
+    in
+    nodes.(i) <- Option.get e.ed_child
+  done;
+  nodes
+
 (* Grow the summary of [v] by the entries [ids], firing the virtual race
    pass of every run cut at [v] and propagating to the summaries of each
    such run's own ancestors, to a fixpoint (summaries grow monotonically
-   within a finite footprint universe, so this terminates).  [ids] never
-   repeats an entry (every caller passes a suffix list or a summary), so
-   one bit test per entry finds the fresh ones.  Nearly every call brings
-   nothing fresh, so that case returns before the queue exists. *)
-let add_sum entries counters bounds v ids =
+   within a finite footprint universe, so this terminates).  A re-fire
+   rebuilds the cut run's analysis and root path from its trace.  [ids]
+   never repeats an entry (every caller passes a suffix list or a
+   summary), so one bit test per entry finds the fresh ones.  Nearly every
+   call brings nothing fresh, so that case returns before the queue
+   exists. *)
+let add_sum root entries counters bounds v ids =
   if List.exists (fun e -> not (bit_mem v.v_has e)) ids then begin
     let queue = Queue.create () in
     Queue.add (v, ids) queue;
@@ -782,7 +800,9 @@ let add_sum entries counters bounds v ids =
         v.v_has <- List.fold_left bit_add v.v_has fresh;
         List.iter
           (fun sub ->
-            virtual_backtracks counters bounds sub.s_nodes sub.s_trace sub.s_virtual entries fresh;
+            let trace = sub.s_trace in
+            virtual_backtracks counters bounds (root_path root trace) trace
+              (analyze (pid_fps trace)).virtual_races entries fresh;
             List.iter (fun (v', _) -> Queue.add (v', fresh) queue) sub.s_marks)
           v.v_subs
       end
@@ -823,17 +843,17 @@ let suffixes entries trace div =
    Likewise an ancestor whose summary already covers [v]'s gains nothing
    from it, which one bitset test shows. *)
 let update_summaries entries counters bounds nodes trace virtual_races marks cut ~div =
+  let root = nodes.(0) in
   let suf = suffixes entries trace div in
-  List.iter (fun (v, i) -> add_sum entries counters bounds v suf.(max 0 (i - div))) marks;
+  List.iter (fun (v, i) -> add_sum root entries counters bounds v suf.(max 0 (i - div))) marks;
   match cut with
   | None -> ()
   | Some v ->
-    let sub = { s_trace = trace; s_nodes = nodes; s_virtual = virtual_races; s_marks = marks } in
-    v.v_subs <- sub :: v.v_subs;
+    v.v_subs <- { s_trace = trace; s_marks = marks } :: v.v_subs;
     virtual_backtracks counters bounds nodes trace virtual_races entries v.v_sum;
     List.iter
       (fun (v', _) ->
-        if not (bit_subset v.v_has v'.v_has) then add_sum entries counters bounds v' v.v_sum)
+        if not (bit_subset v.v_has v'.v_has) then add_sum root entries counters bounds v' v.v_sum)
       marks
 
 (* The exhaustive walk: [run] executes one run under the oracle [d]. *)
@@ -888,7 +908,7 @@ let walk ~bounds ~max_schedules ~run ~f =
       if d.d_saves = [] then None
       else Some { p_trace = trace; p_marks = d.d_marks; p_saves = d.d_saves };
     let nodes = incorporate root trace in
-    let a = analyze (Array.map (fun t -> (t.t_pid, t.t_fp)) trace) in
+    let a = analyze (pid_fps trace) in
     add_backtracks counters bounds nodes trace a;
     if d.d_marks <> [] || d.d_cut <> None then
       update_summaries entries counters bounds nodes trace a.virtual_races d.d_marks d.d_cut

@@ -188,7 +188,9 @@ type ('s, 'k, 'r) machine = {
           aborts the run.  Each visited state keeps a summary of every
           [(process, footprint)] step known to occur below it
           (Yang–Chen–Gopalakrishnan–Kirby), and a cut run's prefix is
-          raced against it as {e virtual steps}, again whenever it grows.
+          raced against it as {e virtual steps}, again whenever it grows
+          (the cut run keeps only its trace for that, and its race
+          analysis and tree path are rebuilt when the summary grows).
           The key must determine the future behaviour and the
           outcome-relevant past, as {!Explore.state_key} does.  Keys are
           hashed with the generic [Hashtbl.hash], which reads ten words, so
@@ -227,7 +229,10 @@ type analysis = {
       (** [virtual_races q fq]: the steps [i], descending, in reversible
           race with a {e virtual} step [(q, fq)] placed after the whole
           trace (a step known to occur below a cut run's final state; see
-          {!machine}'s [key]). *)
+          {!machine}'s [key]).  The closure holds the trace's vector
+          clocks and last-access tables, so {!explore} keeps none of it
+          past the run: a cut run's later re-fire analyzes its trace
+          again. *)
 }
 
 val analyze : (int * fp) array -> analysis

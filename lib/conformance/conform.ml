@@ -212,17 +212,14 @@ let json_of_mutant m =
          ("construction", Str m.mc_construction);
          ("mutant", Str m.mc_mutant);
          ("fired", Int m.fired);
+         ("outcome", Str (outcome_string m));
+         ("killed", Bool (outcome m = Killed));
+         ("ok", Bool (mutant_ok m));
        ]
       @
       match m.cell with
-      (* A sampled report's "killed" counts a not-applicable mutant too. *)
-      | Sampled _ -> [ ("outcome", Str (outcome_string m)); ("killed", Bool (mutant_ok m)) ]
-      | Walked c ->
-        [
-          ("killed", Bool (outcome m = Killed));
-          ("ok", Bool (mutant_ok m));
-          ("stats", Exhaustive.json_of_stats c.Exhaustive.xc_stats);
-        ]))
+      | Sampled _ -> []
+      | Walked c -> [ ("stats", Exhaustive.json_of_stats c.Exhaustive.xc_stats) ]))
 
 let json_of_report r =
   Lb_observe.Json.(

@@ -138,3 +138,7 @@ val pp_report : Format.formatter -> report -> unit
     and CERTIFIED when walked. *)
 
 val json_of_report : report -> Lb_observe.Json.t
+(** Every mutant row has the same fields in both modes: [outcome] (the
+    table's outcome text), [killed] (true exactly for a KILLED outcome)
+    and [ok] ({!mutant_ok}: killed or not applicable); a walked row adds
+    its walk's [stats]. *)

@@ -899,6 +899,42 @@ let test_rounds_memory_gate () =
     true
     (2 * words <= rounds_words_unshared)
 
+(* [Obj.reachable_words] of one Theorem 6.1 analysis's (All, A)-run, UP
+   sets and (S, A)-run together, for tree-collect at n = 512 — the first
+   analysis of the analyze-lower-bound benchmark workload, whose peak RSS
+   is paced by the major GC and so moves with unrelated allocation; this
+   is the deterministic measure of what the analysis keeps.  It read
+   4,026,713 words (OCaml 5.1.1); the bound is 1.1x that. *)
+let analyze_live_words = 4_026_713
+
+let test_analyze_live_words () =
+  let n = 512 in
+  let program_of, inits = Corpus.tree_collect.Corpus.make ~n in
+  let assignment = Coin.constant 0 in
+  let all_run = All_run.execute ~n ~program_of ~assignment ~inits ~max_rounds:40_000 () in
+  let upsets = Upsets.compute ~n all_run.All_run.rounds in
+  (* The winner, as [Lower_bound.analyze] picks it: the first process
+     returning 1, by termination round then id. *)
+  let winner =
+    List.fold_left
+      (fun best (pid, result) ->
+        if result <> 1 then best
+        else
+          let round = Option.value ~default:max_int (All_run.termination_round all_run ~pid) in
+          match best with
+          | Some (_, r) when r <= round -> best
+          | Some _ | None -> Some (pid, round))
+      None all_run.All_run.results
+    |> Option.get |> fst
+  in
+  let r = min (All_run.ops_of all_run ~pid:winner) (All_run.num_rounds all_run) in
+  let s = Upsets.of_process upsets ~r ~pid:winner in
+  let s_run = S_run.execute ~n ~program_of ~assignment ~inits ~s ~all_run ~upsets () in
+  let words = Obj.reachable_words (Obj.repr (all_run, upsets, s_run)) in
+  if float_of_int words > 1.1 *. float_of_int analyze_live_words then
+    Alcotest.failf "a tree-collect n=512 analysis holds %d words (bound %.0f)" words
+      (1.1 *. float_of_int analyze_live_words)
+
 let suite =
   [
     Alcotest.test_case "all-run phases" `Quick test_all_run_phases;
@@ -930,4 +966,5 @@ let suite =
     Alcotest.test_case "UP sets = per-register-scan reference" `Quick test_upsets_match_reference;
     Alcotest.test_case "round invariants" `Quick test_round_invariants;
     Alcotest.test_case "round records memory gate" `Quick test_rounds_memory_gate;
+    Alcotest.test_case "analyze live words (tree-collect n=512)" `Quick test_analyze_live_words;
   ]

@@ -599,6 +599,55 @@ let test_exhaustive_report_json () =
   | Ok j -> Alcotest.(check bool) "JSON round-trip" true (j = json)
   | Error e -> Alcotest.failf "exhaustive report JSON unparsable: %s" e
 
+(* A mutant row means the same in both modes: [killed] is true only for a
+   KILLED outcome and [ok] is [mutant_ok].  A sampled mutant that never
+   fires (lost-swap-write on the direct target, which issues no swap) is
+   ok but not killed; a walked one that is killed carries its stats. *)
+let test_mutant_json_fields () =
+  let mutant name = Option.get (Mutate.find name) in
+  let direct = Option.get (Conformance.find_construction "direct") in
+  let inapplicable =
+    Conformance.hunt_mutant ~mode:(sample 5) ~construction:direct
+      ~mutant:(mutant "lost-swap-write") ~n:2 ~ops:1 ~seed:1 ~max_states:200_000 ()
+  in
+  let killed =
+    Conformance.hunt_mutant
+      ~mode:(walk ~bounds:{ Sched_tree.no_bounds with preempt = Some 1 } ())
+      ~construction:herlihy ~mutant:(mutant "drop-sc-validation") ~n:2 ~ops:1 ~seed:1
+      ~max_states:200_000 ()
+  in
+  let row m =
+    let report = { Conformance.mode = sample 5; cells = []; mutants = [ m ] } in
+    match Conformance.json_of_report report with
+    | Json.Obj fields -> (
+      match List.assoc "mutants" fields with
+      | Json.Arr [ Json.Obj row ] -> row
+      | _ -> Alcotest.fail "expected one mutant row")
+    | _ -> Alcotest.fail "expected a JSON object"
+  in
+  let keys m = List.map fst (row m) in
+  let field m k = List.assoc k (row m) in
+  Alcotest.(check (list string))
+    "sampled row fields"
+    [ "construction"; "mutant"; "fired"; "outcome"; "killed"; "ok" ]
+    (keys inapplicable);
+  Alcotest.(check (list string))
+    "walked row fields"
+    [ "construction"; "mutant"; "fired"; "outcome"; "killed"; "ok"; "stats" ]
+    (keys killed);
+  Alcotest.(check bool) "never fired" true (field inapplicable "fired" = Json.Int 0);
+  Alcotest.(check bool) "not applicable is not killed" true
+    (field inapplicable "killed" = Json.Bool false);
+  Alcotest.(check bool) "not applicable is ok" true (field inapplicable "ok" = Json.Bool true);
+  Alcotest.(check bool) "outcome text" true
+    (field inapplicable "outcome" = Json.Str "not applicable (never fired)");
+  Alcotest.(check bool) "walked mutant killed" true (field killed "killed" = Json.Bool true);
+  Alcotest.(check bool) "walked mutant ok" true (field killed "ok" = Json.Bool true);
+  Alcotest.(check bool) "walked outcome" true
+    (match field killed "outcome" with
+    | Json.Str o -> String.starts_with ~prefix:"KILLED" o
+    | _ -> false)
+
 (* ---- resumed certification = replayed certification ---- *)
 
 (* [Exhaustive]'s runner from before runs resumed, verbatim: every run
@@ -826,6 +875,7 @@ let suite =
       test_linearize_ghost_double_effect;
     Alcotest.test_case "linearize: explicit budget exhaustion" `Quick test_linearize_budget;
     Alcotest.test_case "mutate: rewrite swaps the operation" `Quick test_mutate_rewrite;
+    Alcotest.test_case "mutant JSON rows agree across modes" `Quick test_mutant_json_fields;
     Alcotest.test_case "shrink: ddmin + sweep minimize" `Quick test_shrink_minimize;
     test_shrink_one_minimality_general;
     Alcotest.test_case "fuzz: clean cell passes" `Quick test_fuzz_clean_cell_passes;

@@ -1060,6 +1060,55 @@ let test_dpor_visit_order_bounded_pinned () =
     ]
     got
 
+(* The rows above see few summary re-fires: a subscription fires again
+   only when the state a run was cut at learns a step after the cut, and
+   no corpus walk does that.  These synthetic walks were picked because
+   they do, 116 times in all, 19 of them pushing a todo (counted on an
+   instrumented build), under no bound, preempt <= 1 and fair <= 1; a
+   re-fire rebuilds the cut run's race analysis and root path from its
+   trace, and these digests pin what it then requests.  They were derived
+   at the parent of the change that stopped subscriptions keeping those. *)
+let test_dpor_visit_order_refired_pinned () =
+  let cells =
+    Sched_tree.
+      [
+        (9104, 4, no_bounds);
+        (8487, 5, no_bounds);
+        (4849, 6, no_bounds);
+        (4001, 5, no_bounds);
+        (8370, 5, no_bounds);
+        (6320, 5, { no_bounds with preempt = Some 1 });
+        (6991, 7, { no_bounds with preempt = Some 1 });
+        (4277, 4, { no_bounds with fair = Some 1 });
+        (8145, 4, { no_bounds with fair = Some 1 });
+      ]
+  in
+  let got =
+    List.map
+      (fun (seed, modulus, bounds) ->
+        let procs = synthetic_procs (Random.State.make [| seed |]) in
+        let key pc = Array.map (fun c -> c mod modulus) pc in
+        let stats, log, _ = synthetic_walk ~bounds procs ~key in
+        Format.asprintf "synthetic seed %d mod %d, %a: %s %s" seed modulus Sched_tree.pp_bounds
+          bounds (pp_walk_stats stats)
+          (Digest.to_hex (Digest.string (String.concat "\n" log))))
+      cells
+  in
+  Alcotest.(check (list string))
+    "visit order"
+    [
+      "synthetic seed 9104 mod 4, unbounded: 0/0/85/0/12 6814441aa9f2e6cc1f661a4c31160e73";
+      "synthetic seed 8487 mod 5, unbounded: 0/2/235/0/15 3e1d3fa3cd3814a9e7858ce0aae9b300";
+      "synthetic seed 4849 mod 6, unbounded: 1/3/285/0/15 21f7e054013ad72959d31d7e59b89dad";
+      "synthetic seed 4001 mod 5, unbounded: 1/2/143/0/12 f00684ce9f4728b779060d8607a35906";
+      "synthetic seed 8370 mod 5, unbounded: 0/4/161/0/12 a728eea0d01b44c97b0360da5bdb3a31";
+      "synthetic seed 6320 mod 5, preempt<=1: 0/0/22/17/12 631c2315cf9bf7bd2d8a3b5ff82a5dbe";
+      "synthetic seed 6991 mod 7, preempt<=1: 3/1/53/109/17 414bcafbb8793561637dbe2160a9da71";
+      "synthetic seed 4277 mod 4, fair<=1: 1/1/6/39/15 0665249914c08a08819b35b5656480de";
+      "synthetic seed 8145 mod 4, fair<=1: 0/0/14/69/14 c13ae644404568ba8001bc9ec2b1519b";
+    ]
+    got
+
 (* ---- the race analysis against the quadratic scan it replaced ---- *)
 
 (* The race analysis [Sched_tree.analyze] replaced, verbatim but for
@@ -1432,6 +1481,35 @@ let test_dpor_walk_allocation () =
     Alcotest.failf "a move-collect n=3 walk allocated %.0f minor words (bound %.0f)" words
       (1.1 *. 15_958_379.)
 
+(* The live heap of one stateful walk, a deterministic stand-in for its
+   peak RSS: words live after a full major collection at the 66th (last)
+   completed schedule of a move-collect n=3 [iter_dpor] walk, less the
+   same measure before the walk.  The parent of the change that stopped
+   cut runs' subscriptions keeping their race analyses and root paths
+   read 1,961,424 words; the change brought it to 977,855 (OCaml 5.1.1).
+   The bound is 1.1x the latter. *)
+let dpor_live_words = 977_855
+
+let test_dpor_walk_live_words () =
+  let program_of, inits = Corpus.move_collect.Corpus.make ~n:3 in
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let before = live () in
+  let at_last = ref 0 and runs = ref 0 in
+  ignore
+    (Explore.iter_dpor ~n:3 ~program_of ~inits
+       ~f:(fun _ ->
+         incr runs;
+         if !runs = 66 then at_last := live ())
+       ());
+  Alcotest.(check int) "completed schedules" 66 !runs;
+  let words = !at_last - before in
+  if float_of_int words > 1.1 *. float_of_int dpor_live_words then
+    Alcotest.failf "a move-collect n=3 walk held %d live words (bound %.0f)" words
+      (1.1 *. float_of_int dpor_live_words)
+
 let suite =
   [
     prop_pure_matches_mutable;
@@ -1469,6 +1547,8 @@ let suite =
     Alcotest.test_case "dpor visit order (pinned)" `Quick test_dpor_visit_order_pinned;
     Alcotest.test_case "dpor visit order, bounded walks (pinned)" `Quick
       test_dpor_visit_order_bounded_pinned;
+    Alcotest.test_case "dpor visit order, re-fired subscriptions (pinned)" `Quick
+      test_dpor_visit_order_refired_pinned;
     Alcotest.test_case "re-armed drained subtree is explored" `Quick
       test_rearm_drained_subtree;
     Alcotest.test_case "re-armed drained subtree, resumed runs" `Quick
@@ -1482,4 +1562,6 @@ let suite =
     Alcotest.test_case "dpor state keys (pinned)" `Quick test_dpor_state_keys_pinned;
     Alcotest.test_case "dpor walk allocation (move-collect n=3)" `Quick
       test_dpor_walk_allocation;
+    Alcotest.test_case "dpor walk live words (move-collect n=3)" `Quick
+      test_dpor_walk_live_words;
   ]
