@@ -639,8 +639,9 @@ let conform_cmd =
           ~doc:
             "Bounded-exhaustive mode: instead of sampling random schedules, walk every \
              in-bound interleaving of each cell with bounded DPOR (see docs/EXPLORATION.md).  \
-             The report states how many schedules the bounds elided; with no bound flags, a \
-             pre-emption bound of 2 applies.")
+             The report counts what the bounds elided (runs cut and backtracking requests \
+             rejected, a request re-raised by a later run counted again); with no bound \
+             flags, a pre-emption bound of 2 applies.")
   in
   let preempt_bound_arg =
     Arg.(

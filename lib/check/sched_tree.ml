@@ -157,7 +157,10 @@ type ('k, 'v) dpor = {
   mutable d_prefix : (int * int) list;  (* (pid, branch) decisions to replay *)
   d_div_sleep : entry list;  (* sleep set in force at the divergence point *)
   mutable d_sleep : entry list;
-  mutable d_trace : tstep list;  (* reversed *)
+  mutable d_resumed : tstep array * int;
+      (* the previous run's trace and how many of its steps this run
+         resumed: the first steps of this run's trace (see [trace_of]) *)
+  mutable d_trace : tstep list;  (* the steps after those, reversed *)
   mutable d_depth : int;
   mutable d_preempts : int;
   mutable d_last : int option;
@@ -247,15 +250,17 @@ let choose (s : _ sched) ~step ~enabled =
     pick ()
   | Dpor d -> choose_dpor d ~enabled
 
-(* Append step [t] to the run's trace and advance the bounds' counters:
-   the bookkeeping [commit] and [resume] share. *)
+(* Whether step [t], taken after a step of [q], pre-empts [q]. *)
+let preempts q t = q <> t.t_pid && List.mem q t.t_enabled
+
+(* Append step [t] to the run's trace and advance the bounds' counters. *)
 let advance d t =
   d.d_trace <- t :: d.d_trace;
   (match d.d_last with
-  | Some q when q <> t.t_pid && List.mem q t.t_enabled -> d.d_preempts <- d.d_preempts + 1
+  | Some q when preempts q t -> d.d_preempts <- d.d_preempts + 1
   | _ -> ());
   d.d_last <- Some t.t_pid;
-  Hashtbl.replace d.d_counts t.t_pid (count d t.t_pid + 1);
+  if d.d_bounds.fair <> None then Hashtbl.replace d.d_counts t.t_pid (count d t.t_pid + 1);
   d.d_depth <- d.d_depth + 1
 
 let commit_dpor d ~fp ~branches =
@@ -334,12 +339,35 @@ let interrupted (s : _ sched) =
 
 let rec drop_while f = function x :: rest when f x -> drop_while f rest | l -> l
 
+(* The run's trace: its resumed steps, as a replay records them (a prefix
+   step's sleep set is empty; the divergence step is never resumed), then
+   the steps it committed. *)
+let trace_of d =
+  let base, k = d.d_resumed in
+  if d.d_depth = 0 then [||]
+  else begin
+    let trace = Array.make d.d_depth (if k > 0 then base.(0) else List.hd d.d_trace) in
+    for i = 0 to k - 1 do
+      let t = base.(i) in
+      trace.(i) <- (if t.t_sleep = [] then t else { t with t_sleep = [] })
+    done;
+    let rec fill i = function
+      | [] -> ()
+      | t :: rest ->
+        trace.(i) <- t;
+        fill (i - 1) rest
+    in
+    fill (d.d_depth - 1) d.d_trace;
+    trace
+  end
+
 (* Skip the previous run's shared prefix instead of replaying it: return
    the deepest save this run's prefix shares with the previous trace,
    short of the divergence decision, and leave the oracle as replaying
-   that far would — prefix steps record an empty sleep set, and [mark]
-   would have recorded the previous run's positions.  [None] when no save
-   applies. *)
+   that far would — [mark] would have recorded the previous run's
+   positions, and the bounds' counters stand where that run's left them.
+   The previous trace stands in for the resumed steps ([trace_of]).
+   [None] when no save applies. *)
 let resume d =
   match d.d_past with
   | None -> None
@@ -360,10 +388,20 @@ let resume d =
     | (depth, save) :: _ as saves ->
       d.d_saves <- saves;
       d.d_marks <- drop_while (fun (_, k) -> k > depth) p.p_marks;
-      for i = 0 to depth - 1 do
-        let t = p.p_trace.(i) in
-        advance d (if t.t_sleep = [] then t else { t with t_sleep = [] })
-      done;
+      d.d_resumed <- (p.p_trace, depth);
+      d.d_depth <- depth;
+      if depth > 0 then begin
+        (* [t_preempts] counts the pre-emptions before its step. *)
+        let t = p.p_trace.(depth - 1) in
+        d.d_preempts <-
+          t.t_preempts + Bool.to_int (depth > 1 && preempts p.p_trace.(depth - 2).t_pid t);
+        d.d_last <- Some t.t_pid
+      end;
+      if d.d_bounds.fair <> None then
+        for i = 0 to depth - 1 do
+          let q = p.p_trace.(i).t_pid in
+          Hashtbl.replace d.d_counts q (count d q + 1)
+        done;
       d.d_prefix <- List.filteri (fun i _ -> i >= depth) d.d_prefix;
       Some save)
 
@@ -456,19 +494,45 @@ type counters = {
   mutable c_depth : int;
 }
 
-(* Fold a run's trace into the tree, returning the node at each depth.
-   Creating a decision's first edge also enqueues its coin siblings:
-   branch outcomes are mandatory, not schedule-reducible. *)
-let incorporate root trace =
+(* Absorbed alternatives (see [absorb]) of the step at [nodes.(i)]:
+   mandatory unless the pid is asleep there — asleep means the alternative
+   was fully explored at an ancestor and nothing dependent ran since, so
+   taking it now would only replay a covered interleaving. *)
+let add_also nodes i t =
+  if t.t_also <> [] then
+    List.iter
+      (fun p ->
+        if (not (asleep t.t_sleep p)) && not (has_decision nodes.(i) p) then
+          push_todo nodes i (p, 0))
+      t.t_also
+
+(* Fold a run's trace into the tree and return its root path: the node at
+   each depth, in the first [Array.length trace] cells of [!path], which
+   grows as needed.  [!path] holds the previous run's root path, and the
+   first [shared] steps of [trace] are that run's, so their nodes and
+   edges are already in place: only their absorbed alternatives are
+   checked again.  Creating a decision's first edge also enqueues its coin
+   siblings: branch outcomes are mandatory, not schedule-reducible. *)
+let incorporate root path trace ~shared =
   let len = Array.length trace in
-  if len = 0 then [||]
-  else begin
+  if len > 0 then begin
     (match !root with
     | None -> root := Some (new_node trace.(0).t_enabled)
     | Some _ -> ());
-    let nodes = Array.make len (Option.get !root) in
-    let cursor = ref (Option.get !root) in
-    for i = 0 to len - 1 do
+    if Array.length !path < len then begin
+      let grown = Array.make (max len (2 * Array.length !path)) (Option.get !root) in
+      Array.blit !path 0 grown 0 shared;
+      path := grown
+    end;
+    let nodes = !path in
+    (* The last shared step is walked like a new one: its edge leads to
+       the first new node, which may not exist yet. *)
+    let from = max 0 (shared - 1) in
+    for i = 0 to from - 1 do
+      add_also nodes i trace.(i)
+    done;
+    let cursor = ref (if from = 0 then Option.get !root else nodes.(from)) in
+    for i = from to len - 1 do
       nodes.(i) <- !cursor;
       let t = trace.(i) in
       let node = !cursor in
@@ -496,24 +560,16 @@ let incorporate root trace =
           done;
           e
       in
-      (* Absorbed alternatives (see [absorb]): mandatory unless the pid is
-         asleep here — asleep means the alternative was fully explored at
-         an ancestor and nothing dependent ran since, so taking it now
-         would only replay a covered interleaving. *)
-      List.iter
-        (fun p ->
-          if (not (asleep t.t_sleep p)) && not (has_decision node p) then
-            push_todo nodes i (p, 0))
-        t.t_also;
+      add_also nodes i t;
       if i + 1 < len then begin
         (match edge.ed_child with
         | None -> edge.ed_child <- Some (new_node trace.(i + 1).t_enabled)
         | Some _ -> ());
         cursor := Option.get edge.ed_child
       end
-    done;
-    nodes
-  end
+    done
+  end;
+  !path
 
 (* Would scheduling [p] at trace position [i] respect the bounds?  A
    necessary condition only — the run itself re-checks every later step —
@@ -593,15 +649,81 @@ type analysis = {
   virtual_races : int -> fp -> int list;
 }
 
-(* The last step on each register, indexed by register (registers are
-   non-negative); -1 where none. *)
-let last_on a r = if r < Array.length a then a.(r) else -1
+(* The race analysis of a trace that grows step by step and can be cut
+   back (see [extend] and [cut]), so a walk analyzes only the steps each
+   run adds to the prefix it shares with the previous run.
 
-let rec set_last_on a j = function
-  | [] -> ()
-  | r :: rest ->
-    a.(r) <- j;
-    set_last_on a j rest
+   Happens-before over the trace is program order plus pairwise dependence.
+   A step's immediate predecessors are the previous step of its process,
+   the last earlier step on each of its registers, the last earlier
+   blocking step and, for a blocking step, the last step of every process.
+   Steps on a common register are pairwise dependent, and so are blocking
+   steps, so every earlier step dependent with step [j] happens before (or
+   is) one of [j]'s predecessors.  Hence (a) [j]'s vector clock is the join
+   of its predecessors' clocks; (b) a reversible race (i, j) — one that no
+   step between them bridges in happens-before order — has [i] among [j]'s
+   predecessors; and (c) a predecessor [i] is bridged exactly when it
+   happens before another of them.
+
+   Processes get indices by first appearance: [z_pids.(x)] is index [x]'s
+   process and [z_first.(x)] the step it first appears at.  Per step [j]:
+   [z_vc.(j * z_width + x)] counts the steps of process index [x] that
+   happen before-or-at [j] (columns from [z_m] on are 0), [z_seq.(j)] is
+   [j]'s occurrence number within its process, [z_pix.(j)] its process
+   index and [z_races.(j)] the steps in reversible race with it,
+   descending.  The last-access tables describe the first [z_len] steps;
+   [z_undo] holds, from [z_undo_at.(j)], what step [j] overwrote in them
+   (the last step of its process, the last blocking step, then a
+   (register, last step on it) pair per register), so [cut] restores
+   them. *)
+type analyzer = {
+  mutable z_len : int;
+  mutable z_m : int;
+  mutable z_width : int;
+  mutable z_pids : int array;
+  mutable z_first : int array;
+  mutable z_last_of : int array;
+  mutable z_vc : int array;
+  mutable z_seq : int array;
+  mutable z_pix : int array;
+  mutable z_races : int list array;
+  mutable z_undo_at : int array;
+  mutable z_undo : int array;
+  mutable z_undo_top : int;
+  mutable z_last_on : int array;  (* by register; -1 where none *)
+  mutable z_last_blocking : int;
+  mutable z_buf : int array;  (* scratch for [predecessors] *)
+}
+
+let analyzer () =
+  let steps = 16 and width = 4 in
+  {
+    z_len = 0;
+    z_m = 0;
+    z_width = width;
+    z_pids = Array.make width 0;
+    z_first = Array.make width 0;
+    z_last_of = Array.make width (-1);
+    z_vc = Array.make (steps * width) 0;
+    z_seq = Array.make steps 0;
+    z_pix = Array.make steps 0;
+    z_races = Array.make steps [];
+    z_undo_at = Array.make steps 0;
+    z_undo = Array.make (4 * steps) 0;
+    z_undo_top = 0;
+    z_last_on = Array.make 8 (-1);
+    z_last_blocking = -1;
+    z_buf = Array.make 16 0;
+  }
+
+let grown a n fill =
+  let b = Array.make n fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+let hb_of z i j = i = j || (i < j && z.z_vc.((j * z.z_width) + z.z_pix.(i)) >= z.z_seq.(i))
+
+let last_on z r = if r < Array.length z.z_last_on then z.z_last_on.(r) else -1
 
 (* Add step [i] (none if negative) to the [n] predecessors in
    [buf.(0 .. n-1)], kept distinct and descending; returns the new count. *)
@@ -622,133 +744,185 @@ let add_pred buf n i =
     end
   end
 
-let rec add_reg_preds buf n last = function
+let rec add_reg_preds z buf n = function
   | [] -> n
-  | r :: rest -> add_reg_preds buf (add_pred buf n (last_on last r)) last rest
+  | r :: rest -> add_reg_preds z buf (add_pred buf n (last_on z r)) rest
 
-(* Happens-before over the trace is program order plus pairwise dependence.
-   A step's immediate predecessors are the previous step of its process,
-   the last earlier step on each of its registers, the last earlier
-   blocking step and, for a blocking step, the last step of every process.
-   Steps on a common register are pairwise dependent, and so are blocking
-   steps, so every earlier step dependent with step [j] happens before (or
-   is) one of [j]'s predecessors.  Hence (a) [j]'s vector clock is the join
-   of its predecessors' clocks; (b) a reversible race (i, j) — one that no
-   step between them bridges in happens-before order — has [i] among [j]'s
-   predecessors; and (c) a predecessor [i] is bridged exactly when it
-   happens before another of them.  [vc.(j * m + x)] counts the steps of
-   process index [x] that happen before-or-at step [j]; [seq.(j)] is step
-   [j]'s own occurrence number within its process. *)
-let analyze trace =
-  let len = Array.length trace in
-  (* [pix.(j)]: the index of step [j]'s process, numbered by first
-     appearance; [pids] maps indices back. *)
-  let pids = ref [] in
-  let pix =
-    Array.map
-      (fun (pid, _) ->
-        let rec find i = function
-          | [] ->
-            pids := !pids @ [ pid ];
-            i
-          | q :: rest -> if q = pid then i else find (i + 1) rest
-        in
-        find 0 !pids)
-      trace
-  in
-  let pids = Array.of_list !pids in
-  let m = max (Array.length pids) 1 in
-  let vc = Array.make (len * m) 0 in
-  let seq = Array.make len 0 in
-  let last_of = Array.make m (-1) in
-  let last_on_reg =
-    let rec highest hi = function [] -> hi | r :: rest -> highest (max hi r) rest in
-    Array.make (1 + Array.fold_left (fun hi (_, fp) -> highest hi fp.regs) (-1) trace) (-1)
-  in
-  let last_blocking = ref (-1) in
-  let hb i j = i = j || (i < j && vc.((j * m) + pix.(i)) >= seq.(i)) in
-  (* Fill [buf] with the predecessors of a step of process index [x] (-1:
-     none of the trace's processes) and footprint [fp], placed after every
-     step so far; returns their count. *)
-  let predecessors buf x fp =
-    let n = if x >= 0 then add_pred buf 0 last_of.(x) else 0 in
-    let n = add_pred buf (add_reg_preds buf n last_on_reg fp.regs) !last_blocking in
-    if not fp.blocking then n
-    else begin
-      let n = ref n in
-      for y = 0 to m - 1 do
-        n := add_pred buf !n last_of.(y)
-      done;
-      !n
-    end
-  in
-  (* Whether predecessor [buf.(a)] races a step of process [pid]: it is
-     another process's, and it happens before no other predecessor (one
-     that it did would be larger, so earlier in [buf]). *)
-  let races buf a pid =
+(* Fill [z_buf] with the predecessors of a step of process index [x] (-1:
+   none of the trace's processes) and footprint [fp], placed after every
+   step so far; returns their count. *)
+let predecessors z x fp =
+  let need = z.z_m + List.length fp.regs + 2 in
+  if need > Array.length z.z_buf then z.z_buf <- Array.make (2 * need) 0;
+  let buf = z.z_buf in
+  let n = if x >= 0 then add_pred buf 0 z.z_last_of.(x) else 0 in
+  let n = add_pred buf (add_reg_preds z buf n fp.regs) z.z_last_blocking in
+  if not fp.blocking then n
+  else begin
+    let n = ref n in
+    for y = 0 to z.z_m - 1 do
+      n := add_pred buf !n z.z_last_of.(y)
+    done;
+    !n
+  end
+
+(* The predecessors in [z_buf.(0 .. n-1)] in reversible race with a step
+   of process [pid], descending: another process's, and happening before
+   no other predecessor (one that it did would be larger, so earlier in
+   the buffer). *)
+let racing z n pid =
+  let buf = z.z_buf in
+  let acc = ref [] in
+  for a = n - 1 downto 0 do
     let i = buf.(a) in
-    pids.(pix.(i)) <> pid
-    &&
-    let b = ref 0 in
-    while !b < a && not (hb i buf.(!b)) do
-      incr b
-    done;
-    !b = a
-  in
-  let widest = Array.fold_left (fun w (_, fp) -> max w (List.length fp.regs)) 0 trace in
-  let buf = Array.make (m + widest + 2) 0 in
-  let found = ref [] in
-  for j = 0 to len - 1 do
-    let pid, fp = trace.(j) in
-    let x = pix.(j) in
-    let n = predecessors buf x fp in
-    let row = j * m in
-    for a = 0 to n - 1 do
-      let from = buf.(a) * m in
-      for y = 0 to m - 1 do
-        if vc.(from + y) > vc.(row + y) then vc.(row + y) <- vc.(from + y)
-      done
-    done;
-    vc.(row + x) <- vc.(row + x) + 1;
-    seq.(j) <- vc.(row + x);
-    for a = 0 to n - 1 do
-      if races buf a pid then found := (buf.(a), j) :: !found
-    done;
-    last_of.(x) <- j;
-    set_last_on last_on_reg j fp.regs;
-    if fp.blocking then last_blocking := j
+    if z.z_pids.(z.z_pix.(i)) <> pid then begin
+      let b = ref 0 in
+      while !b < a && not (hb_of z i buf.(!b)) do
+        incr b
+      done;
+      if !b = a then acc := i :: !acc
+    end
   done;
-  (* A virtual step comes after every real step: its predecessors come from
-     the final last-access tables. *)
-  let virtual_races q fq =
-    let rec index x =
-      if x = Array.length pids then -1 else if pids.(x) = q then x else index (x + 1)
-    in
-    let buf = Array.make (m + List.length fq.regs + 2) 0 in
-    let n = predecessors buf (index 0) fq in
-    let acc = ref [] in
-    for a = n - 1 downto 0 do
-      if races buf a q then acc := buf.(a) :: !acc
-    done;
-    !acc
-  in
-  { hb; races = List.rev !found; virtual_races }
+  !acc
 
-(* Request the other process at the earlier step of every reversible race,
-   in the analysis's order. *)
-let add_backtracks counters bounds nodes trace a =
-  List.iter (fun (i, j) -> request counters bounds nodes trace i trace.(j).t_pid) a.races
+let pid_index z pid =
+  let rec go x = if x = z.z_m then -1 else if z.z_pids.(x) = pid then x else go (x + 1) in
+  go 0
+
+(* Give [pid] the next process index, first appearing at step [j]; a
+   wider clock row moves every row kept so far. *)
+let add_pid z pid j =
+  let x = z.z_m in
+  if x = z.z_width then begin
+    let width = 2 * x in
+    let vc = Array.make (Array.length z.z_seq * width) 0 in
+    for k = 0 to z.z_len - 1 do
+      Array.blit z.z_vc (k * x) vc (k * width) x
+    done;
+    z.z_vc <- vc;
+    z.z_width <- width;
+    z.z_pids <- grown z.z_pids width 0;
+    z.z_first <- grown z.z_first width 0;
+    z.z_last_of <- grown z.z_last_of width (-1)
+  end;
+  z.z_pids.(x) <- pid;
+  z.z_first.(x) <- j;
+  z.z_last_of.(x) <- -1;
+  z.z_m <- x + 1;
+  x
+
+let push_undo z v =
+  if z.z_undo_top = Array.length z.z_undo then z.z_undo <- grown z.z_undo (2 * z.z_undo_top) 0;
+  z.z_undo.(z.z_undo_top) <- v;
+  z.z_undo_top <- z.z_undo_top + 1
+
+(* Make step [j] the last on each of [regs], logging what it overwrote. *)
+let rec set_last_on z j = function
+  | [] -> ()
+  | r :: rest ->
+    if r >= Array.length z.z_last_on then
+      z.z_last_on <- grown z.z_last_on (max (r + 1) (2 * Array.length z.z_last_on)) (-1);
+    push_undo z r;
+    push_undo z z.z_last_on.(r);
+    z.z_last_on.(r) <- j;
+    set_last_on z j rest
+
+(* Analyze one more step, of process [pid] with footprint [fp]. *)
+let extend z pid fp =
+  let j = z.z_len in
+  if j = Array.length z.z_seq then begin
+    let steps = 2 * j in
+    z.z_vc <- grown z.z_vc (steps * z.z_width) 0;
+    z.z_seq <- grown z.z_seq steps 0;
+    z.z_pix <- grown z.z_pix steps 0;
+    z.z_races <- grown z.z_races steps [];
+    z.z_undo_at <- grown z.z_undo_at steps 0
+  end;
+  let x = match pid_index z pid with -1 -> add_pid z pid j | x -> x in
+  let n = predecessors z x fp in
+  let buf = z.z_buf and vc = z.z_vc and m = z.z_m in
+  let row = j * z.z_width in
+  Array.fill vc row z.z_width 0;
+  for a = 0 to n - 1 do
+    let from = buf.(a) * z.z_width in
+    for y = 0 to m - 1 do
+      if vc.(from + y) > vc.(row + y) then vc.(row + y) <- vc.(from + y)
+    done
+  done;
+  vc.(row + x) <- vc.(row + x) + 1;
+  z.z_seq.(j) <- vc.(row + x);
+  z.z_pix.(j) <- x;
+  z.z_races.(j) <- racing z n pid;
+  z.z_undo_at.(j) <- z.z_undo_top;
+  push_undo z z.z_last_of.(x);
+  push_undo z z.z_last_blocking;
+  set_last_on z j fp.regs;
+  z.z_last_of.(x) <- j;
+  if fp.blocking then z.z_last_blocking <- j;
+  z.z_len <- j + 1
+
+(* Forget every step from [k] on, as if only the first [k] were ever
+   analyzed: the last-access tables get back what those steps overwrote,
+   latest first, and processes first seen there lose their indices. *)
+let cut z k =
+  if k < z.z_len then begin
+    for j = z.z_len - 1 downto k do
+      let base = z.z_undo_at.(j) in
+      let top = ref z.z_undo_top in
+      while !top > base + 2 do
+        top := !top - 2;
+        z.z_last_on.(z.z_undo.(!top)) <- z.z_undo.(!top + 1)
+      done;
+      z.z_last_blocking <- z.z_undo.(base + 1);
+      z.z_last_of.(z.z_pix.(j)) <- z.z_undo.(base);
+      z.z_undo_top <- base
+    done;
+    z.z_len <- k;
+    while z.z_m > 0 && z.z_first.(z.z_m - 1) >= k do
+      z.z_m <- z.z_m - 1
+    done
+  end
+
+(* The steps in reversible race with a virtual step [(q, fq)] placed after
+   every analyzed step, descending: its predecessors come from the
+   last-access tables. *)
+let virtual_races z q fq = racing z (predecessors z (pid_index z q) fq) q
+
+let analysis z =
+  let races = ref [] in
+  for j = z.z_len - 1 downto 0 do
+    races := List.map (fun i -> (i, j)) z.z_races.(j) @ !races
+  done;
+  { hb = hb_of z; races = !races; virtual_races = virtual_races z }
+
+let analyze trace =
+  let z = analyzer () in
+  Array.iter (fun (pid, fp) -> extend z pid fp) trace;
+  analysis z
+
+(* Request the other process at the earlier step of every reversible race
+   of the analyzed trace, in the order of [analysis.races]. *)
+let add_backtracks counters bounds nodes trace z =
+  let rec requests p = function
+    | [] -> ()
+    | i :: rest ->
+      request counters bounds nodes trace i p;
+      requests p rest
+  in
+  for j = 0 to z.z_len - 1 do
+    requests trace.(j).t_pid z.z_races.(j)
+  done
 
 (* Race the trace's steps against [(q, fq)] steps known to occur somewhere
    below the trace's final state (stateful DPOR's virtual steps): a cut
    run never executed its continuation, so the races its race pass would
    have found against the prefix must be reconstructed from the summary.
-   [virtual_races] is the trace's [analysis.virtual_races]. *)
-let virtual_backtracks counters bounds nodes trace virtual_races entries ids =
+   [z] is the trace's analyzer. *)
+let virtual_backtracks counters bounds nodes trace z entries ids =
   List.iter
     (fun id ->
       let q, fq = entries.entry id in
-      List.iter (fun i -> request counters bounds nodes trace i q) (virtual_races q fq))
+      List.iter (fun i -> request counters bounds nodes trace i q) (virtual_races z q fq))
     ids
 
 (* Whether the bitset [a] is a subset of [b]. *)
@@ -762,7 +936,10 @@ let bit_subset a b =
   in
   go 0
 
-let pid_fps trace = Array.map (fun t -> (t.t_pid, t.t_fp)) trace
+let extend_over z trace from =
+  for j = from to Array.length trace - 1 do
+    extend z trace.(j).t_pid trace.(j).t_fp
+  done
 
 (* The tree node at each depth of an incorporated trace, found by following
    its [(pid, branch)] edges from [root]: every edge of an incorporated
@@ -783,7 +960,9 @@ let root_path root trace =
    pass of every run cut at [v] and propagating to the summaries of each
    such run's own ancestors, to a fixpoint (summaries grow monotonically
    within a finite footprint universe, so this terminates).  A re-fire
-   rebuilds the cut run's analysis and root path from its trace.  [ids]
+   rebuilds the cut run's analysis and root path from its trace, with an
+   analyzer of its own: the walk's describes the current run, whose cut
+   pass may still follow this call.  [ids]
    never repeats an entry (every caller passes a suffix list or a
    summary), so one bit test per entry finds the fresh ones.  Nearly every
    call brings nothing fresh, so that case returns before the queue
@@ -801,8 +980,9 @@ let add_sum root entries counters bounds v ids =
         List.iter
           (fun sub ->
             let trace = sub.s_trace in
-            virtual_backtracks counters bounds (root_path root trace) trace
-              (analyze (pid_fps trace)).virtual_races entries fresh;
+            let z = analyzer () in
+            extend_over z trace 0;
+            virtual_backtracks counters bounds (root_path root trace) trace z entries fresh;
             List.iter (fun (v', _) -> Queue.add (v', fresh) queue) sub.s_marks)
           v.v_subs
       end
@@ -842,7 +1022,7 @@ let suffixes entries trace div =
    suffix from [div] alone — the same fresh entries in the same order.
    Likewise an ancestor whose summary already covers [v]'s gains nothing
    from it, which one bitset test shows. *)
-let update_summaries entries counters bounds nodes trace virtual_races marks cut ~div =
+let update_summaries entries counters bounds nodes trace z marks cut ~div =
   let root = nodes.(0) in
   let suf = suffixes entries trace div in
   List.iter (fun (v, i) -> add_sum root entries counters bounds v suf.(max 0 (i - div))) marks;
@@ -850,11 +1030,22 @@ let update_summaries entries counters bounds nodes trace virtual_races marks cut
   | None -> ()
   | Some v ->
     v.v_subs <- { s_trace = trace; s_marks = marks } :: v.v_subs;
-    virtual_backtracks counters bounds nodes trace virtual_races entries v.v_sum;
+    virtual_backtracks counters bounds nodes trace z entries v.v_sum;
     List.iter
       (fun (v', _) ->
         if not (bit_subset v.v_has v'.v_has) then add_sum root entries counters bounds v' v.v_sum)
       marks
+
+(* How many leading steps two traces share: the same [(pid, branch)]
+   decisions, as [resume] compares them, take a deterministic runner
+   through the same steps. *)
+let shared_steps a b =
+  let n = min (Array.length a) (Array.length b) in
+  let rec go i =
+    if i < n && a.(i).t_pid = b.(i).t_pid && a.(i).t_branch = b.(i).t_branch then go (i + 1)
+    else i
+  in
+  go 0
 
 (* The exhaustive walk: [run] executes one run under the oracle [d]. *)
 let walk ~bounds ~max_schedules ~run ~f =
@@ -867,6 +1058,11 @@ let walk ~bounds ~max_schedules ~run ~f =
   let total = ref 0 in
   let continue_ = ref true in
   let past = ref None in
+  (* The previous run's trace, its root path and its race analysis: each
+     run keeps what it shares with the previous one and adds the rest. *)
+  let last = ref [||] in
+  let path = ref [||] in
+  let z = analyzer () in
   let exec prefix div_sleep =
     incr total;
     if !total > max_schedules then raise (Schedule_limit max_schedules);
@@ -877,6 +1073,7 @@ let walk ~bounds ~max_schedules ~run ~f =
         d_prefix = prefix;
         d_div_sleep = div_sleep;
         d_sleep = (if prefix = [] then div_sleep else []);
+        d_resumed = ([||], 0);
         d_trace = [];
         d_depth = 0;
         d_preempts = 0;
@@ -900,18 +1097,21 @@ let walk ~bounds ~max_schedules ~run ~f =
       | Sleep_blocked -> counters.c_sleep_blocked <- counters.c_sleep_blocked + 1
       | Deduped -> counters.c_deduped <- counters.c_deduped + 1
       | Bound_blocked | Running -> counters.c_elided <- counters.c_elided + 1));
-    let trace = Array.of_list (List.rev d.d_trace) in
+    let trace = trace_of d in
     counters.c_depth <- max counters.c_depth (Array.length trace);
     (* Only the latest run is kept, and only if its machine saved states:
        runners that never save pay nothing for resuming. *)
     past :=
       if d.d_saves = [] then None
       else Some { p_trace = trace; p_marks = d.d_marks; p_saves = d.d_saves };
-    let nodes = incorporate root trace in
-    let a = analyze (pid_fps trace) in
-    add_backtracks counters bounds nodes trace a;
+    let shared = shared_steps !last trace in
+    last := trace;
+    let nodes = incorporate root path trace ~shared in
+    cut z shared;
+    extend_over z trace shared;
+    add_backtracks counters bounds nodes trace z;
     if d.d_marks <> [] || d.d_cut <> None then
-      update_summaries entries counters bounds nodes trace a.virtual_races d.d_marks d.d_cut
+      update_summaries entries counters bounds nodes trace z d.d_marks d.d_cut
         ~div:(min (max 0 (List.length prefix - 1)) (Array.length trace))
   in
   exec [] [];

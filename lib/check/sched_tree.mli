@@ -118,9 +118,12 @@ type stats = {
           redundant interleavings, no loss. *)
   deduped : int;  (** runs abandoned at a previously-visited state. *)
   elided : int;
-      (** schedules provably dropped by the bounds (cut runs plus todo
-          entries rejected at insertion) — nonzero means the exploration
-          was {e not} exhaustive. *)
+      (** what the bounds dropped: runs a bound cut (or the runner
+          abandoned), plus rejected todo {e insertion attempts}.  A race
+          in a run's replayed prefix is requested again by every run that
+          shares the prefix, and an out-of-bound request is counted each
+          time, so this is not a count of distinct schedules lost.
+          Nonzero means the exploration was {e not} exhaustive. *)
   max_depth : int;  (** longest schedule executed, in decisions. *)
 }
 
@@ -229,20 +232,41 @@ type analysis = {
       (** [virtual_races q fq]: the steps [i], descending, in reversible
           race with a {e virtual} step [(q, fq)] placed after the whole
           trace (a step known to occur below a cut run's final state; see
-          {!machine}'s [key]).  The closure holds the trace's vector
-          clocks and last-access tables, so {!explore} keeps none of it
-          past the run: a cut run's later re-fire analyzes its trace
-          again. *)
+          {!machine}'s [key]).  A cut run's subscription keeps none of
+          this: a later re-fire analyzes its trace again. *)
 }
 
 val analyze : (int * fp) array -> analysis
-(** The race analysis {!explore} runs on every trace of [(pid, fp)] steps
-    (registers are non-negative, as in [Lb_memory.Memory]).  It is linear
-    in the trace's length: each step's vector clock joins only its
-    immediate predecessors — the previous step of its process, the last
-    earlier step on each of its registers, the last earlier blocking
-    step, and for a blocking step the last step of every process — and
-    only those predecessors can be in reversible race with it. *)
+(** The race analysis of a trace of [(pid, fp)] steps (registers are
+    non-negative, as in [Lb_memory.Memory]): a fresh {!analyzer}
+    extended over the whole trace.  It is linear in the trace's length:
+    each step's vector clock joins only its immediate predecessors — the
+    previous step of its process, the last earlier step on each of its
+    registers, the last earlier blocking step, and for a blocking step the
+    last step of every process — and only those predecessors can be in
+    reversible race with it. *)
+
+type analyzer
+(** The race analysis of a trace that grows by {!extend} and shrinks by
+    {!cut}.  {!explore} keeps one per walk: each run cuts it back to the
+    steps it shares with the previous run and extends it over the rest,
+    so a run analyzes only the steps it adds. *)
+
+val analyzer : unit -> analyzer
+(** An analyzer of the empty trace. *)
+
+val extend : analyzer -> int -> fp -> unit
+(** [extend z pid fp] appends a step of process [pid] with footprint
+    [fp]. *)
+
+val cut : analyzer -> int -> unit
+(** [cut z k] keeps the first [k] steps (all of them if there are fewer):
+    afterwards [z] is what extending a fresh analyzer over those steps
+    gives. *)
+
+val analysis : analyzer -> analysis
+(** The analysis of the steps [z] holds; it reads [z], so it is valid
+    until the next {!extend} or {!cut}. *)
 
 (** {1 Sampling and replay oracles} *)
 

@@ -861,6 +861,29 @@ let test_exhaustive_executed_steps () =
        ~n:4 ~ops:1 ~seed:1 ~bounds);
   Alcotest.(check int) "executed steps of the replaying walk" 106_176 !replay_steps
 
+(* The allocation of one certify walk, a deterministic stand-in for its
+   time: minor words of [Exhaustive.certify_cell] on the CI cell (herlihy
+   fetch-inc, n=4, one op each, pre-emption bound 1), the second of two
+   walks.  Before the walk kept its race analysis, root path and resumed
+   trace across runs it allocated 27,981,246 words; after, 24,348,536
+   (OCaml 5.1.1).  The bound is 1.1x the latter. *)
+let exhaustive_walk_words = 24_348_536.
+
+let test_exhaustive_walk_allocation () =
+  let bounds = { Sched_tree.no_bounds with preempt = Some 1 } in
+  let walk () =
+    ignore
+      (Exhaustive.certify_cell ~construction:herlihy ~ot:fetch_inc ~plan_name:"none"
+         ~plan:Fault_plan.none ~n:4 ~ops:1 ~seed:1 ~bounds ~max_states:200_000 ())
+  in
+  walk ();
+  let before = Gc.minor_words () in
+  walk ();
+  let words = Gc.minor_words () -. before in
+  if words > 1.1 *. exhaustive_walk_words then
+    Alcotest.failf "the n=4 herlihy certify walk allocated %.0f minor words (bound %.0f)" words
+      (1.1 *. exhaustive_walk_words)
+
 let suite =
   [
     Alcotest.test_case "history: of_events lifecycle + ghosts" `Quick test_history_of_events;
@@ -906,4 +929,6 @@ let suite =
     Alcotest.test_case "exhaustive resume = replay" `Slow test_exhaustive_resume_replay;
     Alcotest.test_case "exhaustive executed steps (pinned)" `Quick
       test_exhaustive_executed_steps;
+    Alcotest.test_case "exhaustive walk allocation (herlihy n=4, preempt<=1)" `Quick
+      test_exhaustive_walk_allocation;
   ]

@@ -1062,12 +1062,17 @@ let test_dpor_visit_order_bounded_pinned () =
 
 (* The rows above see few summary re-fires: a subscription fires again
    only when the state a run was cut at learns a step after the cut, and
-   no corpus walk does that.  These synthetic walks were picked because
-   they do, 116 times in all, 19 of them pushing a todo (counted on an
+   no corpus walk does that.  The first nine synthetic walks were picked
+   because they do, 116 times in all, 19 of them pushing a todo (counted on an
    instrumented build), under no bound, preempt <= 1 and fair <= 1; a
    re-fire rebuilds the cut run's race analysis and root path from its
    trace, and these digests pin what it then requests.  They were derived
-   at the parent of the change that stopped subscriptions keeping those. *)
+   at the parent of the change that stopped subscriptions keeping those.
+   The last row is the only walk among seeds 0-9999, moduli 3-7 and these
+   three bounds that a re-fire's race at trace position 0 changes: a
+   re-fire that drops races at position 0 walks it differently, and no
+   other row sees that.  Its line was derived at the parent of the change
+   that keeps the race analysis across runs. *)
 let test_dpor_visit_order_refired_pinned () =
   let cells =
     Sched_tree.
@@ -1081,6 +1086,7 @@ let test_dpor_visit_order_refired_pinned () =
         (6991, 7, { no_bounds with preempt = Some 1 });
         (4277, 4, { no_bounds with fair = Some 1 });
         (8145, 4, { no_bounds with fair = Some 1 });
+        (3024, 4, { no_bounds with fair = Some 1 });
       ]
   in
   let got =
@@ -1106,6 +1112,7 @@ let test_dpor_visit_order_refired_pinned () =
       "synthetic seed 6991 mod 7, preempt<=1: 3/1/53/109/17 414bcafbb8793561637dbe2160a9da71";
       "synthetic seed 4277 mod 4, fair<=1: 1/1/6/39/15 0665249914c08a08819b35b5656480de";
       "synthetic seed 8145 mod 4, fair<=1: 0/0/14/69/14 c13ae644404568ba8001bc9ec2b1519b";
+      "synthetic seed 3024 mod 4, fair<=1: 0/0/14/61/14 32f764d5aff7da81cc5aba3adad1e217";
     ]
     got
 
@@ -1193,30 +1200,34 @@ let reference_virtual_races trace hb q fq =
 (* Random traces: 0-80 steps of 2-6 processes over registers 0-5, each
    step on one or two registers or on none (a fence), one in eight
    blocking. *)
+let gen_race_fp =
+  let open QCheck.Gen in
+  map2
+    (fun regs k -> { Sched_tree.regs; blocking = k = 0 })
+    (frequency
+       [
+         (1, return []);
+         (6, map (fun r -> [ r ]) (int_bound 5));
+         (3, map2 (fun a b -> List.sort_uniq compare [ a; b ]) (int_bound 5) (int_bound 5));
+       ])
+    (int_bound 7)
+
 let gen_race_trace =
   let open QCheck.Gen in
-  let fp =
-    map2
-      (fun regs k -> { Sched_tree.regs; blocking = k = 0 })
-      (frequency
-         [
-           (1, return []);
-           (6, map (fun r -> [ r ]) (int_bound 5));
-           (3, map2 (fun a b -> List.sort_uniq compare [ a; b ]) (int_bound 5) (int_bound 5));
-         ])
-      (int_bound 7)
-  in
   int_range 2 6 >>= fun pids ->
   int_range 0 80 >>= fun len ->
-  map (fun steps -> (pids, Array.of_list steps)) (list_repeat len (pair (int_bound (pids - 1)) fp))
+  map
+    (fun steps -> (pids, Array.of_list steps))
+    (list_repeat len (pair (int_bound (pids - 1)) gen_race_fp))
+
+let print_race_step (p, (fp : Sched_tree.fp)) =
+  Printf.sprintf "%d:[%s]%s" p
+    (String.concat "," (List.map string_of_int fp.regs))
+    (if fp.blocking then "!" else "")
 
 let print_race_trace (pids, trace) =
-  let step (p, (fp : Sched_tree.fp)) =
-    Printf.sprintf "%d:[%s]%s" p
-      (String.concat "," (List.map string_of_int fp.regs))
-      (if fp.blocking then "!" else "")
-  in
-  Printf.sprintf "%d pids: %s" pids (String.concat " " (Array.to_list (Array.map step trace)))
+  Printf.sprintf "%d pids: %s" pids
+    (String.concat " " (Array.to_list (Array.map print_race_step trace)))
 
 (* The linear analysis agrees with the quadratic one: the same
    happens-before on every pair, the same reversible races in the same
@@ -1248,6 +1259,60 @@ let prop_race_analysis =
                     a.Sched_tree.virtual_races q fq = reference_virtual_races trace hb q fq)
                   virtual_fps)
               (List.init (pids + 1) Fun.id)))
+
+(* The analyzer a walk keeps across runs agrees with a fresh one: over
+   random sequences of "cut to depth k, extend by a random suffix" on one
+   analyzer, after each step its races (in order), its happens-before on
+   every pair and its races against drawn virtual steps (of every process,
+   one absent from the trace included) equal those of [Sched_tree.analyze]
+   on the same trace.  Each step is (k, suffix, virtual steps), with k
+   taken modulo one more than the trace's length. *)
+let gen_kept_analyzer =
+  let open QCheck.Gen in
+  int_range 2 6 >>= fun pids ->
+  let step = pair (int_bound (pids - 1)) gen_race_fp in
+  map
+    (fun steps -> (pids, steps))
+    (list_size (int_range 1 8)
+       (triple nat
+          (list_size (int_range 0 30) step)
+          (list_size (int_range 1 4) (pair (int_bound pids) gen_race_fp))))
+
+let print_kept_analyzer (pids, steps) =
+  let one (k, suffix, probes) =
+    Printf.sprintf "cut %d, extend %s, probe %s" k
+      (String.concat " " (List.map print_race_step suffix))
+      (String.concat " " (List.map print_race_step probes))
+  in
+  Printf.sprintf "%d pids: %s" pids (String.concat "; " (List.map one steps))
+
+let prop_kept_analyzer =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:500 ~name:"kept race analysis = fresh analysis"
+       (QCheck.make ~print:print_kept_analyzer gen_kept_analyzer)
+       (fun (_, steps) ->
+         let z = Sched_tree.analyzer () in
+         let trace = ref [||] in
+         List.for_all
+           (fun (k, suffix, probes) ->
+             let k = k mod (Array.length !trace + 1) in
+             Sched_tree.cut z k;
+             List.iter (fun (p, fp) -> Sched_tree.extend z p fp) suffix;
+             trace := Array.append (Array.sub !trace 0 k) (Array.of_list suffix);
+             let len = Array.length !trace in
+             let kept = Sched_tree.analysis z and fresh = Sched_tree.analyze !trace in
+             kept.Sched_tree.races = fresh.Sched_tree.races
+             && List.for_all
+                  (fun i ->
+                    List.for_all
+                      (fun j -> kept.Sched_tree.hb i j = fresh.Sched_tree.hb i j)
+                      (List.init len Fun.id))
+                  (List.init len Fun.id)
+             && List.for_all
+                  (fun (q, fq) ->
+                    kept.Sched_tree.virtual_races q fq = fresh.Sched_tree.virtual_races q fq)
+                  probes)
+           steps))
 
 (* Executed program steps: [counted program_of] wraps every [Op]
    continuation with a counter, so the count is the number of steps the
@@ -1468,8 +1533,12 @@ let test_dpor_state_keys_pinned () =
    time: minor words of a move-collect n=3 [iter_dpor] walk (dedup on).
    The parent of the change that started the summary pass at the
    divergence and hash-consed the histories allocated 19,020,041 words
-   here; the change brought it to 15,958,379 (OCaml 5.1.1).  The bound
-   is 1.1x the latter. *)
+   here, and that change 15,958,379; later changes brought it to
+   15,292,190.  Keeping the race analysis, root path and resumed trace
+   across runs brought it to 10,139,820 (OCaml 5.1.1).  The bound is
+   1.1x the latter. *)
+let dpor_walk_words = 10_139_820.
+
 let test_dpor_walk_allocation () =
   let program_of, inits = Corpus.move_collect.Corpus.make ~n:3 in
   let walk () = ignore (Explore.iter_dpor ~n:3 ~program_of ~inits ~f:ignore ()) in
@@ -1477,9 +1546,9 @@ let test_dpor_walk_allocation () =
   let before = Gc.minor_words () in
   walk ();
   let words = Gc.minor_words () -. before in
-  if words > 1.1 *. 15_958_379. then
+  if words > 1.1 *. dpor_walk_words then
     Alcotest.failf "a move-collect n=3 walk allocated %.0f minor words (bound %.0f)" words
-      (1.1 *. 15_958_379.)
+      (1.1 *. dpor_walk_words)
 
 (* The live heap of one stateful walk, a deterministic stand-in for its
    peak RSS: words live after a full major collection at the 66th (last)
@@ -1555,6 +1624,7 @@ let suite =
       test_rearm_drained_subtree_resumed;
     prop_resume_is_replay;
     prop_race_analysis;
+    prop_kept_analyzer;
     Alcotest.test_case "dpor executed steps (pinned)" `Quick test_dpor_executed_steps;
     prop_state_key_hash;
     Alcotest.test_case "dpor state-key hash spread (move-collect n=3)" `Quick
