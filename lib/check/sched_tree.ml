@@ -179,10 +179,9 @@ type ('k, 'v) dpor = {
 (* The runs of {!explore} save nothing. *)
 type nothing = |
 
-type 'k sched = Dpor of ('k, nothing) dpor | Sample of int | Replay of int list ref
+type 'k sched = Dpor of ('k, nothing) dpor | Sample of int
 
 let sampler ~seed = Sample seed
-let replayer entries = Replay (ref entries)
 
 let count d p = Option.value (Hashtbl.find_opt d.d_counts p) ~default:0
 
@@ -239,15 +238,6 @@ let choose (s : _ sched) ~step ~enabled =
   match s with
   | Sample seed ->
     if enabled = [] then None else Scheduler.random ~seed ~step ~runnable:enabled
-  | Replay remaining ->
-    let rec pick () =
-      match !remaining with
-      | [] -> Scheduler.round_robin ~step ~runnable:enabled
-      | pid :: rest ->
-        remaining := rest;
-        if List.mem pid enabled then Some pid else pick ()
-    in
-    pick ()
   | Dpor d -> choose_dpor d ~enabled
 
 (* Whether step [t], taken after a step of [q], pre-empts [q]. *)
@@ -296,7 +286,7 @@ let commit_dpor d ~fp ~branches =
     branch
 
 let commit (s : _ sched) ~fp ~branches =
-  match s with Sample _ | Replay _ -> 0 | Dpor d -> commit_dpor d ~fp ~branches
+  match s with Sample _ -> 0 | Dpor d -> commit_dpor d ~fp ~branches
 
 (* Declare [pid] a mandatory sibling of the step just committed: a
    decision whose effect the step absorbed (see [stepped.absorbed]). *)
@@ -335,7 +325,7 @@ let mark d key =
   end
 
 let interrupted (s : _ sched) =
-  match s with Sample _ | Replay _ -> false | Dpor d -> d.d_status <> Running
+  match s with Sample _ -> false | Dpor d -> d.d_status <> Running
 
 let rec drop_while f = function x :: rest when f x -> drop_while f rest | l -> l
 

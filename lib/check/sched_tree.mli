@@ -3,10 +3,10 @@
     This is the dejafu-style systematic-concurrency-testing core shared by
     the pure explorer ({!Explore.iter_dpor}) and the conformance certifier
     ([Lb_conformance.Exhaustive]): one abstraction that can {e exhaust} a
-    schedule space (DPOR with dynamically added backtracking points),
-    {e sample} it (the seeded random scheduler the fuzzer uses), or
-    {e replay} one recorded schedule — all three behind the same
-    {!choose}/{!commit} oracle, so a runner written once serves every mode.
+    schedule space (DPOR with dynamically added backtracking points) or
+    {e sample} it (the seeded random scheduler the fuzzer uses) — both
+    behind the same {!choose}/{!commit} oracle, so a runner written once
+    serves either mode.
 
     {2 The model}
 
@@ -89,13 +89,13 @@ val pp_bounds : Format.formatter -> bounds -> unit
 
 type 'k sched
 (** One run's scheduling oracle.  ['k] is the state-dedup key type (only
-    exercised by a {!machine}'s [key]; samplers and replayers ignore it). *)
+    exercised by a {!machine}'s [key]; samplers ignore it). *)
 
 val choose : 'k sched -> step:int -> enabled:int list -> int option
 (** Pick the next process.  [None] aborts the run: every enabled process
     is asleep, the bounds forbid every choice, or the dedup key hit a
     visited state.  [step] is the caller's global step clock — used only by
-    samplers/replayers, so gaps (e.g. harness idle ticks) are fine. *)
+    samplers, so gaps (e.g. harness idle ticks) are fine. *)
 
 val commit : 'k sched -> fp:fp -> branches:int -> int
 (** Report the chosen step's footprint and its coin-branch fan-out; the
@@ -268,15 +268,10 @@ val analysis : analyzer -> analysis
 (** The analysis of the steps [z] holds; it reads [z], so it is valid
     until the next {!extend} or {!cut}. *)
 
-(** {1 Sampling and replay oracles} *)
+(** {1 The sampling oracle} *)
 
 val sampler : seed:int -> 'k sched
 (** The seeded random oracle — byte-identical to
     {!Lb_runtime.Scheduler.random} with the same seed, so fuzzing samples
     exactly the tree that {!explore} exhausts, with unchanged pinned
     results.  [commit] always selects branch 0. *)
-
-val replayer : int list -> 'k sched
-(** Replay a recorded pid schedule: entries not currently enabled are
-    skipped, and after exhaustion the run finishes round-robin —
-    byte-identical to the conformance replayer's semantics. *)

@@ -306,16 +306,21 @@ let run_once ~construction ~ot ~plan ~n ~ops ~seed ?model ~max_states ~scheduler
   in
   assess ~construction ~ot ~plan ~n ~ops ~max_states ~schedule result
 
-(* Both fuzz schedulers are leaves of the {!Lb_check.Sched_tree} oracle:
-   sampling and replay draw from the same abstraction the DPOR walk
-   exhausts, so a schedule means the same thing in every mode. *)
+(* Sampling is a leaf of the {!Lb_check.Sched_tree} oracle: it draws from
+   the same abstraction the DPOR walk exhausts, so a sampled schedule means
+   the same thing in every mode. *)
 let tree_scheduler sched ~step ~runnable =
   Lb_check.Sched_tree.choose sched ~step ~enabled:runnable
 
 (* Replay a recorded schedule: consume entries (skipping ones that are not
    runnable at that step), then finish the run round-robin so the verdict is
    always about a completed run.  Deterministic. *)
-let replay_scheduler entries = tree_scheduler (Lb_check.Sched_tree.replayer entries)
+let replay_scheduler entries =
+  let fixed = Scheduler.fixed entries in
+  fun ~step ~runnable ->
+    match fixed ~step ~runnable with
+    | Some _ as pid -> pid
+    | None -> Scheduler.round_robin ~step ~runnable
 
 let sample_scheduler ~seed = tree_scheduler (Lb_check.Sched_tree.sampler ~seed)
 

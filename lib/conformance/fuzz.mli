@@ -147,9 +147,9 @@ val run_once :
 
 val tree_scheduler : 'k Lb_check.Sched_tree.sched -> Scheduler.choice
 (** View a {!Lb_check.Sched_tree} oracle as a harness scheduler: the
-    fuzzer's random sampling ({!Lb_check.Sched_tree.sampler}), replay
-    ({!Lb_check.Sched_tree.replayer}) and the exhaustive checker's DPOR
-    walk all draw schedules from the same abstraction. *)
+    fuzzer's random sampling ({!Lb_check.Sched_tree.sampler}) and the
+    exhaustive checker's DPOR walk draw schedules from the same
+    abstraction. *)
 
 val sample_scheduler : seed:int -> Scheduler.choice
 (** [tree_scheduler (Lb_check.Sched_tree.sampler ~seed)]: the one seeded
@@ -166,8 +166,9 @@ val replay :
   max_states:int ->
   int list ->
   run
-(** Re-run under a recorded schedule (non-runnable entries skipped,
-    round-robin after exhaustion).  Deterministic. *)
+(** Re-run under a recorded schedule: {!Lb_runtime.Scheduler.fixed} plays
+    it (non-runnable entries skipped), then
+    {!Lb_runtime.Scheduler.round_robin} finishes the run.  Deterministic. *)
 
 type counterexample = {
   seed_used : int;
