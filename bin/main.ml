@@ -136,6 +136,14 @@ let corpus_cmd =
   in
   Cmd.v (Cmd.info "corpus" ~doc:"List the wakeup algorithm corpus.") Term.(const run $ logging)
 
+(* Write a [--report] file: the JSON, pretty-printed, then a newline. *)
+let write_report path json =
+  let oc = open_out path in
+  output_string oc (Json.to_string ~pretty:true json);
+  output_string oc "\n";
+  close_out oc;
+  Format.printf "report written to %s@." path
+
 (* ---- shared args ---- *)
 
 let n_arg =
@@ -706,13 +714,6 @@ let conform_cmd =
       if plan_name = "all" then Fault_plan.named ~n
       else [ (plan_name, Option.get (Fault_plan.of_name ~n plan_name)) ]
     in
-    let write_json path json =
-      let oc = open_out path in
-      output_string oc (Json.to_string ~pretty:true json);
-      output_string oc "\n";
-      close_out oc;
-      Format.printf "report written to %s@." path
-    in
     (* Exit 4: no failure found, but no certificate either. *)
     let nothing_certified why =
       Format.eprintf "lowerbound: %s; nothing was certified@." why;
@@ -770,7 +771,7 @@ let conform_cmd =
       with
       | report ->
         Format.printf "%a@." Conformance.pp_report report;
-        Option.iter (fun path -> write_json path (Conformance.json_of_report report)) report_file;
+        Option.iter (fun path -> write_report path (Conformance.json_of_report report)) report_file;
         `Ok
           (if Conformance.ok report then 0
            else if Conformance.inconclusive report then
@@ -1112,20 +1113,14 @@ let litmus_cmd =
         (if ok then "PASS" else "MISMATCH");
       Option.iter
         (fun path ->
-          let json =
+          write_report path
             Json.(
               Obj
                 [
                   ("tests", Arr (List.map json_of_verdict verdicts));
                   ("distinguishes_all_models", Bool distinguishes);
                   ("ok", Bool ok);
-                ])
-          in
-          let oc = open_out path in
-          output_string oc (Json.to_string ~pretty:true json);
-          output_string oc "\n";
-          close_out oc;
-          Format.printf "report written to %s@." path)
+                ]))
         report_file;
       if ok then 0 else 3
   in

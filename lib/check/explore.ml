@@ -173,9 +173,9 @@ let wakeup_ok ~n run =
 (* The full dependency footprint of a step under the memory's model: fencing
    operations also drain the issuing process's buffer, so their effect
    extends to every register with a pending buffered write.  Buffers are
-   empty under SC, making this [Sched_tree.footprint inv] there. *)
+   empty under SC, making this [Race.footprint inv] there. *)
 let step_fp_regs memory ~pid inv =
-  let base = Sched_tree.footprint inv in
+  let base = Race.footprint inv in
   if not (Op.fences inv) then base
   else
     match Pure_memory.buffered_regs memory ~pid with
@@ -349,7 +349,7 @@ let step_walk ~n ~coin_range ~program_of ~histories w id =
      expand what follows it. *)
   let branch_to ?(absorbed = []) ~regs ~memory ~inv ~response ~stepped branches =
     {
-      Sched_tree.fp = { Sched_tree.regs; blocking = returns branches };
+      Sched_tree.fp = { Race.regs; blocking = returns branches };
       branches = List.length branches;
       absorbed;
       next =
@@ -382,7 +382,7 @@ let step_walk ~n ~coin_range ~program_of ~histories w id =
     let memory = Pure_memory.flush w.w_memory ~pid ~reg in
     let v = Pure_memory.peek memory reg in
     {
-      Sched_tree.fp = { Sched_tree.regs = [ reg ]; blocking = false };
+      Sched_tree.fp = { Race.regs = [ reg ]; blocking = false };
       branches = 1;
       absorbed = [];
       next =

@@ -152,7 +152,7 @@ val iter_dpor :
     ({!Sched_tree.exhaustive} holds); with bounds, cut schedules are
     counted in {!Sched_tree.stats}'s [elided] field.  [dedup] (default [true])
     enables stateful DPOR — cutting covered state revisits, compensated by
-    continuation summaries ({!Sched_tree.explore}); [~dedup:false] is pure
+    continuation summaries (see {!Sched_tree.machine}); [~dedup:false] is pure
     stateless DPOR, whose schedule count is the number of Mazurkiewicz
     traces and can explode on long programs (tree-collect at n=2 already
     does) — use it only on small systems or under [bounds].  [max_runs]

@@ -1,36 +1,22 @@
-open Lb_memory
 open Lb_runtime
 
-type fp = { regs : int list; blocking : bool }
+(* Re-exported only for bench/workloads, which builds
+   [{ Sched_tree.regs; blocking }] and calls [Sched_tree.footprint]; the
+   library itself uses [Race]. *)
+type fp = Race.fp = { regs : int list; blocking : bool }
 
-let dependent a b =
-  a.blocking || b.blocking || List.exists (fun r -> List.mem r b.regs) a.regs
-
-let footprint = function
-  | Op.Ll r | Op.Sc (r, _) | Op.Validate r | Op.Swap (r, _) | Op.Write (r, _) -> [ r ]
-  | Op.Move (src, dst) -> [ src; dst ]
-  | Op.Fence -> []
+let footprint = Race.footprint
 
 type bounds = { preempt : int option; fair : int option; length : int option }
 
 let no_bounds = { preempt = None; fair = None; length = None }
-let bounded b = b.preempt <> None || b.fair <> None || b.length <> None
+let bounded = function { preempt = None; fair = None; length = None } -> false | _ -> true
 
 let pp_bounds ppf b =
-  if not (bounded b) then Format.pp_print_string ppf "unbounded"
-  else begin
-    let sep = ref false in
-    let one name = function
-      | None -> ()
-      | Some v ->
-        if !sep then Format.pp_print_string ppf ", ";
-        sep := true;
-        Format.fprintf ppf "%s<=%d" name v
-    in
-    one "preempt" b.preempt;
-    one "fair" b.fair;
-    one "length" b.length
-  end
+  let one (name, v) = Option.map (Printf.sprintf "%s<=%d" name) v in
+  match List.filter_map one [ ("preempt", b.preempt); ("fair", b.fair); ("length", b.length) ] with
+  | [] -> Format.pp_print_string ppf "unbounded"
+  | parts -> Format.pp_print_string ppf (String.concat ", " parts)
 
 (* ---- the per-run oracle ---- *)
 
@@ -38,7 +24,7 @@ let pp_bounds ppf b =
    not be rescheduled until a step dependent with its pending one runs. *)
 type entry = { sl_pid : int; sl_fp : fp }
 
-let wake sleep fp = List.filter (fun e -> not (dependent e.sl_fp fp)) sleep
+let wake sleep fp = List.filter (fun e -> not (Race.dependent e.sl_fp fp)) sleep
 let asleep sleep p = List.exists (fun e -> e.sl_pid = p) sleep
 
 (* One committed decision of the current run, with everything the
@@ -163,8 +149,9 @@ type ('k, 'v) dpor = {
   mutable d_trace : tstep list;  (* the steps after those, reversed *)
   mutable d_depth : int;
   mutable d_preempts : int;
-  mutable d_last : int option;
-  d_counts : (int, int) Hashtbl.t;
+  mutable d_last : int;  (* the process of the last step; -1 before the first *)
+  d_counts : (int, int) Hashtbl.t;  (* steps per process, kept under a fairness bound *)
+  d_count : int -> int;  (* reads [d_counts]; built once per run, so [fits] takes it free *)
   mutable d_status : status;
   mutable d_marks : (vent * int) list;  (* (state, depth) along this run *)
   mutable d_cut : vent option;  (* the covered state this run was cut at *)
@@ -183,23 +170,38 @@ type 'k sched = Dpor of ('k, nothing) dpor | Sample of int
 
 let sampler ~seed = Sample seed
 
-let count d p = Option.value (Hashtbl.find_opt d.d_counts p) ~default:0
+(* Whether a step of [p] after a step of [q] pre-empts [q]: [q] was still
+   among the [enabled] there. *)
+let preempts q p enabled = q <> p && List.mem q enabled
 
-let step_in_bounds d ~enabled p =
-  let b = d.d_bounds in
-  (match b.length with None -> true | Some l -> d.d_depth < l)
+(* Whether process [p] may take the step at [depth] within the bounds [b]:
+   [preempted] pre-emptions precede the step, [last] took the step before it
+   (-1: none did), [enabled] are enabled there and [q] took [count q] of
+   the steps before it.  It decides both a run's choices and the todos the
+   walk inserts (where a reject counts as elided); a run re-checks every
+   later step itself. *)
+let fits b ~depth ~preempted ~last ~enabled ~count p =
+  (match b.length with None -> true | Some l -> depth < l)
   && (match b.preempt with
      | None -> true
-     | Some k ->
-       let extra =
-         match d.d_last with Some q when q <> p && List.mem q enabled -> 1 | _ -> 0
-       in
-       d.d_preempts + extra <= k)
+     | Some k -> preempted + Bool.to_int (preempts last p enabled) <= k)
   && (match b.fair with
      | None -> true
      | Some dd ->
-       let least = List.fold_left (fun m q -> min m (count d q)) max_int enabled in
-       count d p + 1 - least <= dd)
+       let least = List.fold_left (fun m q -> min m (count q)) max_int enabled in
+       count p + 1 - least <= dd)
+
+(* Whether [p], one of [enabled], may take [d]'s next step: awake, and
+   within the bounds. *)
+let may_step d ~enabled p =
+  (not (asleep d.d_sleep p))
+  && fits d.d_bounds ~depth:d.d_depth ~preempted:d.d_preempts ~last:d.d_last ~enabled
+       ~count:d.d_count p
+
+(* The first of a list of processes that may take [d]'s next step, or -1. *)
+let rec first_step d ~enabled = function
+  | [] -> -1
+  | p :: rest -> if may_step d ~enabled p then p else first_step d ~enabled rest
 
 let choose_dpor d ~enabled =
   if d.d_status <> Running then None
@@ -211,46 +213,35 @@ let choose_dpor d ~enabled =
         failwith "Sched_tree: divergent replay (prefix pid not enabled)";
       d.d_pending <- Some (pid, enabled, Some b);
       Some pid
-    | [] -> (
-      let awake = List.filter (fun p -> not (asleep d.d_sleep p)) enabled in
-      if awake = [] then begin
-        d.d_status <- Sleep_blocked;
+    | [] ->
+      (* Prefer continuing the previous process: pre-emption-free by
+         construction, which keeps bounded exploration cheap. *)
+      let pid =
+        if List.mem d.d_last enabled && may_step d ~enabled d.d_last then d.d_last
+        else first_step d ~enabled enabled
+      in
+      if pid < 0 then begin
+        d.d_status <-
+          (if List.for_all (asleep d.d_sleep) enabled then Sleep_blocked else Bound_blocked);
         None
       end
-      else
-        match List.filter (step_in_bounds d ~enabled) awake with
-        | [] ->
-          d.d_status <- Bound_blocked;
-          None
-        | candidates ->
-          (* Prefer continuing the previous process: pre-emption-free by
-             construction, which keeps bounded exploration cheap. *)
-          let pid =
-            match d.d_last with
-            | Some q when List.mem q candidates -> q
-            | _ -> List.hd candidates
-          in
-          d.d_pending <- Some (pid, enabled, None);
-          Some pid)
+      else begin
+        d.d_pending <- Some (pid, enabled, None);
+        Some pid
+      end
   end
 
 let choose (s : _ sched) ~step ~enabled =
   match s with
-  | Sample seed ->
-    if enabled = [] then None else Scheduler.random ~seed ~step ~runnable:enabled
+  | Sample seed -> Scheduler.random ~seed ~step ~runnable:enabled
   | Dpor d -> choose_dpor d ~enabled
-
-(* Whether step [t], taken after a step of [q], pre-empts [q]. *)
-let preempts q t = q <> t.t_pid && List.mem q t.t_enabled
 
 (* Append step [t] to the run's trace and advance the bounds' counters. *)
 let advance d t =
   d.d_trace <- t :: d.d_trace;
-  (match d.d_last with
-  | Some q when preempts q t -> d.d_preempts <- d.d_preempts + 1
-  | _ -> ());
-  d.d_last <- Some t.t_pid;
-  if d.d_bounds.fair <> None then Hashtbl.replace d.d_counts t.t_pid (count d t.t_pid + 1);
+  if preempts d.d_last t.t_pid t.t_enabled then d.d_preempts <- d.d_preempts + 1;
+  d.d_last <- t.t_pid;
+  if d.d_bounds.fair <> None then Hashtbl.replace d.d_counts t.t_pid (d.d_count t.t_pid + 1);
   d.d_depth <- d.d_depth + 1
 
 let commit_dpor d ~fp ~branches =
@@ -329,6 +320,17 @@ let interrupted (s : _ sched) =
 
 let rec drop_while f = function x :: rest when f x -> drop_while f rest | l -> l
 
+(* How many leading decisions of [prefix], at most [limit], the trace [a]
+   shares: the same [(pid, branch)] decisions take a deterministic runner
+   through the same steps. *)
+let shared_steps a prefix ~limit =
+  let rec go i = function
+    | (pid, b) :: rest when i < limit && pid = a.(i).t_pid && b = a.(i).t_branch ->
+      go (i + 1) rest
+    | _ -> i
+  in
+  go 0 prefix
+
 (* The run's trace: its resumed steps, as a replay records them (a prefix
    step's sleep set is empty; the divergence step is never resumed), then
    the steps it committed. *)
@@ -365,14 +367,10 @@ let resume d =
     (* Only this call reads the past: dropping it lets the saves deeper
        than the resumed depth go while this run executes. *)
     d.d_past <- None;
-    let limit = min (List.length d.d_prefix - 1) (Array.length p.p_trace) in
-    let rec shared i = function
-      | (pid, b) :: rest
-        when i < limit && pid = p.p_trace.(i).t_pid && b = p.p_trace.(i).t_branch ->
-        shared (i + 1) rest
-      | _ -> i
+    let upto =
+      shared_steps p.p_trace d.d_prefix
+        ~limit:(min (List.length d.d_prefix - 1) (Array.length p.p_trace))
     in
-    let upto = shared 0 d.d_prefix in
     match drop_while (fun (k, _) -> k > upto) p.p_saves with
     | [] -> None
     | (depth, save) :: _ as saves ->
@@ -384,13 +382,14 @@ let resume d =
         (* [t_preempts] counts the pre-emptions before its step. *)
         let t = p.p_trace.(depth - 1) in
         d.d_preempts <-
-          t.t_preempts + Bool.to_int (depth > 1 && preempts p.p_trace.(depth - 2).t_pid t);
-        d.d_last <- Some t.t_pid
+          t.t_preempts
+          + Bool.to_int (depth > 1 && preempts p.p_trace.(depth - 2).t_pid t.t_pid t.t_enabled);
+        d.d_last <- t.t_pid
       end;
       if d.d_bounds.fair <> None then
         for i = 0 to depth - 1 do
           let q = p.p_trace.(i).t_pid in
-          Hashtbl.replace d.d_counts q (count d q + 1)
+          Hashtbl.replace d.d_counts q (d.d_count q + 1)
         done;
       d.d_prefix <- List.filteri (fun i _ -> i >= depth) d.d_prefix;
       Some save)
@@ -561,39 +560,26 @@ let incorporate root path trace ~shared =
   end;
   !path
 
-(* Would scheduling [p] at trace position [i] respect the bounds?  A
-   necessary condition only — the run itself re-checks every later step —
-   used to reject todo entries at insertion (counted as elided). *)
-let insertion_in_bounds bounds trace i p =
-  let steps_of q upto =
-    let c = ref 0 in
-    for j = 0 to upto - 1 do
-      if trace.(j).t_pid = q then incr c
-    done;
-    !c
-  in
-  (match bounds.length with None -> true | Some l -> i < l)
-  && (match bounds.preempt with
-     | None -> true
-     | Some k ->
-       let extra =
-         if i > 0 && trace.(i - 1).t_pid <> p && List.mem trace.(i - 1).t_pid trace.(i).t_enabled
-         then 1
-         else 0
-       in
-       trace.(i).t_preempts + extra <= k)
-  && (match bounds.fair with
-     | None -> true
-     | Some dd ->
-       let least =
-         List.fold_left (fun m q -> min m (steps_of q i)) max_int trace.(i).t_enabled
-       in
-       steps_of p i + 1 - least <= dd)
+(* The steps of [q] among the first [i] of [trace]. *)
+let steps_before trace i q =
+  let c = ref 0 in
+  for j = 0 to i - 1 do
+    if trace.(j).t_pid = q then incr c
+  done;
+  !c
 
+(* Enqueue [p] at trace position [i] unless already decided there; a todo
+   outside the bounds is not inserted but counted as elided.  An unbounded
+   walk skips [fits], and with it the [count] closure. *)
 let plain_add counters bounds nodes trace i p =
   if not (has_decision nodes.(i) p) then begin
-    if insertion_in_bounds bounds trace i p then
-      push_todo nodes i (p, 0)
+    let t = trace.(i) in
+    if
+      (not (bounded bounds))
+      || fits bounds ~depth:i ~preempted:t.t_preempts
+           ~last:(if i = 0 then -1 else trace.(i - 1).t_pid)
+           ~enabled:t.t_enabled ~count:(steps_before trace i) p
+    then push_todo nodes i (p, 0)
     else counters.c_elided <- counters.c_elided + 1
   end
 
@@ -605,7 +591,7 @@ let add_point counters bounds nodes trace i p =
   plain_add counters bounds nodes trace i p;
   if bounds.preempt <> None && i > 0 then begin
     let prev = trace.(i - 1).t_pid in
-    if prev <> p && List.mem prev trace.(i).t_enabled then begin
+    if preempts prev p trace.(i).t_enabled then begin
       let k = ref (i - 1) in
       while !k > 0 && trace.(!k - 1).t_pid = prev do
         decr k
@@ -631,265 +617,6 @@ let request counters bounds nodes trace i p =
           add_point counters bounds nodes trace i q)
       t.t_enabled
 
-(* ---- race analysis ---- *)
-
-type analysis = {
-  hb : int -> int -> bool;
-  races : (int * int) list;
-  virtual_races : int -> fp -> int list;
-}
-
-(* The race analysis of a trace that grows step by step and can be cut
-   back (see [extend] and [cut]), so a walk analyzes only the steps each
-   run adds to the prefix it shares with the previous run.
-
-   Happens-before over the trace is program order plus pairwise dependence.
-   A step's immediate predecessors are the previous step of its process,
-   the last earlier step on each of its registers, the last earlier
-   blocking step and, for a blocking step, the last step of every process.
-   Steps on a common register are pairwise dependent, and so are blocking
-   steps, so every earlier step dependent with step [j] happens before (or
-   is) one of [j]'s predecessors.  Hence (a) [j]'s vector clock is the join
-   of its predecessors' clocks; (b) a reversible race (i, j) — one that no
-   step between them bridges in happens-before order — has [i] among [j]'s
-   predecessors; and (c) a predecessor [i] is bridged exactly when it
-   happens before another of them.
-
-   Processes get indices by first appearance: [z_pids.(x)] is index [x]'s
-   process and [z_first.(x)] the step it first appears at.  Per step [j]:
-   [z_vc.(j * z_width + x)] counts the steps of process index [x] that
-   happen before-or-at [j] (columns from [z_m] on are 0), [z_seq.(j)] is
-   [j]'s occurrence number within its process, [z_pix.(j)] its process
-   index and [z_races.(j)] the steps in reversible race with it,
-   descending.  The last-access tables describe the first [z_len] steps;
-   [z_undo] holds, from [z_undo_at.(j)], what step [j] overwrote in them
-   (the last step of its process, the last blocking step, then a
-   (register, last step on it) pair per register), so [cut] restores
-   them. *)
-type analyzer = {
-  mutable z_len : int;
-  mutable z_m : int;
-  mutable z_width : int;
-  mutable z_pids : int array;
-  mutable z_first : int array;
-  mutable z_last_of : int array;
-  mutable z_vc : int array;
-  mutable z_seq : int array;
-  mutable z_pix : int array;
-  mutable z_races : int list array;
-  mutable z_undo_at : int array;
-  mutable z_undo : int array;
-  mutable z_undo_top : int;
-  mutable z_last_on : int array;  (* by register; -1 where none *)
-  mutable z_last_blocking : int;
-  mutable z_buf : int array;  (* scratch for [predecessors] *)
-}
-
-let analyzer () =
-  let steps = 16 and width = 4 in
-  {
-    z_len = 0;
-    z_m = 0;
-    z_width = width;
-    z_pids = Array.make width 0;
-    z_first = Array.make width 0;
-    z_last_of = Array.make width (-1);
-    z_vc = Array.make (steps * width) 0;
-    z_seq = Array.make steps 0;
-    z_pix = Array.make steps 0;
-    z_races = Array.make steps [];
-    z_undo_at = Array.make steps 0;
-    z_undo = Array.make (4 * steps) 0;
-    z_undo_top = 0;
-    z_last_on = Array.make 8 (-1);
-    z_last_blocking = -1;
-    z_buf = Array.make 16 0;
-  }
-
-let grown a n fill =
-  let b = Array.make n fill in
-  Array.blit a 0 b 0 (Array.length a);
-  b
-
-let hb_of z i j = i = j || (i < j && z.z_vc.((j * z.z_width) + z.z_pix.(i)) >= z.z_seq.(i))
-
-let last_on z r = if r < Array.length z.z_last_on then z.z_last_on.(r) else -1
-
-(* Add step [i] (none if negative) to the [n] predecessors in
-   [buf.(0 .. n-1)], kept distinct and descending; returns the new count. *)
-let add_pred buf n i =
-  if i < 0 then n
-  else begin
-    let k = ref n in
-    while !k > 0 && buf.(!k - 1) < i do
-      decr k
-    done;
-    if !k > 0 && buf.(!k - 1) = i then n
-    else begin
-      for s = n downto !k + 1 do
-        buf.(s) <- buf.(s - 1)
-      done;
-      buf.(!k) <- i;
-      n + 1
-    end
-  end
-
-let rec add_reg_preds z buf n = function
-  | [] -> n
-  | r :: rest -> add_reg_preds z buf (add_pred buf n (last_on z r)) rest
-
-(* Fill [z_buf] with the predecessors of a step of process index [x] (-1:
-   none of the trace's processes) and footprint [fp], placed after every
-   step so far; returns their count. *)
-let predecessors z x fp =
-  let need = z.z_m + List.length fp.regs + 2 in
-  if need > Array.length z.z_buf then z.z_buf <- Array.make (2 * need) 0;
-  let buf = z.z_buf in
-  let n = if x >= 0 then add_pred buf 0 z.z_last_of.(x) else 0 in
-  let n = add_pred buf (add_reg_preds z buf n fp.regs) z.z_last_blocking in
-  if not fp.blocking then n
-  else begin
-    let n = ref n in
-    for y = 0 to z.z_m - 1 do
-      n := add_pred buf !n z.z_last_of.(y)
-    done;
-    !n
-  end
-
-(* The predecessors in [z_buf.(0 .. n-1)] in reversible race with a step
-   of process [pid], descending: another process's, and happening before
-   no other predecessor (one that it did would be larger, so earlier in
-   the buffer). *)
-let racing z n pid =
-  let buf = z.z_buf in
-  let acc = ref [] in
-  for a = n - 1 downto 0 do
-    let i = buf.(a) in
-    if z.z_pids.(z.z_pix.(i)) <> pid then begin
-      let b = ref 0 in
-      while !b < a && not (hb_of z i buf.(!b)) do
-        incr b
-      done;
-      if !b = a then acc := i :: !acc
-    end
-  done;
-  !acc
-
-let pid_index z pid =
-  let rec go x = if x = z.z_m then -1 else if z.z_pids.(x) = pid then x else go (x + 1) in
-  go 0
-
-(* Give [pid] the next process index, first appearing at step [j]; a
-   wider clock row moves every row kept so far. *)
-let add_pid z pid j =
-  let x = z.z_m in
-  if x = z.z_width then begin
-    let width = 2 * x in
-    let vc = Array.make (Array.length z.z_seq * width) 0 in
-    for k = 0 to z.z_len - 1 do
-      Array.blit z.z_vc (k * x) vc (k * width) x
-    done;
-    z.z_vc <- vc;
-    z.z_width <- width;
-    z.z_pids <- grown z.z_pids width 0;
-    z.z_first <- grown z.z_first width 0;
-    z.z_last_of <- grown z.z_last_of width (-1)
-  end;
-  z.z_pids.(x) <- pid;
-  z.z_first.(x) <- j;
-  z.z_last_of.(x) <- -1;
-  z.z_m <- x + 1;
-  x
-
-let push_undo z v =
-  if z.z_undo_top = Array.length z.z_undo then z.z_undo <- grown z.z_undo (2 * z.z_undo_top) 0;
-  z.z_undo.(z.z_undo_top) <- v;
-  z.z_undo_top <- z.z_undo_top + 1
-
-(* Make step [j] the last on each of [regs], logging what it overwrote. *)
-let rec set_last_on z j = function
-  | [] -> ()
-  | r :: rest ->
-    if r >= Array.length z.z_last_on then
-      z.z_last_on <- grown z.z_last_on (max (r + 1) (2 * Array.length z.z_last_on)) (-1);
-    push_undo z r;
-    push_undo z z.z_last_on.(r);
-    z.z_last_on.(r) <- j;
-    set_last_on z j rest
-
-(* Analyze one more step, of process [pid] with footprint [fp]. *)
-let extend z pid fp =
-  let j = z.z_len in
-  if j = Array.length z.z_seq then begin
-    let steps = 2 * j in
-    z.z_vc <- grown z.z_vc (steps * z.z_width) 0;
-    z.z_seq <- grown z.z_seq steps 0;
-    z.z_pix <- grown z.z_pix steps 0;
-    z.z_races <- grown z.z_races steps [];
-    z.z_undo_at <- grown z.z_undo_at steps 0
-  end;
-  let x = match pid_index z pid with -1 -> add_pid z pid j | x -> x in
-  let n = predecessors z x fp in
-  let buf = z.z_buf and vc = z.z_vc and m = z.z_m in
-  let row = j * z.z_width in
-  Array.fill vc row z.z_width 0;
-  for a = 0 to n - 1 do
-    let from = buf.(a) * z.z_width in
-    for y = 0 to m - 1 do
-      if vc.(from + y) > vc.(row + y) then vc.(row + y) <- vc.(from + y)
-    done
-  done;
-  vc.(row + x) <- vc.(row + x) + 1;
-  z.z_seq.(j) <- vc.(row + x);
-  z.z_pix.(j) <- x;
-  z.z_races.(j) <- racing z n pid;
-  z.z_undo_at.(j) <- z.z_undo_top;
-  push_undo z z.z_last_of.(x);
-  push_undo z z.z_last_blocking;
-  set_last_on z j fp.regs;
-  z.z_last_of.(x) <- j;
-  if fp.blocking then z.z_last_blocking <- j;
-  z.z_len <- j + 1
-
-(* Forget every step from [k] on, as if only the first [k] were ever
-   analyzed: the last-access tables get back what those steps overwrote,
-   latest first, and processes first seen there lose their indices. *)
-let cut z k =
-  if k < z.z_len then begin
-    for j = z.z_len - 1 downto k do
-      let base = z.z_undo_at.(j) in
-      let top = ref z.z_undo_top in
-      while !top > base + 2 do
-        top := !top - 2;
-        z.z_last_on.(z.z_undo.(!top)) <- z.z_undo.(!top + 1)
-      done;
-      z.z_last_blocking <- z.z_undo.(base + 1);
-      z.z_last_of.(z.z_pix.(j)) <- z.z_undo.(base);
-      z.z_undo_top <- base
-    done;
-    z.z_len <- k;
-    while z.z_m > 0 && z.z_first.(z.z_m - 1) >= k do
-      z.z_m <- z.z_m - 1
-    done
-  end
-
-(* The steps in reversible race with a virtual step [(q, fq)] placed after
-   every analyzed step, descending: its predecessors come from the
-   last-access tables. *)
-let virtual_races z q fq = racing z (predecessors z (pid_index z q) fq) q
-
-let analysis z =
-  let races = ref [] in
-  for j = z.z_len - 1 downto 0 do
-    races := List.map (fun i -> (i, j)) z.z_races.(j) @ !races
-  done;
-  { hb = hb_of z; races = !races; virtual_races = virtual_races z }
-
-let analyze trace =
-  let z = analyzer () in
-  Array.iter (fun (pid, fp) -> extend z pid fp) trace;
-  analysis z
-
 (* Request the other process at the earlier step of every reversible race
    of the analyzed trace, in the order of [analysis.races]. *)
 let add_backtracks counters bounds nodes trace z =
@@ -899,8 +626,8 @@ let add_backtracks counters bounds nodes trace z =
       request counters bounds nodes trace i p;
       requests p rest
   in
-  for j = 0 to z.z_len - 1 do
-    requests trace.(j).t_pid z.z_races.(j)
+  for j = 0 to Race.length z - 1 do
+    requests trace.(j).t_pid (Race.races_at z j)
   done
 
 (* Race the trace's steps against [(q, fq)] steps known to occur somewhere
@@ -912,7 +639,7 @@ let virtual_backtracks counters bounds nodes trace z entries ids =
   List.iter
     (fun id ->
       let q, fq = entries.entry id in
-      List.iter (fun i -> request counters bounds nodes trace i q) (virtual_races z q fq))
+      List.iter (fun i -> request counters bounds nodes trace i q) (Race.virtual_races z q fq))
     ids
 
 (* Whether the bitset [a] is a subset of [b]. *)
@@ -928,7 +655,7 @@ let bit_subset a b =
 
 let extend_over z trace from =
   for j = from to Array.length trace - 1 do
-    extend z trace.(j).t_pid trace.(j).t_fp
+    Race.extend z trace.(j).t_pid trace.(j).t_fp
   done
 
 (* The tree node at each depth of an incorporated trace, found by following
@@ -970,7 +697,7 @@ let add_sum root entries counters bounds v ids =
         List.iter
           (fun sub ->
             let trace = sub.s_trace in
-            let z = analyzer () in
+            let z = Race.analyzer () in
             extend_over z trace 0;
             virtual_backtracks counters bounds (root_path root trace) trace z entries fresh;
             List.iter (fun (v', _) -> Queue.add (v', fresh) queue) sub.s_marks)
@@ -1026,17 +753,6 @@ let update_summaries entries counters bounds nodes trace z marks cut ~div =
         if not (bit_subset v.v_has v'.v_has) then add_sum root entries counters bounds v' v.v_sum)
       marks
 
-(* How many leading steps two traces share: the same [(pid, branch)]
-   decisions, as [resume] compares them, take a deterministic runner
-   through the same steps. *)
-let shared_steps a b =
-  let n = min (Array.length a) (Array.length b) in
-  let rec go i =
-    if i < n && a.(i).t_pid = b.(i).t_pid && a.(i).t_branch = b.(i).t_branch then go (i + 1)
-    else i
-  in
-  go 0
-
 (* The exhaustive walk: [run] executes one run under the oracle [d]. *)
 let walk ~bounds ~max_schedules ~run ~f =
   let visited = Hashtbl.create 512 in
@@ -1052,10 +768,11 @@ let walk ~bounds ~max_schedules ~run ~f =
      run keeps what it shares with the previous one and adds the rest. *)
   let last = ref [||] in
   let path = ref [||] in
-  let z = analyzer () in
+  let z = Race.analyzer () in
   let exec prefix div_sleep =
     incr total;
     if !total > max_schedules then raise (Schedule_limit max_schedules);
+    let counts = Hashtbl.create 16 in
     let d =
       {
         d_bounds = bounds;
@@ -1067,8 +784,9 @@ let walk ~bounds ~max_schedules ~run ~f =
         d_trace = [];
         d_depth = 0;
         d_preempts = 0;
-        d_last = None;
-        d_counts = Hashtbl.create 16;
+        d_last = -1;
+        d_counts = counts;
+        d_count = (fun p -> Option.value (Hashtbl.find_opt counts p) ~default:0);
         d_status = Running;
         d_marks = [];
         d_cut = None;
@@ -1094,10 +812,15 @@ let walk ~bounds ~max_schedules ~run ~f =
     past :=
       if d.d_saves = [] then None
       else Some { p_trace = trace; p_marks = d.d_marks; p_saves = d.d_saves };
-    let shared = shared_steps !last trace in
+    (* Where the two runs part lies within [prefix]: the divergence
+       decision is a todo, so it differs from the previous run's decision
+       at its node. *)
+    let shared =
+      shared_steps !last prefix ~limit:(min (Array.length !last) (Array.length trace))
+    in
     last := trace;
     let nodes = incorporate root path trace ~shared in
-    cut z shared;
+    Race.cut z shared;
     extend_over z trace shared;
     add_backtracks counters bounds nodes trace z;
     if d.d_marks <> [] || d.d_cut <> None then

@@ -2,36 +2,24 @@
 
     This is the dejafu-style systematic-concurrency-testing core shared by
     the pure explorer ({!Explore.iter_dpor}) and the conformance certifier
-    ([Lb_conformance.Exhaustive]): one abstraction that can {e exhaust} a
-    schedule space (DPOR with dynamically added backtracking points) or
-    {e sample} it (the seeded random scheduler the fuzzer uses) — both
-    behind the same {!choose}/{!commit} oracle, so a runner written once
-    serves either mode.
+    ([Lb_conformance.Exhaustive]).  Both hand the walk a {!machine} —
+    reset, poll, execute one step, optionally a dedup key and a snapshot,
+    judge — and {!drive} runs it: at each scheduling point the walk picks
+    one of the enabled processes, the machine executes that process's next
+    shared-memory step and reports the step's {e footprint}.  Reduction is
+    relative to the dependency relation of {!Race}: two steps are
+    {e dependent} when their footprints touch a common register or either
+    is {e blocking}.  Each run starts with a {e resume} from the previous
+    run's snapshot where the two runs' paths part (stateless model
+    checking, with the shared prefix skipped instead of replayed).
 
-    {2 The model}
-
-    A runner executes one schedule at a time.  At each scheduling point it
-    calls {!choose} with the currently enabled processes, executes the
-    returned process's next shared-memory step, and reports the step's
-    {e footprint} back with {!commit}.  Two steps are {e dependent} when
-    their footprints touch a common register or either is {e blocking}; all
-    reduction arguments are relative to this relation (see {!dependent}).
-
-    Both exhaustive checkers hand the walk a {!machine} instead — reset,
-    poll, execute one step, optionally a dedup key and a snapshot, judge —
-    and {!drive} runs the oracle protocol over it: choose, commit, the
-    absorbed siblings, the dedup mark and the snapshot at every step, and
-    at the start of a run a {e resume} from the previous run's snapshot
-    where the two runs' paths part (stateless model checking, with the
-    shared prefix skipped instead of replayed).
-
-    In exhaustive mode, {!explore} drives the runner repeatedly.  Each
-    completed run's trace is folded into a persistent tree whose nodes carry
-    {e todo} decisions (discovered backtracking points), {e done} edges
-    (explored decisions), and {e sleep} sets (fully-explored siblings that
-    pending runs must not repeat).  Races — a step dependent with an earlier
-    step of another process that was enabled there — add todo entries
-    dynamically, per Flanagan–Godefroid DPOR; sleep sets prune the
+    The walk drives the machine repeatedly.  Each completed run's trace is
+    folded into a persistent tree whose nodes carry {e todo} decisions
+    (discovered backtracking points), {e done} edges (explored decisions),
+    and {e sleep} sets (fully-explored siblings that pending runs must not
+    repeat).  Races — a step dependent with an earlier step of another
+    process that was enabled there, found by {!Race.type-analyzer} — add todo
+    entries dynamically, per Flanagan–Godefroid DPOR; sleep sets prune the
     re-execution of already-covered interleavings, per Godefroid's
     sleep-set theorem.
 
@@ -39,6 +27,8 @@
 
     Exploration composes three optional {!bounds} (dejafu's combination
     bounding): a pre-emption bound, a fairness bound, and a length bound.
+    One predicate decides whether a step fits them, both for a run's next
+    choice and for a todo entry the walk would insert.
     Out-of-bound schedules are not an error — they are counted in
     the [elided] field of {!stats} and the result honestly reports
     [{!exhaustive} = false].  Pre-emption bounding adds the conservative
@@ -48,28 +38,12 @@
     within-bound coverage is best-effort — the [elided] count is the
     contract, never a silent claim of exhaustiveness. *)
 
-type fp = {
-  regs : int list;  (** registers the step may read or write. *)
-  blocking : bool;
-      (** dependent with {e every} other step: return-publishing steps in
-          the pure explorer (commuting a return changes the wakeup
-          summary), operation invocation/response boundaries in the
-          harness (commuting them changes history precedence), and every
-          step under an impure fault plan. *)
-}
-
-val dependent : fp -> fp -> bool
-(** Register overlap, or either side blocking.  Register overlap subsumes
-    LL/SC link-kill dependence: any write-class step on [r] can kill
-    another process's outstanding link on [r], and both footprints
-    contain [r]. *)
+type fp = Race.fp = { regs : int list; blocking : bool }
+(** {!Race.fp}, re-exported only for the benchmark harness
+    (bench/workloads), which builds [{ Sched_tree.regs; blocking }]. *)
 
 val footprint : Lb_memory.Op.invocation -> int list
-(** The registers a shared-memory invocation may read or write — the
-    [regs] component of its {!fp}.  [Fence] is statically empty: its effect
-    (flushing buffered writes) depends on run-time buffer contents, so
-    relaxed-model explorers must union in the issuing process's buffered
-    registers (see [Explore.iter_dpor]); under SC a fence is a pure no-op. *)
+(** {!Race.footprint}, re-exported for the same reason. *)
 
 type bounds = {
   preempt : int option;
@@ -84,30 +58,6 @@ type bounds = {
 val no_bounds : bounds
 val bounded : bounds -> bool
 val pp_bounds : Format.formatter -> bounds -> unit
-
-(** {1 The scheduling oracle} *)
-
-type 'k sched
-(** One run's scheduling oracle.  ['k] is the state-dedup key type (only
-    exercised by a {!machine}'s [key]; samplers ignore it). *)
-
-val choose : 'k sched -> step:int -> enabled:int list -> int option
-(** Pick the next process.  [None] aborts the run: every enabled process
-    is asleep, the bounds forbid every choice, or the dedup key hit a
-    visited state.  [step] is the caller's global step clock — used only by
-    samplers, so gaps (e.g. harness idle ticks) are fine. *)
-
-val commit : 'k sched -> fp:fp -> branches:int -> int
-(** Report the chosen step's footprint and its coin-branch fan-out; the
-    returned branch index (in [0 .. branches-1]) selects which branch the
-    runner must take.  Exactly one [commit] must follow each successful
-    {!choose}.  Sibling branches become mandatory todo entries — coin
-    outcomes are resolved eagerly and are not schedule-reducible. *)
-
-val interrupted : 'k sched -> bool
-(** Whether this run was aborted by the oracle (sleep, bound, or dedup) —
-    distinguishes oracle aborts from genuine runner outcomes such as a
-    stalled harness. *)
 
 (** {1 Exhaustive exploration} *)
 
@@ -134,28 +84,10 @@ val exhaustive : stats -> bool
 val pp_stats : Format.formatter -> stats -> unit
 
 exception Schedule_limit of int
-(** Raised by {!explore} when the total number of runs (complete or
+(** Raised by {!drive} when the total number of runs (complete or
     aborted) would exceed [max_schedules] — a safety valve against
     state-space blowup, not a bound: there is no honest partial answer at
     this level, so it is an error. *)
-
-val explore :
-  ?bounds:bounds ->
-  ?max_schedules:int ->
-  run:('k sched -> 'r option) ->
-  f:('r -> bool) ->
-  unit ->
-  stats
-(** Drive [run] until the scheduler tree has no todo decisions left.
-    [run] must execute one schedule under the given oracle from the
-    initial state and return [Some result] for a completed run or [None]
-    for an aborted one (check {!interrupted} to distinguish oracle aborts
-    from runner failures, which are counted as elided).  [f] receives
-    each completed run's result; returning [false] stops the exploration
-    early (the stats then cover only the explored part).
-    [max_schedules] defaults to [200_000].  Subtrees with no todo left are
-    flagged and skipped, so finding the next schedule costs
-    O(depth × branching) node visits, not a walk of the whole tree. *)
 
 (** {1 The step-machine runner} *)
 
@@ -211,67 +143,59 @@ type ('s, 'k, 'r) machine = {
 
 val drive :
   ?bounds:bounds -> ?max_schedules:int -> ('s, 'k, 'r) machine -> f:('r -> bool) -> unit -> stats
-(** {!explore} over the machine: the one runner of {!Explore.iter_dpor}
-    and the conformance certifier.  A run is judged when the machine
-    reports [Finished], also when its last step revisited a known state; a
-    run the oracle aborts before that is not. *)
+(** Run the machine until the scheduler tree has no todo decisions left:
+    the one runner of {!Explore.iter_dpor} and the conformance certifier.
+    [f] receives each judged run's result; returning [false] stops the
+    walk early (the stats then cover only the explored part).  A run is
+    judged when the machine reports [Finished], also when its last step
+    revisited a known state; a run the oracle aborts before that is not.
+    [max_schedules] defaults to [200_000].  Subtrees with no todo left are
+    flagged and skipped, so finding the next schedule costs
+    O(depth × branching) node visits, not a walk of the whole tree. *)
 
-(** {1 Race analysis} *)
+(** {1 The callback oracle}
 
-type analysis = {
-  hb : int -> int -> bool;
-      (** [hb i j]: step [i] is step [j] or happens before it — program
-          order plus {!dependent} steps, closed transitively. *)
-  races : (int * int) list;
-      (** The reversible races [(i, j)]: [i < j], steps of different
-          processes, {!dependent}, and no step [k] between them with
-          [hb i k] and [hb k j].  Ordered by [j] ascending, then [i]
-          descending — the order {!explore} requests backtracking points
-          in. *)
-  virtual_races : int -> fp -> int list;
-      (** [virtual_races q fq]: the steps [i], descending, in reversible
-          race with a {e virtual} step [(q, fq)] placed after the whole
-          trace (a step known to occur below a cut run's final state; see
-          {!machine}'s [key]).  A cut run's subscription keeps none of
-          this: a later re-fire analyzes its trace again. *)
-}
+    A run written against {!choose}/{!commit} instead of a {!machine}.
+    Only the benchmark harness (bench/workloads) and the conformance
+    suite's replaying reference runner use it; the library walks machines
+    with {!drive}, and the fuzzer samples with
+    {!Lb_runtime.Scheduler.random}. *)
 
-val analyze : (int * fp) array -> analysis
-(** The race analysis of a trace of [(pid, fp)] steps (registers are
-    non-negative, as in [Lb_memory.Memory]): a fresh {!analyzer}
-    extended over the whole trace.  It is linear in the trace's length:
-    each step's vector clock joins only its immediate predecessors — the
-    previous step of its process, the last earlier step on each of its
-    registers, the last earlier blocking step, and for a blocking step the
-    last step of every process — and only those predecessors can be in
-    reversible race with it. *)
+type 'k sched
+(** One run's scheduling oracle.  ['k] is the state-dedup key type (only
+    exercised by a {!machine}'s [key]; samplers ignore it). *)
 
-type analyzer
-(** The race analysis of a trace that grows by {!extend} and shrinks by
-    {!cut}.  {!explore} keeps one per walk: each run cuts it back to the
-    steps it shares with the previous run and extends it over the rest,
-    so a run analyzes only the steps it adds. *)
+val choose : 'k sched -> step:int -> enabled:int list -> int option
+(** Pick the next process.  [None] aborts the run: every enabled process
+    is asleep, the bounds forbid every choice, or the dedup key hit a
+    visited state.  [step] is the caller's global step clock — used only by
+    samplers, so gaps (e.g. harness idle ticks) are fine. *)
 
-val analyzer : unit -> analyzer
-(** An analyzer of the empty trace. *)
+val commit : 'k sched -> fp:fp -> branches:int -> int
+(** Report the chosen step's footprint and its coin-branch fan-out; the
+    returned branch index (in [0 .. branches-1]) selects which branch the
+    runner must take.  Exactly one [commit] must follow each successful
+    {!choose}.  Sibling branches become mandatory todo entries — coin
+    outcomes are resolved eagerly and are not schedule-reducible. *)
 
-val extend : analyzer -> int -> fp -> unit
-(** [extend z pid fp] appends a step of process [pid] with footprint
-    [fp]. *)
-
-val cut : analyzer -> int -> unit
-(** [cut z k] keeps the first [k] steps (all of them if there are fewer):
-    afterwards [z] is what extending a fresh analyzer over those steps
-    gives. *)
-
-val analysis : analyzer -> analysis
-(** The analysis of the steps [z] holds; it reads [z], so it is valid
-    until the next {!extend} or {!cut}. *)
-
-(** {1 The sampling oracle} *)
+val interrupted : 'k sched -> bool
+(** Whether this run was aborted by the oracle (sleep, bound, or dedup) —
+    distinguishes oracle aborts from genuine runner outcomes such as a
+    stalled harness. *)
 
 val sampler : seed:int -> 'k sched
-(** The seeded random oracle — byte-identical to
-    {!Lb_runtime.Scheduler.random} with the same seed, so fuzzing samples
-    exactly the tree that {!explore} exhausts, with unchanged pinned
-    results.  [commit] always selects branch 0. *)
+(** The seeded random oracle: {!choose} is {!Lb_runtime.Scheduler.random}
+    with the same seed, and [commit] always selects branch 0. *)
+
+val explore :
+  ?bounds:bounds ->
+  ?max_schedules:int ->
+  run:('k sched -> 'r option) ->
+  f:('r -> bool) ->
+  unit ->
+  stats
+(** {!drive} over a callback run: [run] must execute one schedule under
+    the given oracle from the initial state and return [Some result] for a
+    completed run or [None] for an aborted one (check {!interrupted} to
+    distinguish oracle aborts from runner failures, which are counted as
+    elided).  Every run replays from the initial state. *)

@@ -1,5 +1,6 @@
 open Lb_universal
 open Lb_faults
+module Race = Lb_check.Race
 module Sched_tree = Lb_check.Sched_tree
 module Metrics = Lb_observe.Metrics
 
@@ -73,12 +74,12 @@ let machine ~construction ~ot ~plan ~model ~n ~ops ~seed ~max_states =
           (* A flush pseudo-pid (>= n, see {!Lb_universal.Harness}) writes
              exactly its encoded register. *)
           if id >= n then [ snd (Lb_memory.Semantics.flush_of_id ~n id) ]
-          else match Harness.pending st id with Some inv -> Sched_tree.footprint inv | None -> []
+          else match Harness.pending st id with Some inv -> Race.footprint inv | None -> []
         in
         let st' = Harness.step ?hooks:!hooks st ~choices:enabled id in
         log := id :: !log;
         {
-          Sched_tree.fp = { Sched_tree.regs; blocking = impure || Harness.boundary st st' };
+          Sched_tree.fp = { Race.regs; blocking = impure || Harness.boundary st st' };
           branches = 1;
           absorbed = [];
           next = (fun _ -> st');

@@ -306,9 +306,6 @@ let run_once ~construction ~ot ~plan ~n ~ops ~seed ?model ~max_states ~scheduler
   in
   assess ~construction ~ot ~plan ~n ~ops ~max_states ~schedule result
 
-(* Sampling is a leaf of the {!Lb_check.Sched_tree} oracle: it draws from
-   the same abstraction the DPOR walk exhausts, so a sampled schedule means
-   the same thing in every mode. *)
 let tree_scheduler sched ~step ~runnable =
   Lb_check.Sched_tree.choose sched ~step ~enabled:runnable
 
@@ -322,7 +319,9 @@ let replay_scheduler entries =
     | Some _ as pid -> pid
     | None -> Scheduler.round_robin ~step ~runnable
 
-let sample_scheduler ~seed = tree_scheduler (Lb_check.Sched_tree.sampler ~seed)
+(* Eta-expanded: a partial application of [Scheduler.random], whose arity
+   this module does not see, would allocate a closure at every step. *)
+let sample_scheduler ~seed ~step ~runnable = Scheduler.random ~seed ~step ~runnable
 
 let replay ~construction ~ot ~plan ~n ~ops ~seed ?model ~max_states schedule =
   run_once ~construction ~ot ~plan ~n ~ops ~seed ?model ~max_states

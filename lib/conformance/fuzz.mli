@@ -146,14 +146,12 @@ val run_once :
   run
 
 val tree_scheduler : 'k Lb_check.Sched_tree.sched -> Scheduler.choice
-(** View a {!Lb_check.Sched_tree} oracle as a harness scheduler: the
-    fuzzer's random sampling ({!Lb_check.Sched_tree.sampler}) and the
-    exhaustive checker's DPOR walk draw schedules from the same
-    abstraction. *)
+(** View a {!Lb_check.Sched_tree} callback oracle as a harness scheduler.
+    Only the benchmark harness (bench/workloads) uses it. *)
 
 val sample_scheduler : seed:int -> Scheduler.choice
-(** [tree_scheduler (Lb_check.Sched_tree.sampler ~seed)]: the one seeded
-    random sampling path, shared by the fuzz matrix and the mutant hunt. *)
+(** {!Lb_runtime.Scheduler.random}: the one seeded random sampling path,
+    shared by the fuzz matrix and the mutant hunt. *)
 
 val replay :
   construction:Iface.t ->

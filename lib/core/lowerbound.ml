@@ -21,9 +21,9 @@
       histories with pending operations, and the Wing–Gong checker;
     - {!Iface}, {!Adt_tree}, {!Herlihy}, {!Direct}, {!Harness},
       {!Complexity}: universal constructions and their measurement;
-    - {!Pure_memory}, {!Explore}, {!Sched_tree}: the model-checking layer —
+    - {!Pure_memory}, {!Explore}, {!Sched_tree}, {!Race}: the model-checking layer —
       the persistent store of {!Semantics}, full/reduced interleaving enumeration,
-      and the bounded-DPOR scheduler tree behind [--exhaustive];
+      the bounded-DPOR scheduler tree behind [--exhaustive], and its race analysis;
     - {!Json}, {!Event}, {!Tracer}, {!Trace_file}, {!Trace_diff}, {!Metrics},
       {!Bench_out}: the observability layer — structured trace events, the
       metrics registry and machine-readable benchmark artifacts;
@@ -105,6 +105,7 @@ module Complexity = Lb_universal.Complexity
 (* Exhaustive checking *)
 module Pure_memory = Lb_check.Pure_memory
 module Explore = Lb_check.Explore
+module Race = Lb_check.Race
 module Sched_tree = Lb_check.Sched_tree
 module Litmus = Lb_check.Litmus
 

@@ -796,7 +796,7 @@ let synthetic_walk ?bounds ?(resume = false) procs ~key =
    drops runs 3 and 4, and with them the only completed schedule.  The key
    is not a sound abstraction; the pin is on the walk's mechanics. *)
 let rearm_procs =
-  let fp r = { Sched_tree.regs = [ r ]; blocking = false } in
+  let fp r = { Race.regs = [ r ]; blocking = false } in
   [| [| fp 2; fp 1 |]; [| fp 1; fp 0 |]; [| fp 0; fp 0 |] |]
 
 let rearm_key pc = ((9 * pc.(0)) + (3 * pc.(1)) + pc.(2)) mod 5
@@ -851,7 +851,7 @@ let synthetic_procs rng =
       if Random.State.int rng 4 = 0 then List.sort_uniq compare [ r; Random.State.int rng 3 ]
       else [ r ]
     in
-    { Sched_tree.regs; blocking = Random.State.int rng 10 = 0 }
+    { Race.regs; blocking = Random.State.int rng 10 = 0 }
   in
   Array.init (2 + Random.State.int rng 2) (fun _ ->
       Array.init (3 + Random.State.int rng 4) (fun _ -> step ()))
@@ -1118,7 +1118,7 @@ let test_dpor_visit_order_refired_pinned () =
 
 (* ---- the race analysis against the quadratic scan it replaced ---- *)
 
-(* The race analysis [Sched_tree.analyze] replaced, verbatim but for
+(* The race analysis that [Race]'s analyzer replaced, verbatim but for
    reading [(pid, fp)] pairs: happens-before from every dependent pair,
    and every dependent pair scanned for a bridging step. *)
 let reference_hb trace =
@@ -1149,7 +1149,7 @@ let reference_hb trace =
     in
     if last_of.(p) >= 0 then join last_of.(p);
     for i = 0 to j - 1 do
-      if Sched_tree.dependent (snd trace.(i)) (snd trace.(j)) then join i
+      if Race.dependent (snd trace.(i)) (snd trace.(j)) then join i
     done;
     vc.(j).(p) <- vc.(j).(p) + 1;
     seq.(j) <- vc.(j).(p);
@@ -1173,7 +1173,7 @@ let reference_races trace hb =
     let p, fpj = trace.(j) in
     for i = j - 1 downto 0 do
       let q, fpi = trace.(i) in
-      if q <> p && Sched_tree.dependent fpi fpj && reversible i j then races := (i, j) :: !races
+      if q <> p && Race.dependent fpi fpj && reversible i j then races := (i, j) :: !races
     done
   done;
   List.rev !races
@@ -1183,13 +1183,13 @@ let reference_virtual_races trace hb q fq =
   let races = ref [] in
   for i = len - 1 downto 0 do
     let p, fp = trace.(i) in
-    if p <> q && Sched_tree.dependent fp fq then begin
+    if p <> q && Race.dependent fp fq then begin
       let bridged = ref false in
       for k = i + 1 to len - 1 do
         if
           (not !bridged)
           && hb i k
-          && (fst trace.(k) = q || Sched_tree.dependent (snd trace.(k)) fq)
+          && (fst trace.(k) = q || Race.dependent (snd trace.(k)) fq)
         then bridged := true
       done;
       if not !bridged then races := i :: !races
@@ -1203,7 +1203,7 @@ let reference_virtual_races trace hb q fq =
 let gen_race_fp =
   let open QCheck.Gen in
   map2
-    (fun regs k -> { Sched_tree.regs; blocking = k = 0 })
+    (fun regs k -> { Race.regs; blocking = k = 0 })
     (frequency
        [
          (1, return []);
@@ -1220,7 +1220,7 @@ let gen_race_trace =
     (fun steps -> (pids, Array.of_list steps))
     (list_repeat len (pair (int_bound (pids - 1)) gen_race_fp))
 
-let print_race_step (p, (fp : Sched_tree.fp)) =
+let print_race_step (p, (fp : Race.fp)) =
   Printf.sprintf "%d:[%s]%s" p
     (String.concat "," (List.map string_of_int fp.regs))
     (if fp.blocking then "!" else "")
@@ -1229,13 +1229,19 @@ let print_race_trace (pids, trace) =
   Printf.sprintf "%d pids: %s" pids
     (String.concat " " (Array.to_list (Array.map print_race_step trace)))
 
+(* The analysis of a whole trace by a fresh analyzer. *)
+let fresh_analysis trace =
+  let z = Race.analyzer () in
+  Array.iter (fun (pid, fp) -> Race.extend z pid fp) trace;
+  Race.analysis z
+
 (* The linear analysis agrees with the quadratic one: the same
    happens-before on every pair, the same reversible races in the same
    order, and the same races against a virtual step of every process (one
    absent from the trace included) with a spread of footprints. *)
 let prop_race_analysis =
   let virtual_fps =
-    Sched_tree.(
+    Race.(
       { regs = []; blocking = false }
       :: { regs = []; blocking = true }
       :: { regs = [ 1; 4 ]; blocking = false }
@@ -1248,15 +1254,15 @@ let prop_race_analysis =
        (fun (pids, trace) ->
          let len = Array.length trace in
          let hb = reference_hb trace in
-         let a = Sched_tree.analyze trace in
+         let a = fresh_analysis trace in
          let pairs = List.init len (fun i -> List.init len (fun j -> (i, j))) |> List.concat in
-         List.for_all (fun (i, j) -> a.Sched_tree.hb i j = hb i j) pairs
-         && a.Sched_tree.races = reference_races trace hb
+         List.for_all (fun (i, j) -> a.Race.hb i j = hb i j) pairs
+         && a.Race.races = reference_races trace hb
          && List.for_all
               (fun q ->
                 List.for_all
                   (fun fq ->
-                    a.Sched_tree.virtual_races q fq = reference_virtual_races trace hb q fq)
+                    a.Race.virtual_races q fq = reference_virtual_races trace hb q fq)
                   virtual_fps)
               (List.init (pids + 1) Fun.id)))
 
@@ -1264,7 +1270,7 @@ let prop_race_analysis =
    random sequences of "cut to depth k, extend by a random suffix" on one
    analyzer, after each step its races (in order), its happens-before on
    every pair and its races against drawn virtual steps (of every process,
-   one absent from the trace included) equal those of [Sched_tree.analyze]
+   one absent from the trace included) equal those of a fresh analyzer's
    on the same trace.  Each step is (k, suffix, virtual steps), with k
    taken modulo one more than the trace's length. *)
 let gen_kept_analyzer =
@@ -1291,26 +1297,26 @@ let prop_kept_analyzer =
     (QCheck.Test.make ~count:500 ~name:"kept race analysis = fresh analysis"
        (QCheck.make ~print:print_kept_analyzer gen_kept_analyzer)
        (fun (_, steps) ->
-         let z = Sched_tree.analyzer () in
+         let z = Race.analyzer () in
          let trace = ref [||] in
          List.for_all
            (fun (k, suffix, probes) ->
              let k = k mod (Array.length !trace + 1) in
-             Sched_tree.cut z k;
-             List.iter (fun (p, fp) -> Sched_tree.extend z p fp) suffix;
+             Race.cut z k;
+             List.iter (fun (p, fp) -> Race.extend z p fp) suffix;
              trace := Array.append (Array.sub !trace 0 k) (Array.of_list suffix);
              let len = Array.length !trace in
-             let kept = Sched_tree.analysis z and fresh = Sched_tree.analyze !trace in
-             kept.Sched_tree.races = fresh.Sched_tree.races
+             let kept = Race.analysis z and fresh = fresh_analysis !trace in
+             kept.Race.races = fresh.Race.races
              && List.for_all
                   (fun i ->
                     List.for_all
-                      (fun j -> kept.Sched_tree.hb i j = fresh.Sched_tree.hb i j)
+                      (fun j -> kept.Race.hb i j = fresh.Race.hb i j)
                       (List.init len Fun.id))
                   (List.init len Fun.id)
              && List.for_all
                   (fun (q, fq) ->
-                    kept.Sched_tree.virtual_races q fq = fresh.Sched_tree.virtual_races q fq)
+                    kept.Race.virtual_races q fq = fresh.Race.virtual_races q fq)
                   probes)
            steps))
 
