@@ -198,7 +198,7 @@ let analyze_cmd =
 
 let trace_cmd =
   let rounds_arg =
-    Arg.(value & opt int 10 & info [ "rounds" ] ~docv:"R" ~doc:"Max rounds to print.")
+    Arg.(value & opt nonneg_int 10 & info [ "rounds" ] ~docv:"R" ~doc:"Max rounds to print.")
   in
   let args_arg =
     Arg.(
@@ -358,7 +358,7 @@ let sweep_cmd =
 
 let upsets_cmd =
   let rounds_arg =
-    Arg.(value & opt int 12 & info [ "rounds" ] ~docv:"R" ~doc:"Max rounds to display.")
+    Arg.(value & opt nonneg_int 12 & info [ "rounds" ] ~docv:"R" ~doc:"Max rounds to display.")
   in
   let run () name n seed max_print =
     let entry = find_entry name in
@@ -413,13 +413,17 @@ let profile_cmd =
     in
     let layout = Layout.create () in
     let handle = construction.Iface.create layout ~n (Counters.fetch_inc ~bits:62) in
-    let memory = Memory.create ~log:true () in
+    let memory = Memory.create () in
     Layout.install layout memory;
+    (* No tracer is installed, so the run leaves this tap in place. *)
+    let accesses = ref [] in
+    Memory.set_tap memory
+      (Some (fun ~pid inv resp ~spurious:_ -> accesses := (pid, inv, resp) :: !accesses));
     let result =
       Harness.run_handle ~memory ~handle ~n ~ops:(fun _ -> [ Value.Unit; Value.Unit ]) ()
     in
     Format.printf "%s, %d processes x 2 fetch&inc each (round-robin):@.%a@."
-      construction.Iface.name n Profile.pp (Profile.of_memory memory);
+      construction.Iface.name n Profile.pp (Profile.of_accesses (List.rev !accesses));
     Format.printf "worst op cost: %d (analytic bound %d)@." result.Harness.max_cost
       (construction.Iface.worst_case ~n);
     0

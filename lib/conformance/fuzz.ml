@@ -224,7 +224,6 @@ let assess ~(construction : Iface.t) ~ot ~plan ~n ~ops ~max_states ~schedule res
       | Pass -> "conformance.pass"
       | Degraded _ -> "conformance.degraded"
       | Fail _ -> "conformance.fail");
-    if states > 0 then Lb_observe.Metrics.observe_int reg "conformance.states" states;
     { verdict; schedule; checked_ops; states }
   in
   (* Survivors must account for every operation; crash-stopped pids are

@@ -33,11 +33,10 @@
       fault injection (crashes, recovery, weak LL/SC, delays) and wakeup
       certification under it (constructions under a plan are judged by
       {!Schedule_fuzz.assess});
-    - {!Conf_history}, {!Mutate}, {!Schedule_fuzz}, {!Shrink},
-      {!Conformance}, {!Exhaustive}: the conformance subsystem — histories
-      rebuilt from recorded traces, mutation testing, differential schedule
-      fuzzing, counterexample shrinking, and bounded-exhaustive
-      certification over {!Sched_tree}'s DPOR;
+    - {!Mutate}, {!Schedule_fuzz}, {!Shrink}, {!Conformance},
+      {!Exhaustive}: the conformance subsystem — mutation testing,
+      differential schedule fuzzing, counterexample shrinking, and
+      bounded-exhaustive certification over {!Sched_tree}'s DPOR;
     - {!Problem}, {!Reductions}, {!Direct_algorithms}, {!Randomized},
       {!Cheaters}, {!Corpus}: the wakeup problem and its algorithm corpus;
     - {!Hw_memory}, {!Hw_recorder}, {!Hw_run}, {!Hw_harness}, {!Hw_bench}:
@@ -133,7 +132,6 @@ module Fault_targets = Lb_faults.Targets
 module Faults = Lb_faults.Certify
 
 (* Conformance *)
-module Conf_history = Lb_conformance.History
 module Mutate = Lb_conformance.Mutate
 module Schedule_fuzz = Lb_conformance.Fuzz
 module Shrink = Lb_conformance.Shrink

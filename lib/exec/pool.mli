@@ -6,7 +6,8 @@
     each task runs under a fresh domain-local {!Lb_observe.Metrics}
     registry (and, when the caller is tracing, a fresh ring
     {!Lb_observe.Tracer}), and those captures are merged into the caller's
-    registry/tracer {e in task index order} at join.  A same-seed run
+    registry/tracer at join: counters add, and events are re-emitted
+    {e in task index order}.  A same-seed run
     therefore produces identical tables, metrics and traces at any job
     count — [~jobs:1] literally {e is} [List.map].
 

@@ -1,5 +1,3 @@
-type event = { pid : int; invocation : Op.invocation; response : Op.response }
-
 exception Self_move = Semantics.Self_move
 
 type directive = Semantics.directive = Proceed | Fail_sc
@@ -23,23 +21,19 @@ type t = {
   default : Semantics.reg;
   mutable counts : int array; (* index = pid; length grows by doubling *)
   mutable total : int;
-  log_enabled : bool;
-  mutable log : event list; (* newest first *)
   mutable interposer : interposer option;
   mutable tap : tap option;
   model : Memory_model.t;
   mutable buffers : Semantics.buffers;
 }
 
-let create ?(default = Value.Unit) ?(log = false) ?(model = Memory_model.SC) () =
+let create ?(default = Value.Unit) ?(model = Memory_model.SC) () =
   {
     regs = Array.make 64 None;
     sparse_regs = Hashtbl.create 4;
     default = (default, Ids.empty);
     counts = Array.make 16 0;
     total = 0;
-    log_enabled = log;
-    log = [];
     interposer = None;
     tap = None;
     model;
@@ -117,7 +111,6 @@ let count m pid =
 let apply m ~pid invocation =
   let response, _ = Sem.apply m ~pid invocation in
   count m pid;
-  if m.log_enabled then m.log <- { pid; invocation; response } :: m.log;
   (match m.tap with
   | None -> ()
   | Some tap ->
@@ -140,7 +133,6 @@ type checkpoint = {
   c_sparse : (int * Semantics.reg) list;
   c_counts : int array;
   c_total : int;
-  c_log : event list;
   c_buffers : Semantics.buffers;
 }
 
@@ -158,7 +150,6 @@ let checkpoint m =
     c_sparse = Hashtbl.fold (fun r reg acc -> (r, reg) :: acc) m.sparse_regs [];
     c_counts = Array.sub m.counts 0 !pids;
     c_total = m.total;
-    c_log = m.log;
     c_buffers = m.buffers;
   }
 
@@ -172,7 +163,6 @@ let restore m c =
   Array.blit c.c_counts 0 m.counts 0 pids;
   Array.fill m.counts pids (Array.length m.counts - pids) 0;
   m.total <- c.c_total;
-  m.log <- c.c_log;
   m.buffers <- c.c_buffers
 
 let fold_regs f m acc =
@@ -193,7 +183,3 @@ let ops_of m ~pid =
 
 let total_ops m = m.total
 let max_ops m = Array.fold_left max 0 m.counts
-let events m = List.rev m.log
-
-let pp_event ppf { pid; invocation; response } =
-  Format.fprintf ppf "p%d: %a -> %a" pid Op.pp_invocation invocation Op.pp_response response

@@ -2,9 +2,10 @@
 
     An "infinite" array of registers [R0, R1, ...] (materialised lazily)
     supporting the operations of the model, with per-process shared-access
-    accounting — the quantity the paper's lower bound is about — and an
-    optional event log.  What each operation does is {!Semantics}; this
-    module is the register store and the accounting around it.
+    accounting — the quantity the paper's lower bound is about.  What each
+    operation does is {!Semantics}; this module is the register store and
+    the accounting around it.  The access stream itself is not kept here:
+    an observer that wants it installs a {!tap}.
 
     Registers and per-process counters live in flat growable arrays indexed
     by register number / pid (registers are allocated densely from 0 by
@@ -13,8 +14,6 @@
     side table.  Process ids and register indices must be non-negative. *)
 
 type t
-
-type event = { pid : int; invocation : Op.invocation; response : Op.response }
 
 exception Self_move of { pid : int; reg : int }
 (** {!Semantics.Self_move}: raised by {!apply} when process [pid] issues
@@ -41,19 +40,20 @@ val set_interposer : t -> interposer option -> unit
     every {!apply}, with the operation's response and whether the SC failed
     spuriously (it failed while its issuer stayed linked).  The
     observability layer ({!Lb_observe.Tracer.attach_memory}) builds its
-    shared-access event stream from this hook; like the interposer there is
-    at most one tap and it must not mutate the memory. *)
+    shared-access event stream from this hook, and [lowerbound profile]
+    collects the accesses it condenses into a {!Profile} here; like the
+    interposer there is at most one tap and it must not mutate the
+    memory.  {!set_init} does not reach the tap. *)
 
 type tap = pid:int -> Op.invocation -> Op.response -> spurious:bool -> unit
 
 val set_tap : t -> tap option -> unit
 (** Install (or with [None] remove) the tap. *)
 
-val create : ?default:Value.t -> ?log:bool -> ?model:Memory_model.t -> unit -> t
+val create : ?default:Value.t -> ?model:Memory_model.t -> unit -> t
 (** Fresh memory.  Registers that have never been written read as [default]
-    (default [Value.Unit]).  When [log] is true (default false) every applied
-    operation is recorded in order.  [model] (default {!Memory_model.SC})
-    selects the consistency model. *)
+    (default [Value.Unit]).  [model] (default {!Memory_model.SC}) selects
+    the consistency model. *)
 
 val model : t -> Memory_model.t
 
@@ -101,8 +101,8 @@ val largest_value_size : t -> int
 (** {1 Checkpoints}
 
     A checkpoint holds everything a run changes in the memory: the
-    registers' values and Psets, the per-process counts, the store buffers
-    and the log.  Restoring one puts the memory back exactly as it was, so
+    registers' values and Psets, the per-process counts and the store
+    buffers.  Restoring one puts the memory back exactly as it was, so
     a runner can resume a run from a saved state instead of replaying it.
     The interposer, the tap and the model are not part of it. *)
 
@@ -125,8 +125,3 @@ val total_ops : t -> int
 val max_ops : t -> int
 (** [max] over processes of [ops_of] — the paper's [t(R)] for the run so
     far. *)
-
-val events : t -> event list
-(** The log, oldest first.  Empty when logging is disabled. *)
-
-val pp_event : Format.formatter -> event -> unit

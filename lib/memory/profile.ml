@@ -34,7 +34,7 @@ let empty_stats reg =
     moves_out = 0;
   }
 
-let of_events events =
+let of_accesses accesses =
   let table = Hashtbl.create 32 in
   let pids = Hashtbl.create 16 in
   let update reg f =
@@ -47,7 +47,7 @@ let of_events events =
   in
   let sc_total = ref 0 and sc_ok = ref 0 in
   List.iter
-    (fun { Memory.pid; invocation; response } ->
+    (fun (pid, invocation, response) ->
       Hashtbl.replace pids pid ();
       bump_kind (Op.kind invocation);
       match invocation, response with
@@ -68,13 +68,13 @@ let of_events events =
            access against the source only, but record the incoming move. *)
         let stats = Option.value ~default:(empty_stats dst) (Hashtbl.find_opt table dst) in
         Hashtbl.replace table dst { stats with moves_in = stats.moves_in + 1 })
-    events;
+    accesses;
   let registers =
     Hashtbl.fold (fun _ stats acc -> stats :: acc) table []
     |> List.sort (fun a b -> compare (b.accesses, a.reg) (a.accesses, b.reg))
   in
   {
-    total = List.length events;
+    total = List.length accesses;
     per_kind =
       List.map
         (fun k -> (k, Option.value ~default:0 (Hashtbl.find_opt kind_counts k)))
@@ -85,8 +85,6 @@ let of_events events =
     hottest = (match registers with [] -> None | top :: _ -> Some top.reg);
     distinct_processes = Hashtbl.length pids;
   }
-
-let of_memory m = of_events (Memory.events m)
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>%d shared-memory operations by %d processes@ " t.total

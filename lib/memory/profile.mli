@@ -1,12 +1,11 @@
-(** Access profiles from the memory event log.
+(** Access profiles from a run's shared-memory accesses.
 
-    With logging enabled ({!Memory.create} [~log:true]) every applied
-    operation is recorded; this module condenses the log into the
-    contention statistics a systems reader expects next to the
-    shared-access counts: per-operation-kind totals, SC success rate, and
-    the per-register access distribution (the paper's adversary works
-    precisely by steering all processes onto the registers where
-    invalidation hurts most). *)
+    A {!Memory.tap} sees every applied operation; this module condenses the
+    [(pid, invocation, response)] stream it collects into the contention
+    statistics a systems reader expects next to the shared-access counts:
+    per-operation-kind totals, SC success rate, and the per-register access
+    distribution (the paper's adversary works precisely by steering all
+    processes onto the registers where invalidation hurts most). *)
 
 type register_stats = {
   reg : int;
@@ -30,9 +29,8 @@ type t = {
   distinct_processes : int;
 }
 
-val of_events : Memory.event list -> t
-val of_memory : Memory.t -> t
-(** [of_events (Memory.events m)]. *)
+val of_accesses : (int * Op.invocation * Op.response) list -> t
+(** Profile of [(pid, invocation, response)] accesses, oldest first. *)
 
 val pp : Format.formatter -> t -> unit
 (** Multi-line summary with a top-registers table. *)

@@ -7,9 +7,8 @@
     effect.  {!Linearize} decides whether a history is linearizable
     w.r.t. a sequential specification.
 
-    [Lb_universal.Harness] records the history of every simulated run,
-    [Lb_conformance.History.of_events] rebuilds one from a recorded trace,
-    and the hardware backend builds one from wall-clock stamps. *)
+    [Lb_universal.Harness] records the history of every simulated run, and
+    the hardware backend builds one from wall-clock stamps. *)
 
 open Lb_memory
 

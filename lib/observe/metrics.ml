@@ -1,202 +1,22 @@
-type histogram = {
-  count : int;
-  sum : float;
-  min : float;
-  max : float;
-  buckets : (float * int) list;
-}
-
-type hist_state = {
-  bounds : float array; (* strictly increasing upper bounds; +inf is implicit *)
-  counts : int array; (* length = Array.length bounds + 1 *)
-  mutable h_count : int;
-  mutable h_sum : float;
-  mutable h_min : float;
-  mutable h_max : float;
-}
-
-type metric = Counter of int ref | Gauge of float ref | Histogram of hist_state
-
-type t = (string, metric) Hashtbl.t
+type t = (string, int ref) Hashtbl.t
 
 let create () : t = Hashtbl.create 32
-let default : t = create ()
 
 (* Domain-local, so pool workers (Lb_exec.Pool) each publish into their own
    registry and the sequential single-domain behaviour is unchanged. *)
-let ambient = Domain.DLS.new_key (fun () -> default)
+let ambient = Domain.DLS.new_key create
 let current () = Domain.DLS.get ambient
-let set_current t = Domain.DLS.set ambient t
 
 let with_registry t f =
   let previous = Domain.DLS.get ambient in
   Domain.DLS.set ambient t;
   Fun.protect ~finally:(fun () -> Domain.DLS.set ambient previous) f
 
-let reset t = Hashtbl.reset t
-
-let kind_error name ~wanted =
-  invalid_arg (Printf.sprintf "Metrics: %S is not a %s" name wanted)
-
 let incr ?(by = 1) t name =
   match Hashtbl.find_opt t name with
-  | None -> Hashtbl.add t name (Counter (ref by))
-  | Some (Counter r) -> r := !r + by
-  | Some (Gauge _ | Histogram _) -> kind_error name ~wanted:"counter"
+  | None -> Hashtbl.add t name (ref by)
+  | Some r -> r := !r + by
 
-let counter_value t name =
-  match Hashtbl.find_opt t name with
-  | None -> 0
-  | Some (Counter r) -> !r
-  | Some (Gauge _ | Histogram _) -> kind_error name ~wanted:"counter"
+let counter_value t name = match Hashtbl.find_opt t name with None -> 0 | Some r -> !r
 
-let set_gauge t name v =
-  match Hashtbl.find_opt t name with
-  | None -> Hashtbl.add t name (Gauge (ref v))
-  | Some (Gauge r) -> r := v
-  | Some (Counter _ | Histogram _) -> kind_error name ~wanted:"gauge"
-
-let gauge_value t name =
-  match Hashtbl.find_opt t name with
-  | None -> None
-  | Some (Gauge r) -> Some !r
-  | Some (Counter _ | Histogram _) -> kind_error name ~wanted:"gauge"
-
-(* Powers of two up to 2^16: sized for shared-access counts. *)
-let default_bounds = Array.init 17 (fun i -> float_of_int (1 lsl i))
-
-let fresh_hist bounds =
-  {
-    bounds;
-    counts = Array.make (Array.length bounds + 1) 0;
-    h_count = 0;
-    h_sum = 0.0;
-    h_min = Float.infinity;
-    h_max = Float.neg_infinity;
-  }
-
-let declare_histogram t name ~bounds =
-  let rec increasing = function
-    | a :: (b :: _ as rest) -> a < b && increasing rest
-    | [ _ ] | [] -> true
-  in
-  if bounds = [] || not (increasing bounds) then
-    invalid_arg "Metrics.declare_histogram: bounds must be non-empty and strictly increasing";
-  match Hashtbl.find_opt t name with
-  | None -> Hashtbl.add t name (Histogram (fresh_hist (Array.of_list bounds)))
-  | Some (Histogram _) -> ()
-  | Some (Counter _ | Gauge _) -> kind_error name ~wanted:"histogram"
-
-let hist_of t name =
-  match Hashtbl.find_opt t name with
-  | None ->
-    let h = fresh_hist default_bounds in
-    Hashtbl.add t name (Histogram h);
-    h
-  | Some (Histogram h) -> h
-  | Some (Counter _ | Gauge _) -> kind_error name ~wanted:"histogram"
-
-let observe t name v =
-  let h = hist_of t name in
-  let rec bucket i =
-    if i >= Array.length h.bounds then i else if v <= h.bounds.(i) then i else bucket (i + 1)
-  in
-  let i = bucket 0 in
-  h.counts.(i) <- h.counts.(i) + 1;
-  h.h_count <- h.h_count + 1;
-  h.h_sum <- h.h_sum +. v;
-  if v < h.h_min then h.h_min <- v;
-  if v > h.h_max then h.h_max <- v
-
-let observe_int t name v = observe t name (float_of_int v)
-
-let histogram t name =
-  match Hashtbl.find_opt t name with
-  | None -> None
-  | Some (Histogram h) ->
-    let buckets =
-      List.init (Array.length h.counts) (fun i ->
-          let bound =
-            if i < Array.length h.bounds then h.bounds.(i) else Float.infinity
-          in
-          (bound, h.counts.(i)))
-    in
-    Some
-      { count = h.h_count; sum = h.h_sum; min = h.h_min; max = h.h_max; buckets }
-  | Some (Counter _ | Gauge _) -> kind_error name ~wanted:"histogram"
-
-let merge ~into src =
-  (* Names in sorted order so a merge's effect (and any kind-mismatch error)
-     is deterministic regardless of hashtable iteration order. *)
-  let names = Hashtbl.fold (fun name _ acc -> name :: acc) src [] |> List.sort String.compare in
-  List.iter
-    (fun name ->
-      match Hashtbl.find src name with
-      | Counter r -> incr ~by:!r into name
-      | Gauge r -> set_gauge into name !r
-      | Histogram h ->
-        (match Hashtbl.find_opt into name with
-        | None ->
-          declare_histogram into name ~bounds:(Array.to_list h.bounds)
-        | Some (Histogram _) -> ()
-        | Some (Counter _ | Gauge _) -> kind_error name ~wanted:"histogram");
-        let dst = hist_of into name in
-        if dst.bounds <> h.bounds then
-          invalid_arg
-            (Printf.sprintf "Metrics.merge: histogram %S bucket bounds differ" name);
-        Array.iteri (fun i c -> dst.counts.(i) <- dst.counts.(i) + c) h.counts;
-        dst.h_count <- dst.h_count + h.h_count;
-        dst.h_sum <- dst.h_sum +. h.h_sum;
-        if h.h_min < dst.h_min then dst.h_min <- h.h_min;
-        if h.h_max > dst.h_max then dst.h_max <- h.h_max)
-    names
-
-let names t =
-  Hashtbl.fold (fun name _ acc -> name :: acc) t [] |> List.sort String.compare
-
-let bound_json b = if b = Float.infinity then Json.Str "inf" else Json.Float b
-
-let to_json t =
-  let collect f =
-    names t
-    |> List.filter_map (fun name ->
-           Option.map (fun j -> (name, j)) (f name (Hashtbl.find t name)))
-  in
-  let counters =
-    collect (fun _ -> function Counter r -> Some (Json.Int !r) | _ -> None)
-  in
-  let gauges = collect (fun _ -> function Gauge r -> Some (Json.Float !r) | _ -> None) in
-  let histograms =
-    collect (fun name -> function
-      | Histogram _ ->
-        let h = Option.get (histogram t name) in
-        Some
-          (Json.Obj
-             [
-               ("count", Json.Int h.count);
-               ("sum", Json.Float h.sum);
-               ("min", if h.count = 0 then Json.Null else Json.Float h.min);
-               ("max", if h.count = 0 then Json.Null else Json.Float h.max);
-               ( "buckets",
-                 Json.Arr
-                   (List.map
-                      (fun (le, n) -> Json.Obj [ ("le", bound_json le); ("n", Json.Int n) ])
-                      h.buckets) );
-             ])
-      | _ -> None)
-  in
-  Json.Obj
-    [ ("counters", Json.Obj counters); ("gauges", Json.Obj gauges);
-      ("histograms", Json.Obj histograms) ]
-
-let pp ppf t =
-  List.iter
-    (fun name ->
-      match Hashtbl.find t name with
-      | Counter r -> Format.fprintf ppf "%-32s counter %d@." name !r
-      | Gauge r -> Format.fprintf ppf "%-32s gauge   %g@." name !r
-      | Histogram _ ->
-        let h = Option.get (histogram t name) in
-        Format.fprintf ppf "%-32s hist    count=%d sum=%g%s@." name h.count h.sum
-          (if h.count = 0 then "" else Printf.sprintf " min=%g max=%g" h.min h.max))
-    (names t)
+let merge ~into src = Hashtbl.iter (fun name r -> incr ~by:!r into name) src

@@ -1,40 +1,25 @@
 open Lb_memory
 
-type sink =
-  | Ring of { slots : Event.stamped option array; capacity : int }
-  | Channel of out_channel
-
-type t = { mutable seq : int; sink : sink }
+(* A ring of the most recent [capacity] events: event [at] lives in slot
+   [at mod capacity]. *)
+type t = { mutable seq : int; slots : Event.stamped option array; capacity : int }
 
 let ring ?(capacity = 1 lsl 20) () =
   if capacity <= 0 then invalid_arg "Tracer.ring: capacity must be positive";
-  { seq = 0; sink = Ring { slots = Array.make capacity None; capacity } }
-
-let on_channel oc = { seq = 0; sink = Channel oc }
+  { seq = 0; slots = Array.make capacity None; capacity }
 
 let emit t event =
   let stamped = { Event.at = t.seq; event } in
   t.seq <- t.seq + 1;
-  match t.sink with
-  | Ring { slots; capacity } -> slots.(stamped.Event.at mod capacity) <- Some stamped
-  | Channel oc ->
-    output_string oc (Json.to_string (Event.to_json stamped));
-    output_char oc '\n'
+  t.slots.(stamped.Event.at mod t.capacity) <- Some stamped
 
 let events t =
-  match t.sink with
-  | Channel _ -> []
-  | Ring { slots; capacity } ->
-    let first = max 0 (t.seq - capacity) in
-    List.init (t.seq - first) (fun i -> slots.((first + i) mod capacity))
-    |> List.filter_map Fun.id
+  let first = max 0 (t.seq - t.capacity) in
+  List.init (t.seq - first) (fun i -> t.slots.((first + i) mod t.capacity))
+  |> List.filter_map Fun.id
 
 let emitted t = t.seq
-
-let dropped t =
-  match t.sink with Channel _ -> 0 | Ring { capacity; _ } -> max 0 (t.seq - capacity)
-
-let flush t = match t.sink with Channel oc -> Stdlib.flush oc | Ring _ -> ()
+let dropped t = max 0 (t.seq - t.capacity)
 
 (* ---- ambient tracer ---- *)
 
@@ -42,7 +27,6 @@ let flush t = match t.sink with Channel oc -> Stdlib.flush oc | Ring _ -> ()
    order at join), and the one-ref-read fast path stays uncontended. *)
 let ambient : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
-let install o = Domain.DLS.set ambient o
 let installed () = Domain.DLS.get ambient
 let active () = Option.is_some (Domain.DLS.get ambient)
 let record event =

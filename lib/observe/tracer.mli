@@ -1,13 +1,13 @@
-(** Event sinks and the ambient tracer.
+(** The ring event sink and the ambient tracer.
 
     A tracer stamps {!Event.t}s with a per-run sequence number and stores
-    them in a bounded ring buffer (the default — keeps the most recent
-    events, counts what it drops) or streams them to a channel as JSONL,
-    one compact JSON object per line.
+    them in a bounded ring buffer that keeps the most recent events and
+    counts what it drops.  [Trace_file.save] writes what it kept as a
+    JSONL artifact.
 
     Instrumented code does not thread a tracer through every call: it asks
     the {e ambient} tracer ({!record}), installed for the extent of a run
-    with {!install} or {!with_tracer}.  When no tracer is installed,
+    with {!with_tracer}.  When no tracer is installed,
     {!active} is false and every instrumentation site reduces to one ref
     read — runs with tracing disabled are bit-identical to, and within
     noise as fast as, untraced runs (checked by [test/suite_observe.ml]
@@ -18,32 +18,22 @@ open Lb_memory
 type t
 
 val ring : ?capacity:int -> unit -> t
-(** In-memory sink keeping the most recent [capacity] (default [1 lsl 20])
+(** A sink keeping the most recent [capacity] (default [1 lsl 20])
     events. *)
-
-val on_channel : out_channel -> t
-(** Streaming sink: each event is written immediately as one JSONL line.
-    {!events} on a channel sink is empty — the artifact {e is} the trace. *)
 
 val emit : t -> Event.t -> unit
 (** Stamp and record one event. *)
 
 val events : t -> Event.stamped list
-(** Recorded events, oldest first (ring sinks only). *)
+(** Recorded events still in the ring, oldest first. *)
 
 val emitted : t -> int
 (** Total events emitted, including any dropped by a full ring. *)
 
 val dropped : t -> int
-(** Events a ring sink has overwritten; 0 for channel sinks. *)
-
-val flush : t -> unit
-(** Flush a channel sink; no-op for rings. *)
+(** Events the ring has overwritten. *)
 
 (** {1 The ambient tracer} *)
-
-val install : t option -> unit
-(** Make the given tracer the ambient one (or uninstall with [None]). *)
 
 val installed : unit -> t option
 

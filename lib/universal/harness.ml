@@ -185,7 +185,6 @@ let start_next d slot =
 
 let complete d slot (a : attempt) response =
   let cost = a.shared + slot.lost and seq = slot.seq - 1 in
-  Lb_observe.Metrics.observe_int (Lb_observe.Metrics.current ()) "harness.op_cost" cost;
   Lb_observe.Metrics.incr (Lb_observe.Metrics.current ()) "harness.ops_completed";
   if tracing () then
     trace (Lb_observe.Event.Op_completed { pid = slot.pid; seq; op = a.op; response; cost });

@@ -33,51 +33,23 @@ let walked = function
 
 let completed ?(ghost = false) ~pid ~seq ~invoked ~responded response =
   {
-    Conf_history.pid;
+    History.pid;
     seq;
     op = inc;
     invoked;
-    outcome = Conf_history.Completed { response; responded };
+    outcome = History.Completed { response; responded };
     ghost;
   }
 
 let pending ?(ghost = false) ~pid ~seq ~invoked () =
-  { Conf_history.pid; seq; op = inc; invoked; outcome = Conf_history.Pending; ghost }
+  { History.pid; seq; op = inc; invoked; outcome = History.Pending; ghost }
 
 (* ---- history construction ---- *)
 
-let test_history_of_events () =
-  let e at event = { Event.at; event } in
-  let events =
-    [
-      e 0 (Event.Op_invoked { pid = 0; seq = 0; op = inc });
-      e 1 (Event.Op_invoked { pid = 1; seq = 0; op = inc });
-      e 2 (Event.Op_completed { pid = 0; seq = 0; op = inc; response = Value.Int 0; cost = 3 });
-      e 3 (Event.Op_failed { pid = 1; seq = 0; op = inc; reason = "gave up"; cost = 9 });
-      e 4 (Event.Op_invoked { pid = 0; seq = 1; op = inc });
-      (* An unrelated event between lifecycle events must be ignored. *)
-      e 5 (Event.Round { index = 1 });
-    ]
-  in
-  let h = Conf_history.of_events ~restarted:[ (1, 0) ] events in
-  Alcotest.(check int) "four ops (one a restart ghost)" 4 (List.length h);
-  Alcotest.(check int) "one completed" 1 (List.length (Conf_history.completed h));
-  Alcotest.(check int) "three pending" 3 (List.length (Conf_history.pending h));
-  let ghosts = List.filter (fun (o : Conf_history.op) -> o.Conf_history.ghost) h in
-  (match ghosts with
-  | [ g ] ->
-    Alcotest.(check (pair int int)) "ghost doubles pid 1's lost attempt" (1, 0)
-      (g.Conf_history.pid, g.Conf_history.seq)
-  | _ -> Alcotest.failf "expected exactly one ghost, got %d" (List.length ghosts));
-  (* Ascending invocation order is the representation invariant. *)
-  let invocations = List.map (fun (o : Conf_history.op) -> o.Conf_history.invoked) h in
-  Alcotest.(check bool) "sorted by invocation" true
-    (List.sort compare invocations = invocations)
-
 let test_history_result_event_agreement () =
   (* The same run, seen through the harness result and through the tracer's
-     op-lifecycle events, must induce the same history shape: identical
-     (pid, seq, completed?) multisets and identical responses. *)
+     op-lifecycle events, must describe the same operations: identical
+     (pid, seq, response-if-completed) multisets. *)
   let spec = fetch_inc.Schedule_fuzz.spec_of ~n:2 in
   let tracer = Tracer.ring ~capacity:4096 () in
   let result =
@@ -86,23 +58,38 @@ let test_history_result_event_agreement () =
           ~ops:(fun _pid -> [ inc; inc ])
           ~scheduler:Scheduler.round_robin ())
   in
-  let from_result = result.Harness.history in
-  let from_events = Conf_history.of_events (Tracer.events tracer) in
-  let shape h =
+  let from_result =
     List.map
-      (fun (o : Conf_history.op) ->
-        ( o.Conf_history.pid,
-          o.Conf_history.seq,
-          match o.Conf_history.outcome with
-          | Conf_history.Completed { response; _ } -> Some response
-          | Conf_history.Pending -> None ))
-      h
+      (fun (o : History.op) ->
+        ( o.History.pid,
+          o.History.seq,
+          match o.History.outcome with
+          | History.Completed { response; _ } -> Some response
+          | History.Pending -> None ))
+      result.Harness.history
     |> List.sort compare
   in
-  Alcotest.(check bool) "result and events induce the same history" true
-    (shape from_result = shape from_events);
+  let events = List.map (fun (s : Event.stamped) -> s.Event.event) (Tracer.events tracer) in
+  let from_events =
+    List.filter_map
+      (function
+        | Event.Op_invoked { pid; seq; _ } ->
+          Some
+            ( pid,
+              seq,
+              List.find_map
+                (function
+                  | Event.Op_completed c when c.pid = pid && c.seq = seq -> Some c.response
+                  | _ -> None)
+                events )
+        | _ -> None)
+      events
+    |> List.sort compare
+  in
+  Alcotest.(check bool) "result and events describe the same ops" true
+    (from_result = from_events);
   Alcotest.(check int) "all four ops completed" 4
-    (List.length (Conf_history.completed from_result))
+    (List.length (History.completed result.Harness.history))
 
 (* ---- the linearizability checker ---- *)
 
@@ -383,9 +370,9 @@ let test_fuzz_crash_stop_in_flight_pending () =
   let h = result.Harness.history in
   Alcotest.(check bool) "the in-flight op is pending in the history" true
     (List.exists
-       (fun (o : Conf_history.op) ->
-         o.Conf_history.pid = 0 && (not o.Conf_history.ghost)
-         && o.Conf_history.outcome = Conf_history.Pending)
+       (fun (o : History.op) ->
+         o.History.pid = 0 && (not o.History.ghost)
+         && o.History.outcome = History.Pending)
        h);
   Alcotest.(check bool) "the faulted history is linearizable" true
     (Linearize.is_linearizable (fetch_inc.Schedule_fuzz.spec_of ~n:3) h);
@@ -886,7 +873,6 @@ let test_exhaustive_walk_allocation () =
 
 let suite =
   [
-    Alcotest.test_case "history: of_events lifecycle + ghosts" `Quick test_history_of_events;
     Alcotest.test_case "history: result and events agree" `Quick
       test_history_result_event_agreement;
     Alcotest.test_case "linearize: witness on overlap" `Quick test_linearize_witness;

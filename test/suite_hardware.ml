@@ -153,17 +153,17 @@ let test_equal_stamps_share_rank () =
   in
   let invoked pid seq =
     let op =
-      List.find (fun (o : Conf_history.op) -> o.pid = pid && o.seq = seq) h
+      List.find (fun (o : History.op) -> o.pid = pid && o.seq = seq) h
     in
     op.invoked
   in
   let responded pid seq =
     let op =
-      List.find (fun (o : Conf_history.op) -> o.pid = pid && o.seq = seq) h
+      List.find (fun (o : History.op) -> o.pid = pid && o.seq = seq) h
     in
     match op.outcome with
-    | Conf_history.Completed { responded; _ } -> responded
-    | Conf_history.Pending -> Alcotest.fail "expected a completed op"
+    | History.Completed { responded; _ } -> responded
+    | History.Pending -> Alcotest.fail "expected a completed op"
   in
   Alcotest.(check int) "equal invocations, equal ranks" (invoked 0 0) (invoked 1 0);
   Alcotest.(check int) "equal responses, equal ranks" (responded 0 0) (responded 1 0);
@@ -181,7 +181,7 @@ let test_failures_become_pending () =
         [ { Hw_harness.pid = 1; seq = 0; op = Value.unit; reason = "gave up"; invoked_s = 1.5 } ]
   in
   Alcotest.(check int) "two ops" 2 (List.length h);
-  Alcotest.(check int) "one pending" 1 (List.length (Conf_history.pending h));
+  Alcotest.(check int) "one pending" 1 (List.length (History.pending h));
   Alcotest.(check bool) "give-up may or may not have taken effect" true
     (Linearize.is_linearizable spec h)
 

@@ -112,21 +112,25 @@ let test_counting () =
   Alcotest.(check int) "total" 3 (Memory.total_ops m);
   Alcotest.(check int) "max" 2 (Memory.max_ops m)
 
+(* The tap sees every [apply]'s pid, invocation and response, in order,
+   and nothing for [set_init]. *)
 let test_log () =
-  let m = Memory.create ~log:true () in
-  ignore (Memory.apply m ~pid:0 (Op.Ll 4));
-  ignore (Memory.apply m ~pid:1 (Op.Swap (4, Value.Int 2)));
-  match Memory.events m with
-  | [ e1; e2 ] ->
-    Alcotest.(check int) "first pid" 0 e1.Memory.pid;
-    Alcotest.(check bool) "first is LL" true (Op.equal_invocation e1.Memory.invocation (Op.Ll 4));
-    Alcotest.(check int) "second pid" 1 e2.Memory.pid
-  | events -> Alcotest.failf "expected 2 events, got %d" (List.length events)
-
-let test_log_disabled () =
   let m = Memory.create () in
-  ignore (Memory.apply m ~pid:0 (Op.Ll 4));
-  Alcotest.(check int) "no events" 0 (List.length (Memory.events m))
+  let seen = ref [] in
+  Memory.set_tap m (Some (fun ~pid inv resp ~spurious:_ -> seen := (pid, inv, resp) :: !seen));
+  Memory.set_init m 4 (Value.Int 1);
+  let r1 = Memory.apply m ~pid:0 (Op.Ll 4) in
+  let r2 = Memory.apply m ~pid:1 (Op.Swap (4, Value.Int 2)) in
+  match List.rev !seen with
+  | [ (p1, i1, s1); (p2, i2, s2) ] ->
+    Alcotest.(check int) "first pid" 0 p1;
+    Alcotest.(check bool) "first is LL" true (Op.equal_invocation i1 (Op.Ll 4));
+    Alcotest.(check bool) "first response" true (Op.equal_response s1 r1);
+    Alcotest.(check int) "second pid" 1 p2;
+    Alcotest.(check bool) "second is swap" true
+      (Op.equal_invocation i2 (Op.Swap (4, Value.Int 2)));
+    Alcotest.(check bool) "second response" true (Op.equal_response s2 r2)
+  | seen -> Alcotest.failf "expected 2 accesses, got %d" (List.length seen)
 
 let test_snapshot_touched () =
   let m = Memory.create () in
@@ -282,15 +286,21 @@ let prop_sc_semantics =
 (* ---- Profile ---- *)
 
 let test_profile () =
-  let m = Memory.create ~default:(Value.Int 0) ~log:true () in
-  ignore (Memory.apply m ~pid:0 (Op.Ll 0));
-  ignore (Memory.apply m ~pid:1 (Op.Ll 0));
-  ignore (Memory.apply m ~pid:0 (Op.Sc (0, Value.Int 1)));
-  ignore (Memory.apply m ~pid:1 (Op.Sc (0, Value.Int 2)));
-  ignore (Memory.apply m ~pid:0 (Op.Swap (3, Value.Int 9)));
-  ignore (Memory.apply m ~pid:0 (Op.Move (3, 4)));
-  ignore (Memory.apply m ~pid:1 (Op.Validate 4));
-  let p = Profile.of_memory m in
+  let m = Memory.create ~default:(Value.Int 0) () in
+  let accesses =
+    List.map
+      (fun (pid, inv) -> (pid, inv, Memory.apply m ~pid inv))
+      [
+        (0, Op.Ll 0);
+        (1, Op.Ll 0);
+        (0, Op.Sc (0, Value.Int 1));
+        (1, Op.Sc (0, Value.Int 2));
+        (0, Op.Swap (3, Value.Int 9));
+        (0, Op.Move (3, 4));
+        (1, Op.Validate 4);
+      ]
+  in
+  let p = Profile.of_accesses accesses in
   Alcotest.(check int) "total" 7 p.Profile.total;
   Alcotest.(check int) "processes" 2 p.Profile.distinct_processes;
   Alcotest.(check (float 0.001)) "sc rate" 0.5 p.Profile.sc_success_rate;
@@ -308,7 +318,7 @@ let test_profile () =
   Alcotest.(check int) "scs" 2 (List.assoc Op.Sc_kind p.Profile.per_kind)
 
 let test_profile_empty () =
-  let p = Profile.of_events [] in
+  let p = Profile.of_accesses [] in
   Alcotest.(check int) "empty total" 0 p.Profile.total;
   Alcotest.(check (option int)) "no hottest" None p.Profile.hottest;
   Alcotest.(check (float 0.001)) "rate defaults to 1" 1.0 p.Profile.sc_success_rate
@@ -547,16 +557,15 @@ let test_model_strings () =
     && not (Memory_model.weaker_or_equal Memory_model.PSO Memory_model.TSO))
 
 (* A checkpoint puts back everything a run changes: register values and
-   Psets (registers first touched later disappear again), store buffers,
-   per-process counts and the log — rewinding to it and then forward to a
-   later one. *)
+   Psets (registers first touched later disappear again), store buffers
+   and per-process counts — rewinding to it and then forward to a later
+   one. *)
 let test_checkpoint_restore () =
-  let m = Memory.create ~model:Memory_model.TSO ~log:true ~default:(Value.Int 0) () in
+  let m = Memory.create ~model:Memory_model.TSO ~default:(Value.Int 0) () in
   let far = (1 lsl 20) + 5 in
   let observe () =
     ( Memory.snapshot m,
       Memory.buffers m,
-      List.map (Format.asprintf "%a" Memory.pp_event) (Memory.events m),
       List.init 8 (fun pid -> Memory.ops_of m ~pid),
       Memory.total_ops m,
       Memory.largest_value_size m )
@@ -594,7 +603,6 @@ let suite =
     Alcotest.test_case "move chain" `Quick test_move_chain;
     Alcotest.test_case "op counting" `Quick test_counting;
     Alcotest.test_case "event log" `Quick test_log;
-    Alcotest.test_case "log disabled" `Quick test_log_disabled;
     Alcotest.test_case "snapshot/touched" `Quick test_snapshot_touched;
     Alcotest.test_case "checkpoint/restore" `Quick test_checkpoint_restore;
     Alcotest.test_case "negative register rejected" `Quick test_negative_register;

@@ -335,64 +335,32 @@ let test_trace_diff_run_end_boundary () =
 
 (* ---- metrics ---- *)
 
-let test_metrics_basics () =
+let test_metrics_counters () =
   let reg = Metrics.create () in
   Metrics.incr reg "a";
   Metrics.incr ~by:4 reg "a";
   Alcotest.(check int) "counter" 5 (Metrics.counter_value reg "a");
   Alcotest.(check int) "absent counter" 0 (Metrics.counter_value reg "zzz");
-  Metrics.set_gauge reg "g" 2.5;
-  Metrics.set_gauge reg "g" 7.0;
-  Alcotest.(check (option (float 0.0))) "gauge last-write-wins" (Some 7.0)
-    (Metrics.gauge_value reg "g");
-  Metrics.declare_histogram reg "h" ~bounds:[ 1.0; 10.0 ];
-  List.iter (Metrics.observe reg "h") [ 0.5; 5.0; 50.0 ];
-  (match Metrics.histogram reg "h" with
-  | None -> Alcotest.fail "histogram missing"
-  | Some h ->
-    Alcotest.(check int) "count" 3 h.Metrics.count;
-    Alcotest.(check (float 1e-9)) "sum" 55.5 h.Metrics.sum;
-    Alcotest.(check (float 1e-9)) "min" 0.5 h.Metrics.min;
-    Alcotest.(check (float 1e-9)) "max" 50.0 h.Metrics.max;
-    (* Two declared bounds plus the implicit +inf overflow bucket. *)
-    Alcotest.(check (list int)) "bucket counts" [ 1; 1; 1 ]
-      (List.map snd h.Metrics.buckets));
-  Alcotest.(check (list string)) "names sorted" [ "a"; "g"; "h" ] (Metrics.names reg);
-  Alcotest.check_raises "kind mismatch" (Invalid_argument "Metrics: \"a\" is not a gauge")
-    (fun () -> Metrics.set_gauge reg "a" 1.0)
+  let src = Metrics.create () in
+  Metrics.incr ~by:2 src "a";
+  Metrics.incr src "b";
+  Metrics.merge ~into:reg src;
+  Alcotest.(check (pair int int)) "merge adds" (7, 1)
+    (Metrics.counter_value reg "a", Metrics.counter_value reg "b")
 
 let test_metrics_isolation () =
   let reg = Metrics.create () in
   Metrics.with_registry reg (fun () -> Metrics.incr (Metrics.current ()) "x");
   Alcotest.(check int) "inner registry saw it" 1 (Metrics.counter_value reg "x");
-  Alcotest.(check bool) "restored" true (Metrics.current () != reg);
-  Metrics.reset reg;
-  Alcotest.(check (list string)) "reset forgets" [] (Metrics.names reg)
-
-let test_metrics_to_json () =
-  let reg = Metrics.create () in
-  Metrics.incr reg "c";
-  Metrics.set_gauge reg "g" 1.5;
-  Metrics.observe_int reg "h" 3;
-  let j = Metrics.to_json reg in
-  let field path =
-    match Json.member path j with Some x -> x | None -> Alcotest.failf "missing %s" path
-  in
-  Alcotest.(check (option int)) "counter" (Some 1)
-    (Option.bind (Json.member "c" (field "counters")) Json.to_int_opt);
-  Alcotest.(check (option (float 0.0))) "gauge" (Some 1.5)
-    (Option.bind (Json.member "g" (field "gauges")) Json.to_float_opt);
-  match Json.parse (Json.to_string j) with
-  | Ok j' -> Alcotest.(check bool) "serialises and parses" true (Json.equal j j')
-  | Error e -> Alcotest.failf "metrics json: %s" e
+  Alcotest.(check bool) "restored" true (Metrics.current () != reg)
 
 let arb_workload =
   QCheck.make
     ~print:(fun (n, k) -> Printf.sprintf "n=%d ops=%d" n k)
     QCheck.Gen.(pair (1 -- 6) (1 -- 3))
 
-let test_histogram_matches_harness =
-  qcheck ~count:40 "harness.op_cost histogram matches exact per-op costs" arb_workload
+let test_ops_completed_matches_harness =
+  qcheck ~count:40 "harness.ops_completed counts completed ops" arb_workload
     (fun (n, ops_per_process) ->
       let reg = Metrics.create () in
       let result =
@@ -402,14 +370,7 @@ let test_histogram_matches_harness =
               ~ops:(fun _ -> List.init ops_per_process (fun _ -> Value.unit))
               ())
       in
-      let costs = List.map (fun (s : Harness.op_stat) -> s.Harness.cost) result.Harness.stats in
-      match Metrics.histogram reg "harness.op_cost" with
-      | None -> QCheck.Test.fail_report "no harness.op_cost histogram"
-      | Some h ->
-        h.Metrics.count = List.length costs
-        && h.Metrics.sum = float_of_int (List.fold_left ( + ) 0 costs)
-        && (costs = [] || h.Metrics.max = float_of_int (List.fold_left max 0 costs))
-        && Metrics.counter_value reg "harness.ops_completed" = List.length costs)
+      Metrics.counter_value reg "harness.ops_completed" = List.length result.Harness.stats)
 
 (* ---- BENCH artifacts ---- *)
 
@@ -560,10 +521,9 @@ let suite =
     Alcotest.test_case "trace diff: length mismatch" `Quick test_trace_diff_suffix;
     Alcotest.test_case "trace diff: run-end capture boundary is forgiven" `Quick
       test_trace_diff_run_end_boundary;
-    Alcotest.test_case "metrics: counters, gauges, histograms" `Quick test_metrics_basics;
+    Alcotest.test_case "metrics: counters" `Quick test_metrics_counters;
     Alcotest.test_case "metrics: registry isolation" `Quick test_metrics_isolation;
-    Alcotest.test_case "metrics: to_json" `Quick test_metrics_to_json;
-    test_histogram_matches_harness;
+    test_ops_completed_matches_harness;
     Alcotest.test_case "bench out: append/read trajectory" `Quick test_bench_out_append_read;
     Alcotest.test_case "bench out: corrupt file starts fresh" `Quick
       test_bench_out_corrupt_starts_fresh;

@@ -136,9 +136,9 @@ let test_pp_smoke () =
   Alcotest.(check bool) "report mentions winner" true (contains report_str "winner");
   Alcotest.(check bool) "report mentions bound" true (contains report_str "bound met");
   let profile_str =
-    let m = Memory.create ~log:true () in
-    ignore (Memory.apply m ~pid:0 (Op.Ll 0));
-    Format.asprintf "%a" Profile.pp (Profile.of_memory m)
+    let m = Memory.create () in
+    Format.asprintf "%a" Profile.pp
+      (Profile.of_accesses [ (0, Op.Ll 0, Memory.apply m ~pid:0 (Op.Ll 0)) ])
   in
   Alcotest.(check bool) "profile mentions registers" true (contains profile_str "top registers")
 
