@@ -27,7 +27,6 @@ let dropped t = max 0 (t.seq - t.capacity)
    order at join), and the one-ref-read fast path stays uncontended. *)
 let ambient : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
-let installed () = Domain.DLS.get ambient
 let active () = Option.is_some (Domain.DLS.get ambient)
 let record event =
   match Domain.DLS.get ambient with None -> () | Some t -> emit t event

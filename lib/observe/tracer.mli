@@ -35,8 +35,6 @@ val dropped : t -> int
 
 (** {1 The ambient tracer} *)
 
-val installed : unit -> t option
-
 val active : unit -> bool
 (** True iff a tracer is installed — the guard every instrumentation site
     checks before constructing an event. *)

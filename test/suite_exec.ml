@@ -86,15 +86,12 @@ let t_untraced_workers_stay_untraced () =
      Tasks only report what they saw; the assertions run in the parent,
      since Alcotest's shared formatters are not safe to use from several
      domains at once. *)
-  let before = Tracer.installed () in
+  let before = Tracer.active () in
   let seen = Pool.map ~jobs:3 (fun _ -> Tracer.active ()) (List.init 8 Fun.id) in
   List.iter
     (fun active -> Alcotest.(check bool) "task sees no ambient tracer" false active)
     seen;
-  Alcotest.(check bool)
-    "parent tracer untouched"
-    (Option.is_none before)
-    (Option.is_none (Tracer.installed ()))
+  Alcotest.(check bool) "parent tracer untouched" before (Tracer.active ())
 
 (* ---- experiment tables are job-count-invariant ---- *)
 
