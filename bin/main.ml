@@ -585,8 +585,8 @@ let conform_cmd =
   let target =
     known_name ~what:"construction"
       ~names:(fun () ->
-        List.map (fun (c : Iface.t) -> c.Iface.name) Conformance.constructions @ [ "all" ])
-      (fun s -> s = "all" || Conformance.find_construction s <> None)
+        List.map (fun (c : Iface.t) -> c.Iface.name) Fault_targets.all @ [ "all" ])
+      (fun s -> s = "all" || Fault_targets.find s <> None)
   in
   let target_arg =
     Arg.(
@@ -707,8 +707,8 @@ let conform_cmd =
       fair len max_schedules report_file model jobs =
     let jobs = resolve_jobs jobs in
     let constructions =
-      if target = "all" then Conformance.constructions
-      else [ Option.get (Conformance.find_construction target) ]
+      if target = "all" then Fault_targets.all
+      else [ Option.get (Fault_targets.find target) ]
     in
     let types () =
       if typ = "all" then Schedule_fuzz.object_types

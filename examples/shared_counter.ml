@@ -26,28 +26,18 @@ let report name (result : Harness.result) =
     (responses = expected)
     result.Harness.max_cost result.Harness.mean_cost result.Harness.largest_register
 
+let run construction =
+  Harness.run ~construction ~spec ~n
+    ~ops:(fun _ -> List.init per_process (fun _ -> Value.Unit))
+    ~scheduler:(Scheduler.random ~seed:7) ()
+
 let () =
   Format.printf "16 processes x 4 increments, random schedule (seed 7):@.@.";
   List.iter
-    (fun (construction : Iface.t) ->
-      let result =
-        Harness.run ~construction ~spec ~n
-          ~ops:(fun _ -> List.init per_process (fun _ -> Value.Unit))
-          ~scheduler:(Scheduler.random ~seed:7) ()
-      in
-      report construction.Iface.name result)
+    (fun (construction : Iface.t) -> report construction.Iface.name (run construction))
     [ Adt_tree.construction; Herlihy.construction ];
   (* The non-oblivious retry loop: cheap solo, unbounded under contention. *)
-  let layout = Layout.create () in
-  let handle = Direct.fetch_inc_retry layout () in
-  let memory = Memory.create () in
-  Layout.install layout memory;
-  let result =
-    Harness.run_handle ~memory ~handle ~n
-      ~ops:(fun _ -> List.init per_process (fun _ -> Value.Unit))
-      ~scheduler:(Scheduler.random ~seed:7) ()
-  in
-  report "fetch-inc-retry" result;
+  report "fetch-inc-retry" (run Direct.fetch_inc);
   Format.printf
     "@.the tree pays 8*ceil(log2 n)+9 = %d always; the baseline pays 2n+6 = %d;@."
     (Adt_tree.construction.Iface.worst_case ~n)

@@ -2,9 +2,6 @@ open Lb_universal
 open Lb_faults
 module Sched_tree = Lb_check.Sched_tree
 
-let constructions = Targets.all
-let find_construction = Targets.find
-
 type mode =
   | Sample of { schedules : int }
   | Walk of { bounds : Sched_tree.bounds; max_schedules : int }
@@ -91,11 +88,11 @@ let hunt_mutant ~mode ~construction ~mutant ?model ~n ~ops ~seed ~max_states () 
    the fuzzer derives all randomness from the seed and the walk is
    deterministic — and [Pool.map] is order-preserving, so reports are
    byte-identical at every job count. *)
-let mutant_matrix ?jobs ?(constructions = constructions) ?(mutants = Mutate.all) ~mode ?model
-    ~n ~ops ~seed ~max_states () =
+let mutant_matrix ?jobs ?(constructions = Targets.all) ~mode ?model ~n ~ops ~seed ~max_states
+    () =
   let cells =
     List.concat_map
-      (fun construction -> List.map (fun mutant -> (construction, mutant)) mutants)
+      (fun construction -> List.map (fun mutant -> (construction, mutant)) Mutate.all)
       constructions
   in
   Lb_exec.Pool.map ?jobs
@@ -103,7 +100,7 @@ let mutant_matrix ?jobs ?(constructions = constructions) ?(mutants = Mutate.all)
       hunt_mutant ~mode ~construction ~mutant ?model ~n ~ops ~seed ~max_states ())
     cells
 
-let matrix ?jobs ?(constructions = constructions) ?(types = Fuzz.object_types)
+let matrix ?jobs ?(constructions = Targets.all) ?(types = Fuzz.object_types)
     ?(plans = [ ("none", Fault_plan.none) ]) ~mode ?model ~n ~ops ~seed ~max_states () =
   let cells =
     List.concat_map

@@ -12,12 +12,6 @@
 open Lb_universal
 open Lb_faults
 
-val constructions : Iface.t list
-(** {!Lb_faults.Targets.all}: the universal constructions plus the direct
-    LL/SC fetch&increment. *)
-
-val find_construction : string -> Iface.t option
-
 type mode =
   | Sample of { schedules : int }  (** seeds [seed] .. [seed + schedules - 1]. *)
   | Walk of { bounds : Lb_check.Sched_tree.bounds; max_schedules : int }
@@ -90,7 +84,6 @@ val hunt_mutant :
 val mutant_matrix :
   ?jobs:int ->
   ?constructions:Iface.t list ->
-  ?mutants:Mutate.t list ->
   mode:mode ->
   ?model:Lb_memory.Memory_model.t ->
   n:int ->
@@ -99,10 +92,11 @@ val mutant_matrix :
   max_states:int ->
   unit ->
   mutant list
-(** [jobs] fans the (construction, mutant) cells across a
-    {!Lb_exec.Pool} (default 1, sequential); every cell is a pure
-    function of its key and the seed, and the pool preserves order, so
-    the report is identical at every job count. *)
+(** Every construction (default {!Lb_faults.Targets.all}) against every
+    mutant of {!Mutate.all}.  [jobs] fans the (construction, mutant) cells
+    across a {!Lb_exec.Pool} (default 1, sequential); every cell is a pure
+    function of its key and the seed, and the pool preserves order, so the
+    report is identical at every job count. *)
 
 val matrix :
   ?jobs:int ->

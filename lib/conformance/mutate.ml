@@ -124,6 +124,6 @@ let wrap t (c : Iface.t) =
         tally.total <- tally.total + max 0 (run - tally.run);
         tally.run <- run
     in
-    { h with Iface.apply = (fun ~pid ~seq op -> mutate (h.Iface.apply ~pid ~seq op)); snapshot }
+    { Iface.apply = (fun ~pid ~seq op -> mutate (h.Iface.apply ~pid ~seq op)); snapshot }
   in
   ({ c with Iface.name = c.Iface.name ^ "+" ^ t.name; create }, fun () -> tally.total)

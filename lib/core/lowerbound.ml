@@ -29,7 +29,7 @@
       metrics registry and machine-readable benchmark artifacts;
     - {!Pool}: the domain pool — deterministic order-preserving parallel
       [map] with per-task metric/trace capture merged at join;
-    - {!Fault_plan}, {!Fault_engine}, {!Retry}, {!Fault_targets}, {!Faults}:
+    - {!Fault_plan}, {!Fault_engine}, {!Fault_targets}, {!Faults}:
       fault injection (crashes, recovery, weak LL/SC, delays) and wakeup
       certification under it (constructions under a plan are judged by
       {!Schedule_fuzz.assess});
@@ -127,7 +127,6 @@ module Pool = Lb_exec.Pool
 (* Fault injection and certification *)
 module Fault_plan = Lb_faults.Fault_plan
 module Fault_engine = Lb_faults.Fault_engine
-module Retry = Lb_faults.Retry
 module Fault_targets = Lb_faults.Targets
 module Faults = Lb_faults.Certify
 

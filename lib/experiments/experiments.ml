@@ -486,18 +486,12 @@ let e11 ?(jobs = 1) ?(ns = [ 2; 4; 8; 16; 32; 64 ]) () =
   let rows, pass =
     fan ~jobs
       (fun n ->
-        let layout = Layout.create () in
-        let handle = Direct.fetch_inc_retry layout () in
-        let memory = Memory.create () in
-        Layout.install layout memory;
-        let retry =
-          Harness.run_handle ~memory ~handle ~n ~ops:(fun _ -> [ Value.Unit ]) ()
-        in
-        let tree =
-          Harness.run ~construction:Adt_tree.construction ~spec:(Counters.fetch_inc ~bits:62) ~n
+        let run construction =
+          Harness.run ~construction ~spec:(Counters.fetch_inc ~bits:62) ~n
             ~ops:(fun _ -> [ Value.Unit ])
             ()
         in
+        let retry = run Direct.fetch_inc and tree = run Adt_tree.construction in
         (* The retry loop's worst case grows linearly under round-robin
            contention; the tree's stays logarithmic. *)
         let ok = not (n >= 32 && retry.Harness.max_cost <= tree.Harness.max_cost) in

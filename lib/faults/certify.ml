@@ -20,7 +20,7 @@ type wakeup_report = {
   false_claim : bool;
 }
 
-let run_wakeup ~algorithm ~make ~plan ~n ?(seed = 1) ?(randomized = false) ?fuel () =
+let run_wakeup ~algorithm ~make ~plan ~n ?(seed = 1) ?(randomized = false) () =
   if n <= 0 then invalid_arg "Certify.run_wakeup: n must be positive";
   let program_of, inits = make ~n in
   let memory = Memory.create () in
@@ -31,8 +31,9 @@ let run_wakeup ~algorithm ~make ~plan ~n ?(seed = 1) ?(randomized = false) ?fuel
   let sys = System.create ~memory ~assignment ~n program_of in
   let pending pid = Process.pending_op (System.process sys pid) in
   let choice = Fault_engine.choice engine ~pending Scheduler.round_robin in
-  let fuel = Option.value ~default:((1000 * n) + Fault_plan.horizon plan) fuel in
-  let diagnostics = System.run_diagnosed sys choice ~fuel in
+  let diagnostics =
+    System.run_diagnosed sys choice ~fuel:((1000 * n) + Fault_plan.horizon plan)
+  in
   let results =
     System.results sys |> Array.to_list
     |> List.mapi (fun pid r -> Option.map (fun v -> (pid, v)) r)

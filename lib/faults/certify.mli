@@ -44,12 +44,12 @@ val run_wakeup :
   n:int ->
   ?seed:int ->
   ?randomized:bool ->
-  ?fuel:int ->
   unit ->
   wakeup_report
 (** [make ~n] yields the per-pid program and the initial register values
     (the {!Lb_wakeup.Problem} instance shape).  [randomized] selects a
-    seeded uniform coin assignment instead of the constant one. *)
+    seeded uniform coin assignment instead of the constant one.  The run
+    gets [1000 n] steps of fuel beyond the plan's horizon. *)
 
 (** {1 Printing} *)
 

@@ -1,14 +1,9 @@
 (** The certifiable targets: the three universal constructions plus the
-    direct (non-oblivious, lock-free) LL/SC fetch&increment retry loop,
-    built on {!Retry.bounded} so that under injected adversity it reports
-    its give-up (with retry count) instead of crashing. *)
+    direct (non-oblivious, lock-free) LL/SC fetch&increment retry loop
+    {!Lb_universal.Direct.fetch_inc}, whose give-up under injected
+    adversity the harness reports instead of crashing. *)
 
 open Lb_universal
-
-val direct : Iface.t
-(** Direct fetch&increment: LL; SC(+1); retry — bounded at [2n + 4]
-    attempts.  Only meaningful with a fetch&increment workload; the spec
-    argument of [create] is ignored. *)
 
 val all : Iface.t list
 (** [adt-tree; herlihy; consensus-list; direct]. *)

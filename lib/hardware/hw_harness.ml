@@ -30,7 +30,6 @@ type result = {
   n : int;
   stats : op_stat list;
   failures : op_failure list;
-  dropped : int;
   elapsed_s : float;
   total_shared_ops : int;
   max_shared_ops : int;
@@ -94,9 +93,7 @@ let run_handle ~memory ~(handle : Iface.handle) ~n ~(ops : int -> Value.t list)
   if n > Hw_memory.n memory then
     invalid_arg "Hw_harness.run_handle: more processes than the memory was created for";
   let queues = Array.init n ops in
-  let recorders =
-    Array.map (fun q -> Recorder.create ~capacity:(max 1 (List.length q))) queues
-  in
+  let recorders = Array.map (fun q -> Recorder.create ~capacity:(List.length q)) queues in
   let barrier = Atomic.make n in
   let body pid () =
     let recorder = recorders.(pid) in
@@ -140,7 +137,6 @@ let run_handle ~memory ~(handle : Iface.handle) ~n ~(ops : int -> Value.t list)
         compare (a.invoked_s, a.responded_s, a.pid, a.seq) (b.invoked_s, b.responded_s, b.pid, b.seq))
       stats
   in
-  let dropped = Array.fold_left (fun acc r -> acc + Recorder.dropped r) 0 recorders in
   let elapsed_s =
     match stats with
     | [] -> 0.0
@@ -162,7 +158,6 @@ let run_handle ~memory ~(handle : Iface.handle) ~n ~(ops : int -> Value.t list)
     n;
     stats;
     failures;
-    dropped;
     elapsed_s;
     total_shared_ops = Hw_memory.total_ops memory;
     max_shared_ops = Hw_memory.max_ops memory;
@@ -171,10 +166,10 @@ let run_handle ~memory ~(handle : Iface.handle) ~n ~(ops : int -> Value.t list)
     history = build_history ~stats ~failures;
   }
 
-let run ~(construction : Iface.t) ~spec ~n ~ops ?seed ?(slack = 8) () =
+let run ~(construction : Iface.t) ~spec ~n ~ops ?seed () =
   let layout = Layout.create () in
   let handle = construction.Iface.create layout ~n spec in
-  let memory = Hw_memory.of_layout ~slack layout ~n () in
+  let memory = Hw_memory.of_layout layout ~n () in
   let assignment =
     match seed with None -> Coin.constant 0 | Some seed -> Coin.uniform ~seed
   in

@@ -5,7 +5,8 @@
     against a {!Hw_memory}; a counting barrier releases all domains
     together.  Each domain records its operations — wall-clock
     invocation/response stamps and the exact shared-access cost — into
-    its own {!Recorder} ring (no allocation between the two stamps), and
+    its own {!Recorder}, sized to its queue (no allocation between the
+    two stamps), and
     the flushed records are assembled into a
     {!Lb_objects.History.t}: the simulator-side Wing–Gong checker
     certifies the hardware run.
@@ -48,7 +49,6 @@ type result = {
   n : int;
   stats : op_stat list;  (** completed operations, in invocation order. *)
   failures : op_failure list;
-  dropped : int;  (** ring-buffer records lost to wraparound (0 here: rings are sized to the queue). *)
   elapsed_s : float;  (** last response minus first invocation. *)
   total_shared_ops : int;
   max_shared_ops : int;  (** max per-process total — worst-case t(R). *)
@@ -63,14 +63,12 @@ val run :
   n:int ->
   ops:(int -> Value.t list) ->
   ?seed:int ->
-  ?slack:int ->
   unit ->
   result
 (** Instantiate the construction on a fresh hardware memory and drive
     [n] domains, each running its [ops pid] queue.  [seed] selects the
     per-domain coin ({!Lb_runtime.Coin.uniform}, streams keyed by pid);
-    without it tosses are constant 0.  [slack] adds spare registers
-    beyond the layout ([8] by default). *)
+    without it tosses are constant 0. *)
 
 val run_handle :
   memory:Hw_memory.t ->

@@ -73,8 +73,8 @@ let set_init t r v = Atomic.set (reg t r) { tag = 0; v }
 let install_layout t layout =
   List.iter (fun (r, v) -> set_init t r v) (Layout.inits layout)
 
-let of_layout ?default ?(slack = 0) layout ~n () =
-  let registers = max 1 (Layout.next_free layout + slack) in
+let of_layout ?default layout ~n () =
+  let registers = Layout.next_free layout + 8 in
   let t = create ?default ~registers ~n () in
   install_layout t layout;
   t

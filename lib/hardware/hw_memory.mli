@@ -33,9 +33,9 @@ val create : ?default:Value.t -> registers:int -> n:int -> unit -> t
     the capacity is known up front and the hot path stays
     allocation-free. *)
 
-val of_layout : ?default:Value.t -> ?slack:int -> Layout.t -> n:int -> unit -> t
-(** Capacity [Layout.next_free + slack], with the layout's initial
-    values installed. *)
+val of_layout : ?default:Value.t -> Layout.t -> n:int -> unit -> t
+(** Capacity [Layout.next_free + 8] (eight spare registers beyond the
+    layout), with the layout's initial values installed. *)
 
 val set_init : t -> int -> Value.t -> unit
 (** Pre-run initialization only: resets the cell (tag 0) without

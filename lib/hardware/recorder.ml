@@ -1,11 +1,10 @@
-(* Per-domain operation recorder: a preallocated ring of parallel
-   arrays.  [record] is the hot path — it runs between two wall-clock
-   stamps on the measuring domain, so it must not allocate: every store
-   below is an int store, an unboxed float store into a float array, or
-   a pointer store of a value the caller already holds.  When the ring
-   wraps, the oldest records are overwritten and counted as dropped;
-   [entries] reconstructs the retained suffix oldest-first after the
-   run. *)
+(* Per-domain operation recorder: preallocated parallel arrays.
+   [record] is the hot path — it runs between two wall-clock stamps on
+   the measuring domain, so it must not allocate: every store below is an
+   int store, an unboxed float store into a float array, or a pointer
+   store of a value the caller already holds.  The stores are
+   bounds-checked, so a record past the capacity raises instead of
+   overwriting. *)
 
 open Lb_memory
 
@@ -16,12 +15,11 @@ type t = {
   invoked : float array;
   responded : float array;
   costs : int array;
-  capacity : int;
-  mutable total : int;
+  mutable count : int;
 }
 
 let create ~capacity =
-  if capacity <= 0 then invalid_arg "Recorder.create: capacity must be positive";
+  if capacity < 0 then invalid_arg "Recorder.create: capacity must be non-negative";
   {
     seqs = Array.make capacity 0;
     ops = Array.make capacity Value.Unit;
@@ -29,19 +27,18 @@ let create ~capacity =
     invoked = Array.make capacity 0.0;
     responded = Array.make capacity 0.0;
     costs = Array.make capacity 0;
-    capacity;
-    total = 0;
+    count = 0;
   }
 
 let record t ~seq ~op ~response ~invoked ~responded ~cost =
-  let i = t.total mod t.capacity in
-  Array.unsafe_set t.seqs i seq;
-  Array.unsafe_set t.ops i op;
-  Array.unsafe_set t.responses i response;
-  Array.unsafe_set t.invoked i invoked;
-  Array.unsafe_set t.responded i responded;
-  Array.unsafe_set t.costs i cost;
-  t.total <- t.total + 1
+  let i = t.count in
+  t.seqs.(i) <- seq;
+  t.ops.(i) <- op;
+  t.responses.(i) <- response;
+  t.invoked.(i) <- invoked;
+  t.responded.(i) <- responded;
+  t.costs.(i) <- cost;
+  t.count <- i + 1
 
 type entry = {
   seq : int;
@@ -52,15 +49,8 @@ type entry = {
   cost : int;
 }
 
-let total t = t.total
-let capacity t = t.capacity
-let dropped t = max 0 (t.total - t.capacity)
-
 let entries t =
-  let retained = min t.total t.capacity in
-  let first = t.total - retained in
-  List.init retained (fun k ->
-      let i = (first + k) mod t.capacity in
+  List.init t.count (fun i ->
       {
         seq = t.seqs.(i);
         op = t.ops.(i);

@@ -1,6 +1,6 @@
-(** Per-domain operation recorder: a fixed-capacity ring of parallel
-    arrays, written on the hot path without allocating (int stores,
-    unboxed float stores, and pointer stores of values the caller
+(** Per-domain operation recorder: preallocated parallel arrays of a
+    fixed capacity, written on the hot path without allocating (int
+    stores, unboxed float stores, and pointer stores of values the caller
     already holds), flushed to a list after the run.
 
     Each domain owns exactly one recorder; nothing here is
@@ -21,10 +21,9 @@ val record :
   responded:float ->
   cost:int ->
   unit
-(** Append one completed operation.  When the ring is full the oldest
-    record is overwritten (and counted by {!dropped}) — measurement must
-    degrade by forgetting history, never by stalling the measured
-    operation. *)
+(** Append one completed operation.  Raises [Invalid_argument] when the
+    recorder already holds [capacity] records: the caller sizes it to the
+    operations it will record. *)
 
 type entry = {
   seq : int;
@@ -36,14 +35,4 @@ type entry = {
 }
 
 val entries : t -> entry list
-(** The retained records, oldest first.  With no wraparound this is
-    every recorded op in recording order; after wraparound it is the
-    most recent [capacity] of them. *)
-
-val total : t -> int
-(** Records ever written (including overwritten ones). *)
-
-val capacity : t -> int
-
-val dropped : t -> int
-(** [max 0 (total - capacity)]: records lost to wraparound. *)
+(** Every recorded op, in recording order. *)

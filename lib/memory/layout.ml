@@ -4,9 +4,7 @@ type t = {
   mutable closed : bool;
 }
 
-let create ?(base = 0) () =
-  if base < 0 then invalid_arg "Layout.create: negative base";
-  { next = base; inits = []; closed = false }
+let create () = { next = 0; inits = []; closed = false }
 
 let alloc t ~init =
   if t.closed then invalid_arg "Layout.alloc: layout closed by reserve_tail";

@@ -8,8 +8,8 @@
 
 type t
 
-val create : ?base:int -> unit -> t
-(** Allocator starting at register index [base] (default 0). *)
+val create : unit -> t
+(** Allocator starting at register index 0. *)
 
 val alloc : t -> init:Value.t -> int
 (** Reserve one fresh register. *)

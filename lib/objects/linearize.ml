@@ -230,11 +230,13 @@ let solve ~max_states (spec : Spec.t) (history : History.t) =
   let witness = search spec.Spec.init 0 in
   (witness, { states = !states; memo_hits = !memo_hits }, num_completed)
 
-(* The minimal violating prefix: order the completed responses r_1 < ... <
+(* The first violating prefix: order the completed responses r_1 < ... <
    r_C; the k-th prefix keeps operations completed by r_k, truncates
    operations invoked before r_k but not yet responded to pending, and drops
    the rest.  A prefix of a linearizable history is linearizable, so the
-   first failing k certifies exactly where linearizability was lost. *)
+   first failing k certifies exactly where linearizability was lost —
+   unless a shorter prefix's search ran out of budget, which the scan
+   passes over. *)
 let prefix_at history r_k =
   List.filter_map
     (fun (o : History.op) ->

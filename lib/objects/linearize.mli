@@ -32,10 +32,11 @@
     search runs out of budget, the verdict, [completed] and [bad_prefix]
     do not depend on it.  A search that runs out in one order may finish
     in another, and the [bad_prefix] scan passes over a prefix that runs
-    out.
+    out, so under a small budget [bad_prefix] can be longer than the
+    shortest violating prefix and depend on the order.
 
     The verdict is either a witness order, a {e certified} violation
-    (with the length of the shortest violating response-prefix), or an
+    (with the length of the first response-prefix proven violating), or an
     explicit budget exhaustion — never a silent wrong answer. *)
 
 open Lb_memory
@@ -59,8 +60,9 @@ type verdict =
       completed : int;  (** completed operations in the history. *)
       bad_prefix : int;
           (** The first [bad_prefix] responses (in response order) already
-              form a non-linearizable sub-history: the violation's minimal
-              certificate. *)
+              form a non-linearizable sub-history: the first prefix the
+              scan proves violating.  It is the shortest violating prefix
+              whenever no shorter prefix's search ran out of budget. *)
     }
   | Budget_exhausted of { stats : stats; budget : int }
 

@@ -85,8 +85,10 @@ val map_list : ('a -> 'b t) -> 'a list -> 'b list t
 val retry_until : (unit -> 'a option t) -> max_attempts:int -> 'a t
 (** [retry_until body ~max_attempts] runs [body] until it yields [Some x]
     (returning [x]); raises [Failure] after [max_attempts] yields of [None].
-    Used by constructions whose helping argument bounds the retries — the
-    bound being exceeded indicates a bug and must blow up, not spin. *)
+    Where a helping argument bounds the retries, exceeding the bound is a
+    bug and must blow up, not spin; for a lock-free loop
+    ([Lb_universal.Direct.fetch_inc]) it is a give-up, which the harness
+    records instead of crashing. *)
 
 (** {1 Introspection} *)
 

@@ -13,10 +13,6 @@ let random ~seed ~step ~runnable =
     let k = Coin.hash ~seed ~pid:0 ~idx:step mod List.length runnable in
     Some (List.nth runnable k)
 
-let crash ~dead choice ~step ~runnable =
-  let alive = List.filter (fun pid -> not (Lb_memory.Ids.mem pid dead)) runnable in
-  match alive with [] -> None | _ :: _ -> choice ~step ~runnable:alive
-
 let fixed sequence =
   let remaining = ref sequence in
   fun ~step:_ ~runnable ->

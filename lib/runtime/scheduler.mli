@@ -23,11 +23,6 @@ val round_robin : choice
 val random : seed:int -> choice
 (** Uniform pseudo-random choice, deterministic in [seed]. *)
 
-val crash : dead:Lb_memory.Ids.t -> choice -> choice
-(** [crash ~dead c] never schedules processes in [dead] (they take no steps
-    at all — a crash-from-the-start failure pattern); defers to [c] for the
-    rest and stalls when only dead processes remain. *)
-
 val fixed : int list -> choice
 (** Plays the given pid sequence, then stalls.  Skips entries that are no
     longer runnable. *)

@@ -64,6 +64,6 @@ let create layout ~n spec =
         (Printf.sprintf "adt-tree: response for (p%d, #%d) missing after two absorb attempts"
            pid seq)
   in
-  { Iface.name = "adt-tree"; oblivious = true; n; apply; snapshot = Iface.stateless }
+  { Iface.apply; snapshot = Iface.stateless }
 
 let construction = { Iface.name = "adt-tree"; oblivious = true; worst_case; create }

@@ -14,8 +14,7 @@ let ceil_log4 n =
   let rec go r pow = if pow >= n then r else go (r + 1) (pow * 4) in
   go 0 1
 
-let sweep ~construction ~spec_of ~ops_of ?(scheduler = Scheduler.round_robin)
-    ?(check_linearizability = false) ~ns () =
+let sweep ~construction ~spec_of ~ops_of ?(scheduler = Scheduler.round_robin) ~ns () =
   List.map
     (fun n ->
       let spec = spec_of n in
@@ -24,10 +23,7 @@ let sweep ~construction ~spec_of ~ops_of ?(scheduler = Scheduler.round_robin)
       in
       if not result.Harness.completed then
         failwith (Printf.sprintf "Complexity.sweep: workload at n = %d ran out of fuel" n);
-      let linearizable =
-        if check_linearizability || n <= 8 then Harness.check_linearizable ~spec result
-        else true
-      in
+      let linearizable = n > 8 || Harness.check_linearizable ~spec result in
       {
         n;
         measured_worst = result.Harness.max_cost;

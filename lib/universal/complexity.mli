@@ -22,13 +22,12 @@ val sweep :
   spec_of:(int -> Lb_objects.Spec.t) ->
   ops_of:(n:int -> int -> Value.t list) ->
   ?scheduler:Scheduler.choice ->
-  ?check_linearizability:bool ->
   ns:int list ->
   unit ->
   row list
 (** One row per [n]: run the workload ([ops_of ~n pid] per process) through
     the construction and measure.  Linearizability checking is exponential in
-    history size, so it is skipped for [n > 8] unless forced. *)
+    history size, so it is skipped for [n > 8]. *)
 
 val pp_row : Format.formatter -> row -> unit
 val pp_table : header:string -> Format.formatter -> row list -> unit

@@ -75,6 +75,6 @@ let create layout ~n spec =
       Array.blit s 0 state 0 n;
       Array.blit t 0 threaded 0 n
   in
-  { Iface.name = "consensus-list"; oblivious = true; n; apply; snapshot }
+  { Iface.apply; snapshot }
 
 let construction = { Iface.name = "consensus-list"; oblivious = true; worst_case; create }

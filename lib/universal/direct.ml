@@ -19,23 +19,27 @@ let compare_and_swap layout ~init =
         Program.return (Value.pair (Value.bool false) u)
       else failwith "direct CAS: distinct-values precondition violated (ABA)"
   in
-  { Iface.name = "direct-cas"; oblivious = false; n = max_int; apply; snapshot = Iface.stateless }
+  { Iface.apply; snapshot = Iface.stateless }
 
-let fetch_inc_retry layout ?(max_attempts = 4096) () =
+(* The spec argument is ignored: this construction *is* fetch&increment. *)
+let fetch_inc_create layout ~n (_spec : Lb_objects.Spec.t) =
   let reg = Layout.alloc layout ~init:(Value.Int 0) in
+  let max_attempts = (2 * n) + 4 in
   let apply ~pid:_ ~seq:_ op =
     (match op with
     | Value.Unit -> ()
-    | _ -> invalid_arg "fetch_inc_retry: operation must be Unit");
+    | _ -> invalid_arg "direct: operation must be Unit");
     Program.retry_until ~max_attempts (fun () ->
         let* v = Program.ll reg in
         let* ok = Program.sc_flag reg (Value.Int (Value.to_int v + 1)) in
         Program.return (if ok then Some v else None))
   in
+  { Iface.apply; snapshot = Iface.stateless }
+
+let fetch_inc =
   {
-    Iface.name = "fetch-inc-retry";
+    Iface.name = "direct";
     oblivious = false;
-    n = max_int;
-    apply;
-    snapshot = Iface.stateless;
+    worst_case = (fun ~n -> 2 * ((2 * n) + 4));
+    create = fetch_inc_create;
   }

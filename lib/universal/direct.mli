@@ -19,10 +19,13 @@ val compare_and_swap : Layout.t -> init:Value.t -> Iface.handle
     SC.  If [u = expected] (an ABA the precondition excludes) the program
     raises [Failure] rather than silently mis-linearizing. *)
 
-val fetch_inc_retry : Layout.t -> ?max_attempts:int -> unit -> Iface.handle
-(** The textbook lock-free LL/SC retry loop for fetch&increment (operation
-    [Unit], response the previous counter value).  O(1) without contention
-    but {e not wait-free}: each failed SC means another process succeeded,
-    so under adversarial contention one operation can take O(n) steps —
-    the ablation benchmark measures exactly that.  Raises [Failure] after
-    [max_attempts] (default 4096) failed attempts. *)
+val fetch_inc : Iface.t
+(** The textbook lock-free LL/SC retry loop for fetch&increment, named
+    ["direct"] (operation [Unit], response the previous counter value; the
+    spec argument of [create] is ignored).  O(1) without contention but
+    {e not wait-free}: each failed SC means another process succeeded, so
+    under adversarial contention one operation can take O(n) steps — the
+    ablation experiment measures exactly that.  An operation gives up with
+    {!Lb_runtime.Program.retry_until}'s [Failure] after [2n + 4] failed
+    attempts, which the harness records as a give-up; [worst_case ~n] is
+    [2 (2n + 4)] shared operations. *)

@@ -21,14 +21,6 @@ type op_failure = {
   gave_up : int;
 }
 
-type op_in_flight = {
-  pid : int;
-  seq : int;
-  op : Value.t;
-  invoked : int;
-  cost : int;
-}
-
 type fault_hooks = {
   filter :
     step:int -> pending:(int -> Op.invocation option) -> runnable:int list -> int list;
@@ -40,9 +32,7 @@ type fault_hooks = {
 type result = {
   stats : op_stat list;
   failures : op_failure list;
-  in_flight : op_in_flight list;
   restarts : int;
-  restarted : (int * int) list;
   max_cost : int;
   mean_cost : float;
   total_shared_ops : int;
@@ -362,26 +352,6 @@ let start ~memory ~handle ~n ~ops ?(assignment = Coin.constant 0) ?fuel () =
   freeze d ~step:0 ~fuel:(Option.value ~default:default_fuel fuel)
 
 let finish st ~completed =
-  (* Operations still holding a slot when the run stopped (a crash-stopped
-     pid, or fuel exhaustion) were invoked but never responded and never
-     gave up.  They may have taken effect — e.g. a helping construction
-     completes a crashed announcer's operation on its behalf — so the
-     linearizability checker must see them as pending occurrences. *)
-  let in_flight =
-    Array.to_list st.slots
-    |> List.filter_map (fun (slot : slot) ->
-           match slot.current with
-           | None -> None
-           | Some a ->
-             Some
-               {
-                 pid = slot.pid;
-                 seq = slot.seq - 1;
-                 op = a.op;
-                 invoked = a.invoked;
-                 cost = a.shared + slot.lost;
-               })
-  in
   let stats = List.rev st.records.stats in
   let costs = List.map (fun (s : op_stat) -> s.cost) stats in
   let max_cost = List.fold_left max 0 costs in
@@ -390,9 +360,11 @@ let finish st ~completed =
     else float_of_int (List.fold_left ( + ) 0 costs) /. float_of_int (List.length stats)
   in
   let failures = List.rev st.records.failures in
-  let restarted = List.rev st.records.restarted in
-  (* Give-ups, like in-flight ops, may have taken effect (helped by
-     others), so both enter the history as pending, not dropped. *)
+  (* Give-ups, and operations still holding a slot when the run stopped (a
+     crash-stopped pid, or fuel exhaustion), never responded, yet may have
+     taken effect — e.g. a helping construction completes a crashed
+     announcer's operation on its behalf — so the linearizability checker
+     sees them as pending occurrences, not dropped. *)
   let history =
     let module H = Lb_objects.History in
     let base =
@@ -404,18 +376,19 @@ let finish st ~completed =
       @ List.map
           (fun (f : op_failure) -> H.pending_op ~pid:f.pid ~seq:f.seq ~op:f.op ~invoked:f.invoked)
           failures
-      @ List.map
-          (fun (i : op_in_flight) -> H.pending_op ~pid:i.pid ~seq:i.seq ~op:i.op ~invoked:i.invoked)
-          in_flight
+      @ (Array.to_list st.slots
+        |> List.filter_map (fun (slot : slot) ->
+               Option.map
+                 (fun (a : attempt) ->
+                   H.pending_op ~pid:slot.pid ~seq:(slot.seq - 1) ~op:a.op ~invoked:a.invoked)
+                 slot.current))
     in
-    H.by_invocation (base @ H.ghosts ~restarted base)
+    H.by_invocation (base @ H.ghosts ~restarted:(List.rev st.records.restarted) base)
   in
   {
     stats;
     failures;
-    in_flight;
     restarts = st.records.restarts;
-    restarted;
     max_cost;
     mean_cost;
     total_shared_ops = Memory.total_ops st.cfg.memory;

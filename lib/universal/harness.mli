@@ -40,19 +40,6 @@ type op_failure = {
     moves on instead of crashing: graceful degradation, so a certification
     sweep can report the failure rather than die on it. *)
 
-type op_in_flight = {
-  pid : int;
-  seq : int;
-  op : Value.t;
-  invoked : int;
-  cost : int;  (** shared ops spent so far, including restart-lost work. *)
-}
-(** An operation that was invoked and was still running when the run ended —
-    its pid was crash-stopped, or fuel ran out.  It never responded and never
-    gave up, yet it may have taken effect (a helping construction can
-    complete a crashed announcer's operation on its behalf), so
-    linearizability checking must treat it as a pending occurrence. *)
-
 (** Fault interposition points of the driver, all optional (see
     {!Lb_faults.Fault_engine} for the implementation built on top):
     - [filter] restricts which runnable pids may be scheduled this step
@@ -79,23 +66,18 @@ type fault_hooks = {
 type result = {
   stats : op_stat list;  (** in global response order. *)
   failures : op_failure list;  (** operations that gave up, in give-up order. *)
-  in_flight : op_in_flight list;
-      (** operations still running when the run ended, in pid order. *)
   restarts : int;  (** crash-recovery re-invocations performed. *)
-  restarted : (int * int) list;
-      (** the [(pid, seq)] descriptors that were re-invoked at least once, in
-          restart order with duplicates kept — a restarted operation may have
-          applied its effect before the crash, so linearizability checking
-          must treat each restart as a possible extra (pending) occurrence of
-          the same operation. *)
   max_cost : int;
   mean_cost : float;
   total_shared_ops : int;
   completed : bool;  (** all scheduled operations ran to completion. *)
   largest_register : int;
   history : Lb_objects.History.t;
-      (** [stats] as completed ops; [failures] and [in_flight] as pending
-          ops; plus one ghost pending op per [restarted] entry. *)
+      (** [stats] as completed ops; [failures] and the operations still
+          running when the run ended (a crash-stopped pid, or fuel ran out)
+          as pending ops, since either may have taken effect; plus one ghost
+          pending op per crash-recovery restart, since a restarted
+          operation may have applied its effect before the crash. *)
 }
 
 (** {1 The step machine}

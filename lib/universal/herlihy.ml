@@ -38,6 +38,6 @@ let create layout ~n spec =
       failwith
         (Printf.sprintf "herlihy: response for (p%d, #%d) missing after two attempts" pid seq)
   in
-  { Iface.name = "herlihy"; oblivious = true; n; apply; snapshot = Iface.stateless }
+  { Iface.apply; snapshot = Iface.stateless }
 
 let construction = { Iface.name = "herlihy"; oblivious = true; worst_case; create }

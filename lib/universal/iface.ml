@@ -2,9 +2,6 @@ open Lb_memory
 open Lb_runtime
 
 type handle = {
-  name : string;
-  oblivious : bool;
-  n : int;
   apply : pid:int -> seq:int -> Value.t -> Value.t Program.t;
   snapshot : unit -> unit -> unit;
 }

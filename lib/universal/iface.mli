@@ -12,9 +12,6 @@ open Lb_memory
 open Lb_runtime
 
 type handle = {
-  name : string;
-  oblivious : bool;
-  n : int;
   apply : pid:int -> seq:int -> Value.t -> Value.t Program.t;
       (** The program performing one operation.  [seq] must be strictly
           increasing per process (0, 1, 2, ...); the (pid, seq) pair

@@ -11,7 +11,7 @@ let fetch_inc =
   | None -> Alcotest.fail "fetch-inc object type missing"
 
 let herlihy =
-  match Conformance.find_construction "herlihy" with
+  match Fault_targets.find "herlihy" with
   | Some c -> c
   | None -> Alcotest.fail "herlihy construction missing"
 
@@ -169,6 +169,29 @@ let test_linearize_budget () =
   with
   | Linearize.Budget_exhausted { budget; _ } -> Alcotest.(check int) "budget echoed" 1 budget
   | v -> Alcotest.failf "expected budget exhaustion, got %a" Linearize.pp_verdict v
+
+let test_linearize_bad_prefix_budget () =
+  (* p0 returns 5 while only four other increments overlap it, so its
+     response alone is a violation: the shortest violating prefix is the
+     first.  That prefix leaves p1..p4 pending, and refuting it visits every
+     subset of them; each later prefix fixes one more of their responses
+     and is refuted in fewer states.  Under a tiny budget the scan passes
+     over the prefixes that run out and reports a longer one. *)
+  let spec = Counters.fetch_inc ~bits:62 in
+  let h =
+    completed ~pid:0 ~seq:0 ~invoked:0 ~responded:5 (Value.Int 5)
+    :: List.init 4 (fun k ->
+           completed ~pid:(k + 1) ~seq:0 ~invoked:(k + 1) ~responded:(k + 6) (Value.Int k))
+  in
+  let bad_prefix ?max_states () =
+    match Linearize.check ?max_states spec h with
+    | Linearize.Not_linearizable { bad_prefix; _ } -> bad_prefix
+    | v -> Alcotest.failf "expected a violation, got %a" Linearize.pp_verdict v
+  in
+  Alcotest.(check int) "budget 8: only the whole history is refuted" 5
+    (bad_prefix ~max_states:8 ());
+  Alcotest.(check int) "budget 12: the first four responses" 4 (bad_prefix ~max_states:12 ());
+  Alcotest.(check int) "default budget: the shortest prefix" 1 (bad_prefix ())
 
 (* ---- the mutation rewriter ---- *)
 
@@ -345,12 +368,12 @@ let test_fuzz_shrunk_counterexample_certified () =
   Alcotest.(check bool) "minimized verdict is still a failure" true
     (match cx.Schedule_fuzz.minimized_verdict with Schedule_fuzz.Fail _ -> true | _ -> false)
 
-let test_fuzz_crash_stop_in_flight_pending () =
+let test_fuzz_crash_stop_pending () =
   (* Regression: a crash-stopped pid's in-flight operation never responds,
      but a helping construction can complete it on the crashed process's
-     behalf, making its effect visible in other responses.  The harness
-     result must surface that operation (result.in_flight), the history
-     must carry it as a pending occurrence, and the cell must conform —
+     behalf, making its effect visible in other responses.  The history
+     must carry that operation as a pending occurrence, and the cell must
+     conform —
      without it these runs were falsely flagged not-linearizable. *)
   let plan = Fault_plan.crash_stop ~pid:0 ~after:2 in
   let spec = fetch_inc.Schedule_fuzz.spec_of ~n:3 in
@@ -365,8 +388,6 @@ let test_fuzz_crash_stop_in_flight_pending () =
       ~ops:(fun _pid -> [ inc; inc ])
       ~scheduler:Scheduler.round_robin ~hooks:(Fault_engine.hooks engine) ()
   in
-  Alcotest.(check bool) "crashed pid left an op in flight" true
-    (List.exists (fun (i : Harness.op_in_flight) -> i.Harness.pid = 0) result.Harness.in_flight);
   let h = result.Harness.history in
   Alcotest.(check bool) "the in-flight op is pending in the history" true
     (List.exists
@@ -592,7 +613,7 @@ let test_exhaustive_report_json () =
    ok but not killed; a walked one that is killed carries its stats. *)
 let test_mutant_json_fields () =
   let mutant name = Option.get (Mutate.find name) in
-  let direct = Option.get (Conformance.find_construction "direct") in
+  let direct = Option.get (Fault_targets.find "direct") in
   let inapplicable =
     Conformance.hunt_mutant ~mode:(sample 5) ~construction:direct
       ~mutant:(mutant "lost-swap-write") ~n:2 ~ops:1 ~seed:1 ~max_states:200_000 ()
@@ -883,6 +904,8 @@ let suite =
     Alcotest.test_case "linearize: restart ghost double effect" `Quick
       test_linearize_ghost_double_effect;
     Alcotest.test_case "linearize: explicit budget exhaustion" `Quick test_linearize_budget;
+    Alcotest.test_case "linearize: bad prefix under a tiny budget" `Quick
+      test_linearize_bad_prefix_budget;
     Alcotest.test_case "mutate: rewrite swaps the operation" `Quick test_mutate_rewrite;
     Alcotest.test_case "mutant JSON rows agree across modes" `Quick test_mutant_json_fields;
     Alcotest.test_case "shrink: ddmin + sweep minimize" `Quick test_shrink_minimize;
@@ -893,7 +916,7 @@ let suite =
     Alcotest.test_case "fuzz: counterexample is minimal + deterministic" `Slow
       test_fuzz_shrunk_counterexample_certified;
     Alcotest.test_case "fuzz: crash-stopped op is pending, not a violation" `Quick
-      test_fuzz_crash_stop_in_flight_pending;
+      test_fuzz_crash_stop_pending;
     Alcotest.test_case "fuzz: crash-recovery plan conforms" `Quick
       test_fuzz_faulted_cell_not_failing;
     Alcotest.test_case "conform: report gate + JSON" `Quick test_conform_report_json;

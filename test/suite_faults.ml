@@ -201,7 +201,7 @@ let test_spurious_sc_surgical () =
      pair.  Deterministic — no rates involved. *)
   let plan = Fault_plan.spurious_sc_at ~pid:0 ~at:[ 1 ] in
   let (result, verdict), injected =
-    spurious_by_pid (fun () -> judge ~construction:Fault_targets.direct ~plan ~n:1)
+    spurious_by_pid (fun () -> judge ~construction:Direct.fetch_inc ~plan ~n:1)
   in
   Alcotest.(check int) "exactly one injection" 1 (List.length injected);
   Alcotest.(check int) "p0 completed" 1 (List.length (stats_of result 0));
@@ -215,7 +215,7 @@ let test_spurious_sc_exhausts_retry () =
      degradation) instead of crashing: degraded, not failed. *)
   let n = 4 in
   let plan = Fault_plan.spurious_sc_rate 1.0 in
-  let result, verdict = judge ~construction:Fault_targets.direct ~plan ~n in
+  let result, verdict = judge ~construction:Direct.fetch_inc ~plan ~n in
   Alcotest.(check bool) "some operations gave up" true (result.Harness.failures <> []);
   List.iter
     (fun (f : Harness.op_failure) ->
@@ -225,7 +225,7 @@ let test_spurious_sc_exhausts_retry () =
         at 0
       in
       Alcotest.(check bool) "failure reason mentions the give-up" true
-        (contains f.Harness.reason "gave up"))
+        (contains f.Harness.reason "attempts exhausted"))
     result.Harness.failures;
   Alcotest.(check bool) "degraded, not violated" true
     (match verdict with Schedule_fuzz.Degraded _ -> true | _ -> false);
@@ -256,28 +256,36 @@ let test_delay_and_stall_windows () =
                 1
                 (List.length (stats_of result pid)))
             (List.init n Fun.id))
-        [ Adt_tree.construction; Fault_targets.direct ])
+        [ Adt_tree.construction; Direct.fetch_inc ])
     [ "delay"; "stall" ]
 
 let test_retry_loop_not_wait_free_under_lockstep () =
-  (* Contrast: the direct retry loop is only lock-free.  Under a pure
-     lockstep schedule with enough processes, some process exhausts a small
-     retry budget — the wait-freedom failure made visible.  The harness
-     captures the raise as a structured op_failure (graceful degradation)
-     instead of letting it kill the run. *)
-  let layout = Layout.create () in
-  let handle = Direct.fetch_inc_retry layout ~max_attempts:3 () in
-  let memory = Memory.create () in
-  Layout.install layout memory;
-  let result = Harness.run_handle ~memory ~handle ~n:8 ~ops:(fun _ -> [ Value.Unit ]) () in
-  Alcotest.(check bool) "retry budget exhausted under contention" true
-    (List.exists
-       (fun (f : Harness.op_failure) ->
-         f.Harness.reason = "Program.retry_until: 3 attempts exhausted")
+  (* Contrast: the direct retry loop is only lock-free.  A starvation
+     schedule at n = 2 lets p1's SC land between p0's LL and SC on every
+     attempt, so p0 exhausts its 2n + 4 = 8 attempts while p1 completes an
+     operation each time — the wait-freedom failure made visible.  The
+     harness captures the raise as a structured op_failure (graceful
+     degradation) instead of letting it kill the run. *)
+  let starve = Scheduler.fixed (List.concat (List.init 8 (fun _ -> [ 0; 1; 1; 0 ]))) in
+  let scheduler ~step ~runnable =
+    match starve ~step ~runnable with
+    | Some pid -> Some pid
+    | None -> Scheduler.round_robin ~step ~runnable
+  in
+  let result =
+    Harness.run ~construction:Direct.fetch_inc ~spec:(Counters.fetch_inc ~bits:62) ~n:2
+      ~ops:(fun pid -> List.init (if pid = 0 then 1 else 8) (fun _ -> Value.Unit))
+      ~scheduler ()
+  in
+  Alcotest.(check (list (pair int string)))
+    "p0 exhausted its retry budget"
+    [ (0, "Program.retry_until: 8 attempts exhausted") ]
+    (List.map (fun (f : Harness.op_failure) -> (f.Harness.pid, f.Harness.reason))
        result.Harness.failures);
-  (* The other processes were not taken down by the failed one. *)
-  Alcotest.(check bool) "the rest completed" true
-    (List.length result.Harness.stats + List.length result.Harness.failures = 8)
+  Alcotest.(check int) "p1 ran 8 ops" 8 (List.length (stats_of result 1));
+  (* The other process was not taken down by the failed one. *)
+  Alcotest.(check int) "every op accounted for" 9
+    (List.length result.Harness.stats + List.length result.Harness.failures)
 
 (* ---- wakeup certification ---- *)
 

@@ -89,7 +89,7 @@ let test_memory_capacity_checked () =
   | _ -> Alcotest.fail "out-of-range register must raise"
   | exception Invalid_argument _ -> ()
 
-(* ---- the ring-buffer recorder ---- *)
+(* ---- the recorder ---- *)
 
 let entry_seqs r = List.map (fun (e : Hw_recorder.entry) -> e.seq) (Hw_recorder.entries r)
 
@@ -102,26 +102,28 @@ let record_n r count =
 let test_recorder_flush_order () =
   let r = Hw_recorder.create ~capacity:8 in
   record_n r 5;
-  Alcotest.(check int) "total" 5 (Hw_recorder.total r);
-  Alcotest.(check int) "nothing dropped" 0 (Hw_recorder.dropped r);
   Alcotest.(check (list int)) "oldest first, recording order" [ 0; 1; 2; 3; 4 ] (entry_seqs r);
   let e = List.nth (Hw_recorder.entries r) 2 in
   Alcotest.(check int) "cost preserved" 2 e.Hw_recorder.cost;
   Alcotest.(check bool) "stamps preserved" true
     (e.Hw_recorder.invoked = 2.0 && e.Hw_recorder.responded = 2.5)
 
-let test_recorder_wraparound () =
-  let r = Hw_recorder.create ~capacity:4 in
-  record_n r 7;
-  Alcotest.(check int) "total counts overwritten records" 7 (Hw_recorder.total r);
-  Alcotest.(check int) "three dropped" 3 (Hw_recorder.dropped r);
-  Alcotest.(check (list int)) "retained suffix, oldest first" [ 3; 4; 5; 6 ] (entry_seqs r)
-
 let test_recorder_exact_capacity () =
   let r = Hw_recorder.create ~capacity:4 in
   record_n r 4;
-  Alcotest.(check int) "full ring, nothing dropped" 0 (Hw_recorder.dropped r);
   Alcotest.(check (list int)) "all four in order" [ 0; 1; 2; 3 ] (entry_seqs r)
+
+let test_recorder_full_raises () =
+  (* A record past the capacity must raise, not overwrite an older one. *)
+  let r = Hw_recorder.create ~capacity:4 in
+  record_n r 4;
+  (match
+     Hw_recorder.record r ~seq:4 ~op:Value.unit ~response:(Value.Int 4) ~invoked:4.0
+       ~responded:4.5 ~cost:4
+   with
+  | () -> Alcotest.fail "a record past the capacity must raise"
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check (list int)) "the four records are intact" [ 0; 1; 2; 3 ] (entry_seqs r)
 
 (* ---- timestamp ranking ---- *)
 
@@ -224,7 +226,6 @@ let test_concurrent_histories_linearizable () =
       let failed = List.length result.Hw_harness.failures in
       Alcotest.(check int) (name ^ ": every op completed or gave up") (n * per)
         (completed + failed);
-      Alcotest.(check int) (name ^ ": no recorder losses") 0 result.Hw_harness.dropped;
       (match Hw_harness.check ~max_states:500_000 ~spec result with
       | Linearize.Linearizable _ -> ()
       | Linearize.Not_linearizable _ ->
@@ -307,10 +308,10 @@ let suite =
     Alcotest.test_case "memory: self-move raises" `Quick test_memory_self_move_raises;
     Alcotest.test_case "memory: register capacity checked" `Quick test_memory_capacity_checked;
     Alcotest.test_case "recorder: flush is oldest-first" `Quick test_recorder_flush_order;
-    Alcotest.test_case "recorder: wraparound keeps newest, counts dropped" `Quick
-      test_recorder_wraparound;
     Alcotest.test_case "recorder: exact capacity drops nothing" `Quick
       test_recorder_exact_capacity;
+    Alcotest.test_case "recorder: a record past capacity raises" `Quick
+      test_recorder_full_raises;
     Alcotest.test_case "history: equal stamps share a rank" `Quick
       test_equal_stamps_share_rank;
     Alcotest.test_case "history: give-ups become pending ops" `Quick

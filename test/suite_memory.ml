@@ -222,20 +222,6 @@ let test_growth () =
     [ 0; 63; 64; 4095; 4096; 250_000; sparse_reg ]
     (Memory.touched m)
 
-(* Layout *)
-
-let test_layout () =
-  let l = Layout.create ~base:10 () in
-  let a = Layout.alloc l ~init:(Value.Int 1) in
-  let arr = Layout.alloc_array l ~len:3 ~init:Value.Unit in
-  Alcotest.(check int) "first" 10 a;
-  Alcotest.(check (array int)) "array" [| 11; 12; 13 |] arr;
-  Alcotest.(check int) "next" 14 (Layout.next_free l);
-  let m = Memory.create ~default:(Value.Bool false) () in
-  Layout.install l m;
-  Alcotest.check value "installed" (Value.Int 1) (Memory.peek m 10);
-  Alcotest.check value "installed array" Value.Unit (Memory.peek m 12)
-
 (* Property: a process's SC succeeds iff no successful SC/swap/move-into hit
    the register since its last LL. *)
 let prop_sc_semantics =
@@ -610,7 +596,6 @@ let suite =
     Alcotest.test_case "negative pid rejected" `Quick test_negative_pid;
     Alcotest.test_case "largest value size" `Quick test_largest_value_size;
     Alcotest.test_case "store growth and sparse spill" `Quick test_growth;
-    Alcotest.test_case "layout allocator" `Quick test_layout;
     prop_sc_semantics;
     Alcotest.test_case "access profile" `Quick test_profile;
     Alcotest.test_case "empty profile" `Quick test_profile_empty;

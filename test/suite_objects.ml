@@ -511,7 +511,7 @@ let find_ot name =
   | None -> Alcotest.failf "object type %s missing" name
 
 let find_construction name =
-  match Conformance.find_construction name with
+  match Fault_targets.find name with
   | Some c -> c
   | None -> Alcotest.failf "construction %s missing" name
 

@@ -261,17 +261,6 @@ let test_run_diagnosed () =
   Alcotest.(check bool) "run agrees" true
     (System.run sys2 (Scheduler.fixed [ 0; 0; 1; 1 ]) ~fuel:100 = System.Stalled)
 
-let test_crash_scheduler () =
-  let memory = Memory.create ~default:(Value.Int 0) () in
-  let sys = System.create ~memory ~n:4 incrementer in
-  let dead = Ids.of_list [ 1; 3 ] in
-  let outcome = System.run sys (Scheduler.crash ~dead Scheduler.round_robin) ~fuel:1_000 in
-  (* The dead processes never run, so the run stalls once the live ones
-     finish. *)
-  Alcotest.(check bool) "stalled" true (outcome = System.Stalled);
-  Alcotest.(check (option int)) "p1 never ran" None (System.results sys).(1);
-  Alcotest.(check bool) "p0 ran" true ((System.results sys).(0) <> None)
-
 let test_random_scheduler_deterministic () =
   let run seed =
     let memory = Memory.create ~default:(Value.Int 0) () in
@@ -368,7 +357,6 @@ let suite =
     Alcotest.test_case "system stalls" `Quick test_system_stalls;
     Alcotest.test_case "system out of fuel" `Quick test_system_out_of_fuel;
     Alcotest.test_case "run diagnostics" `Quick test_run_diagnosed;
-    Alcotest.test_case "crash scheduler" `Quick test_crash_scheduler;
     Alcotest.test_case "random scheduler deterministic" `Quick test_random_scheduler_deterministic;
     Alcotest.test_case "result_exn" `Quick test_result_exn;
     Alcotest.test_case "relaxed flush scheduling" `Quick test_relaxed_flush_scheduling;

@@ -514,16 +514,14 @@ let test_direct_cas_cost_independent_of_n () =
         true (result.Harness.max_cost <= 2))
     [ 1; 4; 32; 128; 512 ]
 
-let test_fetch_inc_retry_contention () =
+let test_fetch_inc_contention () =
   (* Under round-robin all n processes contend: someone's retry count grows
      with n — the non-wait-free ablation. *)
   let run n =
-    let layout = Layout.create () in
-    let handle = Direct.fetch_inc_retry layout () in
-    let memory = Memory.create () in
-    Layout.install layout memory;
     let result =
-      Harness.run_handle ~memory ~handle ~n ~ops:(fun _ -> [ Value.Unit ]) ()
+      Harness.run ~construction:Direct.fetch_inc ~spec:(Counters.fetch_inc ~bits:62) ~n
+        ~ops:(fun _ -> [ Value.Unit ])
+        ()
     in
     Alcotest.(check bool) "completed" true result.Harness.completed;
     let responses =
@@ -590,6 +588,6 @@ let suite =
     Alcotest.test_case "direct CAS basic" `Quick test_direct_cas_basic;
     Alcotest.test_case "direct CAS cost independent of n" `Quick
       test_direct_cas_cost_independent_of_n;
-    Alcotest.test_case "fetch&inc retry contention" `Quick test_fetch_inc_retry_contention;
+    Alcotest.test_case "fetch&inc retry contention" `Quick test_fetch_inc_contention;
     Alcotest.test_case "complexity sweep shapes" `Quick test_sweep_shapes;
   ]
